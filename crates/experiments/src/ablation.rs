@@ -19,28 +19,30 @@
 //!    term ICOUNT's feedback avoids — visible directly in the
 //!    `lost_frontend_full` bucket shift ([`AblationStudy::gap`]).
 //!
-//! Cells are independent simulations and run in parallel across OS
-//! threads; `smt_exp --study ablation --json out.json` writes the
-//! schema-version-4 document described in the crate docs. Warm-window
-//! cells fork from checkpoints warmed under each cell's own fetch policy
-//! and ablation set — see [`crate::warmup`] for why ablations, unlike the
-//! issue study's policy axes, preclude sharing one warmup across cells.
+//! `smt_exp --study ablation --json out.json` writes the schema-version-4
+//! document described in the crate docs.
 //!
-//! Like the issue study, the sweep contains cell faults (a failing cell
-//! becomes a [`FailedAblationCell`] in `failed_cells` instead of aborting
-//! the matrix) and resumes from a durable `--journal` directory (see
-//! [`crate::journal`]).
+//! This module owns the study's axes, cell type, attribution statistics
+//! and document; [`run_ablation_study`] turns the axes into one plan per
+//! cell for the crate's sweep engine (`sweep.rs`, described in the crate
+//! docs), which runs them exactly as it runs the issue study's — in
+//! parallel, with a failing cell contained as a [`FailedAblationCell`] in
+//! `failed_cells`, resuming from a durable `--journal` directory (see
+//! [`crate::journal`]). Two warm kinds appear: cold-window plans warm
+//! *none* (they run straight through), and warm-window plans warm under
+//! their *own* fetch policy and ablation set, inside the cell — see
+//! [`crate::warmup`] for why ablations, unlike the issue study's policy
+//! axes, preclude sharing one warmup across cells.
 
 use std::fmt;
 
-use smt_core::checkpoint::config_fingerprint;
 use smt_core::{fetch_policy_by_name, Ablation, Ablations, FetchPartition, SimConfig, SimReport};
 use smt_stats::json::Json;
 use smt_stats::TextTable;
 
-use crate::fault::{CellError, Degradation, DegradeReason};
-use crate::journal::{journal_key, Journal};
-use crate::study::{validate_mix, JSON_SCHEMA_VERSION};
+use crate::fault::{CellError, Degradation};
+use crate::study::{fetch_name, mean, validate_mix, StudyConfig};
+use crate::sweep::{self, CellPlan, Sweep, Warm};
 
 /// The paper's claim the wrong-path exemption quantifies: wrong-path
 /// instruction fetching costs on the order of 2% of throughput.
@@ -74,6 +76,18 @@ impl fmt::Display for Window {
     }
 }
 
+/// Checks an ablation name against [`Ablation::ALL`].
+pub(crate) fn check_ablation(name: &str) -> Result<(), String> {
+    if Ablation::by_name(name).is_some() {
+        return Ok(());
+    }
+    let known: Vec<&str> = Ablation::ALL.iter().map(|a| a.name()).collect();
+    Err(format!(
+        "unknown ablation '{name}' (known: {})",
+        known.join(", ")
+    ))
+}
+
 /// Configuration of one ablation sweep. Issue policy is fixed at
 /// OLDEST_FIRST — the Section-5 study showed it is not a sensitive axis.
 #[derive(Debug, Clone)]
@@ -97,15 +111,6 @@ pub struct AblationStudyConfig {
     pub warmup: u64,
     /// Worker threads for the sweep; `0` means one per available core.
     pub jobs: usize,
-    /// Run warm-window cells through the checkpoint path: each warm cell
-    /// forks from a checkpoint warmed under its own configuration, served
-    /// from [`AblationStudyConfig::checkpoint_dir`] when it holds a valid
-    /// entry (an ablation changes the machine itself, so — unlike the
-    /// issue study — warmups here cannot be shared *across* cells without
-    /// changing the attribution numbers; the cache dedups repeat sweeps
-    /// instead). `false` (`--cold-warmup`) recomputes every warmup,
-    /// ignoring the cache; results are byte-identical either way.
-    pub share_warmup: bool,
     /// Cache the per-key warmup checkpoints in this directory
     /// (`--checkpoint-dir`); entries are fingerprint-validated on load and
     /// recomputed on any mismatch.
@@ -119,29 +124,30 @@ pub struct AblationStudyConfig {
 
 impl Default for AblationStudyConfig {
     fn default() -> AblationStudyConfig {
-        AblationStudyConfig {
-            fetch_policies: vec!["rr".into(), "icount".into()],
-            ablations: Ablation::ALL.iter().map(|a| a.name().to_string()).collect(),
-            // Widened in PR 5 alongside the issue-policy study defaults:
-            // the 2.2/4.4 partitions and seed 7 ride the hot-loop speedup.
-            partitions: vec![
-                FetchPartition::new(2, 2),
-                FetchPartition::new(2, 8),
-                FetchPartition::new(4, 4),
-            ],
-            mixes: vec!["standard".into(), "int8".into(), "fp8".into()],
-            seeds: vec![42, 1337, 7],
-            cycles: 20_000,
-            warmup: 10_000,
-            jobs: 0,
-            share_warmup: true,
-            checkpoint_dir: None,
-            journal: None,
-        }
+        let every = Ablation::ALL.iter().map(|a| a.name().to_string()).collect();
+        AblationStudyConfig::over(StudyConfig::default(), every)
     }
 }
 
 impl AblationStudyConfig {
+    /// The ablation sweep over an issue-study configuration's shared axes
+    /// and settings (which is also how the two studies come to share their
+    /// defaults): everything but the issue-policy axis carries over.
+    pub(crate) fn over(study: StudyConfig, ablations: Vec<String>) -> AblationStudyConfig {
+        AblationStudyConfig {
+            fetch_policies: study.fetch_policies,
+            ablations,
+            partitions: study.partitions,
+            mixes: study.mixes,
+            seeds: study.seeds,
+            cycles: study.cycles,
+            warmup: study.warmup,
+            jobs: study.jobs,
+            checkpoint_dir: study.checkpoint_dir,
+            journal: study.journal,
+        }
+    }
+
     /// Validates every policy, ablation, partition and mix name.
     ///
     /// # Errors
@@ -149,18 +155,10 @@ impl AblationStudyConfig {
     /// Returns a usage-style message naming the first problem.
     pub fn validate(&self) -> Result<(), String> {
         for f in &self.fetch_policies {
-            if fetch_policy_by_name(f).is_none() {
-                return Err(format!("unknown fetch policy '{f}'"));
-            }
+            fetch_name(f)?;
         }
         for a in &self.ablations {
-            if Ablation::by_name(a).is_none() {
-                let known: Vec<&str> = Ablation::ALL.iter().map(|a| a.name()).collect();
-                return Err(format!(
-                    "unknown ablation '{a}' (known: {})",
-                    known.join(", ")
-                ));
-            }
+            check_ablation(a)?;
         }
         for m in &self.mixes {
             validate_mix(m)?;
@@ -275,12 +273,16 @@ pub struct AblationStudy {
     pub journal_loaded: usize,
 }
 
-/// Runs the full ablation matrix, parallelized across OS threads. Program
-/// images are generated once per (mix, seed) and shared between the cells
-/// that use them; with [`AblationStudyConfig::share_warmup`] (the default)
-/// every warm cell forks from a checkpoint warmed under its own
-/// configuration, served from the `--checkpoint-dir` cache across repeat
-/// sweeps (see [`crate::warmup`]).
+/// Runs the full ablation matrix on the shared sweep engine (`sweep.rs`):
+/// one plan per cell, in (mix, seed, partition, fetch, window, ablation)
+/// order with the baseline first. Cold-window plans run straight through;
+/// each warm-window plan forks a checkpoint warmed under its *own* fetch
+/// policy and ablation set — an ablation changes the machine itself, so
+/// warming it any other way would contaminate the attribution numbers (the
+/// warmed state of a perfect-I-cache machine is not the warmed state of
+/// the baseline). Within one run every warm cell's checkpoint is therefore
+/// unique; the sharing win is across repeat sweeps, via the
+/// `--checkpoint-dir` cache.
 ///
 /// Cell faults are contained (a failing cell becomes a
 /// [`FailedAblationCell`]) and the sweep resumes from
@@ -294,37 +296,50 @@ pub struct AblationStudy {
 /// created.
 pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, String> {
     cfg.validate()?;
-
-    let images = crate::study::generate_images(&cfg.mixes, &cfg.seeds);
-
-    struct Spec<'a> {
-        ablation: Option<Ablation>,
-        fetch: &'a str,
-        partition: FetchPartition,
-        mix: &'a str,
-        seed: u64,
-        window: Window,
-    }
     let mut ablation_axis: Vec<Option<Ablation>> = vec![None];
     ablation_axis.extend(
         cfg.ablations
             .iter()
             .map(|a| Some(Ablation::by_name(a).expect("validated above"))),
     );
-    let mut specs = Vec::with_capacity(cfg.cell_count());
+    let mut axes = Vec::with_capacity(cfg.cell_count());
+    let mut plans = Vec::with_capacity(cfg.cell_count());
     for mix in &cfg.mixes {
         for &seed in &cfg.seeds {
             for &partition in &cfg.partitions {
                 for fetch in &cfg.fetch_policies {
                     for &window in &Window::ALL {
                         for &ablation in &ablation_axis {
-                            specs.push(Spec {
-                                ablation,
-                                fetch,
-                                partition,
+                            let name = ablation.map_or("baseline", |a| a.name());
+                            axes.push((ablation, fetch, window));
+                            plans.push(CellPlan {
                                 mix,
                                 seed,
-                                window,
+                                partition,
+                                // An ablation or fetch policy changes the
+                                // machine's behaviour, not its fingerprinted
+                                // geometry, so both live in the key parts.
+                                key_parts: vec!["ablation-study", fetch, window.name(), name],
+                                label: Box::new(move || {
+                                    format!("{name}/{fetch}/{window}/{partition}/{mix}/s{seed}")
+                                }),
+                                warm: match window {
+                                    Window::Cold => Warm::None,
+                                    Window::Warm => Warm::Own(Box::new(move || {
+                                        let key = crate::warmup::key_stem(mix, seed, partition);
+                                        format!("{key}-f{fetch}-a{name}")
+                                    })),
+                                },
+                                config: Box::new(move |images| {
+                                    images
+                                        .apply(SimConfig::new())
+                                        .with_seed(seed)
+                                        .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                                        .with_partition(partition)
+                                        .with_ablations(
+                                            ablation.map_or(Ablations::none(), Ablations::only),
+                                        )
+                                }),
                             });
                         }
                     }
@@ -332,213 +347,40 @@ pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, St
             }
         }
     }
-
-    let cell_label = |spec: &Spec| {
-        format!(
-            "{}/{}/{}/{}/{}/s{}",
-            spec.ablation.map_or("baseline", |a| a.name()),
-            spec.fetch,
-            spec.window,
-            spec.partition,
-            spec.mix,
-            spec.seed
-        )
+    let sweep = Sweep {
+        images: sweep::resolve_images(&cfg.mixes, &cfg.seeds),
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
+        journal: cfg.journal.as_deref(),
+        plans,
     };
-
-    // The durable journal and per-(mix, seed, partition) fingerprints —
-    // an ablation or fetch policy changes the machine's behaviour, not
-    // its fingerprinted geometry, so the fork axes live in the key's
-    // string parts instead (see `journal_key`).
-    let journal = match &cfg.journal {
-        Some(dir) => Some(
-            Journal::open(dir)
-                .map_err(|e| format!("cannot open journal {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let mut fingerprints: std::collections::HashMap<(String, u64, FetchPartition), u64> =
-        std::collections::HashMap::new();
-    if journal.is_some() {
-        for mix in &cfg.mixes {
-            for &seed in &cfg.seeds {
-                if let Ok(imgs) = &images[&(mix.clone(), seed)] {
-                    for &partition in &cfg.partitions {
-                        fingerprints.insert(
-                            (mix.clone(), seed, partition),
-                            config_fingerprint(&crate::warmup::canonical_config_for(
-                                imgs, seed, partition,
-                            )),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let cell_key = |spec: &Spec| -> Option<u64> {
-        let fp = fingerprints.get(&(spec.mix.to_string(), spec.seed, spec.partition))?;
-        Some(journal_key(
-            *fp,
-            &[
-                "ablation-study",
-                spec.fetch,
-                spec.window.name(),
-                spec.ablation.map_or("baseline", |a| a.name()),
-            ],
-            &[cfg.cycles, cfg.warmup],
-        ))
-    };
-
-    // Journal prescan (see `run_study` — same resume contract).
-    let mut journaled: Vec<Option<SimReport>> = (0..specs.len()).map(|_| None).collect();
-    let mut degraded: Vec<Degradation> = Vec::new();
-    if let Some(journal) = &journal {
-        for (i, spec) in specs.iter().enumerate() {
-            let Some(key) = cell_key(spec) else { continue };
-            match journal.load(key, i as u64) {
-                Ok(found) => journaled[i] = found,
-                Err(detail) => degraded.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalRead,
-                    detail: format!("{detail}; cell re-run"),
-                }),
-            }
-        }
-    }
-
-    // Each warm cell forks from a checkpoint warmed under the cell's OWN
-    // fetch policy and ablation set — an ablation changes the machine
-    // itself, so warming it any other way would contaminate the
-    // attribution numbers (the warmed state of a perfect-I-cache machine
-    // is not the warmed state of the baseline). Within one run every warm
-    // cell's key is therefore unique; the sharing win is across repeat
-    // sweeps, via the `--checkpoint-dir` cache. Cold cells never warm.
-    // Every cell is isolated behind `catch_unwind` at the scheduler
-    // boundary, so one cell's fault never takes down the matrix.
-    struct Done {
-        cell: AblationCell,
-        from_journal: bool,
-        warmed: bool,
-        degradations: Vec<Degradation>,
-    }
-    let outcomes = smt_stats::sched::work_steal_map_catch(specs.len(), cfg.jobs, |i| {
-        let spec = &specs[i];
-        #[cfg(feature = "fault-inject")]
-        smt_stats::faults::panic_point("cell", i as u64);
-        let mix_images = match &images[&(spec.mix.to_string(), spec.seed)] {
-            Ok(imgs) => imgs,
-            Err(e) => return Err(CellError::workload(e.clone())),
-        };
-        if let Some(report) = &journaled[i] {
-            return Ok(Done {
-                cell: AblationCell {
-                    ablation: spec.ablation.map(|a| a.name().to_string()),
-                    fetch: report.fetch_policy.clone(),
-                    partition: spec.partition,
-                    mix: spec.mix.to_string(),
-                    seed: spec.seed,
-                    window: spec.window,
-                    report: report.clone(),
-                },
-                from_journal: true,
-                warmed: false,
-                degradations: Vec::new(),
-            });
-        }
-        let ablations = match spec.ablation {
-            Some(a) => Ablations::only(a),
-            None => Ablations::none(),
-        };
-        let build = || {
-            mix_images
-                .apply(SimConfig::new())
-                .with_seed(spec.seed)
-                .with_fetch(fetch_policy_by_name(spec.fetch).expect("validated"))
-                .with_partition(spec.partition)
-                .with_ablations(ablations)
-        };
-        let mut degradations = Vec::new();
-        let (report, warmed) = match spec.window {
-            Window::Cold => (build().build().run(cfg.cycles), false),
-            Window::Warm => {
-                let (checkpoint, computed) = if cfg.share_warmup {
-                    let stem = format!(
-                        "warm-{}-s{}-p{}.{}-f{}-a{}",
-                        crate::warmup::sanitize_stem(spec.mix),
-                        spec.seed,
-                        spec.partition.threads_per_cycle,
-                        spec.partition.insts_per_thread,
-                        spec.fetch,
-                        spec.ablation.map_or("baseline", |a| a.name()),
-                    );
-                    let warm = crate::warmup::warm_checkpoint_under(
-                        build,
-                        &stem,
-                        cfg.warmup,
-                        cfg.checkpoint_dir.as_deref(),
-                    );
-                    degradations.extend(warm.degradations);
-                    (warm.checkpoint, warm.computed)
-                } else {
-                    let bytes = crate::warmup::compute_checkpoint_under(build(), cfg.warmup);
-                    (std::sync::Arc::new(bytes), true)
-                };
-                let report = crate::warmup::try_fork_cell(build(), &checkpoint, cfg.cycles)
-                    .map_err(|e| CellError::checkpoint(e.to_string()))?;
-                (report, computed)
-            }
-        };
-        if let (Some(journal), Some(key)) = (&journal, cell_key(spec)) {
-            if let Err(e) = journal.store(key, i as u64, &report) {
-                degradations.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalWrite,
-                    detail: format!("store failed: {e}; result not durable"),
-                });
-            }
-        }
-        Ok(Done {
-            cell: AblationCell {
-                ablation: spec.ablation.map(|a| a.name().to_string()),
-                fetch: report.fetch_policy.clone(),
-                partition: spec.partition,
-                mix: spec.mix.to_string(),
-                seed: spec.seed,
-                window: spec.window,
-                report,
-            },
-            from_journal: false,
-            warmed,
-            degradations,
-        })
-    });
+    let outcome = sweep::run(&sweep)?;
 
     let mut cells = Vec::new();
     let mut failed = Vec::new();
-    let mut warmups_performed = 0;
-    let mut journal_loaded = 0;
-    for (spec, outcome) in specs.iter().zip(outcomes) {
-        let flat = match outcome {
-            Ok(inner) => inner,
-            Err(panic_msg) => Err(CellError::panic(panic_msg)),
-        };
-        match flat {
-            Ok(done) => {
-                if done.from_journal {
-                    journal_loaded += 1;
-                }
-                if done.warmed {
-                    warmups_performed += 1;
-                }
-                degraded.extend(done.degradations);
-                cells.push(done.cell);
-            }
+    for ((plan, (ablation, fetch, window)), result) in
+        sweep.plans.iter().zip(axes).zip(outcome.cells)
+    {
+        let ablation = ablation.map(|a| a.name().to_string());
+        match result {
+            Ok(report) => cells.push(AblationCell {
+                ablation,
+                fetch: report.fetch_policy.clone(),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
+                window,
+                report,
+            }),
             Err(error) => failed.push(FailedAblationCell {
-                ablation: spec.ablation.map(|a| a.name().to_string()),
-                fetch: crate::study::canonical_fetch_name(spec.fetch),
-                partition: spec.partition,
-                mix: spec.mix.to_string(),
-                seed: spec.seed,
-                window: spec.window,
+                ablation,
+                fetch: fetch_name(fetch).expect("validated"),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
+                window,
                 error,
             }),
         }
@@ -547,9 +389,9 @@ pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, St
         config: cfg.clone(),
         cells,
         failed,
-        degraded,
-        warmups_performed,
-        journal_loaded,
+        degraded: outcome.degraded,
+        warmups_performed: outcome.warmups_performed,
+        journal_loaded: outcome.journal_loaded,
     })
 }
 
@@ -713,64 +555,69 @@ impl AblationStudy {
     /// pretty-rendered.
     pub fn to_json(&self) -> Json {
         let cfg = &self.config;
-        let config = Json::object([
-            ("cycles", Json::from(cfg.cycles)),
-            ("warmup_cycles", Json::from(cfg.warmup)),
-            (
-                "fetch_policies",
-                Json::array(cfg.fetch_policies.iter().map(String::as_str)),
-            ),
-            (
-                "ablations",
-                Json::array(cfg.ablations.iter().map(String::as_str)),
-            ),
-            (
-                "partitions",
-                Json::array(cfg.partitions.iter().map(|p| p.to_string())),
-            ),
-            ("mixes", Json::array(cfg.mixes.iter().map(String::as_str))),
-            ("seeds", Json::array(cfg.seeds.iter().copied())),
-            ("windows", Json::array(Window::ALL.iter().map(|w| w.name()))),
-        ]);
-        let cells = Json::array(self.cells.iter().map(|c| {
-            let shift = self.loss_shift(c);
-            Json::object([
+        let mut config = sweep::config_json(
+            cfg.cycles,
+            cfg.warmup,
+            &cfg.fetch_policies,
+            ("ablations", sweep::names(&cfg.ablations)),
+            &cfg.partitions,
+            ("mixes", sweep::names(&cfg.mixes)),
+            &cfg.seeds,
+        );
+        config.push(("windows", Json::array(Window::ALL.iter().map(|w| w.name()))));
+        let coordinates = |ablation: &Option<String>,
+                           fetch: &str,
+                           partition: FetchPartition,
+                           mix: &str,
+                           seed: u64,
+                           window: Window| {
+            vec![
                 (
                     "ablation",
-                    match &c.ablation {
-                        Some(a) => Json::from(a.clone()),
-                        None => Json::Null,
-                    },
+                    ablation.as_deref().map_or(Json::Null, Json::from),
                 ),
-                ("fetch", Json::from(c.fetch.clone())),
-                ("partition", Json::from(c.partition.to_string())),
-                ("mix", Json::from(c.mix.clone())),
-                ("seed", Json::from(c.seed)),
-                ("window", Json::from(c.window.name())),
+                ("fetch", Json::from(fetch)),
+                ("partition", Json::from(partition.to_string())),
+                ("mix", Json::from(mix)),
+                ("seed", Json::from(seed)),
+                ("window", Json::from(window.name())),
+            ]
+        };
+        let shift_json = |lost_icache: Json, lost_frontend_full: Json, conflicts: Json| {
+            Json::object([
+                ("lost_icache", lost_icache),
+                ("lost_frontend_full", lost_frontend_full),
+                ("wrong_path_fetch_conflicts", conflicts),
+            ])
+        };
+        let cells = Json::array(self.cells.iter().map(|c| {
+            let mut cell =
+                coordinates(&c.ablation, &c.fetch, c.partition, &c.mix, c.seed, c.window);
+            cell.extend([
                 ("total_ipc", Json::from(c.report.total_ipc())),
                 (
                     "delta_vs_baseline",
-                    match self.delta_vs_baseline(c) {
-                        Some(d) => Json::from(d),
-                        None => Json::Null,
-                    },
+                    self.delta_vs_baseline(c).map_or(Json::Null, Json::from),
                 ),
                 (
                     "loss_shift",
-                    match shift {
-                        Some(s) => Json::object([
-                            ("lost_icache", Json::from(s.lost_icache)),
-                            ("lost_frontend_full", Json::from(s.lost_frontend_full)),
-                            (
-                                "wrong_path_fetch_conflicts",
-                                Json::from(s.wrong_path_fetch_conflicts),
-                            ),
-                        ]),
-                        None => Json::Null,
-                    },
+                    self.loss_shift(c).map_or(Json::Null, |s| {
+                        shift_json(
+                            s.lost_icache.into(),
+                            s.lost_frontend_full.into(),
+                            s.wrong_path_fetch_conflicts.into(),
+                        )
+                    }),
                 ),
                 ("report", c.report.to_json()),
-            ])
+            ]);
+            Json::object(cell)
+        }));
+        let failed = Json::array(self.failed.iter().map(|f| {
+            let mut cell =
+                coordinates(&f.ablation, &f.fetch, f.partition, &f.mix, f.seed, f.window);
+            cell.push(("error", f.error.to_json()));
+            Json::object(cell)
         }));
         let ablation_summary = Json::array(
             cfg.ablations
@@ -802,114 +649,62 @@ impl AblationStudy {
                         ),
                         (
                             "mean_loss_shift",
-                            Json::object([
-                                ("lost_icache", Json::from(shift_means(|s| s.lost_icache))),
-                                (
-                                    "lost_frontend_full",
-                                    Json::from(shift_means(|s| s.lost_frontend_full)),
-                                ),
-                                (
-                                    "wrong_path_fetch_conflicts",
-                                    Json::from(shift_means(|s| s.wrong_path_fetch_conflicts)),
-                                ),
-                            ]),
+                            shift_json(
+                                shift_means(|s| s.lost_icache).into(),
+                                shift_means(|s| s.lost_frontend_full).into(),
+                                shift_means(|s| s.wrong_path_fetch_conflicts).into(),
+                            ),
                         ),
                     ])
                 }),
         );
-        let gap_json = |ablation: Option<&str>, window: Window| match self
-            .gap("ICOUNT", "RR", ablation, window)
-        {
-            Some(g) => Json::from(g),
-            None => Json::Null,
+        let gap_json = |ablation: Option<&str>, window: Window| {
+            let gap = self.gap("ICOUNT", "RR", ablation, window);
+            gap.map_or(Json::Null, Json::from)
         };
         let perfect_icache = Ablation::PerfectICache.name();
         let infinite_queues = Ablation::InfiniteFrontendQueues.name();
-        Json::object([
-            ("schema_version", Json::from(JSON_SCHEMA_VERSION)),
-            ("kind", Json::from("smt-exp-study")),
-            ("study", Json::from("ablation")),
-            ("config", config),
-            ("cells", cells),
+        let summary = Json::object([
+            ("ablations", ablation_summary),
             (
-                "failed_cells",
-                Json::array(self.failed.iter().map(|f| {
-                    Json::object([
-                        (
-                            "ablation",
-                            match &f.ablation {
-                                Some(a) => Json::from(a.clone()),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("fetch", Json::from(f.fetch.as_str())),
-                        ("partition", Json::from(f.partition.to_string())),
-                        ("mix", Json::from(f.mix.as_str())),
-                        ("seed", Json::from(f.seed)),
-                        ("window", Json::from(f.window.name())),
-                        ("error", f.error.to_json()),
-                    ])
-                })),
-            ),
-            (
-                "degraded_cells",
-                Json::array(self.degraded.iter().map(Degradation::to_json)),
-            ),
-            (
-                "summary",
+                "wrong_path_claim",
                 Json::object([
-                    ("ablations", ablation_summary),
+                    ("paper_claim_pct", Json::from(PAPER_WRONG_PATH_CLAIM_PCT)),
+                    ("window", Json::from("warm")),
+                    ("mix", Json::from("standard")),
                     (
-                        "wrong_path_claim",
-                        Json::object([
-                            ("paper_claim_pct", Json::from(PAPER_WRONG_PATH_CLAIM_PCT)),
-                            ("window", Json::from("warm")),
-                            ("mix", Json::from("standard")),
-                            (
-                                "measured_delta_pct",
-                                match self.wrong_path_claim() {
-                                    Some(d) => Json::from(d),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ]),
-                    ),
-                    (
-                        "gap_decomposition",
-                        Json::object([
-                            ("fetch_hi", Json::from("ICOUNT")),
-                            ("fetch_lo", Json::from("RR")),
-                            ("cold_gap_baseline", gap_json(None, Window::Cold)),
-                            ("warm_gap_baseline", gap_json(None, Window::Warm)),
-                            (
-                                "cold_gap_perfect_icache",
-                                gap_json(Some(perfect_icache), Window::Cold),
-                            ),
-                            (
-                                "warm_gap_infinite_frontend_queues",
-                                gap_json(Some(infinite_queues), Window::Warm),
-                            ),
-                        ]),
+                        "measured_delta_pct",
+                        self.wrong_path_claim().map_or(Json::Null, Json::from),
                     ),
                 ]),
             ),
-        ])
+            (
+                "gap_decomposition",
+                Json::object([
+                    ("fetch_hi", Json::from("ICOUNT")),
+                    ("fetch_lo", Json::from("RR")),
+                    ("cold_gap_baseline", gap_json(None, Window::Cold)),
+                    ("warm_gap_baseline", gap_json(None, Window::Warm)),
+                    (
+                        "cold_gap_perfect_icache",
+                        gap_json(Some(perfect_icache), Window::Cold),
+                    ),
+                    (
+                        "warm_gap_infinite_frontend_queues",
+                        gap_json(Some(infinite_queues), Window::Warm),
+                    ),
+                ]),
+            ),
+        ]);
+        let study = Some(("ablation", summary));
+        sweep::document(study, config, cells, failed, &self.degraded)
     }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    (n > 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::JSON_SCHEMA_VERSION;
 
     fn tiny_ablation_study() -> AblationStudyConfig {
         AblationStudyConfig {
@@ -985,119 +780,17 @@ mod tests {
                 );
             }
         }
+        // Warm cells carry the provenance flag; cold cells never warmed.
+        for c in &study.cells {
+            assert_eq!(c.report.restored_from_checkpoint, c.window == Window::Warm);
+        }
+        // Each warm cell warms under its own configuration.
+        assert_eq!(study.warmups_performed, cfg.cell_count() / 2);
         // Perfect I-cache cells really have a perfect I-cache.
         for c in study.cells_of(Some("perfect_icache"), Window::Cold) {
             assert_eq!(c.report.mem.icache.misses, 0);
             assert_eq!(c.report.fetch.lost_icache, 0);
         }
-    }
-
-    #[test]
-    fn worker_count_never_leaks_into_the_ablation_document() {
-        // Same scheduler-determinism property as the issue study: the
-        // `--study ablation` document must not change bytes across
-        // worker counts, including an oversubscribed jobs=8.
-        let base = tiny_ablation_study();
-        let reference = run_ablation_study(&AblationStudyConfig {
-            jobs: 1,
-            ..base.clone()
-        })
-        .unwrap()
-        .to_json()
-        .render_pretty();
-        for jobs in [2, 8] {
-            let doc = run_ablation_study(&AblationStudyConfig {
-                jobs,
-                ..base.clone()
-            })
-            .unwrap()
-            .to_json()
-            .render_pretty();
-            assert_eq!(
-                doc, reference,
-                "jobs={jobs} perturbed the ablation document bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_and_cold_warmup_paths_are_byte_identical() {
-        let dir =
-            std::env::temp_dir().join(format!("smt-exp-ablation-cache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = AblationStudyConfig {
-            checkpoint_dir: Some(dir.clone()),
-            ..tiny_ablation_study()
-        };
-        let first = run_ablation_study(&cfg).unwrap();
-        let cold = run_ablation_study(&AblationStudyConfig {
-            share_warmup: false,
-            ..cfg.clone()
-        })
-        .unwrap();
-        // Each warm cell warms under its own configuration, so a cold
-        // cache computes one warmup per warm cell in both modes …
-        assert_eq!(first.warmups_performed, cfg.cell_count() / 2);
-        assert_eq!(cold.warmups_performed, cfg.cell_count() / 2);
-        assert_eq!(
-            first.to_json().render_pretty(),
-            cold.to_json().render_pretty(),
-            "the checkpoint path changed the ablation study's results"
-        );
-        // … and a repeat sweep is served entirely from the cache, with
-        // identical results.
-        let repeat = run_ablation_study(&cfg).unwrap();
-        assert_eq!(repeat.warmups_performed, 0);
-        assert_eq!(
-            repeat.to_json().render_pretty(),
-            first.to_json().render_pretty()
-        );
-        // Warm cells carry the provenance flag; cold cells never warmed.
-        for c in &first.cells {
-            match c.window {
-                Window::Warm => assert!(c.report.restored_from_checkpoint),
-                Window::Cold => assert!(!c.report.restored_from_checkpoint),
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_resume_is_byte_identical_across_windows() {
-        let dir =
-            std::env::temp_dir().join(format!("smt-exp-ablation-journal-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let plain = tiny_ablation_study();
-        let cfg = AblationStudyConfig {
-            journal: Some(dir.clone()),
-            ..plain.clone()
-        };
-        let reference = run_ablation_study(&plain)
-            .unwrap()
-            .to_json()
-            .render_pretty();
-        let first = run_ablation_study(&cfg).unwrap();
-        assert_eq!(first.journal_loaded, 0);
-        assert_eq!(first.to_json().render_pretty(), reference);
-        // Cold AND warm cells are journaled, so a resume runs nothing.
-        let resumed = run_ablation_study(&cfg).unwrap();
-        assert_eq!(resumed.journal_loaded, cfg.cell_count());
-        assert_eq!(resumed.warmups_performed, 0);
-        assert!(resumed.degraded.is_empty());
-        assert_eq!(resumed.to_json().render_pretty(), reference);
-        // A partial journal re-runs only the missing cells.
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        for name in names.iter().take(names.len() / 2) {
-            std::fs::remove_file(dir.join(name)).unwrap();
-        }
-        let partial = run_ablation_study(&cfg).unwrap();
-        assert_eq!(partial.journal_loaded, names.len() - names.len() / 2);
-        assert_eq!(partial.to_json().render_pretty(), reference);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

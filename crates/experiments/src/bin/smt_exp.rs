@@ -10,47 +10,71 @@ use std::process::ExitCode;
 
 use smt_experiments::ablation::{run_ablation_study, Window};
 use smt_experiments::fault::Degradation;
-use smt_experiments::study::run_study;
+use smt_experiments::study::{run_study, FailedStudyCell};
 use smt_experiments::warmup::{run_checkpoint_verify, run_checkpoint_write};
 use smt_experiments::{matrix_to_json, parse_cli, run_matrix, Command, USAGE};
+use smt_stats::json::Json;
 
-/// Prints the sweep's fault/degradation summary and returns whether any
-/// cell failed (a nonzero-exit condition — partial results are still
-/// printed and written, but the run must not look clean).
-fn report_faults(
+/// Finishes a sweep: prints its fault/degradation summary, writes the
+/// `--json` document, and picks the exit code — nonzero when any cell
+/// failed (partial results are still printed and written, but the run must
+/// not look clean).
+fn finish(
     journal_loaded: usize,
     degraded: &[Degradation],
-    failed: &[(String, String)],
-) -> bool {
+    failed: impl Iterator<Item = String>,
+    json: Option<(&str, Json)>,
+) -> Result<ExitCode, String> {
     if journal_loaded > 0 {
         println!("journal: resumed {journal_loaded} completed cell(s)");
     }
     for d in degraded {
         eprintln!("degraded: {d}");
     }
+    let failed: Vec<String> = failed.collect();
     if !failed.is_empty() {
         eprintln!("{} cell(s) FAILED:", failed.len());
-        for (label, error) in failed {
-            eprintln!("  {label}: {error}");
+        for line in &failed {
+            eprintln!("  {line}");
         }
     }
-    !failed.is_empty()
+    if let Some((path, doc)) = json {
+        std::fs::write(path, doc.render_pretty())
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
+    Ok(if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `fetch/issue/partition/mix/sSEED: error`, a failure-list line.
+fn issue_cell_failure(f: &FailedStudyCell) -> String {
+    format!(
+        "{}/{}/{}/{}/s{}: {}",
+        f.fetch, f.issue, f.partition, f.mix, f.seed, f.error
+    )
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match parse_cli(&args) {
-        Ok(cmd) => cmd,
+    match parse_cli(&args).and_then(run) {
+        Ok(code) => code,
         Err(msg) if msg == USAGE => {
             println!("{msg}");
-            return ExitCode::SUCCESS;
+            ExitCode::SUCCESS
         }
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// Runs one parsed command; an `Err` is a whole-command failure message.
+fn run(cmd: Command) -> Result<ExitCode, String> {
     match cmd {
         Command::Matrix(cfg) => {
             println!(
@@ -59,23 +83,23 @@ fn main() -> ExitCode {
                 cfg.threads, cfg.cycles, cfg.warmup, cfg.seed, cfg.issue_policy
             );
             println!();
-            let (table, reports) = run_matrix(&cfg);
+            let matrix = run_matrix(&cfg)?;
             println!("total IPC (committed instructions per cycle):");
-            println!("{table}");
+            println!("{}", matrix.table);
             if cfg.verbose {
-                for report in &reports {
+                for report in &matrix.reports {
                     println!("{report}");
                     println!();
                 }
             }
-            if let Some(path) = &cfg.json {
-                if let Err(e) = std::fs::write(path, matrix_to_json(&cfg, &reports).render_pretty())
-                {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {path}");
-            }
+            finish(
+                matrix.journal_loaded,
+                &matrix.degraded,
+                matrix.failed.iter().map(issue_cell_failure),
+                cfg.json
+                    .as_deref()
+                    .map(|path| (path, matrix_to_json(&cfg, &matrix))),
+            )
         }
         Command::Study { cfg, json } => {
             println!(
@@ -91,13 +115,7 @@ fn main() -> ExitCode {
                 cfg.warmup,
             );
             println!();
-            let study = match run_study(&cfg) {
-                Ok(study) => study,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let study = run_study(&cfg)?;
             println!("total IPC by issue policy:");
             println!("{}", study.summary_table());
             for (name, ipc) in study.mean_ipc_by_issue() {
@@ -108,30 +126,12 @@ fn main() -> ExitCode {
                 study.issue_ipc_spread(),
                 study.fetch_ipc_spread()
             );
-            let failed: Vec<(String, String)> = study
-                .failed
-                .iter()
-                .map(|f| {
-                    (
-                        format!(
-                            "{}/{}/{}/{}/s{}",
-                            f.fetch, f.issue, f.partition, f.mix, f.seed
-                        ),
-                        f.error.to_string(),
-                    )
-                })
-                .collect();
-            let any_failed = report_faults(study.journal_loaded, &study.degraded, &failed);
-            if let Some(path) = json {
-                if let Err(e) = std::fs::write(&path, study.to_json().render_pretty()) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {path}");
-            }
-            if any_failed {
-                return ExitCode::FAILURE;
-            }
+            finish(
+                study.journal_loaded,
+                &study.degraded,
+                study.failed.iter().map(issue_cell_failure),
+                json.as_deref().map(|path| (path, study.to_json())),
+            )
         }
         Command::Ablation { cfg, json } => {
             println!(
@@ -148,13 +148,7 @@ fn main() -> ExitCode {
                 cfg.warmup,
             );
             println!();
-            let study = match run_ablation_study(&cfg) {
-                Ok(study) => study,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let study = run_ablation_study(&cfg)?;
             println!("mean IPC by ablation and window:");
             println!("{}", study.summary_table());
             if let Some(pct) = study.wrong_path_claim() {
@@ -181,50 +175,31 @@ fn main() -> ExitCode {
                     println!("ICOUNT-vs-RR {label}: {gap:+.3} IPC");
                 }
             }
-            let failed: Vec<(String, String)> = study
-                .failed
-                .iter()
-                .map(|f| {
-                    (
-                        format!(
-                            "{}/{}/{}/{}/{}/s{}",
-                            f.ablation.as_deref().unwrap_or("baseline"),
-                            f.fetch,
-                            f.window,
-                            f.partition,
-                            f.mix,
-                            f.seed
-                        ),
-                        f.error.to_string(),
+            finish(
+                study.journal_loaded,
+                &study.degraded,
+                study.failed.iter().map(|f| {
+                    format!(
+                        "{}/{}/{}/{}/{}/s{}: {}",
+                        f.ablation.as_deref().unwrap_or("baseline"),
+                        f.fetch,
+                        f.window,
+                        f.partition,
+                        f.mix,
+                        f.seed,
+                        f.error
                     )
-                })
-                .collect();
-            let any_failed = report_faults(study.journal_loaded, &study.degraded, &failed);
-            if let Some(path) = json {
-                if let Err(e) = std::fs::write(&path, study.to_json().render_pretty()) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {path}");
-            }
-            if any_failed {
-                return ExitCode::FAILURE;
-            }
+                }),
+                json.as_deref().map(|path| (path, study.to_json())),
+            )
         }
-        Command::CheckpointWrite(cfg) => match run_checkpoint_write(&cfg) {
-            Ok(line) => println!("{line}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Command::CheckpointVerify(cfg) => match run_checkpoint_verify(&cfg) {
-            Ok(line) => println!("{line}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Command::CheckpointWrite(cfg) => {
+            println!("{}", run_checkpoint_write(&cfg)?);
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::CheckpointVerify(cfg) => {
+            println!("{}", run_checkpoint_verify(&cfg)?);
+            Ok(ExitCode::SUCCESS)
+        }
     }
-    ExitCode::SUCCESS
 }

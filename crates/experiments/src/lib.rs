@@ -8,7 +8,7 @@
 //!   [`run_matrix`].
 //! * **Study mode** (Section 5): sweep issue policies × fetch policies ×
 //!   partitions over several workload mixes and seeds, behind a warmup
-//!   window, in parallel across OS threads — [`study::run_study`].
+//!   window — [`study::run_study`].
 //! * **Ablation mode** (Section-4-style attribution): run every mechanism
 //!   [`Ablation`](smt_core::Ablation) against the un-ablated baseline
 //!   across fetch policies × partitions × mixes × seeds × {cold, warm}
@@ -17,18 +17,40 @@
 //!
 //! The `smt_exp` binary is a thin CLI over all three ([`parse_cli`]).
 //!
-//! Both studies measure behind a warmup window and fork their warm cells
-//! off `smt-core` checkpoints ([`warmup`]). The issue study's warmup
-//! trajectory depends only on the machine and workload identity — not on
-//! the policy axes being compared — so it computes each warmup **once**
-//! per unique (mix, seed, partition), under a canonical configuration,
-//! and forks the warmed state across the whole fetch × issue
-//! cross-product. The ablation study's warm cells warm under their own
-//! fetch policy and ablation set (an ablation changes the machine being
-//! warmed), deduplicated across repeat sweeps by the cache instead.
-//! `--cold-warmup` disables checkpoint reuse (byte-identical results, one
-//! warmup per cell), `--checkpoint-dir` caches the checkpoints on disk
-//! across invocations, and the `checkpoint-write` / `checkpoint-verify`
+//! # One sweep engine
+//!
+//! The three modes differ only in their axes. Each mode's driver
+//! enumerates its cells into an ordered list of *plans* — the cell's
+//! workload key (mix, seed), partition, journal-key parts and incident
+//! label, how it reaches its measurement window, and a lazy
+//! `Fn(&MixImages) -> SimConfig` for its machine — and hands the list to
+//! the crate-private engine (`sweep.rs`), which does everything
+//! operational exactly once: resolve workload images per (mix, seed),
+//! fingerprint per (mix, seed, partition), open and prescan the
+//! `--journal`, pre-warm the shared checkpoints in parallel, run every
+//! remaining cell across OS threads behind per-cell fault containment,
+//! store each result, and merge failures and degradations in a
+//! deterministic order. A new sweep (a hardware axis, a throttling
+//! policy) is a new plan builder, not a new driver.
+//!
+//! A plan warms in one of three ways ([`warmup`] has the checkpoint
+//! mechanics):
+//!
+//! * **none** — the cell runs straight through (matrix cells, behind
+//!   `SimConfig::with_warmup`; the ablation study's cold windows);
+//! * **shared canonical key** — the issue study's warmup trajectory
+//!   depends only on the machine and workload identity, not on the policy
+//!   axes being compared, so each (mix, seed, partition) is warmed **once**
+//!   under a canonical configuration and the checkpoint forked across the
+//!   whole fetch × issue cross-product;
+//! * **own configuration** — an ablation changes the machine being warmed,
+//!   so each warm-window ablation cell warms under its own fetch policy and
+//!   ablation set. Such a checkpoint has a single user, so it is computed
+//!   inside the cell and dropped after the fork rather than held for the
+//!   sweep's lifetime.
+//!
+//! `--checkpoint-dir` caches either kind of checkpoint on disk across
+//! invocations, and the `checkpoint-write` / `checkpoint-verify`
 //! subcommands perform a cross-process save/restore round trip for CI.
 //!
 //! # Examples
@@ -59,13 +81,18 @@
 //!
 //! `smt_exp --study issue --json out.json` writes one pretty-rendered JSON
 //! object ([`study::Study::to_json`]); `--json` in matrix mode writes the
-//! analogous `"smt-exp-matrix"` document. Consumers should accept unknown
-//! fields and check `schema_version`. Version 2 added the ablation-study
+//! analogous `"smt-exp-matrix"` document ([`matrix_to_json`]): no `study`
+//! or `summary`; `config` carries `issue_policy: str` and `threads: u64`
+//! in place of `issue_policies` and `mixes`; a cell is `{fetch, issue,
+//! partition, total_ipc, report}`; and — like every sweep document since
+//! the matrix joined the shared engine — it has `failed_cells` (`{fetch,
+//! issue, partition, error}`) and `degraded_cells`. Consumers should accept
+//! unknown fields and check `schema_version`. Version 2 added the ablation-study
 //! document below and the optional per-report `ablations` field; version 3
 //! added the optional per-report `restored_from_checkpoint` flag (present
 //! and `true` exactly when the cell was forked off a warmed-state
-//! checkpoint — every issue-study cell and every warm-window ablation cell
-//! under the default shared-warmup path); version 4 added the
+//! checkpoint — every issue-study cell and every warm-window ablation
+//! cell); version 4 added the
 //! always-present `failed_cells` and `degraded_cells` lists (both empty on
 //! a fault-free run). Version-1/2/3 documents are otherwise
 //! forward-compatible.
@@ -187,10 +214,11 @@
 //! A sweep is a long-running fleet of independent cells, and the harness
 //! treats it that way ([`fault`], [`journal`]):
 //!
-//! * **Per-cell fault isolation.** Every cell (and every shared warmup)
-//!   runs behind `catch_unwind` at the scheduler boundary. A panic, an
-//!   unloadable `riscv:`/`trace:` workload file, a checkpoint mismatch or
-//!   a post-retry I/O failure becomes a typed entry in the document's
+//! * **Per-cell fault isolation.** Every cell (and every shared warmup),
+//!   in all three modes, runs behind `catch_unwind` at the scheduler
+//!   boundary. A panic, an unloadable `riscv:`/`trace:` workload file, a
+//!   checkpoint mismatch or a post-retry I/O failure becomes a typed entry
+//!   in the document's
 //!   `failed_cells` list — tagged `panic` / `workload` / `checkpoint` /
 //!   `io` — while every other cell's result stays byte-identical to a
 //!   fault-free run. `smt_exp` exits nonzero when any cell failed.
@@ -206,7 +234,11 @@
 //!   bit-rotted journal entry, failed store) falls back — recompute the
 //!   warmup, re-run the cell, keep the in-memory result — and is reported
 //!   as a reason-tagged entry in `degraded_cells` instead of an
-//!   `eprintln!` lost to a log. Degradation never changes result bytes.
+//!   `eprintln!` lost to a log. Degradation never changes result bytes,
+//!   and the list's order follows one rule whatever the worker count:
+//!   journal-read incidents in cell order, then shared-warmup incidents in
+//!   first-needed key order, then each cell's own incidents (checkpoint
+//!   cache, then journal write) in cell order.
 //! * **A fault-injection harness.** The `fault-inject` cargo feature
 //!   (never enabled in release artifacts) arms deterministic panics, I/O
 //!   errors and corruption at the named probe sites
@@ -222,8 +254,10 @@ pub(crate) mod durable;
 pub mod fault;
 pub mod journal;
 pub mod study;
+pub(crate) mod sweep;
 pub mod warmup;
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use smt_core::{fetch_policy_by_name, issue_policy_by_name, FetchPartition, SimConfig, SimReport};
@@ -232,7 +266,9 @@ use smt_stats::TextTable;
 use smt_workload::{standard_mix, Benchmark, Program};
 
 use crate::ablation::AblationStudyConfig;
-use crate::study::{StudyConfig, JSON_SCHEMA_VERSION, STUDY_MIXES};
+use crate::fault::Degradation;
+use crate::study::{FailedStudyCell, MixImages, StudyConfig, STUDY_MIXES};
+use crate::sweep::{CellPlan, Sweep, Warm};
 use crate::warmup::CheckpointCliConfig;
 
 /// One experiment sweep: which policies and partitions to run, on what
@@ -257,6 +293,10 @@ pub struct ExpConfig {
     pub verbose: bool,
     /// Write the machine-readable result document here.
     pub json: Option<String>,
+    /// Worker threads for the sweep; `0` means one per available core.
+    pub jobs: usize,
+    /// Durable result journal directory (`--journal`, see [`journal`]).
+    pub journal: Option<PathBuf>,
 }
 
 impl Default for ExpConfig {
@@ -276,6 +316,8 @@ impl Default for ExpConfig {
             seed: 42,
             verbose: false,
             json: None,
+            jobs: 0,
+            journal: None,
         }
     }
 }
@@ -297,87 +339,142 @@ pub fn generate_programs(cfg: &ExpConfig) -> Vec<Arc<Program>> {
         .collect()
 }
 
-/// Runs one `(fetch policy, partition)` cell on pre-generated images from
-/// [`generate_programs`].
-///
-/// # Panics
-///
-/// Panics if a policy name is unknown — the CLI validates names first.
-pub fn run_cell(
-    cfg: &ExpConfig,
-    fetch: &str,
-    partition: FetchPartition,
-    programs: &[Arc<Program>],
-) -> SimReport {
-    SimConfig::new()
-        .with_programs(programs.to_vec())
-        .with_seed(cfg.seed)
-        .with_fetch(fetch_policy_by_name(fetch).expect("validated fetch policy"))
-        .with_issue(issue_policy_by_name(&cfg.issue_policy).expect("validated issue policy"))
-        .with_partition(partition)
-        .with_warmup(cfg.warmup)
-        .build()
-        .run(cfg.cycles)
+/// Results of one matrix sweep.
+#[derive(Debug, Clone)]
+pub struct Matrix {
+    /// The Section-4-style throughput table: one row per partition, one
+    /// column per fetch policy, cells in IPC (`failed` for a contained
+    /// cell fault).
+    pub table: TextTable,
+    /// One report per *completed* cell, in (partition, fetch) order.
+    pub reports: Vec<SimReport>,
+    /// Cells whose fault was contained, in the same order; their `mix`
+    /// names the cycled standard mix.
+    pub failed: Vec<FailedStudyCell>,
+    /// Journal incidents survived along the way (see [`fault`]).
+    pub degraded: Vec<Degradation>,
+    /// Cells resumed from the `--journal` directory instead of re-run.
+    pub journal_loaded: usize,
 }
 
-/// Runs the full sweep and renders the Section-4-style throughput table:
-/// one row per partition, one column per fetch policy, cells in IPC.
-pub fn run_matrix(cfg: &ExpConfig) -> (TextTable, Vec<SimReport>) {
-    let programs = generate_programs(cfg);
+/// Runs the full sweep on the shared sweep engine (`sweep.rs`): one plan
+/// per (partition, fetch policy) cell, each run straight through behind
+/// [`ExpConfig::warmup`] on the sweep's shared images — in parallel,
+/// fault-contained and, with [`ExpConfig::journal`], crash-resumable like
+/// the study modes.
+///
+/// # Errors
+///
+/// Returns the open error when the requested journal directory cannot be
+/// created.
+pub fn run_matrix(cfg: &ExpConfig) -> Result<Matrix, String> {
+    let mix = format!("standard-{}t", cfg.threads);
+    let (mix, issue, seed) = (mix.as_str(), cfg.issue_policy.as_str(), cfg.seed);
+    let mut plans = Vec::new();
+    for &partition in &cfg.partitions {
+        for fetch in &cfg.fetch_policies {
+            plans.push(CellPlan {
+                mix,
+                seed,
+                partition,
+                key_parts: vec!["matrix", fetch, issue],
+                label: Box::new(move || format!("{fetch}/{issue}/{partition}/{mix}/s{seed}")),
+                warm: Warm::None,
+                config: Box::new(move |images| {
+                    images
+                        .apply(SimConfig::new())
+                        .with_seed(seed)
+                        .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                        .with_issue(issue_policy_by_name(issue).expect("validated"))
+                        .with_partition(partition)
+                        .with_warmup(cfg.warmup)
+                }),
+            });
+        }
+    }
+    let sweep = Sweep {
+        images: [((mix, seed), Ok(MixImages::Programs(generate_programs(cfg))))].into(),
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        checkpoint_dir: None,
+        journal: cfg.journal.as_deref(),
+        plans,
+    };
+    let outcome = sweep::run(&sweep)?;
+
     let mut table = TextTable::new();
     let mut header = vec!["partition".to_string()];
     header.extend(cfg.fetch_policies.iter().map(|p| p.to_uppercase()));
     table.header(header);
     let mut reports = Vec::new();
+    let mut failed = Vec::new();
+    let mut results = outcome.cells.into_iter();
     for &partition in &cfg.partitions {
         let mut row = vec![partition.to_string()];
-        for fetch in &cfg.fetch_policies {
-            let report = run_cell(cfg, fetch, partition, &programs);
-            row.push(format!("{:.2}", report.total_ipc()));
-            reports.push(report);
+        for (fetch, result) in cfg.fetch_policies.iter().zip(&mut results) {
+            match result {
+                Ok(report) => {
+                    row.push(format!("{:.2}", report.total_ipc()));
+                    reports.push(report);
+                }
+                Err(error) => {
+                    row.push("failed".to_string());
+                    failed.push(FailedStudyCell {
+                        fetch: study::fetch_name(fetch).expect("validated"),
+                        issue: study::issue_name(issue).expect("validated"),
+                        partition,
+                        mix: mix.to_string(),
+                        seed,
+                        error,
+                    });
+                }
+            }
         }
         table.row(row);
     }
-    (table, reports)
+    Ok(Matrix {
+        table,
+        reports,
+        failed,
+        degraded: outcome.degraded,
+        journal_loaded: outcome.journal_loaded,
+    })
 }
 
 /// The machine-readable document for a matrix run (`kind:
 /// "smt-exp-matrix"`, same schema conventions as the study document).
-pub fn matrix_to_json(cfg: &ExpConfig, reports: &[SimReport]) -> Json {
-    Json::object([
-        ("schema_version", Json::from(JSON_SCHEMA_VERSION)),
-        ("kind", Json::from("smt-exp-matrix")),
-        (
-            "config",
-            Json::object([
-                ("cycles", Json::from(cfg.cycles)),
-                ("warmup_cycles", Json::from(cfg.warmup)),
-                (
-                    "fetch_policies",
-                    Json::array(cfg.fetch_policies.iter().map(String::as_str)),
-                ),
-                ("issue_policy", Json::from(cfg.issue_policy.as_str())),
-                (
-                    "partitions",
-                    Json::array(cfg.partitions.iter().map(|p| p.to_string())),
-                ),
-                ("threads", Json::from(cfg.threads)),
-                ("seeds", Json::array([cfg.seed])),
-            ]),
-        ),
-        (
-            "cells",
-            Json::array(reports.iter().map(|r| {
-                Json::object([
-                    ("fetch", Json::from(r.fetch_policy.clone())),
-                    ("issue", Json::from(r.issue_policy.clone())),
-                    ("partition", Json::from(r.partition.to_string())),
-                    ("total_ipc", Json::from(r.total_ipc())),
-                    ("report", r.to_json()),
-                ])
-            })),
-        ),
-    ])
+pub fn matrix_to_json(cfg: &ExpConfig, matrix: &Matrix) -> Json {
+    let config = sweep::config_json(
+        cfg.cycles,
+        cfg.warmup,
+        &cfg.fetch_policies,
+        ("issue_policy", Json::from(cfg.issue_policy.as_str())),
+        &cfg.partitions,
+        ("threads", Json::from(cfg.threads)),
+        &[cfg.seed],
+    );
+    let coordinates = |fetch: &str, issue: &str, partition: FetchPartition| {
+        vec![
+            ("fetch", Json::from(fetch)),
+            ("issue", Json::from(issue)),
+            ("partition", Json::from(partition.to_string())),
+        ]
+    };
+    let cells = Json::array(matrix.reports.iter().map(|r| {
+        let mut cell = coordinates(&r.fetch_policy, &r.issue_policy, r.partition);
+        cell.extend([
+            ("total_ipc", Json::from(r.total_ipc())),
+            ("report", r.to_json()),
+        ]);
+        Json::object(cell)
+    }));
+    let failed = Json::array(matrix.failed.iter().map(|f| {
+        let mut cell = coordinates(&f.fetch, &f.issue, f.partition);
+        cell.push(("error", f.error.to_json()));
+        Json::object(cell)
+    }));
+    sweep::document(None, config, cells, failed, &matrix.degraded)
 }
 
 /// What the CLI asked for: a Section-4 matrix, the Section-5 issue study,
@@ -411,6 +508,34 @@ pub enum Command {
     CheckpointVerify(CheckpointCliConfig),
 }
 
+/// Parses a numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a number"))
+}
+
+/// Parses one `T.I` partition.
+fn partition(value: &str) -> Result<FetchPartition, String> {
+    FetchPartition::parse(value).ok_or_else(|| format!("bad partition '{value}' (expected T.I)"))
+}
+
+/// Parses a comma-separated name list, every entry passing `check`; the
+/// value `all` stands for the list `all`.
+fn name_list(
+    value: &str,
+    all: Vec<String>,
+    check: impl Fn(&str) -> Result<(), String>,
+) -> Result<Vec<String>, String> {
+    if value.eq_ignore_ascii_case("all") {
+        return Ok(all);
+    }
+    value
+        .split(',')
+        .map(|name| check(name).map(|()| name.to_string()))
+        .collect()
+}
+
 /// Parses the flags of the `checkpoint-write` / `checkpoint-verify`
 /// subcommands (everything after the subcommand name).
 fn parse_checkpoint_cli(args: &[String]) -> Result<CheckpointCliConfig, String> {
@@ -428,26 +553,10 @@ fn parse_checkpoint_cli(args: &[String]) -> Result<CheckpointCliConfig, String> 
                 study::validate_mix(&v)?;
                 cfg.mix = v;
             }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects a number".to_string())?;
-            }
-            "--partition" => {
-                let v = value("--partition")?;
-                cfg.partition = FetchPartition::parse(&v)
-                    .ok_or_else(|| format!("bad partition '{v}' (expected T.I)"))?;
-            }
-            "--warmup" => {
-                cfg.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|_| "--warmup expects a number".to_string())?;
-            }
-            "--cycles" => {
-                cfg.cycles = value("--cycles")?
-                    .parse()
-                    .map_err(|_| "--cycles expects a number".to_string())?;
-            }
+            "--seed" => cfg.seed = number(arg, &value(arg)?)?,
+            "--partition" => cfg.partition = partition(&value(arg)?)?,
+            "--warmup" => cfg.warmup = number(arg, &value(arg)?)?,
+            "--cycles" => cfg.cycles = number(arg, &value(arg)?)?,
             "--path" => cfg.path = value("--path")?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
@@ -483,11 +592,8 @@ pub fn parse_cli(args: &[String]) -> Result<Command, String> {
     let mut seeds: Option<Vec<u64>> = None;
     let mut mixes: Option<Vec<String>> = None;
     let mut warmup: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
     let mut ablations: Option<Vec<String>> = None;
-    let mut cold_warmup = false;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut journal: Option<String> = None;
+    let mut checkpoint_dir: Option<PathBuf> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -505,121 +611,51 @@ pub fn parse_cli(args: &[String]) -> Result<Command, String> {
                 study_kind = Some(v);
             }
             "--ablations" => {
-                let v = value("--ablations")?;
-                let list: Vec<String> = if v.eq_ignore_ascii_case("all") {
-                    AblationStudyConfig::default().ablations
-                } else {
-                    for name in v.split(',') {
-                        if smt_core::Ablation::by_name(name).is_none() {
-                            let known: Vec<&str> =
-                                smt_core::Ablation::ALL.iter().map(|a| a.name()).collect();
-                            return Err(format!(
-                                "unknown ablation '{name}' (known: {})",
-                                known.join(", ")
-                            ));
-                        }
-                    }
-                    v.split(',').map(str::to_string).collect()
-                };
-                ablations = Some(list);
+                let all = AblationStudyConfig::default().ablations;
+                ablations = Some(name_list(&value(arg)?, all, ablation::check_ablation)?);
             }
             "--fetch" => {
-                let v = value("--fetch")?;
-                if v.eq_ignore_ascii_case("all") {
-                    exp.fetch_policies = ExpConfig::default().fetch_policies;
-                } else {
-                    for name in v.split(',') {
-                        if fetch_policy_by_name(name).is_none() {
-                            return Err(format!("unknown fetch policy '{name}'"));
-                        }
-                    }
-                    exp.fetch_policies = v.split(',').map(str::to_string).collect();
-                }
+                let all = ExpConfig::default().fetch_policies;
+                exp.fetch_policies =
+                    name_list(&value(arg)?, all, |name| study::fetch_name(name).map(drop))?;
             }
             "--issue" => {
-                let v = value("--issue")?;
-                let list: Vec<String> = if v.eq_ignore_ascii_case("all") {
-                    StudyConfig::default().issue_policies
-                } else {
-                    for name in v.split(',') {
-                        if issue_policy_by_name(name).is_none() {
-                            return Err(format!("unknown issue policy '{name}'"));
-                        }
-                    }
-                    v.split(',').map(str::to_string).collect()
-                };
+                let all = StudyConfig::default().issue_policies;
+                let list = name_list(&value(arg)?, all, |name| study::issue_name(name).map(drop))?;
                 exp.issue_policy = list[0].clone();
                 issue_list = Some(list);
             }
             "--partition" => {
-                let v = value("--partition")?;
-                if v.eq_ignore_ascii_case("all") {
-                    exp.partitions = FetchPartition::all_schemes().to_vec();
+                let v = value(arg)?;
+                exp.partitions = if v.eq_ignore_ascii_case("all") {
+                    FetchPartition::all_schemes().to_vec()
                 } else {
-                    exp.partitions = v
-                        .split(',')
-                        .map(|s| {
-                            FetchPartition::parse(s)
-                                .ok_or_else(|| format!("bad partition '{s}' (expected T.I)"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                    v.split(',').map(partition).collect::<Result<_, _>>()?
+                };
             }
             "--mixes" => {
-                let v = value("--mixes")?;
-                let list: Vec<String> = if v.eq_ignore_ascii_case("all") {
-                    STUDY_MIXES.iter().map(|s| s.to_string()).collect()
-                } else {
-                    for name in v.split(',') {
-                        study::validate_mix(name)?;
-                    }
-                    v.split(',').map(str::to_string).collect()
-                };
-                mixes = Some(list);
+                let all = STUDY_MIXES.iter().map(|s| s.to_string()).collect();
+                mixes = Some(name_list(&value(arg)?, all, study::validate_mix)?);
             }
             "--threads" => {
-                exp.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a number".to_string())?;
+                exp.threads = number(arg, &value(arg)?)?;
                 if exp.threads == 0 || exp.threads > smt_core::MAX_THREADS {
                     return Err(format!("--threads must be 1..={}", smt_core::MAX_THREADS));
                 }
             }
-            "--cycles" => {
-                exp.cycles = value("--cycles")?
-                    .parse()
-                    .map_err(|_| "--cycles expects a number".to_string())?;
-            }
-            "--warmup" => {
-                warmup = Some(
-                    value("--warmup")?
-                        .parse()
-                        .map_err(|_| "--warmup expects a number".to_string())?,
-                );
-            }
-            "--seed" => {
-                exp.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects a number".to_string())?;
-            }
+            "--cycles" => exp.cycles = number(arg, &value(arg)?)?,
+            "--warmup" => warmup = Some(number(arg, &value(arg)?)?),
+            "--seed" => exp.seed = number(arg, &value(arg)?)?,
             "--seeds" => {
-                let v = value("--seeds")?;
-                let parsed: Result<Vec<u64>, _> = v.split(',').map(str::parse).collect();
+                let parsed: Result<Vec<u64>, _> = value(arg)?.split(',').map(str::parse).collect();
                 seeds = Some(
                     parsed.map_err(|_| "--seeds expects comma-separated numbers".to_string())?,
                 );
             }
-            "--jobs" => {
-                jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs expects a number".to_string())?,
-                );
-            }
+            "--jobs" => exp.jobs = number(arg, &value(arg)?)?,
             "--json" => exp.json = Some(value("--json")?),
-            "--cold-warmup" => cold_warmup = true,
-            "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-            "--journal" => journal = Some(value("--journal")?),
+            "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value(arg)?)),
+            "--journal" => exp.journal = Some(PathBuf::from(value(arg)?)),
             "--verbose" | "-v" => exp.verbose = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
@@ -629,137 +665,105 @@ pub fn parse_cli(args: &[String]) -> Result<Command, String> {
     if let Some(w) = warmup {
         exp.warmup = w;
     }
-    match study_kind.as_deref() {
-        None => {
-            // Reject study-only flags so a forgotten '--study issue' fails
-            // loudly instead of silently running a different experiment.
-            for (given, flag) in [
-                (mixes.is_some(), "--mixes"),
-                (seeds.is_some(), "--seeds"),
-                (jobs.is_some(), "--jobs"),
-                (ablations.is_some(), "--ablations"),
-                (cold_warmup, "--cold-warmup"),
-                (checkpoint_dir.is_some(), "--checkpoint-dir"),
-                (journal.is_some(), "--journal"),
-            ] {
-                if given {
-                    return Err(format!("{flag} requires a --study mode"));
-                }
-            }
-            if issue_list.as_ref().is_some_and(|l| l.len() > 1) {
-                return Err("matrix mode takes a single --issue policy; \
-                     use --study issue to sweep issue policies"
-                    .to_string());
-            }
-            Ok(Command::Matrix(exp))
-        }
-        Some(kind) => {
-            // Matrix-only flags have no effect in study mode; reject them
-            // rather than yield results the user did not ask for.
-            if args.iter().any(|a| a == "--threads") {
-                return Err("--threads applies to matrix mode; study thread counts \
-                     come from --mixes"
-                    .to_string());
-            }
-            if exp.verbose {
-                return Err("--verbose applies to matrix mode only".to_string());
-            }
-            if kind == "issue" {
-                if ablations.is_some() {
-                    return Err("--ablations requires --study ablation".to_string());
-                }
-                let defaults = StudyConfig::default();
-                let cfg = StudyConfig {
-                    fetch_policies: if args.iter().any(|a| a == "--fetch") {
-                        exp.fetch_policies
-                    } else {
-                        defaults.fetch_policies
-                    },
-                    issue_policies: issue_list.unwrap_or(defaults.issue_policies),
-                    partitions: if args.iter().any(|a| a == "--partition") {
-                        exp.partitions
-                    } else {
-                        defaults.partitions
-                    },
-                    mixes: mixes.unwrap_or(defaults.mixes),
-                    seeds: seeds.unwrap_or_else(|| {
-                        if args.iter().any(|a| a == "--seed") {
-                            vec![exp.seed]
-                        } else {
-                            defaults.seeds
-                        }
-                    }),
-                    cycles: exp.cycles,
-                    warmup: warmup.unwrap_or(defaults.warmup),
-                    jobs: jobs.unwrap_or(0),
-                    share_warmup: !cold_warmup,
-                    checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
-                    journal: journal.map(std::path::PathBuf::from),
-                };
-                cfg.validate()?;
-                Ok(Command::Study {
-                    cfg,
-                    json: exp.json,
-                })
-            } else {
-                // The ablation study fixes the issue policy (Section 5
-                // showed it is not a sensitive axis).
-                if issue_list.is_some() || args.iter().any(|a| a == "--issue") {
-                    return Err("--issue applies to matrix mode and --study issue; \
-                         the ablation study runs OLDEST_FIRST"
-                        .to_string());
-                }
-                let defaults = AblationStudyConfig::default();
-                let cfg = AblationStudyConfig {
-                    fetch_policies: if args.iter().any(|a| a == "--fetch") {
-                        exp.fetch_policies
-                    } else {
-                        defaults.fetch_policies
-                    },
-                    ablations: ablations.unwrap_or(defaults.ablations),
-                    partitions: if args.iter().any(|a| a == "--partition") {
-                        exp.partitions
-                    } else {
-                        defaults.partitions
-                    },
-                    mixes: mixes.unwrap_or(defaults.mixes),
-                    seeds: seeds.unwrap_or_else(|| {
-                        if args.iter().any(|a| a == "--seed") {
-                            vec![exp.seed]
-                        } else {
-                            defaults.seeds
-                        }
-                    }),
-                    cycles: exp.cycles,
-                    warmup: warmup.unwrap_or(defaults.warmup),
-                    jobs: jobs.unwrap_or(0),
-                    share_warmup: !cold_warmup,
-                    checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
-                    journal: journal.map(std::path::PathBuf::from),
-                };
-                cfg.validate()?;
-                Ok(Command::Ablation {
-                    cfg,
-                    json: exp.json,
-                })
+    let Some(kind) = study_kind else {
+        // Reject study-only flags so a forgotten '--study issue' fails
+        // loudly instead of silently running a different experiment.
+        for (given, flag) in [
+            (mixes.is_some(), "--mixes"),
+            (seeds.is_some(), "--seeds"),
+            (ablations.is_some(), "--ablations"),
+            (checkpoint_dir.is_some(), "--checkpoint-dir"),
+        ] {
+            if given {
+                return Err(format!("{flag} requires a --study mode"));
             }
         }
+        if issue_list.as_ref().is_some_and(|l| l.len() > 1) {
+            return Err("matrix mode takes a single --issue policy; \
+                 use --study issue to sweep issue policies"
+                .to_string());
+        }
+        return Ok(Command::Matrix(exp));
+    };
+
+    // Matrix-only flags have no effect in study mode; reject them rather
+    // than yield results the user did not ask for.
+    let given = |flag: &str| args.iter().any(|a| a == flag);
+    if given("--threads") {
+        return Err("--threads applies to matrix mode; study thread counts \
+             come from --mixes"
+            .to_string());
     }
+    if exp.verbose {
+        return Err("--verbose applies to matrix mode only".to_string());
+    }
+    if kind == "issue" && ablations.is_some() {
+        return Err("--ablations requires --study ablation".to_string());
+    }
+    // The ablation study fixes the issue policy (Section 5 showed it is
+    // not a sensitive axis).
+    if kind == "ablation" && given("--issue") {
+        return Err("--issue applies to matrix mode and --study issue; \
+             the ablation study runs OLDEST_FIRST"
+            .to_string());
+    }
+    // Both studies default the axes they share identically, so the common
+    // settings are resolved once, as a `StudyConfig`.
+    let defaults = StudyConfig::default();
+    let cfg = StudyConfig {
+        fetch_policies: if given("--fetch") {
+            exp.fetch_policies
+        } else {
+            defaults.fetch_policies
+        },
+        issue_policies: issue_list.unwrap_or(defaults.issue_policies),
+        partitions: if given("--partition") {
+            exp.partitions
+        } else {
+            defaults.partitions
+        },
+        mixes: mixes.unwrap_or(defaults.mixes),
+        seeds: seeds.unwrap_or_else(|| {
+            if given("--seed") {
+                vec![exp.seed]
+            } else {
+                defaults.seeds
+            }
+        }),
+        cycles: exp.cycles,
+        warmup: warmup.unwrap_or(defaults.warmup),
+        jobs: exp.jobs,
+        checkpoint_dir,
+        journal: exp.journal,
+    };
+    if kind == "issue" {
+        cfg.validate()?;
+        return Ok(Command::Study {
+            cfg,
+            json: exp.json,
+        });
+    }
+    let ablations = ablations.unwrap_or_else(|| AblationStudyConfig::default().ablations);
+    let cfg = AblationStudyConfig::over(cfg, ablations);
+    cfg.validate()?;
+    Ok(Command::Ablation {
+        cfg,
+        json: exp.json,
+    })
 }
 
 /// CLI usage text.
 pub const USAGE: &str = "\
 usage: smt_exp [--fetch rr,icount,brcount,misscount|all] [--issue oldest|opt_last|spec_last|branch_first]
                [--partition T.I[,T.I...]|all] [--threads N] [--cycles N] [--warmup N]
-               [--seed N] [--verbose] [--json PATH]
+               [--seed N] [--verbose] [--jobs N] [--journal DIR] [--json PATH]
        smt_exp --study issue [--fetch LIST] [--issue LIST|all] [--partition LIST|all]
                [--mixes MIX[,MIX...]|all] [--seeds N,N,...] [--cycles N]
-               [--warmup N] [--jobs N] [--cold-warmup] [--checkpoint-dir DIR]
-               [--journal DIR] [--json PATH]
+               [--warmup N] [--jobs N] [--checkpoint-dir DIR] [--journal DIR]
+               [--json PATH]
        smt_exp --study ablation [--fetch LIST] [--ablations LIST|all] [--partition LIST|all]
                [--mixes LIST|all] [--seeds N,N,...] [--cycles N] [--warmup N]
-               [--jobs N] [--cold-warmup] [--checkpoint-dir DIR] [--journal DIR]
-               [--json PATH]
+               [--jobs N] [--checkpoint-dir DIR] [--journal DIR] [--json PATH]
        smt_exp checkpoint-write --path FILE [--mix NAME] [--seed N] [--partition T.I]
                [--warmup N]
        smt_exp checkpoint-verify --path FILE [--mix NAME] [--seed N] [--partition T.I]
@@ -786,18 +790,17 @@ The checkpoint subcommands' --mix accepts the same syntax.
 Both studies fork their warm cells off warmed-state checkpoints: '--study
 issue' computes each warmup once per unique (mix, seed, partition) and forks it
 across the whole policy cross-product, while '--study ablation' warms each warm
-cell under its own fetch policy and ablation set (sharing across repeat sweeps
-via the cache); '--cold-warmup' recomputes every warmup per cell instead
-(byte-identical results, more work) and '--checkpoint-dir DIR' caches the
-warmup checkpoints on disk across invocations. 'checkpoint-write' simulates one
-canonical warmup (ICOUNT fetch, OLDEST_FIRST issue, no ablations) and writes
-the checkpoint to --path; 'checkpoint-verify' restores such a file — from any
-process — and fails unless the restored run's report is byte-identical to a
-straight-through run of the same machine.
+cell under its own fetch policy and ablation set; '--checkpoint-dir DIR' caches
+either kind of warmup checkpoint on disk across invocations. 'checkpoint-write'
+simulates one canonical warmup (ICOUNT fetch, OLDEST_FIRST issue, no ablations)
+and writes the checkpoint to --path; 'checkpoint-verify' restores such a file —
+from any process — and fails unless the restored run's report is byte-identical
+to a straight-through run of the same machine.
 
-Sweeps contain cell faults: a cell that panics or fails to load its workload
-becomes a typed entry in the document's 'failed_cells' list (and a nonzero
-exit code) while every other cell completes unchanged. '--journal DIR'
+All three sweep modes run their cells in parallel ('--jobs N', default one
+worker per core) and contain cell faults: a cell that panics or fails to load
+its workload becomes a typed entry in the document's 'failed_cells' list (and a
+nonzero exit code) while every other cell completes unchanged. '--journal DIR'
 additionally makes the sweep crash-resumable: every completed cell is
 atomically published to DIR as it finishes, and re-running the identical
 command resumes from the journal, producing a document byte-identical to an
@@ -942,6 +945,9 @@ mod tests {
         assert_eq!(cfg.ablations, d.ablations);
         assert_eq!(cfg.ablations.len(), 4, "default sweeps every ablation");
         assert_eq!(cfg.fetch_policies, d.fetch_policies);
+        assert_eq!(cfg.partitions, d.partitions);
+        assert_eq!(cfg.mixes, d.mixes);
+        assert_eq!(cfg.seeds, d.seeds);
         assert_eq!(cfg.warmup, d.warmup);
         // '--ablations all' expands like the other list flags.
         let Command::Ablation { cfg, .. } =
@@ -985,21 +991,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_journal_flag_is_study_only() {
-        let Command::Study { cfg, .. } =
-            parse_cli(&argv(&["--study", "issue", "--journal", "j.dir"])).unwrap()
-        else {
+    fn parse_journal_and_jobs_flags_reach_every_mode() {
+        let journal = Some(std::path::Path::new("j.dir"));
+        let flags = ["--journal", "j.dir", "--jobs", "3"];
+        let with = |mode: &[&str]| parse_cli(&argv(&[mode, &flags[..]].concat())).unwrap();
+        let Command::Study { cfg, .. } = with(&["--study", "issue"]) else {
             panic!("expected study mode");
         };
-        assert_eq!(cfg.journal.as_deref(), Some(std::path::Path::new("j.dir")));
-        let Command::Ablation { cfg, .. } =
-            parse_cli(&argv(&["--study", "ablation", "--journal", "j.dir"])).unwrap()
-        else {
+        assert_eq!((cfg.journal.as_deref(), cfg.jobs), (journal, 3));
+        let Command::Ablation { cfg, .. } = with(&["--study", "ablation"]) else {
             panic!("expected ablation mode");
         };
-        assert_eq!(cfg.journal.as_deref(), Some(std::path::Path::new("j.dir")));
-        // Matrix mode rejects it loudly, like the other study-only flags.
-        assert!(parse_cli(&argv(&["--journal", "j.dir"])).is_err());
+        assert_eq!((cfg.journal.as_deref(), cfg.jobs), (journal, 3));
+        let Command::Matrix(cfg) = with(&[]) else {
+            panic!("expected matrix mode");
+        };
+        assert_eq!((cfg.journal.as_deref(), cfg.jobs), (journal, 3));
+        // Matrix cells never checkpoint, so the cache flag stays study-only.
+        assert!(parse_cli(&argv(&["--checkpoint-dir", "c.dir"])).is_err());
     }
 
     #[test]
@@ -1018,7 +1027,6 @@ mod tests {
         for flags in [
             &["--mixes", "int8"][..],
             &["--seeds", "1,2"][..],
-            &["--jobs", "2"][..],
             &["--issue", "all"][..],
             &["--issue", "oldest,opt_last"][..],
         ] {
@@ -1046,14 +1054,16 @@ mod tests {
             cycles: 400,
             ..ExpConfig::default()
         };
-        let (table, reports) = run_matrix(&cfg);
-        assert_eq!(reports.len(), 2);
-        let rendered = table.to_string();
+        let matrix = run_matrix(&cfg).unwrap();
+        assert_eq!(matrix.reports.len(), 2);
+        assert!(matrix.failed.is_empty() && matrix.degraded.is_empty());
+        let rendered = matrix.table.to_string();
         assert!(rendered.contains("RR"));
         assert!(rendered.contains("ICOUNT"));
         assert!(rendered.contains("2.8"));
-        // The matrix JSON document parses and carries every cell.
-        let doc = matrix_to_json(&cfg, &reports);
+        // The matrix JSON document parses and carries every cell, plus the
+        // always-present (here empty) v4 fault lists.
+        let doc = matrix_to_json(&cfg, &matrix);
         let back = Json::parse(&doc.render_pretty()).unwrap();
         assert_eq!(
             back.get("kind").and_then(Json::as_str),
@@ -1063,6 +1073,10 @@ mod tests {
             back.get("cells").and_then(Json::as_array).map(<[_]>::len),
             Some(2)
         );
+        for list in ["failed_cells", "degraded_cells"] {
+            let entries = back.get(list).and_then(Json::as_array).unwrap();
+            assert!(entries.is_empty(), "{list} not empty on a fault-free run");
+        }
     }
 
     #[test]
@@ -1074,9 +1088,10 @@ mod tests {
             warmup: 150,
             ..ExpConfig::default()
         };
-        let (_, reports) = run_matrix(&cfg);
-        assert_eq!(reports[0].cycles, 300);
-        assert_eq!(reports[0].warmup_cycles, 150);
+        let matrix = run_matrix(&cfg).unwrap();
+        assert_eq!(matrix.reports[0].cycles, 300);
+        assert_eq!(matrix.reports[0].warmup_cycles, 150);
+        assert!(!matrix.reports[0].restored_from_checkpoint);
     }
 
     #[test]

@@ -6,16 +6,22 @@
 //! OPT_LAST / SPEC_LAST / BRANCH_FIRST) barely moves total throughput —
 //! issue bandwidth is no longer the bottleneck. [`run_study`] reproduces
 //! that comparison: every cell runs behind a warmup window (so cold-start
-//! cache effects do not drown the small issue-policy deltas), cells are
-//! independent simulations and run in parallel across OS threads, and the
+//! cache effects do not drown the small issue-policy deltas) and the
 //! result renders as a table or as the versioned JSON document described in
 //! the crate docs.
+//!
+//! This module owns what is specific to the study — its axes (and the
+//! workload-mix vocabulary every mode shares), its cell type, its summary
+//! statistics and its document. Running the cells is not: [`run_study`]
+//! turns the axes into one plan per cell, each forking the *shared
+//! canonical* warmup of its (mix, seed, partition), and the crate's sweep
+//! engine (`sweep.rs`, described in the crate docs) does the rest —
+//! parallelism, fault containment, the `--journal`, the checkpoint cache.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, FetchPartition, SimConfig, SimReport, WorkloadSpec,
     MAX_THREADS,
@@ -24,8 +30,8 @@ use smt_stats::json::Json;
 use smt_stats::TextTable;
 use smt_workload::{standard_mix, Benchmark, Program, RiscvImage, TraceImage};
 
-use crate::fault::{CellError, Degradation, DegradeReason};
-use crate::journal::{journal_key, Journal};
+use crate::fault::{CellError, Degradation};
+use crate::sweep::{self, CellPlan, Sweep, Warm};
 
 /// Version of the JSON documents emitted by [`Study::to_json`],
 /// [`crate::ablation::AblationStudy::to_json`] and `smt_exp --json`. Bump
@@ -210,25 +216,30 @@ pub fn resolve_mix(mix: &str, seed: u64) -> Result<MixImages, String> {
     Ok(MixImages::Workloads(workloads))
 }
 
-/// Workload images for a sweep, resolved once per (mix, seed) and shared
-/// between every cell that uses the pair. Mix names are pre-validated
-/// ([`validate_mix`]) but file loads can still fail — per *key*, not per
-/// sweep: an unreadable `riscv:`/`trace:` file fails only the cells of
-/// its own (mix, seed) pair (as typed `workload` [`CellError`]s), while
-/// every other key's cells run to completion.
-pub(crate) fn generate_images(
-    mixes: &[String],
-    seeds: &[u64],
-) -> HashMap<(String, u64), Result<MixImages, String>> {
-    let mut images = HashMap::new();
-    for mix in mixes {
-        for &seed in seeds {
-            images
-                .entry((mix.clone(), seed))
-                .or_insert_with(|| resolve_mix(mix, seed));
-        }
+/// The canonical name of a shipped fetch policy (`rr` → `RR`, as reports
+/// spell it), or the unknown-name message.
+pub(crate) fn fetch_name(name: &str) -> Result<String, String> {
+    let policy = fetch_policy_by_name(name);
+    let policy = policy.ok_or_else(|| format!("unknown fetch policy '{name}'"))?;
+    Ok(policy.name().to_string())
+}
+
+/// See [`fetch_name`].
+pub(crate) fn issue_name(name: &str) -> Result<String, String> {
+    let policy = issue_policy_by_name(name);
+    let policy = policy.ok_or_else(|| format!("unknown issue policy '{name}'"))?;
+    Ok(policy.name().to_string())
+}
+
+/// Mean of the values, `None` when there are none.
+pub(crate) fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for v in values {
+        sum += v;
+        n += 1;
     }
-    images
+    (n > 0).then(|| sum / n as f64)
 }
 
 /// Configuration of one study sweep.
@@ -251,11 +262,6 @@ pub struct StudyConfig {
     pub warmup: u64,
     /// Worker threads for the sweep; `0` means one per available core.
     pub jobs: usize,
-    /// Warm each unique (mix, seed, partition) once under the canonical
-    /// configuration and fork the checkpoint across the policy
-    /// cross-product (see [`crate::warmup`]). `false` recomputes the same
-    /// canonical warmup per cell; results are byte-identical either way.
-    pub share_warmup: bool,
     /// Cache the per-key warmup checkpoints in this directory
     /// (`--checkpoint-dir`); entries are fingerprint-validated on load and
     /// recomputed on any mismatch.
@@ -292,7 +298,6 @@ impl Default for StudyConfig {
             cycles: 20_000,
             warmup: 10_000,
             jobs: 0,
-            share_warmup: true,
             checkpoint_dir: None,
             journal: None,
         }
@@ -307,14 +312,10 @@ impl StudyConfig {
     /// Returns a usage-style message naming the first unknown entry.
     pub fn validate(&self) -> Result<(), String> {
         for f in &self.fetch_policies {
-            if fetch_policy_by_name(f).is_none() {
-                return Err(format!("unknown fetch policy '{f}'"));
-            }
+            fetch_name(f)?;
         }
         for i in &self.issue_policies {
-            if issue_policy_by_name(i).is_none() {
-                return Err(format!("unknown issue policy '{i}'"));
-            }
+            issue_name(i)?;
         }
         for m in &self.mixes {
             validate_mix(m)?;
@@ -405,25 +406,11 @@ pub struct Study {
     pub journal_loaded: usize,
 }
 
-/// The canonical policy name for a validated raw name (used to label
-/// failed cells consistently with completed ones, whose names come off
-/// their reports).
-pub(crate) fn canonical_fetch_name(name: &str) -> String {
-    fetch_policy_by_name(name).map_or_else(|| name.to_string(), |p| p.name().to_string())
-}
-
-/// See [`canonical_fetch_name`].
-pub(crate) fn canonical_issue_name(name: &str) -> String {
-    issue_policy_by_name(name).map_or_else(|| name.to_string(), |p| p.name().to_string())
-}
-
-/// Runs the full study matrix, parallelized across OS threads. Each cell is
-/// an independent [`Simulator`](smt_core::Simulator), so the sweep scales to
-/// the available cores; program images are generated once per (mix, seed)
-/// and shared between the cells that use them. With
-/// [`StudyConfig::share_warmup`] (the default) the warmup window is also
-/// computed once per unique (mix, seed, partition) and forked across the
-/// fetch × issue cross-product as a checkpoint (see [`crate::warmup`]).
+/// Runs the full study matrix on the shared sweep engine (`sweep.rs`):
+/// one plan per cell, in (mix, seed, partition, fetch, issue) order,
+/// every one forking the canonical warmup checkpoint of its (mix, seed,
+/// partition) — the policies under study only steer the measured window,
+/// so one warmup serves the whole fetch × issue cross-product.
 ///
 /// Cell faults are contained: a panicking cell, an unloadable workload
 /// file, a checkpoint mismatch or a post-retry I/O failure becomes a
@@ -438,280 +425,77 @@ pub(crate) fn canonical_issue_name(name: &str) -> String {
 /// the only faults that still fail the whole sweep.
 pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
     cfg.validate()?;
-
-    let images = generate_images(&cfg.mixes, &cfg.seeds);
-
-    // The work list: one spec per cell, in deterministic order.
-    struct Spec<'a> {
-        fetch: &'a str,
-        issue: &'a str,
-        partition: FetchPartition,
-        mix: &'a str,
-        seed: u64,
-    }
-    let mut specs = Vec::with_capacity(cfg.cell_count());
+    let mut axes = Vec::with_capacity(cfg.cell_count());
+    let mut plans = Vec::with_capacity(cfg.cell_count());
     for mix in &cfg.mixes {
         for &seed in &cfg.seeds {
             for &partition in &cfg.partitions {
                 for fetch in &cfg.fetch_policies {
                     for issue in &cfg.issue_policies {
-                        specs.push(Spec {
-                            fetch,
-                            issue,
-                            partition,
+                        axes.push((fetch, issue));
+                        plans.push(CellPlan {
                             mix,
                             seed,
+                            partition,
+                            key_parts: vec!["issue-study", fetch, issue],
+                            label: Box::new(move || {
+                                format!("{fetch}/{issue}/{partition}/{mix}/s{seed}")
+                            }),
+                            warm: Warm::Shared,
+                            config: Box::new(move |images| {
+                                images
+                                    .apply(SimConfig::new())
+                                    .with_seed(seed)
+                                    .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                                    .with_issue(issue_policy_by_name(issue).expect("validated"))
+                                    .with_partition(partition)
+                            }),
                         });
                     }
                 }
             }
         }
     }
-    let cell_label = |spec: &Spec| {
-        format!(
-            "{}/{}/{}/{}/s{}",
-            spec.fetch, spec.issue, spec.partition, spec.mix, spec.seed
-        )
+    let sweep = Sweep {
+        images: sweep::resolve_images(&cfg.mixes, &cfg.seeds),
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
+        journal: cfg.journal.as_deref(),
+        plans,
     };
-
-    // The durable journal, when asked for. Each cell's 64-bit identity
-    // folds the canonical machine/workload fingerprint of its (mix, seed,
-    // partition) key with the fork axes and cycle counts, so entries are
-    // only ever resumed into a sweep that would reproduce them exactly.
-    let journal = match &cfg.journal {
-        Some(dir) => Some(
-            Journal::open(dir)
-                .map_err(|e| format!("cannot open journal {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let mut fingerprints: HashMap<(String, u64, FetchPartition), u64> = HashMap::new();
-    if journal.is_some() {
-        for mix in &cfg.mixes {
-            for &seed in &cfg.seeds {
-                if let Ok(imgs) = &images[&(mix.clone(), seed)] {
-                    for &partition in &cfg.partitions {
-                        fingerprints.insert(
-                            (mix.clone(), seed, partition),
-                            config_fingerprint(&crate::warmup::canonical_config_for(
-                                imgs, seed, partition,
-                            )),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let cell_key = |spec: &Spec| -> Option<u64> {
-        let fp = fingerprints.get(&(spec.mix.to_string(), spec.seed, spec.partition))?;
-        Some(journal_key(
-            *fp,
-            &["issue-study", spec.fetch, spec.issue],
-            &[cfg.cycles, cfg.warmup],
-        ))
-    };
-
-    // Journal prescan: resume every valid completed entry; an invalid one
-    // degrades (and the cell re-runs). Failed cells are never journaled —
-    // deterministic failures re-fail on resume, keeping the resumed
-    // document byte-identical to an uninterrupted run.
-    let mut journaled: Vec<Option<SimReport>> = (0..specs.len()).map(|_| None).collect();
-    let mut degraded: Vec<Degradation> = Vec::new();
-    if let Some(journal) = &journal {
-        for (i, spec) in specs.iter().enumerate() {
-            let Some(key) = cell_key(spec) else { continue };
-            match journal.load(key, i as u64) {
-                Ok(found) => journaled[i] = found,
-                Err(detail) => degraded.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalRead,
-                    detail: format!("{detail}; cell re-run"),
-                }),
-            }
-        }
-    }
-
-    // One canonical warmup checkpoint per unique (mix, seed, partition)
-    // still needed by a non-journaled cell, computed up front (in
-    // parallel) and forked across every cell that shares the key. The
-    // cold path recomputes the identical canonical warmup per cell
-    // instead, so both paths yield byte-identical cells. A warmup that
-    // panics poisons exactly the cells that depend on its key.
-    type WarmKey = (String, u64, FetchPartition);
-    let (shared, mut warmups_performed) = if cfg.share_warmup {
-        let mut needed: Vec<WarmKey> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = (spec.mix.to_string(), spec.seed, spec.partition);
-            if journaled[i].is_none()
-                && images[&(key.0.clone(), key.1)].is_ok()
-                && !needed.contains(&key)
-            {
-                needed.push(key);
-            }
-        }
-        let outcomes = smt_stats::sched::work_steal_map_catch(needed.len(), cfg.jobs, |i| {
-            let (mix, seed, partition) = &needed[i];
-            let imgs = images[&(mix.clone(), *seed)]
-                .as_ref()
-                .expect("needed keys filtered to loadable images");
-            crate::warmup::warm_checkpoint(
-                imgs,
-                mix,
-                *seed,
-                *partition,
-                cfg.warmup,
-                cfg.checkpoint_dir.as_deref(),
-            )
-        });
-        let mut computed = 0;
-        let mut map: HashMap<WarmKey, Result<Arc<Vec<u8>>, CellError>> = HashMap::new();
-        for (key, outcome) in needed.into_iter().zip(outcomes) {
-            match outcome {
-                Ok(warm) => {
-                    if warm.computed {
-                        computed += 1;
-                    }
-                    degraded.extend(warm.degradations);
-                    map.insert(key, Ok(warm.checkpoint));
-                }
-                Err(panic_msg) => {
-                    map.insert(
-                        key,
-                        Err(CellError::panic(format!("warmup panicked: {panic_msg}"))),
-                    );
-                }
-            }
-        }
-        (Some(map), computed)
-    } else {
-        (None, 0)
-    };
-
-    // The cell phase, each cell isolated behind `catch_unwind` at the
-    // scheduler boundary: one cell's fault becomes its own failure record
-    // while every other cell's result stays byte-identical.
-    struct Done {
-        cell: StudyCell,
-        from_journal: bool,
-        warmed_cold: bool,
-        degradation: Option<Degradation>,
-    }
-    let outcomes = smt_stats::sched::work_steal_map_catch(specs.len(), cfg.jobs, |i| {
-        let spec = &specs[i];
-        #[cfg(feature = "fault-inject")]
-        smt_stats::faults::panic_point("cell", i as u64);
-        let mix_images = match &images[&(spec.mix.to_string(), spec.seed)] {
-            Ok(imgs) => imgs,
-            Err(e) => return Err(CellError::workload(e.clone())),
-        };
-        if let Some(report) = &journaled[i] {
-            return Ok(Done {
-                cell: StudyCell {
-                    fetch: report.fetch_policy.clone(),
-                    issue: report.issue_policy.clone(),
-                    partition: spec.partition,
-                    mix: spec.mix.to_string(),
-                    seed: spec.seed,
-                    report: report.clone(),
-                },
-                from_journal: true,
-                warmed_cold: false,
-                degradation: None,
-            });
-        }
-        let mut warmed_cold = false;
-        let checkpoint = match &shared {
-            Some(map) => match &map[&(spec.mix.to_string(), spec.seed, spec.partition)] {
-                Ok(bytes) => bytes.clone(),
-                Err(poisoned) => return Err(poisoned.clone()),
-            },
-            None => {
-                warmed_cold = true;
-                Arc::new(crate::warmup::compute_checkpoint(
-                    mix_images,
-                    spec.seed,
-                    spec.partition,
-                    cfg.warmup,
-                ))
-            }
-        };
-        let cell_cfg = mix_images
-            .apply(SimConfig::new())
-            .with_seed(spec.seed)
-            .with_fetch(fetch_policy_by_name(spec.fetch).expect("validated"))
-            .with_issue(issue_policy_by_name(spec.issue).expect("validated"))
-            .with_partition(spec.partition);
-        let report = crate::warmup::try_fork_cell(cell_cfg, &checkpoint, cfg.cycles)
-            .map_err(|e| CellError::checkpoint(e.to_string()))?;
-        let mut degradation = None;
-        if let (Some(journal), Some(key)) = (&journal, cell_key(spec)) {
-            if let Err(e) = journal.store(key, i as u64, &report) {
-                degradation = Some(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalWrite,
-                    detail: format!("store failed: {e}; result not durable"),
-                });
-            }
-        }
-        Ok(Done {
-            cell: StudyCell {
-                fetch: report.fetch_policy.clone(),
-                issue: report.issue_policy.clone(),
-                partition: spec.partition,
-                mix: spec.mix.to_string(),
-                seed: spec.seed,
-                report,
-            },
-            from_journal: false,
-            warmed_cold,
-            degradation,
-        })
-    });
+    let outcome = sweep::run(&sweep)?;
 
     let mut cells = Vec::new();
     let mut failed = Vec::new();
-    let mut store_degradations = Vec::new();
-    let mut journal_loaded = 0;
-    let mut cold_warmups = 0;
-    for (spec, outcome) in specs.iter().zip(outcomes) {
-        // Flatten the scheduler's catch layer (an escaped panic) into the
-        // cell's own typed result.
-        let flat = match outcome {
-            Ok(inner) => inner,
-            Err(panic_msg) => Err(CellError::panic(panic_msg)),
-        };
-        match flat {
-            Ok(done) => {
-                if done.from_journal {
-                    journal_loaded += 1;
-                }
-                if done.warmed_cold {
-                    cold_warmups += 1;
-                }
-                store_degradations.extend(done.degradation);
-                cells.push(done.cell);
-            }
+    for ((plan, (fetch, issue)), result) in sweep.plans.iter().zip(axes).zip(outcome.cells) {
+        match result {
+            Ok(report) => cells.push(StudyCell {
+                fetch: report.fetch_policy.clone(),
+                issue: report.issue_policy.clone(),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
+                report,
+            }),
             Err(error) => failed.push(FailedStudyCell {
-                fetch: canonical_fetch_name(spec.fetch),
-                issue: canonical_issue_name(spec.issue),
-                partition: spec.partition,
-                mix: spec.mix.to_string(),
-                seed: spec.seed,
+                fetch: fetch_name(fetch).expect("validated"),
+                issue: issue_name(issue).expect("validated"),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
                 error,
             }),
         }
-    }
-    degraded.extend(store_degradations);
-    if !cfg.share_warmup {
-        warmups_performed = cold_warmups;
     }
     Ok(Study {
         config: cfg.clone(),
         cells,
         failed,
-        degraded,
-        warmups_performed,
-        journal_loaded,
+        degraded: outcome.degraded,
+        warmups_performed: outcome.warmups_performed,
+        journal_loaded: outcome.journal_loaded,
     })
 }
 
@@ -812,56 +596,45 @@ impl Study {
     /// pretty-rendered.
     pub fn to_json(&self) -> Json {
         let cfg = &self.config;
-        let config = Json::object([
-            ("cycles", Json::from(cfg.cycles)),
-            ("warmup_cycles", Json::from(cfg.warmup)),
-            (
-                "fetch_policies",
-                Json::array(cfg.fetch_policies.iter().map(String::as_str)),
-            ),
-            (
-                "issue_policies",
-                Json::array(cfg.issue_policies.iter().map(String::as_str)),
-            ),
-            (
-                "partitions",
-                Json::array(cfg.partitions.iter().map(|p| p.to_string())),
-            ),
-            ("mixes", Json::array(cfg.mixes.iter().map(String::as_str))),
-            ("seeds", Json::array(cfg.seeds.iter().copied())),
-        ]);
+        let config = sweep::config_json(
+            cfg.cycles,
+            cfg.warmup,
+            &cfg.fetch_policies,
+            ("issue_policies", sweep::names(&cfg.issue_policies)),
+            &cfg.partitions,
+            ("mixes", sweep::names(&cfg.mixes)),
+            &cfg.seeds,
+        );
+        let coordinates =
+            |fetch: &str, issue: &str, partition: FetchPartition, mix: &str, seed: u64| {
+                vec![
+                    ("fetch", Json::from(fetch)),
+                    ("issue", Json::from(issue)),
+                    ("partition", Json::from(partition.to_string())),
+                    ("mix", Json::from(mix)),
+                    ("seed", Json::from(seed)),
+                ]
+            };
         let cells = Json::array(self.cells.iter().map(|c| {
-            Json::object([
-                ("fetch", Json::from(c.fetch.clone())),
-                ("issue", Json::from(c.issue.clone())),
-                ("partition", Json::from(c.partition.to_string())),
-                ("mix", Json::from(c.mix.clone())),
-                ("seed", Json::from(c.seed)),
+            let mut cell = coordinates(&c.fetch, &c.issue, c.partition, &c.mix, c.seed);
+            cell.extend([
                 ("total_ipc", Json::from(c.report.total_ipc())),
                 (
                     "delta_vs_oldest",
-                    match self.delta_vs_baseline(c) {
-                        Some(d) => Json::from(d),
-                        None => Json::Null,
-                    },
+                    self.delta_vs_baseline(c).map_or(Json::Null, Json::from),
                 ),
                 ("report", c.report.to_json()),
-            ])
+            ]);
+            Json::object(cell)
+        }));
+        let failed = Json::array(self.failed.iter().map(|f| {
+            let mut cell = coordinates(&f.fetch, &f.issue, f.partition, &f.mix, f.seed);
+            cell.push(("error", f.error.to_json()));
+            Json::object(cell)
         }));
         let issue_summary = Json::array(self.mean_ipc_by_issue().into_iter().map(|(name, ipc)| {
-            let mean_delta: f64 = {
-                let deltas: Vec<f64> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.issue == name)
-                    .filter_map(|c| self.delta_vs_baseline(c))
-                    .collect();
-                if deltas.is_empty() {
-                    0.0
-                } else {
-                    deltas.iter().sum::<f64>() / deltas.len() as f64
-                }
-            };
+            let deltas = self.cells.iter().filter(|c| c.issue == name);
+            let mean_delta = mean(deltas.filter_map(|c| self.delta_vs_baseline(c))).unwrap_or(0.0);
             Json::object([
                 ("issue", Json::from(name)),
                 ("mean_ipc", Json::from(ipc)),
@@ -871,40 +644,15 @@ impl Study {
         let fetch_summary = Json::array(self.mean_ipc_by_fetch().into_iter().map(|(name, ipc)| {
             Json::object([("fetch", Json::from(name)), ("mean_ipc", Json::from(ipc))])
         }));
-        Json::object([
-            ("schema_version", Json::from(JSON_SCHEMA_VERSION)),
-            ("kind", Json::from("smt-exp-study")),
-            ("study", Json::from("issue")),
-            ("config", config),
-            ("cells", cells),
-            (
-                "failed_cells",
-                Json::array(self.failed.iter().map(|f| {
-                    Json::object([
-                        ("fetch", Json::from(f.fetch.as_str())),
-                        ("issue", Json::from(f.issue.as_str())),
-                        ("partition", Json::from(f.partition.to_string())),
-                        ("mix", Json::from(f.mix.as_str())),
-                        ("seed", Json::from(f.seed)),
-                        ("error", f.error.to_json()),
-                    ])
-                })),
-            ),
-            (
-                "degraded_cells",
-                Json::array(self.degraded.iter().map(Degradation::to_json)),
-            ),
-            (
-                "summary",
-                Json::object([
-                    ("baseline_issue", Json::from(BASELINE_ISSUE)),
-                    ("issue_policies", issue_summary),
-                    ("fetch_policies", fetch_summary),
-                    ("issue_ipc_spread", Json::from(self.issue_ipc_spread())),
-                    ("fetch_ipc_spread", Json::from(self.fetch_ipc_spread())),
-                ]),
-            ),
-        ])
+        let summary = Json::object([
+            ("baseline_issue", Json::from(BASELINE_ISSUE)),
+            ("issue_policies", issue_summary),
+            ("fetch_policies", fetch_summary),
+            ("issue_ipc_spread", Json::from(self.issue_ipc_spread())),
+            ("fetch_ipc_spread", Json::from(self.fetch_ipc_spread())),
+        ]);
+        let study = Some(("issue", summary));
+        sweep::document(study, config, cells, failed, &self.degraded)
     }
 }
 
@@ -946,7 +694,6 @@ fn spread(means: &[(String, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::CellErrorKind;
 
     fn tiny_study() -> StudyConfig {
         StudyConfig {
@@ -1107,7 +854,15 @@ mod tests {
             assert_eq!(c.report.cycles, cfg.cycles);
             assert_eq!(c.report.warmup_cycles, cfg.warmup);
             assert!(c.report.total_committed() > 0, "cell made no progress");
+            // Every cell self-describes its checkpoint provenance.
+            assert!(c.report.restored_from_checkpoint);
         }
+        // One warmup per unique (mix, seed, partition), not per cell.
+        assert_eq!(
+            study.warmups_performed,
+            cfg.mixes.len() * cfg.seeds.len() * cfg.partitions.len()
+        );
+        assert!(study.warmups_performed < cfg.cell_count());
         // Baseline cells have exactly zero delta; every cell has one.
         for c in &study.cells {
             let d = study.delta_vs_baseline(c).expect("baseline in sweep");
@@ -1128,230 +883,6 @@ mod tests {
                 (b.fetch.clone(), b.issue.clone())
             );
         }
-    }
-
-    #[test]
-    fn shared_and_cold_warmup_paths_are_byte_identical() {
-        let cfg = tiny_study();
-        let shared = run_study(&cfg).unwrap();
-        let cold = run_study(&StudyConfig {
-            share_warmup: false,
-            ..cfg.clone()
-        })
-        .unwrap();
-        // One warmup per unique (mix, seed, partition) vs one per cell.
-        assert_eq!(
-            shared.warmups_performed,
-            cfg.mixes.len() * cfg.seeds.len() * cfg.partitions.len()
-        );
-        assert_eq!(cold.warmups_performed, cfg.cell_count());
-        assert!(shared.warmups_performed < cold.warmups_performed);
-        // The sharing must be invisible in the result document.
-        assert_eq!(
-            shared.to_json().render_pretty(),
-            cold.to_json().render_pretty(),
-            "warmup sharing changed the study's results"
-        );
-        // Every cell self-describes its checkpoint provenance.
-        for c in &shared.cells {
-            assert!(c.report.restored_from_checkpoint);
-        }
-    }
-
-    #[test]
-    fn worker_count_never_leaks_into_the_study_document() {
-        // The scheduler-determinism property: the full `--study issue`
-        // JSON document must be byte-identical whether the sweep runs on
-        // one worker, two, or eight (oversubscribed on this box) — the
-        // work-stealing queue may reorder *execution* but never results.
-        let base = tiny_study();
-        let reference = run_study(&StudyConfig {
-            jobs: 1,
-            ..base.clone()
-        })
-        .unwrap()
-        .to_json()
-        .render_pretty();
-        for jobs in [2, 8] {
-            let doc = run_study(&StudyConfig {
-                jobs,
-                ..base.clone()
-            })
-            .unwrap()
-            .to_json()
-            .render_pretty();
-            assert_eq!(
-                doc, reference,
-                "jobs={jobs} perturbed the study document bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_dir_serves_repeat_sweeps_from_disk() {
-        let dir = std::env::temp_dir().join(format!("smt-exp-study-cache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = StudyConfig {
-            checkpoint_dir: Some(dir.clone()),
-            ..tiny_study()
-        };
-        let first = run_study(&cfg).unwrap();
-        assert!(first.warmups_performed > 0, "cold cache must compute");
-        let second = run_study(&cfg).unwrap();
-        assert_eq!(second.warmups_performed, 0, "warm cache must serve");
-        assert_eq!(
-            first.to_json().render_pretty(),
-            second.to_json().render_pretty()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_resume_is_byte_identical_and_reuses_entries() {
-        let dir =
-            std::env::temp_dir().join(format!("smt-exp-study-journal-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let plain = tiny_study();
-        let cfg = StudyConfig {
-            journal: Some(dir.clone()),
-            ..plain.clone()
-        };
-        // A journaled sweep changes nothing about the results …
-        let reference = run_study(&plain).unwrap().to_json().render_pretty();
-        let first = run_study(&cfg).unwrap();
-        assert_eq!(first.journal_loaded, 0);
-        assert!(first.degraded.is_empty());
-        assert_eq!(first.to_json().render_pretty(), reference);
-        // … publishes one entry per cell …
-        let entries = || {
-            let mut names: Vec<String> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                .collect();
-            names.sort();
-            names
-        };
-        assert_eq!(entries().len(), cfg.cell_count());
-        // … and a full re-run resumes every cell, byte-identical, with no
-        // warmups at all.
-        let resumed = run_study(&cfg).unwrap();
-        assert_eq!(resumed.journal_loaded, cfg.cell_count());
-        assert_eq!(resumed.warmups_performed, 0);
-        assert_eq!(resumed.to_json().render_pretty(), reference);
-        // A *partial* journal (as a SIGKILL mid-sweep leaves behind)
-        // resumes what it has and re-runs the rest — still byte-identical.
-        for name in entries().iter().step_by(2) {
-            std::fs::remove_file(dir.join(name)).unwrap();
-        }
-        let kept = entries().len();
-        let partial = run_study(&cfg).unwrap();
-        assert_eq!(partial.journal_loaded, kept);
-        assert!(partial.degraded.is_empty());
-        assert_eq!(partial.to_json().render_pretty(), reference);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_journal_entries_degrade_and_rerun() {
-        let dir =
-            std::env::temp_dir().join(format!("smt-exp-study-journal-rot-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = StudyConfig {
-            journal: Some(dir.clone()),
-            ..tiny_study()
-        };
-        let first = run_study(&cfg).unwrap();
-        // Bit-rot one entry; the resumed sweep must not trust it.
-        let mut names: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        names.sort();
-        let victim = &names[0];
-        let mut bytes = std::fs::read(victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(victim, &bytes).unwrap();
-        let resumed = run_study(&cfg).unwrap();
-        assert_eq!(resumed.journal_loaded, cfg.cell_count() - 1);
-        assert_eq!(resumed.degraded.len(), 1);
-        assert_eq!(resumed.degraded[0].reason, DegradeReason::JournalRead);
-        assert!(resumed.degraded[0].detail.contains("cell re-run"));
-        // The re-run cell reproduced the identical result.
-        for (a, b) in first.cells.iter().zip(resumed.cells.iter()) {
-            assert_eq!(a.report, b.report);
-        }
-        assert!(resumed.failed.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_keys_do_not_collide_across_sweep_shapes() {
-        // Two sweeps differing only in measured length share a journal
-        // directory without poisoning each other: the cycle counts are
-        // part of every key.
-        let dir = std::env::temp_dir().join(format!(
-            "smt-exp-study-journal-shapes-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let short = StudyConfig {
-            journal: Some(dir.clone()),
-            ..tiny_study()
-        };
-        let long = StudyConfig {
-            cycles: short.cycles + 100,
-            ..short.clone()
-        };
-        run_study(&short).unwrap();
-        let other = run_study(&long).unwrap();
-        assert_eq!(
-            other.journal_loaded, 0,
-            "a different sweep shape resumed foreign entries"
-        );
-        // Both populations coexist; re-running either resumes fully.
-        assert_eq!(
-            run_study(&short).unwrap().journal_loaded,
-            short.cell_count()
-        );
-        assert_eq!(run_study(&long).unwrap().journal_loaded, long.cell_count());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unloadable_workloads_fail_their_cells_only() {
-        // A mix naming a file that does not exist must not abort the
-        // sweep: its cells become typed `workload` failures and every
-        // other cell is byte-identical to a sweep without the bad mix.
-        let good = tiny_study();
-        let cfg = StudyConfig {
-            mixes: vec!["mixed4".into(), "riscv:/nonexistent/nope.elf".into()],
-            ..good.clone()
-        };
-        let study = run_study(&cfg).unwrap();
-        let per_mix = cfg.cell_count() / cfg.mixes.len();
-        assert_eq!(study.failed.len(), per_mix);
-        assert_eq!(study.cells.len(), per_mix);
-        for f in &study.failed {
-            assert_eq!(f.error.kind, CellErrorKind::Workload);
-            assert_eq!(f.mix, "riscv:/nonexistent/nope.elf");
-            assert!(f.error.message.contains("nope.elf"), "{}", f.error.message);
-        }
-        let reference = run_study(&good).unwrap();
-        for (a, b) in reference.cells.iter().zip(study.cells.iter()) {
-            assert_eq!(a.report, b.report, "a failing mix perturbed a healthy cell");
-        }
-        // The document carries the failures and still parses.
-        let back = Json::parse(&study.to_json().render_pretty()).unwrap();
-        let failed = back.get("failed_cells").and_then(Json::as_array).unwrap();
-        assert_eq!(failed.len(), per_mix);
-        assert_eq!(
-            failed[0]
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("workload")
-        );
     }
 
     #[test]

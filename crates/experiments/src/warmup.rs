@@ -1,10 +1,13 @@
-//! Shared warmed-state checkpoints for the study sweeps.
+//! Warmed-state checkpoints for the study sweeps: computing, caching and
+//! forking them. Which checkpoint a cell forks, and when it is computed,
+//! is the sweep engine's business (`sweep.rs`; the crate docs describe the
+//! three warm kinds); this module is the mechanism underneath.
 //!
-//! Both studies measure behind a warmup window, and before this module
-//! every cell re-simulated its own warmup — the single most redundant work
-//! in a sweep. The **issue study** warms each unique (mix, seed,
-//! partition) key **once** under the *canonical* configuration — ICOUNT
-//! fetch, OLDEST_FIRST issue, no ablations — and the resulting
+//! Both studies measure behind a warmup window, and re-simulating it per
+//! cell would be the single most redundant work in a sweep. The **issue
+//! study** warms each unique (mix, seed, partition) key **once** under the
+//! *canonical* configuration — ICOUNT fetch, OLDEST_FIRST issue, no
+//! ablations ([`warm_checkpoint`]) — and the resulting
 //! [`Simulator::save_checkpoint`] bytes are forked across the whole
 //! fetch × issue cross-product (policies only steer the measured window;
 //! they do not define the machine being warmed). The **ablation study**
@@ -12,19 +15,19 @@
 //! warm cell must warm under its own fetch policy and ablation set to
 //! keep the attribution numbers meaningful — and instead forks each warm
 //! cell from a checkpoint warmed under the cell's own configuration
-//! ([`warm_checkpoint_under`]), which the `--checkpoint-dir` cache dedups
-//! across repeat sweeps.
+//! ([`warm_checkpoint_under`]). That checkpoint has exactly one user, so
+//! the engine computes it inside the cell and drops it after the fork
+//! (holding one ~380 KB checkpoint per warm cell for the whole sweep would
+//! only raise peak memory); the `--checkpoint-dir` cache dedups it across
+//! repeat sweeps.
 //!
-//! Two properties make the sharing observable-behaviour-free:
-//!
-//! * **Bit equivalence.** A restored simulator is bit-equivalent to one
-//!   that ran straight through (`smt-core` pins this with its own tests),
-//!   so forking changes nothing about a cell's measured window.
-//! * **Canonical warmup in both paths.** The cold path
-//!   (`share_warmup: false`, `--cold-warmup`) recomputes the *same*
-//!   canonical warmup per cell instead of memoizing it. Shared and cold
-//!   sweeps therefore produce byte-identical JSON documents; only the
-//!   number of warmup simulations differs (`warmups_performed`).
+//! Forking is observable-behaviour-free because a restored simulator is
+//! bit-equivalent to one that ran straight through (`smt-core` pins this
+//! with its own tests): a cell forked off a shared checkpoint is
+//! byte-identical to one forked off its own recomputation of the same
+//! canonical warmup ([`compute_checkpoint`] + [`fork_cell`], which is how
+//! the test suite builds its engine-free reference documents), and, but
+//! for the `restored_from_checkpoint` flag, to a straight-through run.
 //!
 //! With `--checkpoint-dir` the per-key checkpoints are also cached on
 //! disk, keyed by mix, seed, partition, warmup length and the
@@ -55,7 +58,8 @@ use crate::study::{resolve_mix, MixImages};
 /// The canonical warmup configuration for a (workloads, seed, partition)
 /// key: ICOUNT fetch, OLDEST_FIRST issue, no ablations, no auto-warmup.
 /// Every fork axis is pinned here so that a single warmup serves the whole
-/// cross-product — and so that the cold path can reproduce it exactly.
+/// cross-product. Its fingerprint is also the machine/workload part of
+/// every journal key.
 pub fn canonical_config_for(images: &MixImages, seed: u64, partition: FetchPartition) -> SimConfig {
     images
         .apply(SimConfig::new())
@@ -99,12 +103,21 @@ pub fn compute_checkpoint(
     compute_checkpoint_under(canonical_config_for(images, seed, partition), warmup)
 }
 
-/// A cache-filename-safe rendering of a mix string: custom mixes carry
-/// path separators and `:`, which must not leak into the checkpoint
-/// file name (uniqueness still comes from the config fingerprint in the
-/// name, which covers the workload images themselves).
-pub(crate) fn sanitize_stem(mix: &str) -> String {
-    mix.chars()
+/// Longest sanitized-mix prefix a cache entry name keeps. A checkpoint
+/// file name also carries seed, partition, fork axes, warmup length and
+/// fingerprint (and a staging prefix while being written), so the mix part
+/// must stay well under the 255-byte file-name limit.
+const STEM_MIX_MAX: usize = 64;
+
+/// The cache-entry stem of a (mix, seed, partition) key. Custom mixes
+/// carry path separators and `:`, which must not leak into a file name,
+/// and an absolute multi-ELF mix is longer than a file name may be: the
+/// mix is sanitized and, past [`STEM_MIX_MAX`] bytes, cut to a prefix plus
+/// a hash of the whole string. (Uniqueness does not rest on the stem — the
+/// config fingerprint in the entry name covers the workload images.)
+pub(crate) fn key_stem(mix: &str, seed: u64, partition: FetchPartition) -> String {
+    let mut name: String = mix
+        .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
                 c
@@ -112,7 +125,18 @@ pub(crate) fn sanitize_stem(mix: &str) -> String {
                 '_'
             }
         })
-        .collect()
+        .collect();
+    if name.len() > STEM_MIX_MAX {
+        name.truncate(STEM_MIX_MAX);
+        name.push_str(&format!(
+            "-{:016x}",
+            crate::journal::journal_key(0, &[mix], &[])
+        ));
+    }
+    format!(
+        "warm-{name}-s{seed}-p{}.{}",
+        partition.threads_per_cycle, partition.insts_per_thread
+    )
 }
 
 /// One warmed checkpoint, plus how it was obtained.
@@ -130,16 +154,6 @@ pub struct WarmOutcome {
     pub degradations: Vec<Degradation>,
 }
 
-impl WarmOutcome {
-    fn computed_fresh(bytes: Vec<u8>, degradations: Vec<Degradation>) -> WarmOutcome {
-        WarmOutcome {
-            checkpoint: Arc::new(bytes),
-            computed: true,
-            degradations,
-        }
-    }
-}
-
 /// One warmed checkpoint for the key, served from the on-disk cache when
 /// `dir` is given and holds a valid entry, computed (and best-effort
 /// cached) otherwise.
@@ -151,15 +165,9 @@ pub fn warm_checkpoint(
     warmup: u64,
     dir: Option<&Path>,
 ) -> WarmOutcome {
-    let stem = format!(
-        "warm-{}-s{seed}-p{}.{}",
-        sanitize_stem(mix),
-        partition.threads_per_cycle,
-        partition.insts_per_thread
-    );
     warm_checkpoint_under(
         || canonical_config_for(images, seed, partition),
-        &stem,
+        &key_stem(mix, seed, partition),
         warmup,
         dir,
     )
@@ -182,18 +190,14 @@ pub fn warm_checkpoint_under(
     warmup: u64,
     dir: Option<&Path>,
 ) -> WarmOutcome {
-    let path = dir.map(|d| {
+    let entry = dir.map(|d| {
         let fingerprint = config_fingerprint(&build());
-        d.join(format!("{stem}-w{warmup}-{fingerprint:016x}.ckpt"))
+        let name = format!("{stem}-w{warmup}-{fingerprint:016x}.ckpt");
+        (d.join(&name), name)
     });
-    let entry_name = |path: &Path| {
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string())
-    };
 
     let mut degradations = Vec::new();
-    if let Some(path) = &path {
+    if let Some((path, name)) = &entry {
         match load_cached(&build, warmup, path) {
             Ok(Some(bytes)) => {
                 return WarmOutcome {
@@ -204,7 +208,7 @@ pub fn warm_checkpoint_under(
             }
             Ok(None) => {}
             Err((reason, detail)) => degradations.push(Degradation {
-                key: entry_name(path),
+                key: name.clone(),
                 reason,
                 detail: format!("{detail}; recomputed the warmup"),
             }),
@@ -212,17 +216,21 @@ pub fn warm_checkpoint_under(
     }
 
     let bytes = compute_checkpoint_under(build(), warmup);
-    if let Some(path) = &path {
+    if let Some((path, name)) = entry {
         // Best-effort: a cache that cannot be written only costs time.
-        if let Err(e) = crate::durable::atomic_write(path, &bytes, "cache-write", 0) {
+        if let Err(e) = crate::durable::atomic_write(&path, &bytes, "cache-write", 0) {
             degradations.push(Degradation {
-                key: entry_name(path),
+                key: name,
                 reason: DegradeReason::CheckpointCacheWrite,
                 detail: format!("write failed: {e}; sweep continues uncached"),
             });
         }
     }
-    WarmOutcome::computed_fresh(bytes, degradations)
+    WarmOutcome {
+        checkpoint: Arc::new(bytes),
+        computed: true,
+        degradations,
+    }
 }
 
 /// Loads and validates one cache entry. `Ok(None)` means the entry does
@@ -323,10 +331,6 @@ impl Default for CheckpointCliConfig {
     }
 }
 
-fn cli_images(cfg: &CheckpointCliConfig) -> Result<MixImages, String> {
-    resolve_mix(&cfg.mix, cfg.seed)
-}
-
 /// Runs `smt_exp checkpoint-write`: simulates the canonical warmup for the
 /// key and writes the checkpoint to `cfg.path`. Returns the human-readable
 /// success line.
@@ -335,7 +339,7 @@ fn cli_images(cfg: &CheckpointCliConfig) -> Result<MixImages, String> {
 ///
 /// Returns a message for an unknown mix or an unwritable path.
 pub fn run_checkpoint_write(cfg: &CheckpointCliConfig) -> Result<String, String> {
-    let images = cli_images(cfg)?;
+    let images = resolve_mix(&cfg.mix, cfg.seed)?;
     let bytes = compute_checkpoint(&images, cfg.seed, cfg.partition, cfg.warmup);
     std::fs::write(&cfg.path, &bytes).map_err(|e| format!("failed to write {}: {e}", cfg.path))?;
     Ok(format!(
@@ -361,7 +365,7 @@ pub fn run_checkpoint_write(cfg: &CheckpointCliConfig) -> Result<String, String>
 /// checkpoint, a checkpoint at the wrong cycle, or — the point of the
 /// command — a restored run that diverges from the straight-through run.
 pub fn run_checkpoint_verify(cfg: &CheckpointCliConfig) -> Result<String, String> {
-    let images = cli_images(cfg)?;
+    let images = resolve_mix(&cfg.mix, cfg.seed)?;
     let bytes =
         std::fs::read(&cfg.path).map_err(|e| format!("failed to read {}: {e}", cfg.path))?;
 
@@ -487,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn every_corruption_mode_is_typed_and_falls_back_to_a_cold_warmup() {
+    fn every_corruption_mode_is_typed_and_falls_back_to_recomputing() {
         use smt_core::CheckpointError;
 
         let dir =

@@ -1,0 +1,636 @@
+//! The operational contract of the shared sweep engine, checked once per
+//! mode: every property below runs over the same table of {matrix, issue
+//! study, ablation study}, so a mode is one row — not a copy of the suite.
+//!
+//! * worker count (`jobs` 1/2/8) never changes a document byte;
+//! * a `--journal` sweep resumes — fully, partially, around a bit-rotted
+//!   entry — to the byte-identical document, and keys of different sweep
+//!   shapes or modes never collide in a shared directory;
+//! * an unloadable workload file fails only its own cells;
+//! * a `--checkpoint-dir` repeat sweep performs zero warmups, also when
+//!   the mix string is longer than a file name may be;
+//! * each mode's document equals a reference built cell by cell from the
+//!   public one-cell calls (`compute_checkpoint` + `fork_cell`, or a
+//!   straight run), with no engine in between.
+
+use std::path::{Path, PathBuf};
+
+use smt_core::{
+    fetch_policy_by_name, issue_policy_by_name, Ablation, Ablations, FetchPartition, SimConfig,
+    SimReport,
+};
+use smt_experiments::ablation::{
+    run_ablation_study, AblationCell, AblationStudy, AblationStudyConfig, Window,
+};
+use smt_experiments::fault::{CellError, CellErrorKind, Degradation, DegradeReason};
+use smt_experiments::study::{resolve_mix, run_study, Study, StudyCell, StudyConfig};
+use smt_experiments::warmup::{compute_checkpoint, compute_checkpoint_under, fork_cell};
+use smt_experiments::{generate_programs, matrix_to_json, run_matrix, ExpConfig, Matrix};
+use smt_stats::json::Json;
+use smt_stats::TextTable;
+
+const BAD_MIX: &str = "riscv:/nonexistent/nope.elf";
+
+/// What a test varies about a mode's tiny sweep.
+#[derive(Default)]
+struct Knobs {
+    /// Worker threads (0 → the tiny sweeps' default of 2).
+    jobs: usize,
+    journal: Option<PathBuf>,
+    checkpoint_dir: Option<PathBuf>,
+    /// Added to the measured length, to change the sweep's shape.
+    extra_cycles: u64,
+    /// A second mix next to `mixed4` (study modes only).
+    extra_mix: Option<String>,
+}
+
+/// What every mode's result boils down to.
+struct Run {
+    doc: String,
+    reports: Vec<SimReport>,
+    /// (mix, error) per failed cell.
+    failed: Vec<(String, CellError)>,
+    degraded: Vec<Degradation>,
+    warmups_performed: usize,
+    journal_loaded: usize,
+}
+
+struct Mode {
+    name: &'static str,
+    /// Cells of the tiny sweep (without an extra mix).
+    cells: usize,
+    /// Warmups the tiny sweep simulates on a cold cache.
+    cold_cache_warmups: usize,
+    /// Whether the mode takes `--mixes` (and so file workloads).
+    takes_mixes: bool,
+    run: fn(&Knobs) -> Run,
+    /// The tiny sweep's document, built without the engine.
+    reference: fn() -> String,
+}
+
+const MODES: [Mode; 3] = [
+    Mode {
+        name: "matrix",
+        cells: 4,
+        cold_cache_warmups: 0,
+        takes_mixes: false,
+        run: run_tiny_matrix,
+        reference: reference_matrix,
+    },
+    Mode {
+        name: "issue",
+        cells: 12,
+        cold_cache_warmups: 3,
+        takes_mixes: true,
+        run: run_tiny_issue,
+        reference: reference_issue,
+    },
+    Mode {
+        name: "ablation",
+        cells: 36,
+        cold_cache_warmups: 18,
+        takes_mixes: true,
+        run: run_tiny_ablation,
+        reference: reference_ablation,
+    },
+];
+
+fn jobs_of(k: &Knobs) -> usize {
+    if k.jobs == 0 {
+        2
+    } else {
+        k.jobs
+    }
+}
+
+fn mixes_of(k: &Knobs) -> Vec<String> {
+    let mut mixes = vec!["mixed4".to_string()];
+    mixes.extend(k.extra_mix.clone());
+    mixes
+}
+
+fn tiny_matrix(k: &Knobs) -> ExpConfig {
+    ExpConfig {
+        fetch_policies: vec!["rr".into(), "icount".into()],
+        partitions: vec![FetchPartition::new(2, 8), FetchPartition::new(1, 8)],
+        threads: 4,
+        cycles: 400 + k.extra_cycles,
+        warmup: 150,
+        jobs: jobs_of(k),
+        journal: k.journal.clone(),
+        ..ExpConfig::default()
+    }
+}
+
+fn run_tiny_matrix(k: &Knobs) -> Run {
+    let cfg = tiny_matrix(k);
+    let matrix = run_matrix(&cfg).unwrap();
+    Run {
+        doc: matrix_to_json(&cfg, &matrix).render_pretty(),
+        failed: matrix
+            .failed
+            .iter()
+            .map(|f| (f.mix.clone(), f.error.clone()))
+            .collect(),
+        reports: matrix.reports,
+        degraded: matrix.degraded,
+        warmups_performed: 0,
+        journal_loaded: matrix.journal_loaded,
+    }
+}
+
+fn tiny_issue(k: &Knobs) -> StudyConfig {
+    StudyConfig {
+        fetch_policies: vec!["rr".into(), "icount".into()],
+        issue_policies: vec!["oldest".into(), "spec_last".into()],
+        mixes: mixes_of(k),
+        seeds: vec![42],
+        cycles: 600 + k.extra_cycles,
+        warmup: 200,
+        jobs: jobs_of(k),
+        checkpoint_dir: k.checkpoint_dir.clone(),
+        journal: k.journal.clone(),
+        ..StudyConfig::default()
+    }
+}
+
+fn run_tiny_issue(k: &Knobs) -> Run {
+    let study = run_study(&tiny_issue(k)).unwrap();
+    Run {
+        doc: study.to_json().render_pretty(),
+        reports: study.cells.iter().map(|c| c.report.clone()).collect(),
+        failed: study
+            .failed
+            .iter()
+            .map(|f| (f.mix.clone(), f.error.clone()))
+            .collect(),
+        degraded: study.degraded,
+        warmups_performed: study.warmups_performed,
+        journal_loaded: study.journal_loaded,
+    }
+}
+
+fn tiny_ablation(k: &Knobs) -> AblationStudyConfig {
+    AblationStudyConfig {
+        fetch_policies: vec!["rr".into(), "icount".into()],
+        ablations: vec![
+            "perfect_icache".into(),
+            "exempt_wrong_path_bank_arbitration".into(),
+        ],
+        mixes: mixes_of(k),
+        seeds: vec![42],
+        cycles: 500 + k.extra_cycles,
+        warmup: 200,
+        jobs: jobs_of(k),
+        checkpoint_dir: k.checkpoint_dir.clone(),
+        journal: k.journal.clone(),
+        ..AblationStudyConfig::default()
+    }
+}
+
+fn run_tiny_ablation(k: &Knobs) -> Run {
+    let study = run_ablation_study(&tiny_ablation(k)).unwrap();
+    Run {
+        doc: study.to_json().render_pretty(),
+        reports: study.cells.iter().map(|c| c.report.clone()).collect(),
+        failed: study
+            .failed
+            .iter()
+            .map(|f| (f.mix.clone(), f.error.clone()))
+            .collect(),
+        degraded: study.degraded,
+        warmups_performed: study.warmups_performed,
+        journal_loaded: study.journal_loaded,
+    }
+}
+
+/// The matrix document from the pre-engine `run_cell` chain, cell by cell.
+fn reference_matrix() -> String {
+    let cfg = tiny_matrix(&Knobs::default());
+    let programs = generate_programs(&cfg);
+    let mut reports = Vec::new();
+    for &partition in &cfg.partitions {
+        for fetch in &cfg.fetch_policies {
+            reports.push(
+                SimConfig::new()
+                    .with_programs(programs.clone())
+                    .with_seed(cfg.seed)
+                    .with_fetch(fetch_policy_by_name(fetch).unwrap())
+                    .with_issue(issue_policy_by_name(&cfg.issue_policy).unwrap())
+                    .with_partition(partition)
+                    .with_warmup(cfg.warmup)
+                    .build()
+                    .run(cfg.cycles),
+            );
+        }
+    }
+    let matrix = Matrix {
+        table: TextTable::new(),
+        reports,
+        failed: Vec::new(),
+        degraded: Vec::new(),
+        journal_loaded: 0,
+    };
+    matrix_to_json(&cfg, &matrix).render_pretty()
+}
+
+/// The issue document with every cell forked by hand off a per-cell
+/// canonical warmup — the "cold" path the sweeps once had a knob for.
+fn reference_issue() -> String {
+    let cfg = tiny_issue(&Knobs::default());
+    let mut cells = Vec::new();
+    for mix in &cfg.mixes {
+        for &seed in &cfg.seeds {
+            let images = resolve_mix(mix, seed).unwrap();
+            for &partition in &cfg.partitions {
+                for fetch in &cfg.fetch_policies {
+                    for issue in &cfg.issue_policies {
+                        let checkpoint = compute_checkpoint(&images, seed, partition, cfg.warmup);
+                        let cell = images
+                            .apply(SimConfig::new())
+                            .with_seed(seed)
+                            .with_fetch(fetch_policy_by_name(fetch).unwrap())
+                            .with_issue(issue_policy_by_name(issue).unwrap())
+                            .with_partition(partition);
+                        let report = fork_cell(cell, &checkpoint, cfg.cycles);
+                        cells.push(StudyCell {
+                            fetch: report.fetch_policy.clone(),
+                            issue: report.issue_policy.clone(),
+                            partition,
+                            mix: mix.clone(),
+                            seed,
+                            report,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    let study = Study {
+        config: cfg,
+        cells,
+        failed: Vec::new(),
+        degraded: Vec::new(),
+        warmups_performed: 0,
+        journal_loaded: 0,
+    };
+    study.to_json().render_pretty()
+}
+
+/// The ablation document by hand: cold cells straight through, warm cells
+/// forked off a warmup of their own configuration.
+fn reference_ablation() -> String {
+    let cfg = tiny_ablation(&Knobs::default());
+    let mut axis = vec![None];
+    axis.extend(cfg.ablations.iter().map(|a| Ablation::by_name(a)));
+    let mut cells = Vec::new();
+    for mix in &cfg.mixes {
+        for &seed in &cfg.seeds {
+            let images = resolve_mix(mix, seed).unwrap();
+            for &partition in &cfg.partitions {
+                for fetch in &cfg.fetch_policies {
+                    for window in Window::ALL {
+                        for &ablation in &axis {
+                            let build = || {
+                                images
+                                    .apply(SimConfig::new())
+                                    .with_seed(seed)
+                                    .with_fetch(fetch_policy_by_name(fetch).unwrap())
+                                    .with_partition(partition)
+                                    .with_ablations(
+                                        ablation.map_or(Ablations::none(), Ablations::only),
+                                    )
+                            };
+                            let report = match window {
+                                Window::Cold => build().build().run(cfg.cycles),
+                                Window::Warm => fork_cell(
+                                    build(),
+                                    &compute_checkpoint_under(build(), cfg.warmup),
+                                    cfg.cycles,
+                                ),
+                            };
+                            assert_eq!(
+                                report.restored_from_checkpoint,
+                                window == Window::Warm,
+                                "only warm cells carry the provenance flag"
+                            );
+                            cells.push(AblationCell {
+                                ablation: ablation.map(|a| a.name().to_string()),
+                                fetch: report.fetch_policy.clone(),
+                                partition,
+                                mix: mix.clone(),
+                                seed,
+                                window,
+                                report,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let study = AblationStudy {
+        config: cfg,
+        cells,
+        failed: Vec::new(),
+        degraded: Vec::new(),
+        warmups_performed: 0,
+        journal_loaded: 0,
+    };
+    study.to_json().render_pretty()
+}
+
+fn tmp_dir(tag: &str, mode: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("smt-exp-modes-{tag}-{mode}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn entries(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn worker_count_never_leaks_into_a_document() {
+    // The scheduler-determinism property: the work-stealing queue may
+    // reorder *execution* but never results, oversubscribed or not.
+    for mode in &MODES {
+        let run = |jobs| {
+            (mode.run)(&Knobs {
+                jobs,
+                ..Knobs::default()
+            })
+        };
+        let reference = run(1);
+        assert_eq!(reference.reports.len(), mode.cells, "{}", mode.name);
+        assert!(reference.failed.is_empty() && reference.degraded.is_empty());
+        for jobs in [2, 8] {
+            assert_eq!(
+                run(jobs).doc,
+                reference.doc,
+                "{}: jobs={jobs} perturbed the document bytes",
+                mode.name
+            );
+        }
+    }
+}
+
+#[test]
+fn every_mode_matches_its_hand_built_reference() {
+    for mode in &MODES {
+        let run = (mode.run)(&Knobs::default());
+        assert_eq!(
+            run.warmups_performed, mode.cold_cache_warmups,
+            "{}: one warmup per shared key or warm cell",
+            mode.name
+        );
+        assert_eq!(
+            run.doc,
+            (mode.reference)(),
+            "{}: the engine changed the document",
+            mode.name
+        );
+    }
+}
+
+#[test]
+fn journal_resume_is_byte_identical_and_reuses_entries() {
+    for mode in &MODES {
+        let dir = tmp_dir("journal", mode.name);
+        let journaled = || {
+            (mode.run)(&Knobs {
+                journal: Some(dir.clone()),
+                ..Knobs::default()
+            })
+        };
+        // A journaled sweep changes nothing about the results …
+        let reference = (mode.run)(&Knobs::default()).doc;
+        let first = journaled();
+        assert_eq!(first.journal_loaded, 0, "{}", mode.name);
+        assert!(first.degraded.is_empty());
+        assert_eq!(first.doc, reference);
+        // … publishes one entry per cell …
+        assert_eq!(entries(&dir).len(), mode.cells, "{}", mode.name);
+        // … and a full re-run resumes every cell, byte-identical, with no
+        // warmups at all.
+        let resumed = journaled();
+        assert_eq!(resumed.journal_loaded, mode.cells, "{}", mode.name);
+        assert_eq!(resumed.warmups_performed, 0, "{}", mode.name);
+        assert!(resumed.degraded.is_empty());
+        assert_eq!(resumed.doc, reference);
+        // A *partial* journal (as a SIGKILL mid-sweep leaves behind)
+        // resumes what it has and re-runs the rest — still byte-identical,
+        // whichever entries are missing.
+        let all = entries(&dir);
+        let every_other: Vec<&PathBuf> = all.iter().step_by(2).collect();
+        let first_half: Vec<&PathBuf> = all.iter().take(all.len() / 2).collect();
+        for missing in [every_other, first_half] {
+            for path in &missing {
+                std::fs::remove_file(path).unwrap();
+            }
+            let partial = journaled();
+            assert_eq!(
+                partial.journal_loaded,
+                mode.cells - missing.len(),
+                "{}",
+                mode.name
+            );
+            assert!(partial.degraded.is_empty());
+            assert_eq!(partial.doc, reference, "{}", mode.name);
+            assert_eq!(entries(&dir).len(), mode.cells, "re-run cells re-published");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn corrupt_journal_entries_degrade_and_rerun() {
+    for mode in &MODES {
+        let dir = tmp_dir("journal-rot", mode.name);
+        let journaled = || {
+            (mode.run)(&Knobs {
+                journal: Some(dir.clone()),
+                ..Knobs::default()
+            })
+        };
+        let first = journaled();
+        // Bit-rot one entry; the resumed sweep must not trust it.
+        let victim = &entries(&dir)[0];
+        let mut bytes = std::fs::read(victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(victim, &bytes).unwrap();
+        let resumed = journaled();
+        assert_eq!(resumed.journal_loaded, mode.cells - 1, "{}", mode.name);
+        assert_eq!(resumed.degraded.len(), 1, "{}", mode.name);
+        assert_eq!(resumed.degraded[0].reason, DegradeReason::JournalRead);
+        assert!(resumed.degraded[0].detail.contains("cell re-run"));
+        // The re-run cell reproduced the identical result.
+        assert_eq!(first.reports, resumed.reports, "{}", mode.name);
+        assert!(resumed.failed.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn journal_keys_do_not_collide_across_sweep_shapes_or_modes() {
+    // All three modes, each in two shapes differing only in measured
+    // length, share ONE journal directory without poisoning each other:
+    // the mode tag and the cycle counts are part of every key.
+    let dir = tmp_dir("journal-shapes", "all");
+    let run = |mode: &Mode, extra_cycles| {
+        (mode.run)(&Knobs {
+            journal: Some(dir.clone()),
+            extra_cycles,
+            ..Knobs::default()
+        })
+    };
+    for mode in &MODES {
+        for extra_cycles in [0, 100] {
+            assert_eq!(
+                run(mode, extra_cycles).journal_loaded,
+                0,
+                "{}: resumed a foreign sweep's entries",
+                mode.name
+            );
+        }
+    }
+    // Every population coexists; re-running any sweep resumes it fully.
+    let total: usize = MODES.iter().map(|m| 2 * m.cells).sum();
+    assert_eq!(entries(&dir).len(), total);
+    for mode in &MODES {
+        for extra_cycles in [0, 100] {
+            assert_eq!(run(mode, extra_cycles).journal_loaded, mode.cells);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unloadable_workloads_fail_their_cells_only() {
+    // A mix naming a file that does not exist must not abort the sweep:
+    // its cells become typed `workload` failures and every other cell is
+    // byte-identical to a sweep without the bad mix.
+    for mode in MODES.iter().filter(|m| m.takes_mixes) {
+        let run = (mode.run)(&Knobs {
+            extra_mix: Some(BAD_MIX.to_string()),
+            ..Knobs::default()
+        });
+        assert_eq!(run.failed.len(), mode.cells, "{}", mode.name);
+        for (mix, error) in &run.failed {
+            assert_eq!(error.kind, CellErrorKind::Workload);
+            assert_eq!(mix, BAD_MIX);
+            assert!(error.message.contains("nope.elf"), "{}", error.message);
+        }
+        let reference = (mode.run)(&Knobs::default());
+        assert_eq!(
+            run.reports, reference.reports,
+            "{}: a failing mix perturbed a healthy cell",
+            mode.name
+        );
+        // The document carries the failures and still parses.
+        let back = Json::parse(&run.doc).unwrap();
+        let failed = back.get("failed_cells").and_then(Json::as_array).unwrap();
+        assert_eq!(failed.len(), mode.cells);
+        assert_eq!(
+            failed[0]
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("workload")
+        );
+    }
+}
+
+#[test]
+fn checkpoint_dir_serves_repeat_sweeps_from_disk() {
+    for mode in &MODES {
+        let dir = tmp_dir("cache", mode.name);
+        let cached = || {
+            (mode.run)(&Knobs {
+                checkpoint_dir: Some(dir.clone()),
+                ..Knobs::default()
+            })
+        };
+        let first = cached();
+        assert_eq!(
+            first.warmups_performed, mode.cold_cache_warmups,
+            "{}: a cold cache computes every warmup",
+            mode.name
+        );
+        assert!(first.degraded.is_empty(), "{:?}", first.degraded);
+        let second = cached();
+        assert_eq!(
+            second.warmups_performed, 0,
+            "{}: cache must serve",
+            mode.name
+        );
+        assert_eq!(first.doc, second.doc, "{}", mode.name);
+        assert_eq!(first.doc, (mode.run)(&Knobs::default()).doc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn cache_entry_names_stay_under_the_file_name_limit() {
+    // An absolute three-ELF mix is longer than a file name may be (255
+    // bytes); cache entries must still be written — and found again.
+    let elf = |stem: &str| {
+        let pad = "./".repeat(50);
+        format!(
+            "riscv:{}/../../testdata/riscv/{pad}{stem}.elf",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let mix = format!("{}+{}+{}", elf("loops"), elf("memsum"), elf("gcd"));
+    assert!(mix.len() > 300);
+    for mode in MODES.iter().filter(|m| m.takes_mixes) {
+        let dir = tmp_dir("cache-long", mode.name);
+        let cached = || {
+            (mode.run)(&Knobs {
+                checkpoint_dir: Some(dir.clone()),
+                extra_mix: Some(mix.clone()),
+                ..Knobs::default()
+            })
+        };
+        let first = cached();
+        assert_eq!(first.warmups_performed, 2 * mode.cold_cache_warmups);
+        assert!(first.failed.is_empty());
+        assert!(
+            first.degraded.is_empty(),
+            "{}: {:?}",
+            mode.name,
+            first.degraded
+        );
+        let second = cached();
+        assert_eq!(second.warmups_performed, 0, "{}", mode.name);
+        assert_eq!(first.doc, second.doc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_megabyte_of_study_documents_parses_back() {
+    // `Json::parse` once validated the whole remaining input per string
+    // character, so a document this size took minutes instead of
+    // milliseconds.
+    let doc = Json::parse(&run_tiny_issue(&Knobs::default()).doc).unwrap();
+    let copies = (1 << 20) / doc.render().len() + 1;
+    let big = Json::array((0..copies).map(|_| doc.clone()));
+    let text = big.render_pretty();
+    assert!(text.len() >= 1 << 20);
+    let started = std::time::Instant::now();
+    assert_eq!(Json::parse(&text).unwrap(), big);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "parsing {} bytes took {:?}",
+        text.len(),
+        started.elapsed()
+    );
+}

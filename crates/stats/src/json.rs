@@ -388,13 +388,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("non-empty checked above");
-                out.push(c);
-                *pos += c.len_utf8();
+            Some(&b) if b.is_ascii() => {
+                out.push(b as char);
+                *pos += 1;
+            }
+            Some(&lead) => {
+                // Decode exactly one multi-byte scalar, its length read off
+                // the lead byte. Validating the whole remainder here made
+                // parsing quadratic in the document size.
+                let len = match lead {
+                    0xC0..=0xDF => 2,
+                    0xE0..=0xEF => 3,
+                    _ => 4,
+                };
+                let scalar = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|s| std::str::from_utf8(s).ok())
+                    .ok_or("invalid UTF-8")?;
+                out.push_str(scalar);
+                *pos += len;
             }
         }
     }
@@ -497,6 +509,12 @@ mod tests {
         assert_eq!(v.as_str(), Some("tab\there A"));
         let v = Json::parse("\"caché\"").unwrap();
         assert_eq!(v.as_str(), Some("caché"));
+        // Two-, three- and four-byte scalars, each ending its string.
+        for s in ["é", "a—", "ab𝄞", "𝄞—é"] {
+            let doc = Json::array([s, s]);
+            assert_eq!(Json::parse(&doc.render()).unwrap(), doc, "{s}");
+        }
+        assert!(Json::parse("\"a—").is_err(), "unterminated after a scalar");
     }
 
     #[test]

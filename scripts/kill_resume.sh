@@ -1,7 +1,14 @@
 #!/usr/bin/env bash
 # Kill-and-resume gate for the sweep journal.
 #
-# Runs a release-mode issue-policy sweep with `--journal`, SIGKILLs the
+#   scripts/kill_resume.sh [MODE ARGS...]
+#
+# MODE ARGS pick the sweep mode and its own axis; the default is
+# `--study issue --issue oldest,spec_last`, and CI also runs
+# `--study ablation --ablations perfect_icache` -- every mode journals
+# through the one sweep engine, so every mode gets the same gate.
+#
+# Runs a release-mode sweep with `--journal`, SIGKILLs the
 # process mid-flight (after at least one cell has been journaled, before
 # the last one has), resumes the sweep from the same journal directory,
 # and byte-compares the resumed JSON document against an uninterrupted
@@ -24,11 +31,14 @@ CYCLES="${KR_CYCLES:-60000}"
 WARMUP="${KR_WARMUP:-20000}"
 ATTEMPTS="${KR_ATTEMPTS:-5}"
 
-# 2 fetch x 2 issue x 2 partitions x 2 mixes x 2 seeds = 32 cells.
-ARGS=(--study issue --fetch rr,icount --issue oldest,spec_last
+MODE=("$@")
+if [ "${#MODE[@]}" -eq 0 ]; then
+    MODE=(--study issue --issue oldest,spec_last)
+fi
+# The mode's own axis x 2 fetch x 2 partitions x 2 mixes x 2 seeds.
+ARGS=("${MODE[@]}" --fetch rr,icount
     --partition 2.2,2.8 --mixes standard,int8 --seeds 42,43
     --cycles "$CYCLES" --warmup "$WARMUP" --jobs 2)
-TOTAL=32
 
 cargo build --release -p smt-experiments --bin smt_exp
 BIN=target/release/smt_exp
@@ -36,8 +46,10 @@ BIN=target/release/smt_exp
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-echo "kill-resume: reference run (uninterrupted, no journal)"
+echo "kill-resume: reference run (uninterrupted, no journal): ${MODE[*]}"
 "$BIN" "${ARGS[@]}" --json "$work/ref.json" >/dev/null
+# One "report" object per completed cell, whatever the mode.
+TOTAL=$(grep -c '"report": {' "$work/ref.json")
 
 journaled() {
     # Tolerates a not-yet-created directory under pipefail.
