@@ -102,7 +102,7 @@ pub use policy::{
     FetchPartition, FetchPolicy, ICount, IssueCandidate, IssuePolicy, MissCount, OldestFirst,
     OptLast, RoundRobin, SpecLast, ThreadFetchView,
 };
-pub use report::{FetchBreakdown, IssueBreakdown, SimReport, ThreadReport};
+pub use report::{ConcatError, FetchBreakdown, IssueBreakdown, SimReport, ThreadReport};
 
 /// Per-phase wall-clock nanoseconds accumulated by the cycle driver since
 /// process start, in phase order: memory begin-cycle, miss completions,

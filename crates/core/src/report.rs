@@ -150,6 +150,121 @@ impl SimReport {
         }
     }
 
+    /// Concatenates two adjacent measurement windows of **one** machine:
+    /// `self` covers cycles `w .. w + a`, `next` covers `w + a .. w + a + b`,
+    /// and the result is the report a single `w .. w + a + b` window would
+    /// have produced — byte for byte in [`to_json`](SimReport::to_json) and
+    /// [`write_bin`](SimReport::write_bin) (pinned by `tests/concat.rs`).
+    ///
+    /// Every counter is additive, so the merge is a field-wise sum; the
+    /// per-thread `ipc` is recomputed from the summed integers exactly as
+    /// [`Simulator::report`](crate::Simulator::report) computes it. The
+    /// result keeps `self`'s `warmup_cycles` and
+    /// `restored_from_checkpoint`: both describe how the machine reached
+    /// the window's *start*. The sweep engine in `smt-experiments` uses
+    /// this to emit a cold `0 .. cycles` cell from the two halves either
+    /// side of the warm cell's checkpoint.
+    ///
+    /// Both reports are destructured exhaustively, so a new `SimReport`
+    /// (or breakdown) field does not compile until it says how it merges.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConcatError`] when the two reports are not windows of
+    /// the same machine (policy, partition or ablation labels differ, or
+    /// the thread lists do) or `next` does not start on the cycle `self`
+    /// ends on.
+    pub fn concat(self, next: &SimReport) -> Result<SimReport, ConcatError> {
+        let SimReport {
+            cycles,
+            warmup_cycles,
+            restored_from_checkpoint,
+            fetch_policy,
+            issue_policy,
+            ablations,
+            partition,
+            mut threads,
+            fetch,
+            issue,
+            mut cond_prediction,
+            pred,
+            squashes,
+            squashed_insts,
+            mem,
+        } = self;
+        let SimReport {
+            cycles: next_cycles,
+            warmup_cycles: next_start,
+            // Provenance of the second window's start: not the result's.
+            restored_from_checkpoint: _,
+            fetch_policy: next_fetch_policy,
+            issue_policy: next_issue_policy,
+            ablations: next_ablations,
+            partition: next_partition,
+            threads: next_threads,
+            fetch: next_fetch,
+            issue: next_issue,
+            cond_prediction: next_cond,
+            pred: next_pred,
+            squashes: next_squashes,
+            squashed_insts: next_squashed_insts,
+            mem: next_mem,
+        } = next;
+        let labelled = |same: bool, field: &'static str| {
+            if same {
+                Ok(())
+            } else {
+                Err(ConcatError::Label(field))
+            }
+        };
+        labelled(fetch_policy == *next_fetch_policy, "fetch_policy")?;
+        labelled(issue_policy == *next_issue_policy, "issue_policy")?;
+        labelled(ablations == *next_ablations, "ablations")?;
+        labelled(partition == *next_partition, "partition")?;
+        let end = warmup_cycles + cycles;
+        if *next_start != end {
+            return Err(ConcatError::NotAdjacent {
+                first_end: end,
+                second_start: *next_start,
+            });
+        }
+        let cycles = cycles + next_cycles;
+        labelled(threads.len() == next_threads.len(), "threads")?;
+        for (t, n) in threads.iter_mut().zip(next_threads) {
+            let ThreadReport {
+                thread,
+                benchmark,
+                committed,
+                ipc,
+            } = t;
+            labelled(*thread == n.thread && *benchmark == n.benchmark, "threads")?;
+            *committed += n.committed;
+            *ipc = if cycles == 0 {
+                0.0
+            } else {
+                *committed as f64 / cycles as f64
+            };
+        }
+        cond_prediction.add(next_cond.hits, next_cond.total);
+        Ok(SimReport {
+            cycles,
+            warmup_cycles,
+            restored_from_checkpoint,
+            fetch_policy,
+            issue_policy,
+            ablations,
+            partition,
+            threads,
+            fetch: concat_fetch(fetch, *next_fetch),
+            issue: concat_issue(issue, *next_issue),
+            cond_prediction,
+            pred: concat_pred(pred, *next_pred),
+            squashes: squashes + next_squashes,
+            squashed_insts: squashed_insts + next_squashed_insts,
+            mem: concat_mem(mem, *next_mem),
+        })
+    }
+
     /// The report as a JSON object (the `report` sub-object of the
     /// machine-readable schema emitted by `smt_exp --json`; see the
     /// `smt-experiments` crate docs for the full schema).
@@ -463,6 +578,122 @@ impl SimReport {
     }
 }
 
+/// Why [`SimReport::concat`] refused two reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConcatError {
+    /// The named label field differs: the reports are not two windows of
+    /// one machine.
+    Label(&'static str),
+    /// The second window does not start on the cycle the first ends on.
+    NotAdjacent {
+        /// Cycle the first window ends on (`warmup_cycles + cycles`).
+        first_end: u64,
+        /// Cycle the second window starts on (its `warmup_cycles`).
+        second_start: u64,
+    },
+}
+
+impl fmt::Display for ConcatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConcatError::Label(field) => {
+                write!(f, "reports differ in `{field}`: not one machine's windows")
+            }
+            ConcatError::NotAdjacent {
+                first_end,
+                second_start,
+            } => write!(
+                f,
+                "windows are not adjacent: the first ends on cycle {first_end}, \
+                 the second starts on cycle {second_start}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConcatError {}
+
+/// The field-wise sum of two values of an all-`u64` counter struct. The
+/// destructuring pattern has no `..`, so a field missing from the list is
+/// a compile error rather than a counter a concatenation silently drops.
+macro_rules! sum_counters {
+    ($ty:ident { $($field:ident),+ $(,)? }, $a:expr, $b:expr) => {{
+        let $ty { $($field),+ } = $a;
+        let b: $ty = $b;
+        $ty { $($field: $field + b.$field),+ }
+    }};
+}
+
+fn concat_fetch(a: FetchBreakdown, b: FetchBreakdown) -> FetchBreakdown {
+    sum_counters!(
+        FetchBreakdown {
+            fetched,
+            wrong_path,
+            lost_icache,
+            lost_bank_conflict,
+            lost_fragmentation,
+            lost_frontend_full,
+            lost_no_thread,
+            misfetches,
+            wrong_path_fetch_conflicts,
+        },
+        a,
+        b
+    )
+}
+
+fn concat_issue(a: IssueBreakdown, b: IssueBreakdown) -> IssueBreakdown {
+    sum_counters!(
+        IssueBreakdown {
+            issued,
+            wrong_path,
+            bank_conflicts,
+        },
+        a,
+        b
+    )
+}
+
+fn concat_pred(a: PredictorStats, b: PredictorStats) -> PredictorStats {
+    sum_counters!(
+        PredictorStats {
+            predictions,
+            btb_lookups,
+            btb_hits,
+            ras_predictions,
+            ras_underflows,
+        },
+        a,
+        b
+    )
+}
+
+fn concat_mem(a: MemStats, b: MemStats) -> MemStats {
+    let level = |a: LevelStats, b: LevelStats| sum_counters!(LevelStats { accesses, misses }, a, b);
+    let MemStats {
+        icache,
+        dcache,
+        l2,
+        l3,
+        itlb,
+        dtlb,
+        writebacks,
+        bank_conflicts,
+        mshr_merges,
+    } = a;
+    MemStats {
+        icache: level(icache, b.icache),
+        dcache: level(dcache, b.dcache),
+        l2: level(l2, b.l2),
+        l3: level(l3, b.l3),
+        itlb: level(itlb, b.itlb),
+        dtlb: level(dtlb, b.dtlb),
+        writebacks: writebacks + b.writebacks,
+        bank_conflicts: bank_conflicts + b.bank_conflicts,
+        mshr_merges: mshr_merges + b.mshr_merges,
+    }
+}
+
 /// Longest string [`read_str`] accepts; far above any real policy,
 /// benchmark, or ablation name, far below anything allocation-hostile.
 const MAX_BIN_STR: usize = 4096;
@@ -751,6 +982,67 @@ mod tests {
         w.finish().unwrap();
         let err = from_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn concat_sums_counters_and_recomputes_ipc() {
+        let first = busy_report();
+        let mut second = busy_report();
+        second.warmup_cycles = first.warmup_cycles + first.cycles;
+        second.cycles = 500;
+        second.restored_from_checkpoint = false;
+        second.fetch.misfetches = 0; // the first window's is u64::MAX
+        let joined = first.clone().concat(&second).unwrap();
+        assert_eq!(joined.cycles, 1_500);
+        assert_eq!(joined.warmup_cycles, first.warmup_cycles);
+        assert!(joined.restored_from_checkpoint, "provenance is the start's");
+        assert_eq!(joined.threads[0].committed, 6_000);
+        assert_eq!(joined.threads[0].ipc, 4.0);
+        assert_eq!(joined.fetch.lost_icache, 34);
+        assert_eq!(joined.cond_prediction.total, 2_000);
+        assert_eq!(joined.pred.ras_underflows, 10);
+        assert_eq!(joined.mem.dcache.misses, 74);
+        assert_eq!(joined.mem.mshr_merges, 198);
+        assert_eq!(joined.squashed_insts, 1_400);
+    }
+
+    #[test]
+    fn concat_rejects_foreign_and_non_adjacent_windows() {
+        let first = report();
+        let adjacent = || {
+            let mut r = report();
+            r.warmup_cycles = first.cycles;
+            r
+        };
+        assert!(first.clone().concat(&adjacent()).is_ok());
+        let gap = first.clone().concat(&report()).unwrap_err();
+        assert_eq!(
+            gap,
+            ConcatError::NotAdjacent {
+                first_end: 1000,
+                second_start: 0
+            }
+        );
+        assert!(gap.to_string().contains("not adjacent"));
+        type Relabel = fn(&mut SimReport);
+        let cases: [(&str, Relabel); 6] = [
+            ("fetch_policy", |r| r.fetch_policy = "RR".into()),
+            ("issue_policy", |r| r.issue_policy = "SPEC_LAST".into()),
+            ("ablations", |r| r.ablations.push("perfect_icache".into())),
+            ("partition", |r| r.partition = FetchPartition::new(1, 8)),
+            ("threads", |r| r.threads[1].benchmark = "doduc".into()),
+            ("threads", |r| {
+                r.threads.pop();
+            }),
+        ];
+        for (field, relabel) in cases {
+            let mut foreign = adjacent();
+            relabel(&mut foreign);
+            assert_eq!(
+                first.clone().concat(&foreign),
+                Err(ConcatError::Label(field))
+            );
+        }
     }
 
     #[test]

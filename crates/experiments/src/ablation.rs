@@ -32,7 +32,9 @@
 //! *none* (they run straight through), and warm-window plans warm under
 //! their *own* fetch policy and ablation set, inside the cell — see
 //! [`crate::warmup`] for why ablations, unlike the issue study's policy
-//! axes, preclude sharing one warmup across cells.
+//! axes, preclude sharing one warmup across cells. What the two windows
+//! of one configuration *can* share is their trajectory: each warm plan
+//! names its cold twin, and the engine simulates such a pair once.
 
 use std::fmt;
 
@@ -281,8 +283,11 @@ pub struct AblationStudy {
 /// warming it any other way would contaminate the attribution numbers (the
 /// warmed state of a perfect-I-cache machine is not the warmed state of
 /// the baseline). Within one run every warm cell's checkpoint is therefore
-/// unique; the sharing win is across repeat sweeps, via the
-/// `--checkpoint-dir` cache.
+/// unique; checkpoints are shared across repeat sweeps, via the
+/// `--checkpoint-dir` cache. Within a run the engine shares the
+/// *trajectory*: a warm plan names the cold plan of the same configuration
+/// as its twin, and a pair whose cells both need simulating steps
+/// `0..warmup+cycles` once instead of `0..cycles` and `0..warmup+cycles`.
 ///
 /// Cell faults are contained (a failing cell becomes a
 /// [`FailedAblationCell`]) and the sweep resumes from
@@ -296,66 +301,7 @@ pub struct AblationStudy {
 /// created.
 pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, String> {
     cfg.validate()?;
-    let mut ablation_axis: Vec<Option<Ablation>> = vec![None];
-    ablation_axis.extend(
-        cfg.ablations
-            .iter()
-            .map(|a| Some(Ablation::by_name(a).expect("validated above"))),
-    );
-    let mut axes = Vec::with_capacity(cfg.cell_count());
-    let mut plans = Vec::with_capacity(cfg.cell_count());
-    for mix in &cfg.mixes {
-        for &seed in &cfg.seeds {
-            for &partition in &cfg.partitions {
-                for fetch in &cfg.fetch_policies {
-                    for &window in &Window::ALL {
-                        for &ablation in &ablation_axis {
-                            let name = ablation.map_or("baseline", |a| a.name());
-                            axes.push((ablation, fetch, window));
-                            plans.push(CellPlan {
-                                mix,
-                                seed,
-                                partition,
-                                // An ablation or fetch policy changes the
-                                // machine's behaviour, not its fingerprinted
-                                // geometry, so both live in the key parts.
-                                key_parts: vec!["ablation-study", fetch, window.name(), name],
-                                label: Box::new(move || {
-                                    format!("{name}/{fetch}/{window}/{partition}/{mix}/s{seed}")
-                                }),
-                                warm: match window {
-                                    Window::Cold => Warm::None,
-                                    Window::Warm => Warm::Own(Box::new(move || {
-                                        let key = crate::warmup::key_stem(mix, seed, partition);
-                                        format!("{key}-f{fetch}-a{name}")
-                                    })),
-                                },
-                                config: Box::new(move |images| {
-                                    images
-                                        .apply(SimConfig::new())
-                                        .with_seed(seed)
-                                        .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
-                                        .with_partition(partition)
-                                        .with_ablations(
-                                            ablation.map_or(Ablations::none(), Ablations::only),
-                                        )
-                                }),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let sweep = Sweep {
-        images: sweep::resolve_images(&cfg.mixes, &cfg.seeds),
-        cycles: cfg.cycles,
-        warmup: cfg.warmup,
-        jobs: cfg.jobs,
-        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
-        journal: cfg.journal.as_deref(),
-        plans,
-    };
+    let (sweep, axes) = plan_sweep(cfg);
     let outcome = sweep::run(&sweep)?;
 
     let mut cells = Vec::new();
@@ -393,6 +339,81 @@ pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, St
         warmups_performed: outcome.warmups_performed,
         journal_loaded: outcome.journal_loaded,
     })
+}
+
+/// A plan's (ablation, fetch, window) coordinates.
+type Axes<'a> = (Option<Ablation>, &'a String, Window);
+
+/// A validated configuration's sweep: one plan per cell, and each plan's
+/// coordinates.
+fn plan_sweep(cfg: &AblationStudyConfig) -> (Sweep<'_>, Vec<Axes<'_>>) {
+    let mut ablation_axis: Vec<Option<Ablation>> = vec![None];
+    ablation_axis.extend(
+        cfg.ablations
+            .iter()
+            .map(|a| Some(Ablation::by_name(a).expect("validated above"))),
+    );
+    let mut axes = Vec::with_capacity(cfg.cell_count());
+    let mut plans = Vec::with_capacity(cfg.cell_count());
+    for mix in &cfg.mixes {
+        for &seed in &cfg.seeds {
+            for &partition in &cfg.partitions {
+                for fetch in &cfg.fetch_policies {
+                    for &window in &Window::ALL {
+                        for &ablation in &ablation_axis {
+                            let name = ablation.map_or("baseline", |a| a.name());
+                            axes.push((ablation, fetch, window));
+                            plans.push(CellPlan {
+                                mix,
+                                seed,
+                                partition,
+                                // An ablation or fetch policy changes the
+                                // machine's behaviour, not its fingerprinted
+                                // geometry, so both live in the key parts.
+                                key_parts: vec!["ablation-study", fetch, window.name(), name],
+                                label: Box::new(move || {
+                                    format!("{name}/{fetch}/{window}/{partition}/{mix}/s{seed}")
+                                }),
+                                warm: match window {
+                                    Window::Cold => Warm::None,
+                                    Window::Warm => Warm::Own {
+                                        stem: Box::new(move || {
+                                            let key = crate::warmup::key_stem(mix, seed, partition);
+                                            format!("{key}-f{fetch}-a{name}")
+                                        }),
+                                        // The cold window's plans of this
+                                        // (mix, seed, partition, fetch) sit
+                                        // one ablation axis back.
+                                        cold_twin: Some(plans.len() - ablation_axis.len()),
+                                    },
+                                },
+                                config: Box::new(move |images| {
+                                    images
+                                        .apply(SimConfig::new())
+                                        .with_seed(seed)
+                                        .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                                        .with_partition(partition)
+                                        .with_ablations(
+                                            ablation.map_or(Ablations::none(), Ablations::only),
+                                        )
+                                }),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let sweep = Sweep {
+        images: sweep::resolve_images(&cfg.mixes, &cfg.seeds),
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
+        journal: cfg.journal.as_deref(),
+        plans,
+    };
+    (sweep, axes)
 }
 
 impl AblationStudy {
@@ -791,6 +812,49 @@ mod tests {
             assert_eq!(c.report.mem.icache.misses, 0);
             assert_eq!(c.report.fetch.lost_icache, 0);
         }
+    }
+
+    #[test]
+    fn a_cold_warm_pair_steps_its_trajectory_once() {
+        let steps = |cfg: &AblationStudyConfig| {
+            let outcome = sweep::run(&plan_sweep(cfg).0).unwrap();
+            assert!(outcome.cells.iter().all(Result::is_ok));
+            assert!(outcome.degraded.is_empty(), "{:?}", outcome.degraded);
+            (outcome.simulated_cycles, outcome.warmups_performed)
+        };
+        let dir = std::env::temp_dir().join(format!("smt-exp-steps-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = AblationStudyConfig {
+            checkpoint_dir: Some(dir.join("checkpoints")),
+            ..tiny_ablation_study()
+        };
+        let pairs = cfg.cell_count() as u64 / 2;
+        let (warmup, cycles) = (cfg.warmup, cfg.cycles);
+        // Default-shaped (cycles >= warmup), cold cache: `0..warmup+cycles`
+        // once per pair, where two separate cells stepped `0..cycles` and
+        // `0..warmup+cycles`.
+        assert_eq!(steps(&cfg), (pairs * (warmup + cycles), pairs as usize));
+        // A cache-served checkpoint has no first window to share.
+        assert_eq!(steps(&cfg), (pairs * 2 * cycles, 0));
+        // `cycles < warmup`: the two measured windows share no stretch,
+        // and the cells run on their own.
+        let short = AblationStudyConfig {
+            cycles: warmup / 2,
+            checkpoint_dir: None,
+            ..cfg.clone()
+        };
+        assert_eq!(
+            steps(&short),
+            (pairs * (warmup + 2 * short.cycles), pairs as usize)
+        );
+        // A fully journaled sweep steps nothing.
+        let journaled = AblationStudyConfig {
+            journal: Some(dir.join("journal")),
+            ..cfg
+        };
+        steps(&journaled);
+        assert_eq!(steps(&journaled), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -45,9 +45,23 @@
 //!   whole fetch × issue cross-product;
 //! * **own configuration** — an ablation changes the machine being warmed,
 //!   so each warm-window ablation cell warms under its own fetch policy and
-//!   ablation set. Such a checkpoint has a single user, so it is computed
-//!   inside the cell and dropped after the fork rather than held for the
-//!   sweep's lifetime.
+//!   ablation set. Such a checkpoint is forked once, so it is computed
+//!   inside the cell's unit of work and freed right after the fork rather
+//!   than held for the sweep's lifetime.
+//!
+//! The unit of work is a cell — or a **cold/warm pair**. The ablation
+//! study's cold window (`0..cycles`) and warm window
+//! (`warmup..warmup+cycles`) of one configuration lie on one trajectory,
+//! so when both cells still need simulating the engine steps it once:
+//! warm `0..warmup` and take the warm cell's checkpoint there (the same
+//! bytes, cache entry and `warmups_performed` count as a lone warmup),
+//! fork it and run to `cycles`, emit the cold cell as the concatenation of
+//! the two windows ([`SimReport::concat`](smt_core::SimReport::concat)),
+//! then let the fork finish the warm window. With the defaults that is
+//! 30 000 stepped cycles per pair instead of 50 000, and every document,
+//! journal entry and cache entry keeps its bytes. A journal-served cell,
+//! a cache-served checkpoint, an unloadable image or `cycles < warmup`
+//! leave the two cells running on their own.
 //!
 //! `--checkpoint-dir` caches either kind of checkpoint on disk across
 //! invocations, and the `checkpoint-write` / `checkpoint-verify`

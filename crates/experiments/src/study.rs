@@ -425,6 +425,44 @@ pub struct Study {
 /// the only faults that still fail the whole sweep.
 pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
     cfg.validate()?;
+    let (sweep, axes) = plan_sweep(cfg);
+    let outcome = sweep::run(&sweep)?;
+
+    let mut cells = Vec::new();
+    let mut failed = Vec::new();
+    for ((plan, (fetch, issue)), result) in sweep.plans.iter().zip(axes).zip(outcome.cells) {
+        match result {
+            Ok(report) => cells.push(StudyCell {
+                fetch: report.fetch_policy.clone(),
+                issue: report.issue_policy.clone(),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
+                report,
+            }),
+            Err(error) => failed.push(FailedStudyCell {
+                fetch: fetch_name(fetch).expect("validated"),
+                issue: issue_name(issue).expect("validated"),
+                partition: plan.partition,
+                mix: plan.mix.to_string(),
+                seed: plan.seed,
+                error,
+            }),
+        }
+    }
+    Ok(Study {
+        config: cfg.clone(),
+        cells,
+        failed,
+        degraded: outcome.degraded,
+        warmups_performed: outcome.warmups_performed,
+        journal_loaded: outcome.journal_loaded,
+    })
+}
+
+/// A validated configuration's sweep — one plan per cell — plus each
+/// plan's (fetch, issue) coordinates.
+fn plan_sweep(cfg: &StudyConfig) -> (Sweep<'_>, Vec<(&String, &String)>) {
     let mut axes = Vec::with_capacity(cfg.cell_count());
     let mut plans = Vec::with_capacity(cfg.cell_count());
     for mix in &cfg.mixes {
@@ -465,38 +503,7 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
         journal: cfg.journal.as_deref(),
         plans,
     };
-    let outcome = sweep::run(&sweep)?;
-
-    let mut cells = Vec::new();
-    let mut failed = Vec::new();
-    for ((plan, (fetch, issue)), result) in sweep.plans.iter().zip(axes).zip(outcome.cells) {
-        match result {
-            Ok(report) => cells.push(StudyCell {
-                fetch: report.fetch_policy.clone(),
-                issue: report.issue_policy.clone(),
-                partition: plan.partition,
-                mix: plan.mix.to_string(),
-                seed: plan.seed,
-                report,
-            }),
-            Err(error) => failed.push(FailedStudyCell {
-                fetch: fetch_name(fetch).expect("validated"),
-                issue: issue_name(issue).expect("validated"),
-                partition: plan.partition,
-                mix: plan.mix.to_string(),
-                seed: plan.seed,
-                error,
-            }),
-        }
-    }
-    Ok(Study {
-        config: cfg.clone(),
-        cells,
-        failed,
-        degraded: outcome.degraded,
-        warmups_performed: outcome.warmups_performed,
-        journal_loaded: outcome.journal_loaded,
-    })
+    (sweep, axes)
 }
 
 impl Study {
@@ -883,6 +890,17 @@ mod tests {
                 (b.fetch.clone(), b.issue.clone())
             );
         }
+    }
+
+    #[test]
+    fn issue_sweep_steps_one_warmup_per_key_and_one_window_per_cell() {
+        let cfg = tiny_study();
+        let keys = (cfg.mixes.len() * cfg.seeds.len() * cfg.partitions.len()) as u64;
+        let outcome = sweep::run(&plan_sweep(&cfg).0).unwrap();
+        assert_eq!(
+            outcome.simulated_cycles,
+            keys * cfg.warmup + cfg.cell_count() as u64 * cfg.cycles
+        );
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!    its cell, an invalid one degrades and the cell re-runs;
 //! 3. pre-warm, in parallel, every [`Warm::Shared`] key some non-journaled
 //!    cell still needs (nothing is warmed for a fully journaled key);
-//! 4. run every cell behind `catch_unwind` at the scheduler boundary — one
-//!    cell's fault becomes its own [`CellError`] while every other cell's
-//!    bytes stay identical to a fault-free run — and store each fresh
-//!    report in the journal.
+//! 4. run every remaining cell across the worker pool behind
+//!    `catch_unwind` at the scheduler boundary — one cell's fault becomes
+//!    its own [`CellError`] while every other cell's bytes stay identical
+//!    to a fault-free run — and store each fresh report in the journal.
+//!    The unit of work is a cell, or a cold/warm *pair* of cells (below).
 //!
 //! On the resume path a cell therefore costs one journal read: its config
 //! closure, policy lookups, label and cache stem are never evaluated.
@@ -33,10 +34,50 @@
 //!   warmed once in step 3 and shared by every plan of the key.
 //! * [`Warm::Own`] — warm under the plan's own configuration
 //!   ([`crate::warmup::warm_checkpoint_under`], cached under the plan's
-//!   stem). Such a checkpoint has exactly one user, so it is computed
-//!   *inside* the cell and dropped right after the fork: hoisting these
-//!   into step 3 would hold one ~380 KB checkpoint per warm cell live for
-//!   the whole sweep.
+//!   stem). The checkpoint's only fork is the plan's, so it is computed
+//!   *inside* the unit of work and freed as soon as the fork has restored
+//!   it: hoisting these into step 3 would hold one ~380 KB checkpoint per
+//!   warm cell live for the whole sweep. One checkpoint buffer is live per
+//!   worker, at most.
+//!
+//! # Pairs: one trajectory, two cells
+//!
+//! A `Warm::Own` plan may name its **cold twin**: the `Warm::None` plan
+//! with the identical configuration (the ablation study's cold and warm
+//! window of one machine). Run separately, the cold cell steps cycles
+//! `0..cycles` and the warm cell steps `0..warmup` again for its
+//! checkpoint, then `warmup..warmup+cycles` — the stretch `0..cycles` is
+//! simulated twice. When **both** cells still need simulating the engine
+//! runs them as one unit over one trajectory instead:
+//!
+//! ```text
+//! 0 ─────── A ─────── warmup ──── B ──── cycles ──── C ──── warmup+cycles
+//!           └ checkpoint (the cache entry) ┘ fork
+//! cold cell = A ++ B  (SimReport::concat)      warm cell = the fork's B ++ C
+//! ```
+//!
+//! step `0..warmup` once and read report **A**; save the checkpoint there
+//! — byte for byte the one `warm_checkpoint_under` computes, written to
+//! the same `--checkpoint-dir` entry and counted in `warmups_performed`;
+//! fork it (the warm cell's `restored_from_checkpoint: true` stays
+//! truthful) and run to `cycles` for report **B**; emit and journal the
+//! cold cell as the concatenation of A and B; only then let the fork run
+//! its last `warmup` cycles and emit its report — window
+//! `warmup..warmup+cycles` — as the warm cell. `warmup + cycles` cycles
+//! are stepped where `warmup + 2·cycles` were, and every document,
+//! journal entry and cache entry is byte-identical to the separate runs
+//! (a restored machine is bit-equivalent to the one that was saved, and
+//! window concatenation is exact).
+//!
+//! A pair forms only where the two runs really overlap and both are due:
+//! not when either cell was served by the journal, when the images failed
+//! to load, or when `cycles < warmup`; and if the `--checkpoint-dir`
+//! serves the checkpoint there is no window A to share, so the two cells
+//! run on their own after all. A fault stays a cell's: a panic that
+//! unwinds out of a pair fails the members that have no result yet — the
+//! cold cell is complete and journaled before the tail runs, so a panic
+//! there costs the warm cell only, and a panic before that is the one
+//! both separate runs would have hit.
 //!
 //! # Degradation order
 //!
@@ -47,17 +88,20 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use smt_core::checkpoint::config_fingerprint;
 use smt_core::{FetchPartition, SimConfig, SimReport};
 use smt_stats::json::Json;
-use smt_stats::sched::work_steal_map_catch;
+use smt_stats::sched::{catch_panic, work_steal_map_catch};
 
 use crate::fault::{CellError, Degradation, DegradeReason};
 use crate::journal::{journal_key, Journal};
 use crate::study::{resolve_mix, MixImages, JSON_SCHEMA_VERSION};
-use crate::warmup::{canonical_config_for, try_fork_cell, warm_checkpoint, warm_checkpoint_under};
+use crate::warmup::{
+    canonical_config_for, restore_fork, warm_checkpoint, warm_checkpoint_reporting,
+    warm_checkpoint_under, WarmOutcome,
+};
 
 /// Workload images per (mix, seed), shared by every cell of the pair. A
 /// load can fail — per *key*, not per sweep: an unreadable `riscv:` /
@@ -84,9 +128,15 @@ pub(crate) enum Warm<'a> {
     None,
     /// Fork the canonical checkpoint shared by the (mix, seed, partition).
     Shared,
-    /// Fork a checkpoint warmed under the plan's own configuration, cached
-    /// under the stem this lazily formats.
-    Own(Box<dyn Fn() -> String + Sync + 'a>),
+    /// Fork a checkpoint warmed under the plan's own configuration.
+    Own {
+        /// Lazily formats the stem the checkpoint is cached under.
+        stem: Box<dyn Fn() -> String + Sync + 'a>,
+        /// Index of the [`Warm::None`] plan with the *same* configuration,
+        /// if the sweep has one: the engine then simulates the two cells
+        /// over one trajectory.
+        cold_twin: Option<usize>,
+    },
 }
 
 /// One cell of a sweep.
@@ -135,6 +185,11 @@ pub(crate) struct SweepOutcome {
     pub warmups_performed: usize,
     /// Cells resumed from the journal instead of re-run.
     pub journal_loaded: usize,
+    /// Cycles actually stepped, warmups included: the sweep's work, as a
+    /// count no host can move. Only the in-crate tests read it — the
+    /// public result structs' field sets are pinned from outside.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub simulated_cycles: u64,
 }
 
 /// Runs the sweep.
@@ -206,11 +261,13 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         warm_checkpoint(images, mix, seed, partition, sweep.warmup, dir)
     });
     let mut warmups_performed = 0;
+    let mut simulated_cycles = 0;
     let mut shared: HashMap<WarmKey, Result<Arc<Vec<u8>>, CellError>> = HashMap::new();
     for ((key, _), outcome) in needed.into_iter().zip(warmed) {
         let checkpoint = outcome
             .map(|warm| {
                 warmups_performed += usize::from(warm.computed);
+                simulated_cycles += if warm.computed { sweep.warmup } else { 0 };
                 degraded.extend(warm.degradations);
                 warm.checkpoint
             })
@@ -218,62 +275,177 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         shared.insert(key, checkpoint);
     }
 
-    // Cell phase: per cell its report, whether it simulated a warmup, and
-    // its own incidents.
-    type Done = (SimReport, bool, Vec<Degradation>);
-    let outcomes = work_steal_map_catch(plans.len(), sweep.jobs, |i| -> Result<Done, CellError> {
-        let plan = &plans[i];
-        #[cfg(feature = "fault-inject")]
-        smt_stats::faults::panic_point("cell", i as u64);
-        let images = sweep.images[&(plan.mix, plan.seed)]
-            .as_ref()
-            .map_err(|e| CellError::workload(e.clone()))?;
-        if let Some(report) = &journaled[i] {
-            return Ok((report.clone(), false, Vec::new()));
-        }
-        let fork = |checkpoint: &[u8]| {
-            try_fork_cell((plan.config)(images), checkpoint, sweep.cycles)
-                .map_err(|e| CellError::checkpoint(e.to_string()))
-        };
-        let mut degradations = Vec::new();
-        let mut warmed = false;
-        let report = match &plan.warm {
-            Warm::None => (plan.config)(images).build().run(sweep.cycles),
-            Warm::Shared => fork(shared[&plan.key()].as_ref().map_err(CellError::clone)?)?,
-            Warm::Own(stem) => {
-                let build = || (plan.config)(images);
-                let warm =
-                    warm_checkpoint_under(build, &stem(), sweep.warmup, sweep.checkpoint_dir);
-                warmed = warm.computed;
-                degradations = warm.degradations;
-                fork(&warm.checkpoint)?
+    // Cell phase. A cold/warm pair whose two cells both still need
+    // simulating is one unit of work; every other cell is its own.
+    let runnable =
+        |i: usize| journaled[i].is_none() && sweep.images[&(plans[i].mix, plans[i].seed)].is_ok();
+    let mut warm_twin: Vec<Option<usize>> = vec![None; plans.len()];
+    let mut fused = vec![false; plans.len()];
+    for (warm, plan) in plans.iter().enumerate() {
+        if let Warm::Own {
+            cold_twin: Some(cold),
+            ..
+        } = plan.warm
+        {
+            debug_assert!(matches!(plans[cold].warm, Warm::None));
+            if sweep.cycles >= sweep.warmup && runnable(cold) && runnable(warm) {
+                warm_twin[cold] = Some(warm);
+                fused[warm] = true;
             }
-        };
+        }
+    }
+    // A unit: a cell and, for a pair, its warm twin.
+    let units: Vec<(usize, Option<usize>)> = (0..plans.len())
+        .filter(|&i| !fused[i])
+        .map(|i| (i, warm_twin[i]))
+        .collect();
+
+    // Publishes a fresh report; a failed store only costs durability.
+    let store = |i: usize, done: &mut Done| {
         if let (Some(journal), Some(key)) = (&journal, cell_keys[i]) {
-            if let Err(e) = journal.store(key, i as u64, &report) {
-                degradations.push(Degradation {
-                    key: (plan.label)(),
+            if let Err(e) = journal.store(key, i as u64, &done.report) {
+                done.degradations.push(Degradation {
+                    key: (plans[i].label)(),
                     reason: DegradeReason::JournalWrite,
                     detail: format!("store failed: {e}; result not durable"),
                 });
             }
         }
-        Ok((report, warmed, degradations))
+    };
+
+    // One cell on its own. `own` is the plan's `Warm::Own` checkpoint when
+    // the caller already obtained it.
+    let single = |i: usize, own: Option<WarmOutcome>| -> CellResult {
+        let plan = &plans[i];
+        let images = sweep.images[&(plan.mix, plan.seed)]
+            .as_ref()
+            .map_err(|e| CellError::workload(e.clone()))?;
+        if let Some(report) = &journaled[i] {
+            return Ok(Done::of(report.clone(), 0));
+        }
+        let fork = |checkpoint: &[u8]| {
+            restore_fork((plan.config)(images), checkpoint)
+                .map_err(|e| CellError::checkpoint(e.to_string()))
+        };
+        let mut done = match &plan.warm {
+            Warm::None => {
+                let report = (plan.config)(images).build().run(sweep.cycles);
+                let stepped = report.warmup_cycles + report.cycles;
+                Done::of(report, stepped)
+            }
+            Warm::Shared => {
+                let mut sim = fork(shared[&plan.key()].as_ref().map_err(CellError::clone)?)?;
+                Done::of(sim.run(sweep.cycles), sweep.cycles)
+            }
+            Warm::Own { stem, .. } => {
+                let warm = own.unwrap_or_else(|| {
+                    let build = || (plan.config)(images);
+                    warm_checkpoint_under(build, &stem(), sweep.warmup, sweep.checkpoint_dir)
+                });
+                let mut sim = fork(&warm.checkpoint)?;
+                // The single-use buffer has served: free it before the run.
+                drop(warm.checkpoint);
+                let warmed = if warm.computed { sweep.warmup } else { 0 };
+                Done {
+                    warmed: warm.computed,
+                    degradations: warm.degradations,
+                    ..Done::of(sim.run(sweep.cycles), warmed + sweep.cycles)
+                }
+            }
+        };
+        store(i, &mut done);
+        Ok(done)
+    };
+    // Results land in per-plan slots rather than flow back through the
+    // pool: a unit may finish two cells, at different times.
+    let slots: Vec<OnceLock<CellResult>> = plans.iter().map(|_| OnceLock::new()).collect();
+    let finish = |i: usize, result: CellResult| {
+        assert!(slots[i].set(result).is_ok(), "plan {i} ran in two units");
+    };
+    let alone = |i: usize| contain(|| single(i, None));
+
+    // A pair over one trajectory (module docs): report A over `0..warmup`
+    // and the warm cell's checkpoint, the fork's report B up to `cycles`,
+    // the cold cell as A ++ B, then the fork's last `warmup` cycles for
+    // the warm cell. A panic in here unwinds to the unit's catch, which
+    // fails the members still without a result: both of them up to the
+    // cold cell's completion — the fault both separate runs would have
+    // hit — and the warm cell alone after it.
+    let pair = |cold: usize, warm: usize| {
+        let plan = &plans[warm];
+        let Warm::Own { stem, .. } = &plan.warm else {
+            unreachable!("only a Warm::Own plan names a cold twin")
+        };
+        let images = sweep.images[&(plan.mix, plan.seed)]
+            .as_ref()
+            .expect("pairs form on loaded images");
+        let build = || (plan.config)(images);
+        let (warmed, first) =
+            warm_checkpoint_reporting(build, &stem(), sweep.warmup, sweep.checkpoint_dir);
+        let Some(first) = first else {
+            // Cache-served: there is no window A to share.
+            finish(cold, alone(cold));
+            finish(warm, contain(|| single(warm, Some(warmed))));
+            return;
+        };
+        let WarmOutcome {
+            checkpoint,
+            degradations,
+            ..
+        } = warmed;
+        let mut sim = restore_fork(build(), &checkpoint)
+            .expect("a machine restores the checkpoint it has just saved");
+        drop(checkpoint);
+        let second = sim.run(sweep.cycles - sweep.warmup);
+        let report = first
+            .concat(&second)
+            .expect("the fork continues the machine the first window measured");
+        let mut done = Done::of(report, sweep.cycles);
+        store(cold, &mut done);
+        // Complete and durable before the machine runs on.
+        finish(cold, Ok(done));
+        let mut done = Done {
+            warmed: true,
+            degradations,
+            ..Done::of(sim.run(sweep.warmup), sweep.warmup)
+        };
+        store(warm, &mut done);
+        finish(warm, Ok(done));
+    };
+
+    let escaped = work_steal_map_catch(units.len(), sweep.jobs, |u| match units[u] {
+        (i, None) => finish(i, probe(i).and_then(|()| single(i, None))),
+        // Each member's probe fails exactly that member; whoever remains
+        // runs — fused only when both do.
+        (cold, Some(warm)) => match (probe(cold), probe(warm)) {
+            (Ok(()), Ok(())) => pair(cold, warm),
+            (c, w) => {
+                finish(cold, c.and_then(|()| alone(cold)));
+                finish(warm, w.and_then(|()| alone(warm)));
+            }
+        },
     });
+    for (&(cell, twin), outcome) in units.iter().zip(escaped) {
+        let Err(msg) = outcome else { continue };
+        for i in [Some(cell), twin].into_iter().flatten() {
+            // A no-op for a member that finished before the panic.
+            let _ = slots[i].set(Err(CellError::panic(msg.clone())));
+        }
+    }
 
     let mut journal_loaded = 0;
-    let cells = outcomes
+    let cells = slots
         .into_iter()
         .zip(&journaled)
-        .map(|(outcome, journaled)| {
-            // Flatten the scheduler's catch layer (an escaped panic) into
-            // the cell's own typed result.
-            let (report, warmed, degradations) =
-                outcome.unwrap_or_else(|msg| Err(CellError::panic(msg)))?;
+        .map(|(slot, journaled)| {
+            let done = slot
+                .into_inner()
+                .expect("every plan belongs to exactly one unit")?;
             journal_loaded += usize::from(journaled.is_some());
-            warmups_performed += usize::from(warmed);
-            degraded.extend(degradations);
-            Ok(report)
+            warmups_performed += usize::from(done.warmed);
+            simulated_cycles += done.stepped;
+            degraded.extend(done.degradations);
+            Ok(done.report)
         })
         .collect();
     Ok(SweepOutcome {
@@ -281,7 +453,50 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         degraded,
         warmups_performed,
         journal_loaded,
+        simulated_cycles,
     })
+}
+
+/// One finished cell.
+struct Done {
+    report: SimReport,
+    /// Whether a warmup was simulated for it (not cache-served).
+    warmed: bool,
+    /// Its own incidents: checkpoint cache first, then journal write.
+    degradations: Vec<Degradation>,
+    /// Cycles stepped on its behalf.
+    stepped: u64,
+}
+
+impl Done {
+    fn of(report: SimReport, stepped: u64) -> Done {
+        Done {
+            report,
+            warmed: false,
+            degradations: Vec::new(),
+            stepped,
+        }
+    }
+}
+
+type CellResult = Result<Done, CellError>;
+
+/// Runs one piece of a cell under its own catch: a panic becomes the
+/// cell's typed error instead of unwinding into its unit's other member.
+fn contain<T>(f: impl FnOnce() -> Result<T, CellError>) -> Result<T, CellError> {
+    catch_panic(f).unwrap_or_else(|msg| Err(CellError::panic(msg)))
+}
+
+/// The fault-injection probe of cell `i`: fails exactly that cell, also
+/// when it is half of a pair.
+fn probe(i: usize) -> Result<(), CellError> {
+    #[cfg(feature = "fault-inject")]
+    contain(|| {
+        smt_stats::faults::panic_point("cell", i as u64);
+        Ok(())
+    })?;
+    let _ = i;
+    Ok(())
 }
 
 /// A string list as a JSON array.

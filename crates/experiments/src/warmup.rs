@@ -3,11 +3,12 @@
 //! is the sweep engine's business (`sweep.rs`; the crate docs describe the
 //! three warm kinds); this module is the mechanism underneath.
 //!
-//! Both studies measure behind a warmup window, and re-simulating it per
-//! cell would be the single most redundant work in a sweep. The **issue
-//! study** warms each unique (mix, seed, partition) key **once** under the
-//! *canonical* configuration — ICOUNT fetch, OLDEST_FIRST issue, no
-//! ablations ([`warm_checkpoint`]) — and the resulting
+//! Both studies measure behind a warmup window, and re-simulating a
+//! stretch of cycles some other cell already simulated is the most
+//! redundant work a sweep can do. The **issue study** warms each unique
+//! (mix, seed, partition) key **once** under the *canonical*
+//! configuration — ICOUNT fetch, OLDEST_FIRST issue, no ablations
+//! ([`warm_checkpoint`]) — and the resulting
 //! [`Simulator::save_checkpoint`] bytes are forked across the whole
 //! fetch × issue cross-product (policies only steer the measured window;
 //! they do not define the machine being warmed). The **ablation study**
@@ -15,11 +16,18 @@
 //! warm cell must warm under its own fetch policy and ablation set to
 //! keep the attribution numbers meaningful — and instead forks each warm
 //! cell from a checkpoint warmed under the cell's own configuration
-//! ([`warm_checkpoint_under`]). That checkpoint has exactly one user, so
-//! the engine computes it inside the cell and drops it after the fork
-//! (holding one ~380 KB checkpoint per warm cell for the whole sweep would
-//! only raise peak memory); the `--checkpoint-dir` cache dedups it across
-//! repeat sweeps.
+//! ([`warm_checkpoint_under`]). That checkpoint's only *fork* is the warm
+//! cell's, so the engine computes it inside the unit of work and frees it
+//! as soon as the fork has restored it (holding one ~380 KB checkpoint
+//! per warm cell for the whole sweep would only raise peak memory); the
+//! `--checkpoint-dir` cache dedups it across repeat sweeps. Its
+//! *trajectory* does have a second user, though: the cold cell of the
+//! same configuration measures `0..cycles` of the very run that warms
+//! `0..warmup`. The engine therefore runs such a cold/warm pair over one
+//! trajectory — the warmup's own report (`warm_checkpoint_reporting`)
+//! concatenated with the fork's next window *is* the cold cell — and the
+//! checkpoint it takes on the way is byte for byte the one a lone warmup
+//! writes (`sweep.rs` has the whole scheme).
 //!
 //! Forking is observable-behaviour-free because a restored simulator is
 //! bit-equivalent to one that ran straight through (`smt-core` pins this
@@ -82,6 +90,12 @@ pub fn canonical_config(
 /// the warmed machine. `warmup == 0` yields a (valid) cycle-zero
 /// checkpoint, so the fork path needs no special case for unwarmed sweeps.
 pub fn compute_checkpoint_under(cfg: SimConfig, warmup: u64) -> Vec<u8> {
+    simulate_warmup(cfg, warmup).1
+}
+
+/// Simulates cycles `0..warmup` under `cfg`; returns that window's report
+/// and the serialized machine at its end.
+fn simulate_warmup(cfg: SimConfig, warmup: u64) -> (SimReport, Vec<u8>) {
     let mut sim = cfg.build();
     for _ in 0..warmup {
         sim.step_cycle();
@@ -89,7 +103,7 @@ pub fn compute_checkpoint_under(cfg: SimConfig, warmup: u64) -> Vec<u8> {
     let mut bytes = Vec::new();
     sim.save_checkpoint(&mut bytes)
         .expect("writing a checkpoint to a Vec cannot fail");
-    bytes
+    (sim.report(), bytes)
 }
 
 /// Simulates the canonical warmup for the key and serializes the warmed
@@ -190,6 +204,20 @@ pub fn warm_checkpoint_under(
     warmup: u64,
     dir: Option<&Path>,
 ) -> WarmOutcome {
+    warm_checkpoint_reporting(build, stem, warmup, dir).0
+}
+
+/// [`warm_checkpoint_under`], plus the report of the warmup window
+/// `0..warmup` when — and only when — this call simulated it
+/// (`computed`). The sweep engine concatenates that report with the
+/// forked machine's next window into the cold cell of a cold/warm pair;
+/// a cache-served checkpoint has no such report, and no pair.
+pub(crate) fn warm_checkpoint_reporting(
+    build: impl Fn() -> SimConfig,
+    stem: &str,
+    warmup: u64,
+    dir: Option<&Path>,
+) -> (WarmOutcome, Option<SimReport>) {
     let entry = dir.map(|d| {
         let fingerprint = config_fingerprint(&build());
         let name = format!("{stem}-w{warmup}-{fingerprint:016x}.ckpt");
@@ -200,11 +228,12 @@ pub fn warm_checkpoint_under(
     if let Some((path, name)) = &entry {
         match load_cached(&build, warmup, path) {
             Ok(Some(bytes)) => {
-                return WarmOutcome {
+                let served = WarmOutcome {
                     checkpoint: Arc::new(bytes),
                     computed: false,
                     degradations,
-                }
+                };
+                return (served, None);
             }
             Ok(None) => {}
             Err((reason, detail)) => degradations.push(Degradation {
@@ -215,7 +244,7 @@ pub fn warm_checkpoint_under(
         }
     }
 
-    let bytes = compute_checkpoint_under(build(), warmup);
+    let (window, bytes) = simulate_warmup(build(), warmup);
     if let Some((path, name)) = entry {
         // Best-effort: a cache that cannot be written only costs time.
         if let Err(e) = crate::durable::atomic_write(&path, &bytes, "cache-write", 0) {
@@ -226,11 +255,12 @@ pub fn warm_checkpoint_under(
             });
         }
     }
-    WarmOutcome {
+    let computed = WarmOutcome {
         checkpoint: Arc::new(bytes),
         computed: true,
         degradations,
-    }
+    };
+    (computed, Some(window))
 }
 
 /// Loads and validates one cache entry. `Ok(None)` means the entry does
@@ -283,10 +313,21 @@ pub fn try_fork_cell(
     checkpoint: &[u8],
     cycles: u64,
 ) -> Result<SimReport, smt_core::CheckpointError> {
+    Ok(restore_fork(cfg, checkpoint)?.run(cycles))
+}
+
+/// The restore half of [`try_fork_cell`]: the forked machine with its
+/// provenance flag set and a fresh measurement window open at the
+/// checkpoint's cycle. The checkpoint bytes are fully consumed — the
+/// engine drops a single-use buffer before the measured run.
+pub(crate) fn restore_fork(
+    cfg: SimConfig,
+    checkpoint: &[u8],
+) -> Result<Simulator, smt_core::CheckpointError> {
     let mut sim = Simulator::restore_checkpoint(cfg, &mut &checkpoint[..])?;
     sim.mark_restored_from_checkpoint();
     sim.reset_stats();
-    Ok(sim.run(cycles))
+    Ok(sim)
 }
 
 /// [`try_fork_cell`] for callers outside a containment boundary.

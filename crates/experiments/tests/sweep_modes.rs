@@ -12,9 +12,17 @@
 //! * each mode's document equals a reference built cell by cell from the
 //!   public one-cell calls (`compute_checkpoint` + `fork_cell`, or a
 //!   straight run), with no engine in between.
+//!
+//! The ablation row has three properties of its own, because its engine
+//! path simulates a cold cell and its warm twin over one trajectory: any
+//! journal split of the pairs resumes to the same document, the
+//! `--checkpoint-dir` holds the entries separate warmups write, and a
+//! sweep whose windows do not overlap (`cycles < warmup`) still equals
+//! its reference.
 
 use std::path::{Path, PathBuf};
 
+use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, Ablation, Ablations, FetchPartition, SimConfig,
     SimReport,
@@ -23,8 +31,11 @@ use smt_experiments::ablation::{
     run_ablation_study, AblationCell, AblationStudy, AblationStudyConfig, Window,
 };
 use smt_experiments::fault::{CellError, CellErrorKind, Degradation, DegradeReason};
-use smt_experiments::study::{resolve_mix, run_study, Study, StudyCell, StudyConfig};
-use smt_experiments::warmup::{compute_checkpoint, compute_checkpoint_under, fork_cell};
+use smt_experiments::journal::journal_key;
+use smt_experiments::study::{resolve_mix, run_study, MixImages, Study, StudyCell, StudyConfig};
+use smt_experiments::warmup::{
+    canonical_config_for, compute_checkpoint, compute_checkpoint_under, fork_cell,
+};
 use smt_experiments::{generate_programs, matrix_to_json, run_matrix, ExpConfig, Matrix};
 use smt_stats::json::Json;
 use smt_stats::TextTable;
@@ -189,7 +200,11 @@ fn tiny_ablation(k: &Knobs) -> AblationStudyConfig {
 }
 
 fn run_tiny_ablation(k: &Knobs) -> Run {
-    let study = run_ablation_study(&tiny_ablation(k)).unwrap();
+    run_ablation(&tiny_ablation(k))
+}
+
+fn run_ablation(cfg: &AblationStudyConfig) -> Run {
+    let study = run_ablation_study(cfg).unwrap();
     Run {
         doc: study.to_json().render_pretty(),
         reports: study.cells.iter().map(|c| c.report.clone()).collect(),
@@ -277,13 +292,36 @@ fn reference_issue() -> String {
     study.to_json().render_pretty()
 }
 
-/// The ablation document by hand: cold cells straight through, warm cells
-/// forked off a warmup of their own configuration.
-fn reference_ablation() -> String {
-    let cfg = tiny_ablation(&Knobs::default());
+/// One cell of an ablation sweep as a from-outside reference sees it.
+struct AblationSite<'a> {
+    images: &'a MixImages,
+    mix: &'a str,
+    seed: u64,
+    partition: FetchPartition,
+    fetch: &'a str,
+    window: Window,
+    ablation: Option<Ablation>,
+}
+
+impl AblationSite<'_> {
+    fn label(&self) -> &'static str {
+        self.ablation.map_or("baseline", |a| a.name())
+    }
+
+    fn config(&self) -> SimConfig {
+        self.images
+            .apply(SimConfig::new())
+            .with_seed(self.seed)
+            .with_fetch(fetch_policy_by_name(self.fetch).unwrap())
+            .with_partition(self.partition)
+            .with_ablations(self.ablation.map_or(Ablations::none(), Ablations::only))
+    }
+}
+
+/// Walks an ablation sweep's cells in the engine's plan order.
+fn each_ablation_site(cfg: &AblationStudyConfig, mut visit: impl FnMut(&AblationSite)) {
     let mut axis = vec![None];
     axis.extend(cfg.ablations.iter().map(|a| Ablation::by_name(a)));
-    let mut cells = Vec::new();
     for mix in &cfg.mixes {
         for &seed in &cfg.seeds {
             let images = resolve_mix(mix, seed).unwrap();
@@ -291,37 +329,14 @@ fn reference_ablation() -> String {
                 for fetch in &cfg.fetch_policies {
                     for window in Window::ALL {
                         for &ablation in &axis {
-                            let build = || {
-                                images
-                                    .apply(SimConfig::new())
-                                    .with_seed(seed)
-                                    .with_fetch(fetch_policy_by_name(fetch).unwrap())
-                                    .with_partition(partition)
-                                    .with_ablations(
-                                        ablation.map_or(Ablations::none(), Ablations::only),
-                                    )
-                            };
-                            let report = match window {
-                                Window::Cold => build().build().run(cfg.cycles),
-                                Window::Warm => fork_cell(
-                                    build(),
-                                    &compute_checkpoint_under(build(), cfg.warmup),
-                                    cfg.cycles,
-                                ),
-                            };
-                            assert_eq!(
-                                report.restored_from_checkpoint,
-                                window == Window::Warm,
-                                "only warm cells carry the provenance flag"
-                            );
-                            cells.push(AblationCell {
-                                ablation: ablation.map(|a| a.name().to_string()),
-                                fetch: report.fetch_policy.clone(),
-                                partition,
-                                mix: mix.clone(),
+                            visit(&AblationSite {
+                                images: &images,
+                                mix,
                                 seed,
+                                partition,
+                                fetch,
                                 window,
-                                report,
+                                ablation,
                             });
                         }
                     }
@@ -329,6 +344,40 @@ fn reference_ablation() -> String {
             }
         }
     }
+}
+
+/// The ablation document by hand: cold cells straight through, warm cells
+/// forked off a warmup of their own configuration.
+fn reference_ablation() -> String {
+    reference_ablation_of(tiny_ablation(&Knobs::default()))
+}
+
+fn reference_ablation_of(cfg: AblationStudyConfig) -> String {
+    let mut cells = Vec::new();
+    each_ablation_site(&cfg, |site| {
+        let report = match site.window {
+            Window::Cold => site.config().build().run(cfg.cycles),
+            Window::Warm => fork_cell(
+                site.config(),
+                &compute_checkpoint_under(site.config(), cfg.warmup),
+                cfg.cycles,
+            ),
+        };
+        assert_eq!(
+            report.restored_from_checkpoint,
+            site.window == Window::Warm,
+            "only warm cells carry the provenance flag"
+        );
+        cells.push(AblationCell {
+            ablation: site.ablation.map(|a| a.name().to_string()),
+            fetch: report.fetch_policy.clone(),
+            partition: site.partition,
+            mix: site.mix.to_string(),
+            seed: site.seed,
+            window: site.window,
+            report,
+        });
+    });
     let study = AblationStudy {
         config: cfg,
         cells,
@@ -612,6 +661,147 @@ fn cache_entry_names_stay_under_the_file_name_limit() {
         assert_eq!(second.warmups_performed, 0, "{}", mode.name);
         assert_eq!(first.doc, second.doc);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn any_journal_split_of_the_ablation_pairs_resumes_to_the_same_document() {
+    // The engine runs a cold cell and its warm twin as one unit only when
+    // both still need simulating; whatever a kill left of a pair — the
+    // cold cell (journaled before the unit runs on), the warm cell, or
+    // neither — the resumed document is the uninterrupted one.
+    let dir = tmp_dir("journal-pairs", "ablation");
+    let cfg = tiny_ablation(&Knobs {
+        journal: Some(dir.clone()),
+        ..Knobs::default()
+    });
+    // Each cell's entry, from outside, in plan order: within a fetch
+    // policy's group the cold cells come first, their warm twins one
+    // ablation axis later.
+    let mut sites: Vec<(Window, usize, PathBuf)> = Vec::new();
+    let axis = 1 + cfg.ablations.len();
+    each_ablation_site(&cfg, |site| {
+        let fingerprint = config_fingerprint(&canonical_config_for(
+            site.images,
+            site.seed,
+            site.partition,
+        ));
+        let key = journal_key(
+            fingerprint,
+            &[
+                "ablation-study",
+                site.fetch,
+                site.window.name(),
+                site.label(),
+            ],
+            &[cfg.cycles, cfg.warmup],
+        );
+        let i = sites.len();
+        let pair = i / (2 * axis) * axis + i % axis;
+        sites.push((site.window, pair, dir.join(format!("cell-{key:016x}.smtj"))));
+    });
+    let reference = run_tiny_ablation(&Knobs::default()).doc;
+    let full = run_ablation(&cfg);
+    assert_eq!(full.doc, reference);
+    let mut expected: Vec<PathBuf> = sites.iter().map(|(_, _, path)| path.clone()).collect();
+    expected.sort();
+    assert_eq!(entries(&dir), expected, "entry names moved");
+
+    type Lost = fn(Window, usize) -> bool;
+    let splits: [(&str, Lost); 3] = [
+        ("only the cold cells survive", |w, _| w == Window::Warm),
+        ("only the warm cells survive", |w, _| w == Window::Cold),
+        ("one member of some pairs survives", |w, pair| {
+            match pair % 3 {
+                0 => w == Window::Cold,
+                1 => w == Window::Warm,
+                _ => false,
+            }
+        }),
+    ];
+    for (what, lost) in splits {
+        let mut missing = 0;
+        for (window, pair, path) in &sites {
+            if lost(*window, *pair) {
+                std::fs::remove_file(path).unwrap();
+                missing += 1;
+            }
+        }
+        assert!(missing > 0, "{what}");
+        let resumed = run_ablation(&cfg);
+        assert_eq!(resumed.journal_loaded, sites.len() - missing, "{what}");
+        assert!(
+            resumed.degraded.is_empty(),
+            "{what}: {:?}",
+            resumed.degraded
+        );
+        assert_eq!(resumed.doc, reference, "{what}");
+        assert_eq!(entries(&dir), expected, "{what}: re-run cells re-published");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn paired_ablation_sweep_caches_the_checkpoints_separate_warmups_write() {
+    // A cold-cache sweep takes each warm cell's checkpoint out of the
+    // trajectory it shares with the cold twin; the cache must hold what a
+    // warmup of the cell alone writes — same names, same bytes — so caches
+    // move freely between builds.
+    let dir = tmp_dir("cache-bytes", "ablation");
+    let cfg = tiny_ablation(&Knobs {
+        checkpoint_dir: Some(dir.clone()),
+        ..Knobs::default()
+    });
+    let mut expected: Vec<(PathBuf, Vec<u8>)> = Vec::new();
+    each_ablation_site(&cfg, |site| {
+        if site.window == Window::Warm {
+            let name = format!(
+                "warm-{}-s{}-p{}.{}-f{}-a{}-w{}-{:016x}.ckpt",
+                site.mix,
+                site.seed,
+                site.partition.threads_per_cycle,
+                site.partition.insts_per_thread,
+                site.fetch,
+                site.label(),
+                cfg.warmup,
+                config_fingerprint(&site.config()),
+            );
+            let bytes = compute_checkpoint_under(site.config(), cfg.warmup);
+            expected.push((dir.join(name), bytes));
+        }
+    });
+    expected.sort();
+    assert_eq!(run_ablation(&cfg).warmups_performed, expected.len());
+    let written: Vec<(PathBuf, Vec<u8>)> = entries(&dir)
+        .into_iter()
+        .map(|path| {
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    assert!(
+        written == expected,
+        "cache entries differ from lone warmups'"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ablation_windows_that_do_not_overlap_match_the_reference() {
+    // `cycles < warmup`: the warm window starts after the cold one ends,
+    // so there is no shared stretch and every cell runs on its own;
+    // `cycles == warmup` is the shortest shape that still pairs.
+    let tiny = tiny_ablation(&Knobs::default());
+    for cycles in [tiny.warmup - 50, tiny.warmup] {
+        let cfg = AblationStudyConfig {
+            cycles,
+            ..tiny.clone()
+        };
+        assert_eq!(
+            run_ablation(&cfg).doc,
+            reference_ablation_of(cfg),
+            "cycles={cycles}"
+        );
     }
 }
 

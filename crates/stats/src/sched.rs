@@ -152,37 +152,42 @@ where
         .collect()
 }
 
-/// Like [`work_steal_map`], but each job runs under
-/// [`std::panic::catch_unwind`]: a panicking job yields
-/// `Err(panic message)` in its output slot instead of tearing down the
-/// pool (and poisoning the merge lock) the way an escaped panic would.
-/// Healthy jobs are unaffected — their results land in the same
-/// index-ordered slots a fault-free [`work_steal_map`] run would produce.
+/// Runs `f` under [`std::panic::catch_unwind`] and renders a panic's
+/// payload to a `String` when it is one (or a `&str`), which covers every
+/// `panic!`/`assert!` in practice; exotic [`std::panic::panic_any`]
+/// payloads degrade to a fixed placeholder. The process panic hook still
+/// runs for a caught panic, so callers that inject panics on purpose may
+/// want to silence it around the call.
 ///
-/// The panic payload is rendered to a `String` when it is one (or a
-/// `&str`), which covers every `panic!`/`assert!` in practice; exotic
-/// [`std::panic::panic_any`] payloads degrade to a fixed placeholder.
-/// The process panic hook still runs for each caught panic, so callers
-/// that inject panics on purpose may want to silence it around the call.
+/// Any broken invariants a panic could leave behind must be confined to
+/// state the caller discards on `Err` — that is the caller's
+/// `AssertUnwindSafe` to uphold.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "opaque panic payload".to_string()
+        }
+    })
+}
+
+/// Like [`work_steal_map`], but each job runs under [`catch_panic`]: a
+/// panicking job yields `Err(panic message)` in its output slot instead
+/// of tearing down the pool (and poisoning the merge lock) the way an
+/// escaped panic would. Healthy jobs are unaffected — their results land
+/// in the same index-ordered slots a fault-free [`work_steal_map`] run
+/// would produce.
 pub fn work_steal_map_catch<T, F>(count: usize, jobs: usize, run: F) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    work_steal_map(count, jobs, move |i| {
-        // The closure only borrows `run`; any broken invariants a panic
-        // could leave behind are confined to the job's own result, which
-        // is replaced by the error — hence `AssertUnwindSafe`.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "opaque panic payload".to_string()
-            }
-        })
-    })
+    // The closure only borrows `run`; what a panic leaves behind is
+    // confined to the job's own result, which the error replaces.
+    work_steal_map(count, jobs, move |i| catch_panic(|| run(i)))
 }
 
 #[cfg(test)]

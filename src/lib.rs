@@ -71,7 +71,7 @@
 
 pub use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, Ablation, Ablations, BrCount, BranchFirst,
-    CheckpointError, FetchBreakdown, FetchPartition, FetchPolicy, FleetCell, ICount,
+    CheckpointError, ConcatError, FetchBreakdown, FetchPartition, FetchPolicy, FleetCell, ICount,
     IssueBreakdown, IssueCandidate, IssuePolicy, MissCount, OldestFirst, OptLast, RoundRobin,
     SimConfig, SimFleet, SimReport, Simulator, SpecLast, ThreadFetchView, ThreadReport,
     WorkloadSpec, MAX_THREADS,
