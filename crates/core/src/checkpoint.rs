@@ -170,10 +170,6 @@ impl From<io::Error> for CheckpointError {
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     let mut w = BinWriter::new(Vec::new());
     let r: io::Result<()> = (|| {
-        let write_str = |w: &mut BinWriter<Vec<u8>>, s: &str| -> io::Result<()> {
-            w.len(s.len())?;
-            w.bytes(s.as_bytes())
-        };
         // Workload identity: explicit program images when supplied,
         // benchmark names otherwise (images are regenerated from the
         // benchmark + seed at build time, so the name pins them). The
@@ -187,11 +183,11 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
                 match spec {
                     crate::WorkloadSpec::Benchmark(b) => {
                         w.u8(0)?;
-                        write_str(&mut w, b.name())?;
+                        w.str(b.name())?;
                     }
                     crate::WorkloadSpec::Program(p) => {
                         w.u8(1)?;
-                        write_str(&mut w, p.name())?;
+                        w.str(p.name())?;
                         w.u64(p.entry())?;
                         w.len(p.len())?;
                         w.len(p.branch_count())?;
@@ -199,23 +195,23 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
                     }
                     crate::WorkloadSpec::Elf(img) => {
                         w.u8(2)?;
-                        write_str(&mut w, img.name())?;
+                        w.str(img.name())?;
                         w.u64(img.fingerprint())?;
                     }
                     crate::WorkloadSpec::Trace(t) => {
                         w.u8(3)?;
-                        write_str(&mut w, t.name())?;
+                        w.str(t.name())?;
                         w.u64(t.fingerprint())?;
                     }
                 }
             }
         } else if cfg.programs.is_empty() {
             for b in &cfg.benchmarks {
-                write_str(&mut w, b.name())?;
+                w.str(b.name())?;
             }
         } else {
             for p in &cfg.programs {
-                write_str(&mut w, p.name())?;
+                w.str(p.name())?;
                 w.u64(p.entry())?;
                 w.len(p.len())?;
                 w.len(p.branch_count())?;

@@ -55,8 +55,8 @@
 //! loads live in a [`PendingLoads`](slab::PendingLoads) table indexed by
 //! request id, so a miss completion is an array index, not a hash probe.
 //! Every per-cycle structure is pooled or reused in place — the warmed
-//! steady state performs **zero heap allocations per cycle** (pinned by an
-//! allocation-guard test in `smt-bench`).
+//! steady state performs **zero heap allocations per cycle** (pinned by
+//! `tests/alloc_guard.rs` in this crate).
 //!
 //! Per-thread policy counters (ICOUNT / BRCOUNT / MISSCOUNT) are maintained
 //! incrementally at the same transitions, so fetch ranking reads them in
@@ -382,7 +382,7 @@ impl RenameScratch {
 
 /// Per-phase wall-clock accumulators behind the `phase-timing` feature
 /// (memory begin-cycle, completions, writeback, commit, issue, rename,
-/// fetch) — see "Profiling the hot loop" in the `smt-bench` crate docs.
+/// fetch) — see "Profiling the hot loop" in the crate docs.
 #[cfg(feature = "phase-timing")]
 pub static PHASE_NS: [std::sync::atomic::AtomicU64; 7] = [
     std::sync::atomic::AtomicU64::new(0),
@@ -477,7 +477,7 @@ impl Simulator {
             .collect();
         // Generous initial slab capacity: a bounded machine's in-flight
         // population stays well under this, so the steady state never
-        // grows the slab (the allocation guard in `smt-bench` pins it).
+        // grows the slab (`tests/alloc_guard.rs` in this crate pins it).
         let slab_capacity = 64 * thread_state.len().max(8);
         // Spilled wakeup entries are bounded by two source registrations
         // per in-flight instruction; reserving that bound up front keeps

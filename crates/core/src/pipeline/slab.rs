@@ -31,8 +31,7 @@
 //!   instructions and touched only when one resolves.
 //!
 //! The module also houses [`PendingLoads`], the `ReqId`-indexed
-//! open-addressed table that replaces the old `FastHashMap` for
-//! outstanding D-cache misses: request ids are dense and monotonic, so a
+//! open-addressed table for outstanding D-cache misses: request ids are dense and monotonic, so a
 //! miss completion resolves with one masked array index and one compare
 //! instead of a hash probe.
 

@@ -384,18 +384,18 @@ impl SimReport {
         w.u64(self.cycles)?;
         w.u64(self.warmup_cycles)?;
         w.bool(self.restored_from_checkpoint)?;
-        write_str(w, &self.fetch_policy)?;
-        write_str(w, &self.issue_policy)?;
+        w.str(&self.fetch_policy)?;
+        w.str(&self.issue_policy)?;
         w.len(self.ablations.len())?;
         for a in &self.ablations {
-            write_str(w, a)?;
+            w.str(a)?;
         }
         w.u8(self.partition.threads_per_cycle)?;
         w.u8(self.partition.insts_per_thread)?;
         w.len(self.threads.len())?;
         for t in &self.threads {
             w.u64(t.thread as u64)?;
-            write_str(w, &t.benchmark)?;
+            w.str(&t.benchmark)?;
             w.u64(t.committed)?;
             w.u64(t.ipc.to_bits())?;
         }
@@ -452,15 +452,15 @@ impl SimReport {
         let cycles = r.u64()?;
         let warmup_cycles = r.u64()?;
         let restored_from_checkpoint = r.bool()?;
-        let fetch_policy = read_str(r, "fetch policy")?;
-        let issue_policy = read_str(r, "issue policy")?;
+        let fetch_policy = r.string(MAX_BIN_STR, "fetch policy")?;
+        let issue_policy = r.string(MAX_BIN_STR, "issue policy")?;
         let n_ablations = r.len()?;
         if n_ablations > 64 {
             return Err(invalid(format!("{n_ablations} ablations exceeds cap")));
         }
         let mut ablations = Vec::with_capacity(n_ablations);
         for _ in 0..n_ablations {
-            ablations.push(read_str(r, "ablation name")?);
+            ablations.push(r.string(MAX_BIN_STR, "ablation name")?);
         }
         let t = r.u8()?;
         let i = r.u8()?;
@@ -476,7 +476,7 @@ impl SimReport {
         for _ in 0..n_threads {
             let thread = usize::try_from(r.u64()?)
                 .map_err(|_| invalid("thread index exceeds address space"))?;
-            let benchmark = read_str(r, "benchmark name")?;
+            let benchmark = r.string(MAX_BIN_STR, "benchmark name")?;
             let committed = r.u64()?;
             let ipc = f64::from_bits(r.u64()?);
             threads.push(ThreadReport {
@@ -694,27 +694,9 @@ fn concat_mem(a: MemStats, b: MemStats) -> MemStats {
     }
 }
 
-/// Longest string [`read_str`] accepts; far above any real policy,
+/// Longest string the binary decoder accepts; far above any real policy,
 /// benchmark, or ablation name, far below anything allocation-hostile.
 const MAX_BIN_STR: usize = 4096;
-
-/// Writes a length-prefixed UTF-8 string.
-fn write_str<W: Write>(w: &mut BinWriter<W>, s: &str) -> io::Result<()> {
-    w.len(s.len())?;
-    w.bytes(s.as_bytes())
-}
-
-/// Reads a length-prefixed UTF-8 string with a sanity cap; `what` labels
-/// the field in error messages.
-fn read_str<R: Read>(r: &mut BinReader<R>, what: &str) -> io::Result<String> {
-    let n = r.len()?;
-    if n > MAX_BIN_STR {
-        return Err(invalid(format!("{what} length {n} exceeds cap")));
-    }
-    let mut buf = vec![0u8; n];
-    r.bytes(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| invalid(format!("{what} is not UTF-8")))
-}
 
 impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -2,7 +2,7 @@
 //! simulator's cycle path performs **no heap allocation at all** — the
 //! property the data-oriented hot loop (slab storage, pooled scratch
 //! buffers, inline wakeup lists, recycled MSHR waiter lists) was built to
-//! provide, and one the throughput guard is far too coarse to notice
+//! provide, and one a wall-clock benchmark is far too coarse to notice
 //! losing. Runs in release mode in CI.
 //!
 //! Lives in its own integration-test binary (one test, one process):

@@ -75,8 +75,7 @@ pub fn journal_key(config_fingerprint: u64, parts: &[&str], nums: &[u64]) -> u64
     fold(w.u64(config_fingerprint));
     fold(w.len(parts.len()));
     for p in parts {
-        fold(w.len(p.len()));
-        fold(w.bytes(p.as_bytes()));
+        fold(w.str(p));
     }
     fold(w.len(nums.len()));
     for &n in nums {

@@ -219,10 +219,6 @@
 //! }
 //! ```
 //!
-//! `smt_bench --json` emits a sibling `"smt-bench"` document with the same
-//! `schema_version` convention, so BENCH_*.json trajectory tooling can
-//! consume both.
-//!
 //! # Operational robustness
 //!
 //! A sweep is a long-running fleet of independent cells, and the harness

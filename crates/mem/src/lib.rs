@@ -642,7 +642,7 @@ impl MemoryHierarchy {
             bus_mem_free: 0,
             // Event lists are pre-sized past any plausible steady-state
             // high-water mark so the warmed cycle path never grows them
-            // (the allocation-guard test in `smt-bench` pins this).
+            // (`crates/core/tests/alloc_guard.rs` pins this).
             mshrs: Vec::with_capacity(64),
             waiter_pool: Vec::with_capacity(64),
             completions: BinaryHeap::with_capacity(128),

@@ -36,14 +36,15 @@
 
 use std::io::{self, Read, Write};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the value a running [`fnv1a`] hash starts at.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into a running FNV-1a checksum.
+/// Folds `bytes` into the running FNV-1a hash `h` — the workspace's one
+/// FNV-1a (checksums here, image and trace fingerprints in `smt-workload`).
 #[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -101,6 +102,12 @@ impl<W: Write> BinWriter<W> {
     /// Writes a collection length as a `u64`.
     pub fn len(&mut self, n: usize) -> io::Result<()> {
         self.u64(n as u64)
+    }
+
+    /// Writes a UTF-8 string as a `u64` length followed by its bytes.
+    pub fn str(&mut self, s: &str) -> io::Result<()> {
+        self.len(s.len())?;
+        self.bytes(s.as_bytes())
     }
 
     /// The checksum accumulated so far (exposed so callers can derive
@@ -191,6 +198,19 @@ impl<R: Read> BinReader<R> {
         usize::try_from(n).map_err(|_| invalid(format!("length {n} exceeds address space")))
     }
 
+    /// Reads a string written by [`BinWriter::str`]. A length above `max`
+    /// is rejected before anything is allocated; `what` names the field in
+    /// the error messages.
+    pub fn string(&mut self, max: usize, what: &str) -> io::Result<String> {
+        let n = self.len()?;
+        if n > max {
+            return Err(invalid(format!("{what} length {n} exceeds cap")));
+        }
+        let mut buf = vec![0u8; n];
+        self.bytes(&mut buf)?;
+        String::from_utf8(buf).map_err(|_| invalid(format!("{what} is not UTF-8")))
+    }
+
     /// Reads the checksum trailer and verifies it against the accumulated
     /// payload checksum. Consumes the reader.
     pub fn finish(mut self) -> io::Result<()> {
@@ -229,6 +249,7 @@ mod tests {
         w.bool(false).unwrap();
         w.len(3).unwrap();
         w.bytes(b"xyz").unwrap();
+        w.str("icount").unwrap();
         w.finish().unwrap();
 
         let mut r = BinReader::new(&buf[..]);
@@ -242,6 +263,7 @@ mod tests {
         let mut s = [0u8; 3];
         r.bytes(&mut s).unwrap();
         assert_eq!(&s, b"xyz");
+        assert_eq!(r.string(6, "name").unwrap(), "icount");
         r.finish().unwrap();
     }
 
@@ -285,6 +307,23 @@ mod tests {
     fn invalid_boolean_byte_is_rejected() {
         let mut r = BinReader::new(&[2u8][..]);
         let err = r.bool().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_and_non_utf8_strings_are_invalid_data() {
+        let mut buf = Vec::new();
+        let mut w = BinWriter::new(&mut buf);
+        w.str("abcd").unwrap();
+        w.len(2).unwrap();
+        w.bytes(&[0xff, 0xfe]).unwrap();
+        w.finish().unwrap();
+
+        let err = BinReader::new(&buf[..]).string(3, "name").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut r = BinReader::new(&buf[..]);
+        assert_eq!(r.string(4, "name").unwrap(), "abcd");
+        let err = r.string(4, "name").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

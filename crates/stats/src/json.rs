@@ -1,8 +1,8 @@
 //! A minimal, dependency-free JSON value: build, render, parse.
 //!
 //! The experiment and benchmark binaries emit machine-readable results
-//! (`smt_exp --json`, `smt_bench --json`) with a versioned schema; this
-//! module is the shared serializer so every producer escapes strings and
+//! (`smt_exp --json`, `benchmark/`'s `results.json`); this module is the
+//! shared serializer so every producer escapes strings and
 //! formats numbers identically, and the parser lets consumers (and tests)
 //! round-trip those documents without external crates.
 //!

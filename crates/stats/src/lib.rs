@@ -23,7 +23,6 @@
 pub mod binio;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
-pub mod hash;
 pub mod json;
 pub mod sched;
 

@@ -510,6 +510,8 @@ impl ProfileParams {
     }
 }
 
+// Not FNV-1a: the multiplier is 0x1000_0000_01b3, not the FNV prime
+// 0x100_0000_01b3. It seeds every synthetic program behind the goldens.
 fn hash_name(name: &str) -> u64 {
     name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)

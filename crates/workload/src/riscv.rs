@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use smt_isa::riscv::{decode, RvOp};
 use smt_isa::{Addr, Opcode, Outcome, StaticInst, INST_BYTES};
-use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::binio::{fnv1a, invalid, BinReader, BinWriter, FNV_OFFSET};
 
 use crate::mix64;
 use crate::source::WorkloadSource;
@@ -274,22 +274,19 @@ impl RiscvImage {
     /// FNV-1a hash of the identity-shaping fields, used by the checkpoint
     /// config fingerprint to pin "same image".
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&self.entry.to_le_bytes());
-        eat(&self.base.to_le_bytes());
-        eat(&[match self.xlen {
+        let xlen = match self.xlen {
             Xlen::Rv32 => 32,
             Xlen::Rv64 => 64,
-        }]);
-        eat(&self.image);
-        h
+        };
+        [
+            self.name.as_bytes(),
+            &self.entry.to_le_bytes(),
+            &self.base.to_le_bytes(),
+            &[xlen],
+            &self.image,
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv1a)
     }
 }
 

@@ -53,7 +53,7 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use smt_isa::{Addr, Opcode, Outcome, Reg, StaticInst, NO_META};
-use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::binio::{fnv1a, invalid, BinReader, BinWriter, FNV_OFFSET};
 
 use crate::riscv::{self, RiscvImage, RiscvSource, Xlen};
 use crate::source::WorkloadSource;
@@ -134,8 +134,7 @@ impl TraceImage {
         let mut w = BinWriter::new(out);
         w.bytes(&TRACE_MAGIC)?;
         w.u32(TRACE_VERSION)?;
-        w.len(self.name.len())?;
-        w.bytes(self.name.as_bytes())?;
+        w.str(&self.name)?;
         w.u8(match self.xlen {
             Xlen::Rv32 => 32,
             Xlen::Rv64 => 64,
@@ -178,13 +177,7 @@ impl TraceImage {
                 "trace format version {version} is not supported (expected {TRACE_VERSION})"
             )));
         }
-        let name_len = r.len()?;
-        if name_len > 4096 {
-            return Err(invalid("trace name is implausibly long"));
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        r.bytes(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes).map_err(|_| invalid("trace name is not UTF-8"))?;
+        let name = r.string(4096, "trace name")?;
         let xlen = match r.u8()? {
             32 => Xlen::Rv32,
             64 => Xlen::Rv64,
@@ -273,19 +266,15 @@ impl TraceImage {
     /// FNV-1a hash of the identity-shaping fields, used by the checkpoint
     /// config fingerprint to pin "same trace".
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&self.start_pc.to_le_bytes());
-        eat(&self.base.to_le_bytes());
-        eat(&(self.steps.len() as u64).to_le_bytes());
-        eat(&self.image);
-        h
+        [
+            self.name.as_bytes(),
+            &self.start_pc.to_le_bytes(),
+            &self.base.to_le_bytes(),
+            &(self.steps.len() as u64).to_le_bytes(),
+            &self.image,
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv1a)
     }
 }
 

@@ -187,3 +187,24 @@ fn synthetic_only_configs_ignore_the_workloads_field() {
         "a workloads list of benchmarks must behave exactly like with_benchmarks"
     );
 }
+
+/// Image, trace and config fingerprints name every `--checkpoint-dir`
+/// entry and journal key of a `riscv:`/`trace:` mix, so their values are
+/// an on-disk format: a build that moves one orphans every existing cache
+/// and journal.
+#[test]
+fn image_trace_and_config_fingerprints_are_pinned() {
+    let loops = elf("loops");
+    assert_eq!(loops.fingerprint(), 0xfd61_c686_aeb5_0212);
+    let trace = TraceImage::record(&loops, 256).expect("record trace");
+    assert_eq!(trace.fingerprint(), 0xfda9_0ada_df28_4219);
+    let mix = SimConfig::new().with_workloads(vec![
+        WorkloadSpec::Elf(loops),
+        WorkloadSpec::Elf(elf("memsum")),
+        WorkloadSpec::Elf(elf("gcd")),
+    ]);
+    assert_eq!(
+        smt_core::checkpoint::config_fingerprint(&mix),
+        0x7620_5619_4930_6391
+    );
+}
