@@ -86,24 +86,25 @@ impl PredictorConfig {
     }
 }
 
-/// Prediction-unit activity counters.
-///
-/// Accumulated by [`BranchPredictor::predict`]; cleared by
-/// [`BranchPredictor::reset_stats`] (e.g. at the end of a warmup window)
-/// without touching the BTB, PHT, RAS or history state, so measurement
-/// windows start with trained tables but clean counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictorStats {
-    /// Control-instruction predictions made (all kinds).
-    pub predictions: u64,
-    /// BTB lookups performed (taken conditionals and non-return jumps).
-    pub btb_lookups: u64,
-    /// BTB lookups that produced a target.
-    pub btb_hits: u64,
-    /// Return predictions attempted via the RAS.
-    pub ras_predictions: u64,
-    /// Return predictions that found the stack empty (misfetch at fetch).
-    pub ras_underflows: u64,
+smt_stats::counters! {
+    /// Prediction-unit activity counters.
+    ///
+    /// Accumulated by [`BranchPredictor::predict`]; cleared by
+    /// [`BranchPredictor::reset_stats`] (e.g. at the end of a warmup window)
+    /// without touching the BTB, PHT, RAS or history state, so measurement
+    /// windows start with trained tables but clean counters.
+    pub struct PredictorStats {
+        /// Control-instruction predictions made (all kinds).
+        pub predictions: u64,
+        /// BTB lookups performed (taken conditionals and non-return jumps).
+        pub btb_lookups: u64,
+        /// BTB lookups that produced a target.
+        pub btb_hits: u64,
+        /// Return predictions attempted via the RAS.
+        pub ras_predictions: u64,
+        /// Return predictions that found the stack empty (misfetch at fetch).
+        pub ras_underflows: u64,
+    }
 }
 
 impl PredictorStats {
@@ -604,11 +605,7 @@ impl BranchPredictor {
         for &h in &self.history {
             w.u16(h)?;
         }
-        w.u64(self.stats.predictions)?;
-        w.u64(self.stats.btb_lookups)?;
-        w.u64(self.stats.btb_hits)?;
-        w.u64(self.stats.ras_predictions)?;
-        w.u64(self.stats.ras_underflows)
+        self.stats.write_bin(w)
     }
 
     /// Restores state written by
@@ -687,16 +684,13 @@ impl BranchPredictor {
         for h in &mut self.history {
             *h = r.u16()?;
         }
-        self.stats.predictions = r.u64()?;
-        self.stats.btb_lookups = r.u64()?;
-        self.stats.btb_hits = r.u64()?;
-        self.stats.ras_predictions = r.u64()?;
-        self.stats.ras_underflows = r.u64()?;
+        self.stats = PredictorStats::read_bin(r)?;
         Ok(())
     }
 }
 
 use smt_stats::binio::{self, BinReader, BinWriter};
+use smt_stats::Counters;
 
 #[cfg(test)]
 mod tests {

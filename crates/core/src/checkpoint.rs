@@ -79,6 +79,8 @@
 use std::fmt;
 use std::io;
 
+use smt_branch::PredictorConfig;
+use smt_mem::{CacheParams, MemConfig};
 use smt_stats::binio::BinWriter;
 
 use crate::config::SimConfig;
@@ -167,7 +169,59 @@ impl From<io::Error> for CheckpointError {
 /// Fingerprint of the state-shaping configuration (see the module docs
 /// for exactly what is covered and why the fork axes — fetch/issue
 /// policies, ablations, warmup length — are excluded).
+///
+/// Every configuration struct is destructured without `..`: a new field
+/// does not compile until it either enters the hash or is bound to `_`
+/// below as a fork axis. Left out silently, it would alias two different
+/// machines onto one `--checkpoint-dir` entry and one journal key.
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
+    let SimConfig {
+        benchmarks,
+        programs,
+        workloads,
+        seed,
+        // The fork axes: one warmed checkpoint restores under any of them.
+        fetch: _,
+        issue: _,
+        warmup_cycles: _,
+        ablations: _,
+        partition,
+        mem,
+        predictor,
+        iq_entries,
+        extra_phys_regs,
+        int_units,
+        ldst_units,
+        fp_units,
+        decode_width,
+        commit_width,
+        frontend_depth,
+        decode_cycles,
+        misfetch_penalty,
+        // An implementation granularity, not part of the machine: every
+        // value produces bit-identical results (`tests/block_rename.rs`).
+        fetch_block_chunk: _,
+    } = cfg;
+    let MemConfig {
+        icache,
+        dcache,
+        l2,
+        l3,
+        itlb_entries,
+        dtlb_entries,
+        page_bytes,
+        mshrs,
+        infinite_bandwidth,
+        perfect_icache,
+    } = mem;
+    let PredictorConfig {
+        btb_entries,
+        btb_assoc,
+        pht_entries,
+        ras_entries,
+        thread_tagged_btb,
+        per_thread_ras,
+    } = predictor;
     let mut w = BinWriter::new(Vec::new());
     let r: io::Result<()> = (|| {
         // Workload identity: explicit program images when supplied,
@@ -178,8 +232,8 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
         // fingerprints are byte-identical to what they were before the
         // pluggable-backend refactor.
         w.len(cfg.threads())?;
-        if !cfg.workloads.is_empty() {
-            for spec in &cfg.workloads {
+        if !workloads.is_empty() {
+            for spec in workloads {
                 match spec {
                     crate::WorkloadSpec::Benchmark(b) => {
                         w.u8(0)?;
@@ -205,12 +259,12 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
                     }
                 }
             }
-        } else if cfg.programs.is_empty() {
-            for b in &cfg.benchmarks {
+        } else if programs.is_empty() {
+            for b in benchmarks {
                 w.str(b.name())?;
             }
         } else {
-            for p in &cfg.programs {
+            for p in programs {
                 w.str(p.name())?;
                 w.u64(p.entry())?;
                 w.len(p.len())?;
@@ -218,42 +272,53 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
                 w.len(p.mem_count())?;
             }
         }
-        w.u64(cfg.seed)?;
-        w.u8(cfg.partition.threads_per_cycle)?;
-        w.u8(cfg.partition.insts_per_thread)?;
-        for c in [&cfg.mem.icache, &cfg.mem.dcache, &cfg.mem.l2, &cfg.mem.l3] {
-            w.len(c.size_bytes)?;
-            w.len(c.assoc)?;
-            w.len(c.line_bytes)?;
-            w.len(c.banks)?;
-            w.u32(c.accesses_per_cycle)?;
-            w.u64(c.cycles_per_access)?;
-            w.u64(c.transfer_cycles)?;
-            w.u64(c.fill_cycles)?;
-            w.u64(c.latency_to_next)?;
+        w.u64(*seed)?;
+        w.u8(partition.threads_per_cycle)?;
+        w.u8(partition.insts_per_thread)?;
+        for level in [icache, dcache, l2, l3] {
+            let CacheParams {
+                size_bytes,
+                assoc,
+                line_bytes,
+                banks,
+                accesses_per_cycle,
+                cycles_per_access,
+                transfer_cycles,
+                fill_cycles,
+                latency_to_next,
+            } = level;
+            w.len(*size_bytes)?;
+            w.len(*assoc)?;
+            w.len(*line_bytes)?;
+            w.len(*banks)?;
+            w.u32(*accesses_per_cycle)?;
+            w.u64(*cycles_per_access)?;
+            w.u64(*transfer_cycles)?;
+            w.u64(*fill_cycles)?;
+            w.u64(*latency_to_next)?;
         }
-        w.len(cfg.mem.itlb_entries)?;
-        w.len(cfg.mem.dtlb_entries)?;
-        w.u64(cfg.mem.page_bytes)?;
-        w.len(cfg.mem.mshrs)?;
-        w.bool(cfg.mem.infinite_bandwidth)?;
-        w.bool(cfg.mem.perfect_icache)?;
-        w.len(cfg.predictor.btb_entries)?;
-        w.len(cfg.predictor.btb_assoc)?;
-        w.len(cfg.predictor.pht_entries)?;
-        w.len(cfg.predictor.ras_entries)?;
-        w.bool(cfg.predictor.thread_tagged_btb)?;
-        w.bool(cfg.predictor.per_thread_ras)?;
-        w.len(cfg.iq_entries)?;
-        w.len(cfg.extra_phys_regs)?;
-        w.len(cfg.int_units)?;
-        w.len(cfg.ldst_units)?;
-        w.len(cfg.fp_units)?;
-        w.len(cfg.decode_width)?;
-        w.len(cfg.commit_width)?;
-        w.len(cfg.frontend_depth)?;
-        w.u64(cfg.decode_cycles)?;
-        w.u64(cfg.misfetch_penalty)
+        w.len(*itlb_entries)?;
+        w.len(*dtlb_entries)?;
+        w.u64(*page_bytes)?;
+        w.len(*mshrs)?;
+        w.bool(*infinite_bandwidth)?;
+        w.bool(*perfect_icache)?;
+        w.len(*btb_entries)?;
+        w.len(*btb_assoc)?;
+        w.len(*pht_entries)?;
+        w.len(*ras_entries)?;
+        w.bool(*thread_tagged_btb)?;
+        w.bool(*per_thread_ras)?;
+        w.len(*iq_entries)?;
+        w.len(*extra_phys_regs)?;
+        w.len(*int_units)?;
+        w.len(*ldst_units)?;
+        w.len(*fp_units)?;
+        w.len(*decode_width)?;
+        w.len(*commit_width)?;
+        w.len(*frontend_depth)?;
+        w.u64(*decode_cycles)?;
+        w.u64(*misfetch_penalty)
     })();
     r.expect("writing to a Vec cannot fail");
     w.checksum()

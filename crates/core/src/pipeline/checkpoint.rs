@@ -12,13 +12,13 @@
 use std::io::{Read, Write};
 
 use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::Counters;
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, FORMAT_VERSION, MAGIC};
 use crate::config::SimConfig;
-use crate::report::{FetchBreakdown, IssueBreakdown};
 
 use super::slab::{GenRef, InstRef, InstSlab, PendingLoads};
-use super::{ExecEvent, ReadyEntry, Simulator, EXEC_RING};
+use super::{ExecEvent, PipelineStats, ReadyEntry, Simulator, EXEC_RING};
 
 use smt_isa::Opcode;
 use smt_mem::ReqId;
@@ -66,14 +66,7 @@ impl Simulator {
             }
         }
         self.pending_loads.save_state(&mut w)?;
-        save_fetch_breakdown(&mut w, &self.f_stats)?;
-        w.u64(self.i_stats.issued)?;
-        w.u64(self.i_stats.wrong_path)?;
-        w.u64(self.i_stats.bank_conflicts)?;
-        w.u64(self.cond_pred.hits)?;
-        w.u64(self.cond_pred.total)?;
-        w.u64(self.squashes)?;
-        w.u64(self.squashed_insts)?;
+        self.stats.write_bin(&mut w)?;
 
         // Section 2: per-thread state (including each oracle).
         w.len(self.threads.len())?;
@@ -221,16 +214,7 @@ impl Simulator {
             }
         }
         sim.pending_loads = PendingLoads::restore_state(&mut r, slab_len)?;
-        sim.f_stats = restore_fetch_breakdown(&mut r)?;
-        sim.i_stats = IssueBreakdown {
-            issued: r.u64()?,
-            wrong_path: r.u64()?,
-            bank_conflicts: r.u64()?,
-        };
-        sim.cond_pred.hits = r.u64()?;
-        sim.cond_pred.total = r.u64()?;
-        sim.squashes = r.u64()?;
-        sim.squashed_insts = r.u64()?;
+        sim.stats = PipelineStats::read_bin(&mut r)?;
 
         // Section 2: per-thread state.
         let n_threads = r.len()?;
@@ -296,32 +280,6 @@ impl Simulator {
     pub fn mark_restored_from_checkpoint(&mut self) {
         self.restored_from_checkpoint = true;
     }
-}
-
-fn save_fetch_breakdown<W: Write>(w: &mut BinWriter<W>, f: &FetchBreakdown) -> std::io::Result<()> {
-    w.u64(f.fetched)?;
-    w.u64(f.wrong_path)?;
-    w.u64(f.lost_icache)?;
-    w.u64(f.lost_bank_conflict)?;
-    w.u64(f.lost_fragmentation)?;
-    w.u64(f.lost_frontend_full)?;
-    w.u64(f.lost_no_thread)?;
-    w.u64(f.misfetches)?;
-    w.u64(f.wrong_path_fetch_conflicts)
-}
-
-fn restore_fetch_breakdown<R: Read>(r: &mut BinReader<R>) -> std::io::Result<FetchBreakdown> {
-    Ok(FetchBreakdown {
-        fetched: r.u64()?,
-        wrong_path: r.u64()?,
-        lost_icache: r.u64()?,
-        lost_bank_conflict: r.u64()?,
-        lost_fragmentation: r.u64()?,
-        lost_frontend_full: r.u64()?,
-        lost_no_thread: r.u64()?,
-        misfetches: r.u64()?,
-        wrong_path_fetch_conflicts: r.u64()?,
-    })
 }
 
 #[cfg(test)]

@@ -133,7 +133,7 @@ impl Simulator {
             let exempt = exempt_wrong_path && self.threads[ti].wrong_path;
             if !exempt && !self.mem.icache_bank_free(self.threads[ti].fetch_pc) {
                 if self.threads[ti].wrong_path {
-                    self.f_stats.wrong_path_fetch_conflicts += 1;
+                    self.stats.fetch.wrong_path_fetch_conflicts += 1;
                 }
                 continue;
             }
@@ -167,11 +167,11 @@ impl Simulator {
                 let charged = cumulative - charged_so_far;
                 charged_so_far = cumulative;
                 match cause {
-                    LossCause::Icache => self.f_stats.lost_icache += charged,
-                    LossCause::Bank => self.f_stats.lost_bank_conflict += charged,
-                    LossCause::Fragmentation => self.f_stats.lost_fragmentation += charged,
-                    LossCause::FrontendFull => self.f_stats.lost_frontend_full += charged,
-                    LossCause::NoThread => self.f_stats.lost_no_thread += charged,
+                    LossCause::Icache => self.stats.fetch.lost_icache += charged,
+                    LossCause::Bank => self.stats.fetch.lost_bank_conflict += charged,
+                    LossCause::Fragmentation => self.stats.fetch.lost_fragmentation += charged,
+                    LossCause::FrontendFull => self.stats.fetch.lost_frontend_full += charged,
+                    LossCause::NoThread => self.stats.fetch.lost_no_thread += charged,
                 }
             }
         }
@@ -396,9 +396,9 @@ impl Simulator {
         // Net per-block counter deltas: one update per fetch block.
         t.in_flight += fetched;
         self.next_seq = seq;
-        self.f_stats.misfetches += misfetches;
-        self.f_stats.wrong_path += wrong_ct;
-        self.f_stats.fetched += u64::from(fetched) - wrong_ct;
+        self.stats.fetch.misfetches += misfetches;
+        self.stats.fetch.wrong_path += wrong_ct;
+        self.stats.fetch.fetched += u64::from(fetched) - wrong_ct;
         fetched
     }
 }

@@ -187,7 +187,7 @@ impl Simulator {
                     // The issue slot is spent but the access must retry:
                     // the instruction stays Queued and therefore stays
                     // in its ready queue for next cycle.
-                    self.i_stats.bank_conflicts += 1;
+                    self.stats.issue.bank_conflicts += 1;
                     return false;
                 }
             }
@@ -208,9 +208,9 @@ impl Simulator {
         i.set_state(state);
         i.when = when;
         if i.wrong_path() {
-            self.i_stats.wrong_path += 1;
+            self.stats.issue.wrong_path += 1;
         } else {
-            self.i_stats.issued += 1;
+            self.stats.issue.issued += 1;
         }
         true
     }

@@ -85,7 +85,7 @@ use std::sync::Arc;
 use smt_branch::BranchPredictor;
 use smt_isa::{Addr, ThreadId};
 use smt_mem::{MemoryHierarchy, ReqId};
-use smt_stats::Ratio;
+use smt_stats::{counters, Ratio};
 use smt_workload::{Program, SyntheticSource, WorkloadSource};
 
 use crate::config::{SimConfig, WorkloadSpec};
@@ -231,6 +231,22 @@ impl Thread {
     }
 }
 
+counters! {
+    /// The pipeline's own measurement-window counters: zeroed together by
+    /// [`Simulator::reset_stats`] and stored as one checkpoint section in
+    /// this order. (`smt-mem` and `smt-branch` keep theirs.)
+    struct PipelineStats {
+        fetch: FetchBreakdown,
+        issue: IssueBreakdown,
+        /// Conditional-branch direction prediction accuracy.
+        cond_pred: Ratio,
+        /// Mispredictions that triggered a squash (any control kind).
+        squashes: u64,
+        /// Instructions flushed by squashes.
+        squashed_insts: u64,
+    }
+}
+
 /// The simulator: a configured machine plus its architectural state.
 ///
 /// Built by [`SimConfig::build`]; driven by [`Simulator::run`].
@@ -274,11 +290,7 @@ pub struct Simulator {
     /// Outstanding D-miss loads, keyed by request id (see
     /// [`slab::PendingLoads`]).
     pending_loads: PendingLoads,
-    f_stats: FetchBreakdown,
-    i_stats: IssueBreakdown,
-    cond_pred: Ratio,
-    squashes: u64,
-    squashed_insts: u64,
+    stats: PipelineStats,
     /// Provenance marker copied into [`SimReport`]: set only by
     /// [`mark_restored_from_checkpoint`](Simulator::mark_restored_from_checkpoint),
     /// never serialized and never restored (restoring must reproduce a
@@ -503,11 +515,7 @@ impl Simulator {
             mem,
             bp,
             pending_loads: PendingLoads::with_capacity(256),
-            f_stats: FetchBreakdown::default(),
-            i_stats: IssueBreakdown::default(),
-            cond_pred: Ratio::new(),
-            squashes: 0,
-            squashed_insts: 0,
+            stats: PipelineStats::default(),
             restored_from_checkpoint: false,
             fetch_rank_scratch: Vec::new(),
             fetch_view_scratch: Vec::new(),
@@ -585,11 +593,7 @@ impl Simulator {
         for t in &mut self.threads {
             t.committed_base = t.committed;
         }
-        self.f_stats = FetchBreakdown::default();
-        self.i_stats = IssueBreakdown::default();
-        self.cond_pred = Ratio::new();
-        self.squashes = 0;
-        self.squashed_insts = 0;
+        self.stats = PipelineStats::default();
         self.mem.reset_stats();
         self.bp.reset_stats();
     }
@@ -669,12 +673,12 @@ impl Simulator {
                     }
                 })
                 .collect(),
-            fetch: self.f_stats,
-            issue: self.i_stats,
-            cond_prediction: self.cond_pred,
+            fetch: self.stats.fetch,
+            issue: self.stats.issue,
+            cond_prediction: self.stats.cond_pred,
             pred: *self.bp.stats(),
-            squashes: self.squashes,
-            squashed_insts: self.squashed_insts,
+            squashes: self.stats.squashes,
+            squashed_insts: self.stats.squashed_insts,
             mem: *self.mem.stats(),
         }
     }
@@ -835,7 +839,7 @@ mod tests {
         sim.threads[0].wrong_path = true;
         sim.fetch();
         assert_eq!(
-            sim.f_stats.wrong_path_fetch_conflicts, 1,
+            sim.stats.fetch.wrong_path_fetch_conflicts, 1,
             "one wrong-path thread turned away once must count once"
         );
     }
@@ -854,11 +858,11 @@ mod tests {
         sim.threads[0].wrong_path = true;
         sim.fetch();
         assert_eq!(
-            sim.f_stats.wrong_path_fetch_conflicts, 0,
+            sim.stats.fetch.wrong_path_fetch_conflicts, 0,
             "MSHR-full rejection is not bank/port contention"
         );
         assert!(
-            sim.f_stats.lost_bank_conflict > 0,
+            sim.stats.fetch.lost_bank_conflict > 0,
             "the lost slots are still charged to the bank bucket"
         );
     }
@@ -877,7 +881,7 @@ mod tests {
         sim.threads[1].fetch_pc = 0x200;
         sim.threads[0].wrong_path = true;
         sim.fetch();
-        assert_eq!(sim.f_stats.wrong_path_fetch_conflicts, 0);
+        assert_eq!(sim.stats.fetch.wrong_path_fetch_conflicts, 0);
         // The exempt thread actually started its access (it was selected,
         // not passed over): both threads progressed to an I-cache access.
         assert_eq!(sim.mem.stats().icache.accesses, 2);

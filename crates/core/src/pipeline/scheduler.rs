@@ -209,7 +209,9 @@ impl Simulator {
             .contains(crate::Ablation::PerfectBranchPrediction);
         match op {
             Opcode::CondBranch => {
-                self.cond_pred.record(c.pred_taken() == c.outcome_taken());
+                self.stats
+                    .cond_pred
+                    .record(c.pred_taken() == c.outcome_taken());
                 if train {
                     self.bp
                         .resolve_cond(id, c.pc, c.pht_index, c.outcome_taken(), c.next_pc);
@@ -224,7 +226,7 @@ impl Simulator {
             other => unreachable!("{other} is not control"),
         }
         if mispredict {
-            self.squashes += 1;
+            self.stats.squashes += 1;
             self.squash_after(ti, seq);
             if op == Opcode::CondBranch {
                 self.bp
@@ -274,7 +276,7 @@ impl Simulator {
                 InstState::WaitingMem => t.outstanding_misses -= 1,
                 InstState::Executing | InstState::Done => {}
             }
-            self.squashed_insts += 1;
+            self.stats.squashed_insts += 1;
             self.insts.free(back);
         }
         // The squashed tail takes all younger unresolved branches with it.

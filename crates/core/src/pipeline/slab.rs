@@ -512,7 +512,10 @@ impl InstSlab {
         r: &mut BinReader<R>,
     ) -> std::io::Result<InstSlab> {
         let n = r.len()?;
-        let mut slab = InstSlab::with_capacity(n);
+        // `n` is untrusted until `n` records have actually been read: a
+        // bit flip in it must end in EOF or a checksum error, not in a
+        // 100 GB allocation. The cap is far above any real slab.
+        let mut slab = InstSlab::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let gen = r.u32()?;
             let seq = r.u64()?;

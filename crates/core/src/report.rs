@@ -10,10 +10,10 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use smt_branch::PredictorStats;
-use smt_mem::{LevelStats, MemStats};
+use smt_mem::MemStats;
 use smt_stats::binio::{invalid, BinReader, BinWriter};
 use smt_stats::json::Json;
-use smt_stats::{Ratio, TextTable};
+use smt_stats::{counters, Counters, Ratio, TextTable};
 
 use crate::policy::FetchPartition;
 
@@ -30,48 +30,53 @@ pub struct ThreadReport {
     pub ipc: f64,
 }
 
-/// Where fetch bandwidth went: slots used, plus the loss breakdown the
-/// paper charts. All fields are in fetch slots; whenever the partition's
-/// `T × I` covers the 8-wide fetch bandwidth (true of all four paper
-/// schemes), `fetched + wrong_path + Σ lost_* == 8 × cycles` exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchBreakdown {
-    /// Correct-path instructions fetched.
-    pub fetched: u64,
-    /// Wrong-path instructions fetched (lost bandwidth discovered later).
-    pub wrong_path: u64,
-    /// Slots lost because a selected thread's fetch block missed in the
-    /// I-cache (or the thread was already waiting on an I-miss).
-    pub lost_icache: u64,
-    /// Slots lost to I-cache bank/port conflicts between threads.
-    pub lost_bank_conflict: u64,
-    /// Slots lost because the fetch block ended early (taken branch or
-    /// cache-line boundary fragmentation).
-    pub lost_fragmentation: u64,
-    /// Slots lost because the thread's front-end/queues were full (IQ-full
-    /// and register-exhaustion back-pressure).
-    pub lost_frontend_full: u64,
-    /// Slots lost because fewer than `T` threads were fetchable.
-    pub lost_no_thread: u64,
-    /// Misfetches: predicted-taken control without a target; fetch stalled
-    /// until decode produced one.
-    pub misfetches: u64,
-    /// Fetch opportunities a *wrong-path* thread lost to I-cache bank/port
-    /// contention: wrong-path fetch streams compete for the same banks as
-    /// correct-path work, and this counts how often they were turned away
-    /// (toward quantifying the paper's ~2% wrong-path overhead claim).
-    pub wrong_path_fetch_conflicts: u64,
+counters! {
+    /// Where fetch bandwidth went: slots used, plus the loss breakdown the
+    /// paper charts. All fields are in fetch slots; whenever the partition's
+    /// `T × I` covers the 8-wide fetch bandwidth (true of all four paper
+    /// schemes), `fetched + wrong_path + Σ lost_* == 8 × cycles` exactly.
+    ///
+    /// The field names are the keys of the report's JSON `fetch` object.
+    pub struct FetchBreakdown {
+        /// Correct-path instructions fetched.
+        pub fetched: u64,
+        /// Wrong-path instructions fetched (lost bandwidth discovered later).
+        pub wrong_path: u64,
+        /// Slots lost because a selected thread's fetch block missed in the
+        /// I-cache (or the thread was already waiting on an I-miss).
+        pub lost_icache: u64,
+        /// Slots lost to I-cache bank/port conflicts between threads.
+        pub lost_bank_conflict: u64,
+        /// Slots lost because the fetch block ended early (taken branch or
+        /// cache-line boundary fragmentation).
+        pub lost_fragmentation: u64,
+        /// Slots lost because the thread's front-end/queues were full (IQ-full
+        /// and register-exhaustion back-pressure).
+        pub lost_frontend_full: u64,
+        /// Slots lost because fewer than `T` threads were fetchable.
+        pub lost_no_thread: u64,
+        /// Misfetches: predicted-taken control without a target; fetch stalled
+        /// until decode produced one.
+        pub misfetches: u64,
+        /// Fetch opportunities a *wrong-path* thread lost to I-cache bank/port
+        /// contention: wrong-path fetch streams compete for the same banks as
+        /// correct-path work, and this counts how often they were turned away
+        /// (toward quantifying the paper's ~2% wrong-path overhead claim).
+        pub wrong_path_fetch_conflicts: u64,
+    }
 }
 
-/// Issue-side counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IssueBreakdown {
-    /// Correct-path instructions issued.
-    pub issued: u64,
-    /// Wrong-path instructions issued (the paper's wasted issue slots).
-    pub wrong_path: u64,
-    /// Issue attempts bounced by D-cache bank/port conflicts.
-    pub bank_conflicts: u64,
+counters! {
+    /// Issue-side counters. The field names are the keys of the report's
+    /// JSON `issue` object.
+    pub struct IssueBreakdown {
+        /// Correct-path instructions issued.
+        pub issued: u64,
+        /// Wrong-path instructions issued (the paper's wasted issue slots).
+        pub wrong_path: u64,
+        /// Issue attempts bounced by D-cache bank/port conflicts.
+        pub bank_conflicts: u64,
+    }
 }
 
 /// Complete results of one simulation.
@@ -156,8 +161,9 @@ impl SimReport {
     /// have produced — byte for byte in [`to_json`](SimReport::to_json) and
     /// [`write_bin`](SimReport::write_bin) (pinned by `tests/concat.rs`).
     ///
-    /// Every counter is additive, so the merge is a field-wise sum; the
-    /// per-thread `ipc` is recomputed from the summed integers exactly as
+    /// Every counter is additive, so the merge is a field-wise sum (each
+    /// table's generated [`Counters::merge`]); the per-thread `ipc` is
+    /// recomputed from the summed integers exactly as
     /// [`Simulator::report`](crate::Simulator::report) computes it. The
     /// result keeps `self`'s `warmup_cycles` and
     /// `restored_from_checkpoint`: both describe how the machine reached
@@ -166,7 +172,8 @@ impl SimReport {
     /// side of the warm cell's checkpoint.
     ///
     /// Both reports are destructured exhaustively, so a new `SimReport`
-    /// (or breakdown) field does not compile until it says how it merges.
+    /// field does not compile until it says how it merges; a new counter
+    /// inside one of the tables merges by being declared.
     ///
     /// # Errors
     ///
@@ -184,13 +191,13 @@ impl SimReport {
             ablations,
             partition,
             mut threads,
-            fetch,
-            issue,
+            mut fetch,
+            mut issue,
             mut cond_prediction,
-            pred,
-            squashes,
-            squashed_insts,
-            mem,
+            mut pred,
+            mut squashes,
+            mut squashed_insts,
+            mut mem,
         } = self;
         let SimReport {
             cycles: next_cycles,
@@ -245,7 +252,13 @@ impl SimReport {
                 *committed as f64 / cycles as f64
             };
         }
-        cond_prediction.add(next_cond.hits, next_cond.total);
+        fetch.merge(next_fetch);
+        issue.merge(next_issue);
+        cond_prediction.merge(next_cond);
+        pred.merge(next_pred);
+        squashes += next_squashes;
+        squashed_insts += next_squashed_insts;
+        mem.merge(next_mem);
         Ok(SimReport {
             cycles,
             warmup_cycles,
@@ -255,13 +268,13 @@ impl SimReport {
             ablations,
             partition,
             threads,
-            fetch: concat_fetch(fetch, *next_fetch),
-            issue: concat_issue(issue, *next_issue),
+            fetch,
+            issue,
             cond_prediction,
-            pred: concat_pred(pred, *next_pred),
-            squashes: squashes + next_squashes,
-            squashed_insts: squashed_insts + next_squashed_insts,
-            mem: concat_mem(mem, *next_mem),
+            pred,
+            squashes,
+            squashed_insts,
+            mem,
         })
     }
 
@@ -305,40 +318,8 @@ impl SimReport {
                     ])
                 })),
             ),
-            (
-                "fetch",
-                Json::object([
-                    ("fetched", Json::from(self.fetch.fetched)),
-                    ("wrong_path", Json::from(self.fetch.wrong_path)),
-                    ("lost_icache", Json::from(self.fetch.lost_icache)),
-                    (
-                        "lost_bank_conflict",
-                        Json::from(self.fetch.lost_bank_conflict),
-                    ),
-                    (
-                        "lost_fragmentation",
-                        Json::from(self.fetch.lost_fragmentation),
-                    ),
-                    (
-                        "lost_frontend_full",
-                        Json::from(self.fetch.lost_frontend_full),
-                    ),
-                    ("lost_no_thread", Json::from(self.fetch.lost_no_thread)),
-                    ("misfetches", Json::from(self.fetch.misfetches)),
-                    (
-                        "wrong_path_fetch_conflicts",
-                        Json::from(self.fetch.wrong_path_fetch_conflicts),
-                    ),
-                ]),
-            ),
-            (
-                "issue",
-                Json::object([
-                    ("issued", Json::from(self.issue.issued)),
-                    ("wrong_path", Json::from(self.issue.wrong_path)),
-                    ("bank_conflicts", Json::from(self.issue.bank_conflicts)),
-                ]),
-            ),
+            ("fetch", counters_json(&self.fetch)),
+            ("issue", counters_json(&self.issue)),
             (
                 "branch",
                 Json::object([
@@ -399,45 +380,13 @@ impl SimReport {
             w.u64(t.committed)?;
             w.u64(t.ipc.to_bits())?;
         }
-        for v in [
-            self.fetch.fetched,
-            self.fetch.wrong_path,
-            self.fetch.lost_icache,
-            self.fetch.lost_bank_conflict,
-            self.fetch.lost_fragmentation,
-            self.fetch.lost_frontend_full,
-            self.fetch.lost_no_thread,
-            self.fetch.misfetches,
-            self.fetch.wrong_path_fetch_conflicts,
-            self.issue.issued,
-            self.issue.wrong_path,
-            self.issue.bank_conflicts,
-            self.cond_prediction.hits,
-            self.cond_prediction.total,
-            self.pred.predictions,
-            self.pred.btb_lookups,
-            self.pred.btb_hits,
-            self.pred.ras_predictions,
-            self.pred.ras_underflows,
-            self.squashes,
-            self.squashed_insts,
-        ] {
-            w.u64(v)?;
-        }
-        for level in [
-            self.mem.icache,
-            self.mem.dcache,
-            self.mem.l2,
-            self.mem.l3,
-            self.mem.itlb,
-            self.mem.dtlb,
-        ] {
-            w.u64(level.accesses)?;
-            w.u64(level.misses)?;
-        }
-        w.u64(self.mem.writebacks)?;
-        w.u64(self.mem.bank_conflicts)?;
-        w.u64(self.mem.mshr_merges)
+        self.fetch.write_bin(w)?;
+        self.issue.write_bin(w)?;
+        self.cond_prediction.write_bin(w)?;
+        self.pred.write_bin(w)?;
+        w.u64(self.squashes)?;
+        w.u64(self.squashed_insts)?;
+        self.mem.write_bin(w)
     }
 
     /// Reads a report written by [`write_bin`](SimReport::write_bin).
@@ -486,58 +435,7 @@ impl SimReport {
                 ipc,
             });
         }
-        let fetch = FetchBreakdown {
-            fetched: r.u64()?,
-            wrong_path: r.u64()?,
-            lost_icache: r.u64()?,
-            lost_bank_conflict: r.u64()?,
-            lost_fragmentation: r.u64()?,
-            lost_frontend_full: r.u64()?,
-            lost_no_thread: r.u64()?,
-            misfetches: r.u64()?,
-            wrong_path_fetch_conflicts: r.u64()?,
-        };
-        let issue = IssueBreakdown {
-            issued: r.u64()?,
-            wrong_path: r.u64()?,
-            bank_conflicts: r.u64()?,
-        };
-        let cond_prediction = Ratio {
-            hits: r.u64()?,
-            total: r.u64()?,
-        };
-        let pred = PredictorStats {
-            predictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_hits: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_underflows: r.u64()?,
-        };
-        let squashes = r.u64()?;
-        let squashed_insts = r.u64()?;
-        let mut read_level = || -> io::Result<LevelStats> {
-            Ok(LevelStats {
-                accesses: r.u64()?,
-                misses: r.u64()?,
-            })
-        };
-        let icache = read_level()?;
-        let dcache = read_level()?;
-        let l2 = read_level()?;
-        let l3 = read_level()?;
-        let itlb = read_level()?;
-        let dtlb = read_level()?;
-        let mem = MemStats {
-            icache,
-            dcache,
-            l2,
-            l3,
-            itlb,
-            dtlb,
-            writebacks: r.u64()?,
-            bank_conflicts: r.u64()?,
-            mshr_merges: r.u64()?,
-        };
+        // The counter tables, in stream order (initialisers run as written).
         Ok(SimReport {
             cycles,
             warmup_cycles,
@@ -547,13 +445,13 @@ impl SimReport {
             ablations,
             partition,
             threads,
-            fetch,
-            issue,
-            cond_prediction,
-            pred,
-            squashes,
-            squashed_insts,
-            mem,
+            fetch: Counters::read_bin(r)?,
+            issue: Counters::read_bin(r)?,
+            cond_prediction: Counters::read_bin(r)?,
+            pred: Counters::read_bin(r)?,
+            squashes: r.u64()?,
+            squashed_insts: r.u64()?,
+            mem: Counters::read_bin(r)?,
         })
     }
 
@@ -613,85 +511,14 @@ impl fmt::Display for ConcatError {
 
 impl std::error::Error for ConcatError {}
 
-/// The field-wise sum of two values of an all-`u64` counter struct. The
-/// destructuring pattern has no `..`, so a field missing from the list is
-/// a compile error rather than a counter a concatenation silently drops.
-macro_rules! sum_counters {
-    ($ty:ident { $($field:ident),+ $(,)? }, $a:expr, $b:expr) => {{
-        let $ty { $($field),+ } = $a;
-        let b: $ty = $b;
-        $ty { $($field: $field + b.$field),+ }
-    }};
-}
-
-fn concat_fetch(a: FetchBreakdown, b: FetchBreakdown) -> FetchBreakdown {
-    sum_counters!(
-        FetchBreakdown {
-            fetched,
-            wrong_path,
-            lost_icache,
-            lost_bank_conflict,
-            lost_fragmentation,
-            lost_frontend_full,
-            lost_no_thread,
-            misfetches,
-            wrong_path_fetch_conflicts,
-        },
-        a,
-        b
-    )
-}
-
-fn concat_issue(a: IssueBreakdown, b: IssueBreakdown) -> IssueBreakdown {
-    sum_counters!(
-        IssueBreakdown {
-            issued,
-            wrong_path,
-            bank_conflicts,
-        },
-        a,
-        b
-    )
-}
-
-fn concat_pred(a: PredictorStats, b: PredictorStats) -> PredictorStats {
-    sum_counters!(
-        PredictorStats {
-            predictions,
-            btb_lookups,
-            btb_hits,
-            ras_predictions,
-            ras_underflows,
-        },
-        a,
-        b
-    )
-}
-
-fn concat_mem(a: MemStats, b: MemStats) -> MemStats {
-    let level = |a: LevelStats, b: LevelStats| sum_counters!(LevelStats { accesses, misses }, a, b);
-    let MemStats {
-        icache,
-        dcache,
-        l2,
-        l3,
-        itlb,
-        dtlb,
-        writebacks,
-        bank_conflicts,
-        mshr_merges,
-    } = a;
-    MemStats {
-        icache: level(icache, b.icache),
-        dcache: level(dcache, b.dcache),
-        l2: level(l2, b.l2),
-        l3: level(l3, b.l3),
-        itlb: level(itlb, b.itlb),
-        dtlb: level(dtlb, b.dtlb),
-        writebacks: writebacks + b.writebacks,
-        bank_conflicts: bank_conflicts + b.bank_conflicts,
-        mshr_merges: mshr_merges + b.mshr_merges,
-    }
+/// A flat counter table as a JSON object: one key per field, named and
+/// ordered as declared.
+fn counters_json(table: &impl Counters) -> Json {
+    let mut fields = Vec::new();
+    table.walk("", &mut |name, value| {
+        fields.push((name.to_string(), Json::from(value)))
+    });
+    Json::Object(fields)
 }
 
 /// Longest string the binary decoder accepts; far above any real policy,
@@ -760,6 +587,7 @@ impl fmt::Display for SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_mem::LevelStats;
 
     fn report() -> SimReport {
         SimReport {

@@ -1,13 +1,17 @@
-//! Property tests for workload-input robustness: malformed trace files and
-//! ELF binaries must always produce typed errors — never a panic, never a
-//! silently-accepted corrupt image. The sweep's per-cell fault containment
-//! relies on this layer (a bad `riscv:`/`trace:` file becomes a `workload`
-//! entry in `failed_cells`), so the loaders are fuzzed here exhaustively
-//! over truncation points and byte flips.
+//! Property tests for input-file robustness: malformed ELF binaries and
+//! torn or bit-rotted files of the three `SMT1*` formats (recorded traces,
+//! journal entries, checkpoints) must always produce typed errors — never
+//! a panic, never a silently-accepted corrupt value. The sweep's per-cell
+//! fault containment relies on this layer (a bad `riscv:`/`trace:` file
+//! becomes a `workload` entry in `failed_cells`, a bad journal or cache
+//! entry a `degraded_cells` one), so the loaders are fuzzed here over
+//! truncation points and bit flips, by one helper for all three formats.
 
 use std::sync::Arc;
 
-use smt_workload::{RiscvImage, TraceImage, Xlen};
+use smt_core::{SimConfig, Simulator};
+use smt_experiments::journal::{journal_key, Journal};
+use smt_workload::{Benchmark, Program, RiscvImage, TraceImage, Xlen};
 
 /// A tiny valid RISC-V flat image (the store/load/branch loop the
 /// workspace's other tests use).
@@ -33,38 +37,103 @@ fn valid_trace_bytes() -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn every_trace_truncation_is_a_typed_error() {
-    let bytes = valid_trace_bytes();
-    assert!(
-        TraceImage::read_from(&bytes[..]).is_ok(),
-        "the unmutated trace must parse"
+/// A two-thread machine whose checkpoint is tens of kilobytes, not the
+/// default 380 kB (the cache tag arrays dominate), over pre-generated
+/// programs, so the suite below can afford thousands of restores.
+fn small_machine(programs: &[Arc<Program>]) -> SimConfig {
+    let mut cfg = SimConfig::new().with_programs(programs.to_vec());
+    for (level, kib) in [
+        (&mut cfg.mem.icache, 4),
+        (&mut cfg.mem.dcache, 4),
+        (&mut cfg.mem.l2, 16),
+        (&mut cfg.mem.l3, 64),
+    ] {
+        level.size_bytes = kib * 1024;
+    }
+    cfg.predictor.pht_entries = 256;
+    cfg
+}
+
+/// Byte offsets the mutation suite visits: every one of the first 4 KiB
+/// (where magic, version, keys, lengths and counts live), a prime stride
+/// through the rest, and the last byte of the checksum trailer.
+fn mutation_offsets(len: usize) -> impl Iterator<Item = usize> {
+    (0..len.min(4096))
+        .chain((4096..len).step_by(61))
+        .chain([len - 1])
+}
+
+/// What every `SMT1*` reader owes its callers: a torn or bit-rotted file
+/// is a typed error — never a panic, never a value other than the one that
+/// was written. `load` decodes the bytes and says whether the result equals
+/// the original.
+fn assert_mutations_are_typed_errors(
+    format: &str,
+    pristine: &[u8],
+    load: &dyn Fn(&[u8]) -> Result<bool, String>,
+) {
+    assert_eq!(
+        load(pristine),
+        Ok(true),
+        "{format}: the unmutated bytes must load to the original"
     );
-    // Every proper prefix — as a torn write or partial download would
-    // leave behind — must be rejected, not panic or misparse.
-    for cut in 0..bytes.len() {
-        let result = TraceImage::read_from(&bytes[..cut]);
-        assert!(result.is_err(), "truncation at byte {cut} was accepted");
+    for at in mutation_offsets(pristine.len()) {
+        // A proper prefix, as a torn write or partial download leaves.
+        let cut = load(&pristine[..at]);
+        assert!(
+            cut.is_err(),
+            "{format}: truncation at byte {at} was accepted (equal to the original: {cut:?})"
+        );
+        let mut flipped = pristine.to_vec();
+        flipped[at] ^= 1 << (at % 8);
+        let flip = load(&flipped);
+        assert!(
+            flip.is_err(),
+            "{format}: bit {} of byte {at} flipped undetected (equal to the original: {flip:?})",
+            at % 8
+        );
     }
 }
 
 #[test]
-fn every_trace_byte_flip_is_a_typed_error() {
-    let bytes = valid_trace_bytes();
-    // Any single-byte corruption must fail some check — magic, version,
-    // a bounds check, or ultimately the checksum trailer. Two flip
-    // patterns per position cover both low- and high-bit corruption.
-    for pos in 0..bytes.len() {
-        for mask in [0x01u8, 0x80] {
-            let mut mutated = bytes.clone();
-            mutated[pos] ^= mask;
-            let result = TraceImage::read_from(&mutated[..]);
-            assert!(
-                result.is_err(),
-                "flip {mask:#04x} at byte {pos} was accepted"
-            );
-        }
-    }
+fn every_smt1_format_rejects_truncation_and_bit_flips() {
+    // SMT1TRCE: a recorded trace through `TraceImage::read_from`.
+    let trace = valid_trace_bytes();
+    assert_mutations_are_typed_errors("SMT1TRCE", &trace, &|bytes| {
+        let image = TraceImage::read_from(bytes).map_err(|e| e.to_string())?;
+        let mut again = Vec::new();
+        image.write_to(&mut again).expect("vec write");
+        Ok(again == trace)
+    });
+
+    // SMT1JRNL: a stored journal entry, mutated on disk, through
+    // `Journal::load`.
+    let programs = [Benchmark::Espresso, Benchmark::Eqntott].map(|b| Arc::new(b.generate(11, 0)));
+    let mut sim = small_machine(&programs).build();
+    let report = sim.run(300);
+    let dir = std::env::temp_dir().join(format!("smt-exp-mutate-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let journal = Journal::open(&dir).expect("journal dir");
+    let key = journal_key(7, &["issue", "ICOUNT", "OLDEST_FIRST"], &[300, 0]);
+    journal.store(key, 0, &report).expect("store");
+    let entry = std::fs::read(journal.entry_path(key)).expect("stored entry");
+    assert_mutations_are_typed_errors("SMT1JRNL", &entry, &|bytes| {
+        std::fs::write(journal.entry_path(key), bytes).expect("rewrite entry");
+        Ok(journal.load(key, 0)?.as_ref() == Some(&report))
+    });
+    std::fs::remove_dir_all(&dir).ok();
+
+    // SMT1CKPT: the same machine mid-flight, through
+    // `Simulator::restore_checkpoint`.
+    let mut checkpoint = Vec::new();
+    sim.save_checkpoint(&mut checkpoint).expect("vec write");
+    assert_mutations_are_typed_errors("SMT1CKPT", &checkpoint, &|mut bytes| {
+        let restored = Simulator::restore_checkpoint(small_machine(&programs), &mut bytes)
+            .map_err(|e| e.to_string())?;
+        let mut again = Vec::new();
+        restored.save_checkpoint(&mut again).expect("vec write");
+        Ok(again == checkpoint)
+    });
 }
 
 #[test]

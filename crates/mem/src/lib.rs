@@ -34,9 +34,8 @@
 //! match mem.dcache_access(ThreadId(0), 0x1_0000, false) {
 //!     AccessResult::Hit => {}
 //!     AccessResult::Miss(req) => {
-//!         // `req`'s Completion event arrives via `take_completions`
-//!         // (or the allocation-free `drain_completions_into`) on the
-//!         // cycle the data returns.
+//!         // `req`'s Completion event arrives via
+//!         // `drain_completions_into` on the cycle the data returns.
 //!         let _ = req;
 //!     }
 //!     AccessResult::BankConflict => { /* retry next cycle */ }
@@ -190,20 +189,22 @@ pub struct ReqId(pub u64);
 pub enum AccessResult {
     /// Data available at the level's hit latency.
     Hit,
-    /// Miss: data will arrive later; poll [`MemoryHierarchy::take_completions`].
+    /// Miss: data will arrive later, as a [`Completion`] delivered through
+    /// [`MemoryHierarchy::drain_completions_into`].
     Miss(ReqId),
     /// The bank (or the cache's per-cycle port budget) is busy this cycle;
     /// the access did not happen and must be retried.
     BankConflict,
 }
 
-/// Hit/miss counters for one cache or TLB level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelStats {
-    /// Number of accesses (lookups) at this level.
-    pub accesses: u64,
-    /// Number of those that missed.
-    pub misses: u64,
+smt_stats::counters! {
+    /// Hit/miss counters for one cache or TLB level.
+    pub struct LevelStats {
+        /// Number of accesses (lookups) at this level.
+        pub accesses: u64,
+        /// Number of those that missed.
+        pub misses: u64,
+    }
 }
 
 impl LevelStats {
@@ -217,27 +218,28 @@ impl LevelStats {
     }
 }
 
-/// Statistics for the whole memory subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// I-cache lookups.
-    pub icache: LevelStats,
-    /// D-cache lookups.
-    pub dcache: LevelStats,
-    /// L2 lookups (from both I and D sides).
-    pub l2: LevelStats,
-    /// L3 lookups.
-    pub l3: LevelStats,
-    /// Instruction TLB lookups.
-    pub itlb: LevelStats,
-    /// Data TLB lookups.
-    pub dtlb: LevelStats,
-    /// Dirty lines written back.
-    pub writebacks: u64,
-    /// D-cache accesses rejected for bank/port conflicts.
-    pub bank_conflicts: u64,
-    /// Secondary misses merged into an outstanding MSHR.
-    pub mshr_merges: u64,
+smt_stats::counters! {
+    /// Statistics for the whole memory subsystem.
+    pub struct MemStats {
+        /// I-cache lookups.
+        pub icache: LevelStats,
+        /// D-cache lookups.
+        pub dcache: LevelStats,
+        /// L2 lookups (from both I and D sides).
+        pub l2: LevelStats,
+        /// L3 lookups.
+        pub l3: LevelStats,
+        /// Instruction TLB lookups.
+        pub itlb: LevelStats,
+        /// Data TLB lookups.
+        pub dtlb: LevelStats,
+        /// Dirty lines written back.
+        pub writebacks: u64,
+        /// D-cache accesses rejected for bank/port conflicts.
+        pub bank_conflicts: u64,
+        /// Secondary misses merged into an outstanding MSHR.
+        pub mshr_merges: u64,
+    }
 }
 
 /// One tag-array line, packed to 8 bytes: the tag is stored truncated to
@@ -300,16 +302,6 @@ impl TagArray {
             "address beyond the packed 32-bit tag range"
         );
         (addr >> self.tag_shift) as u32
-    }
-
-    /// Probe without updating replacement state.
-    fn probe(&self, addr: Addr) -> bool {
-        let base = self.set_of(addr) * self.assoc;
-        let tag = self.tag_of(addr);
-        (0..self.assoc).any(|w| {
-            let l = &self.lines[base + w];
-            l.valid && l.tag == tag
-        })
     }
 
     /// Access for read/write; returns true on hit and updates LRU/dirty.
@@ -968,12 +960,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Probe the I-cache tags without consuming a port and without side
-    /// effects — the early tag lookup used by the ITAG fetch scheme.
-    pub fn icache_probe(&self, addr: Addr) -> bool {
-        self.icache.probe(addr)
-    }
-
     /// Whether the I-cache bank for `addr` is still free this cycle.
     #[inline]
     pub fn icache_bank_free(&self, addr: Addr) -> bool {
@@ -1034,21 +1020,9 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Number of outstanding data-side misses (for the MISSCOUNT policy the
-    /// caller tracks per-thread counts; this is the global view).
-    pub fn outstanding_data_misses(&self) -> usize {
-        self.mshrs.iter().filter(|m| m.side == Side::Data).count()
-    }
-
-    /// Drains and returns all miss completions that have become ready.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.ready)
-    }
-
     /// Drains all ready miss completions into `out` (appended, preserving
-    /// arrival order) — the allocation-free twin of
-    /// [`take_completions`](MemoryHierarchy::take_completions) for callers
-    /// that reuse a buffer every cycle.
+    /// arrival order); allocation-free when the caller reuses the buffer
+    /// every cycle.
     #[inline]
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
         out.append(&mut self.ready);
@@ -1064,7 +1038,7 @@ impl MemoryHierarchy {
     /// [`restore_state`](MemoryHierarchy::restore_state) targets a
     /// hierarchy freshly built from it.
     pub fn save_state<W: std::io::Write>(&self, w: &mut BinWriter<W>) -> std::io::Result<()> {
-        save_stats(w, &self.stats)?;
+        self.stats.write_bin(w)?;
         for arr in [&self.icache, &self.dcache, &self.l2, &self.l3] {
             arr.save_state(w)?;
         }
@@ -1141,7 +1115,7 @@ impl MemoryHierarchy {
     /// a panic; on error the hierarchy is left partially written and must
     /// be discarded.
     pub fn restore_state<R: std::io::Read>(&mut self, r: &mut BinReader<R>) -> std::io::Result<()> {
-        restore_stats(r, &mut self.stats)?;
+        self.stats = MemStats::read_bin(r)?;
         // Split borrows: destructure so the tag arrays can be iterated
         // mutably while reading.
         for arr in [
@@ -1230,6 +1204,7 @@ impl MemoryHierarchy {
 }
 
 use smt_stats::binio::{self, BinReader, BinWriter};
+use smt_stats::Counters;
 
 fn side_code(s: Side) -> u8 {
     match s {
@@ -1244,40 +1219,6 @@ fn side_from_code(code: u8) -> std::io::Result<Side> {
         1 => Ok(Side::Data),
         other => Err(binio::invalid(format!("invalid cache side code {other}"))),
     }
-}
-
-fn save_level<W: std::io::Write>(w: &mut BinWriter<W>, s: &LevelStats) -> std::io::Result<()> {
-    w.u64(s.accesses)?;
-    w.u64(s.misses)
-}
-
-fn restore_level<R: std::io::Read>(r: &mut BinReader<R>) -> std::io::Result<LevelStats> {
-    Ok(LevelStats {
-        accesses: r.u64()?,
-        misses: r.u64()?,
-    })
-}
-
-fn save_stats<W: std::io::Write>(w: &mut BinWriter<W>, s: &MemStats) -> std::io::Result<()> {
-    for level in [&s.icache, &s.dcache, &s.l2, &s.l3, &s.itlb, &s.dtlb] {
-        save_level(w, level)?;
-    }
-    w.u64(s.writebacks)?;
-    w.u64(s.bank_conflicts)?;
-    w.u64(s.mshr_merges)
-}
-
-fn restore_stats<R: std::io::Read>(r: &mut BinReader<R>, s: &mut MemStats) -> std::io::Result<()> {
-    s.icache = restore_level(r)?;
-    s.dcache = restore_level(r)?;
-    s.l2 = restore_level(r)?;
-    s.l3 = restore_level(r)?;
-    s.itlb = restore_level(r)?;
-    s.dtlb = restore_level(r)?;
-    s.writebacks = r.u64()?;
-    s.bank_conflicts = r.u64()?;
-    s.mshr_merges = r.u64()?;
-    Ok(())
 }
 
 impl TagArray {
@@ -1386,10 +1327,10 @@ mod tests {
     fn drain_until(m: &mut MemoryHierarchy, req: ReqId, limit: u64) -> u64 {
         for c in 1..limit {
             m.begin_cycle(c);
-            for done in m.take_completions() {
-                if done.req == req {
-                    return c;
-                }
+            let mut done = Vec::new();
+            m.drain_completions_into(&mut done);
+            if done.iter().any(|d| d.req == req) {
+                return c;
             }
         }
         panic!("request {req:?} never completed within {limit} cycles");
@@ -1534,7 +1475,7 @@ mod tests {
         let mut done = Vec::new();
         for c in 1..1000 {
             m.begin_cycle(c);
-            done.extend(m.take_completions());
+            m.drain_completions_into(&mut done);
             if done.len() == 2 {
                 break;
             }
@@ -1557,23 +1498,6 @@ mod tests {
         assert_eq!(m.icache_fetch(T0, 0x1000), AccessResult::Hit);
         assert_eq!(m.stats().icache.misses, 1);
         assert_eq!(m.stats().dcache.accesses, 0);
-    }
-
-    #[test]
-    fn icache_probe_has_no_side_effects() {
-        let mut m = mem();
-        assert!(!m.icache_probe(0x1000));
-        let before = m.stats().icache.accesses;
-        let _ = m.icache_probe(0x1000);
-        assert_eq!(m.stats().icache.accesses, before);
-        // After a fill, probe sees the line.
-        m.begin_cycle(0);
-        let AccessResult::Miss(req) = m.icache_fetch(T0, 0x1000) else {
-            panic!()
-        };
-        let done = drain_until(&mut m, req, 1000);
-        m.begin_cycle(done + 1);
-        assert!(m.icache_probe(0x1000));
     }
 
     #[test]

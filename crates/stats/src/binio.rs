@@ -1,9 +1,14 @@
 //! Hand-rolled little-endian binary serialization with an integrity
-//! checksum, used by the checkpoint subsystem (`smt-core::checkpoint`).
+//! checksum: the byte layer under all three on-disk formats — checkpoints
+//! (`SMT1CKPT`, `smt-core::checkpoint`), sweep-journal entries (`SMT1JRNL`,
+//! `smt-experiments::journal`, carrying `SimReport::write_bin`) and
+//! recorded traces (`SMT1TRCE`, `smt-workload::trace`) — and under the
+//! config, image and journal-key fingerprints.
 //!
 //! The workspace is dependency-free by design, so instead of `serde` the
 //! state-owning crates write their state field by field through a
-//! [`BinWriter`] and read it back through a [`BinReader`]. Both sides
+//! [`BinWriter`] and read it back through a [`BinReader`] (structs of
+//! counters get both from one field list, [`crate::counters!`]). Both sides
 //! accumulate an FNV-1a checksum over every payload byte; [`BinWriter::finish`]
 //! appends the checksum as an 8-byte trailer and [`BinReader::finish`]
 //! verifies it, so arbitrary bit flips anywhere in the payload surface as a
@@ -14,7 +19,7 @@
 //! All integers are little-endian. Lengths are `u64`. Booleans are one byte
 //! (`0` or `1`; anything else is rejected). There is intentionally no
 //! self-describing structure — both sides must agree on the field order,
-//! which the checkpoint format version in the file header pins.
+//! which each format's version number in its file header pins.
 //!
 //! # Examples
 //!

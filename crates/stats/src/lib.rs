@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod binio;
+pub mod counters;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
 pub mod json;
@@ -29,13 +30,16 @@ pub mod sched;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// A hit/total style ratio counter (miss rates, prediction rates, ...).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    /// Number of events for which the tracked condition held.
-    pub hits: u64,
-    /// Total number of events observed.
-    pub total: u64,
+pub use counters::Counters;
+
+counters! {
+    /// A hit/total style ratio counter (miss rates, prediction rates, ...).
+    pub struct Ratio {
+        /// Number of events for which the tracked condition held.
+        pub hits: u64,
+        /// Total number of events observed.
+        pub total: u64,
+    }
 }
 
 impl Ratio {
@@ -51,13 +55,6 @@ impl Ratio {
         self.hits += u64::from(hit);
     }
 
-    /// Adds `hits` out of `total` events in bulk.
-    #[inline]
-    pub fn add(&mut self, hits: u64, total: u64) {
-        self.hits += hits;
-        self.total += total;
-    }
-
     /// The fraction of events for which the condition held (0.0 when empty).
     pub fn fraction(&self) -> f64 {
         if self.total == 0 {
@@ -70,12 +67,6 @@ impl Ratio {
     /// The ratio expressed as a percentage.
     pub fn percent(&self) -> f64 {
         self.fraction() * 100.0
-    }
-
-    /// Merges another ratio into this one.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.total += other.total;
     }
 }
 
@@ -366,9 +357,7 @@ mod tests {
         r.record(false);
         r.record(true);
         assert_eq!(r.percent(), 50.0);
-        r.add(2, 4);
-        assert_eq!(r.hits, 4);
-        assert_eq!(r.total, 8);
+        assert_eq!((r.hits, r.total), (2, 4));
     }
 
     #[test]
