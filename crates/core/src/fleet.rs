@@ -1,26 +1,18 @@
-//! Batched fleet simulation: N independent simulators in one process,
-//! interleaved in cycle batches.
+//! A push-style facade over [`work_steal_map`]: N independent simulations
+//! in one process, reports back in push order.
 //!
-//! Single-instance simulator throughput is bounded by cache traffic over
-//! one machine's pipeline state, but the experiments the paper's
-//! methodology demands are *sweeps* — many independent configurations of
-//! the same engine. [`SimFleet`] batches those configurations the way
-//! C-slow retiming batches hardware contexts: each worker thread claims a
-//! batch of cells and advances them round-robin in fixed cycle batches,
-//! so the simulator's own code and per-cell hot state stay warm while the
-//! fleet as a whole scales across cores. Cells may fork from a shared
-//! warmed checkpoint (the PR-6 format), so one warmup simulation can seed
-//! many measured cells.
+//! The experiments the paper's methodology demands are *sweeps* — many
+//! independent configurations of the same engine. [`SimFleet`] collects
+//! such cells and runs each one whole on the work-stealing pool every
+//! sweep uses: a cold cell is `config.build().run(cycles)`, a forked cell
+//! is [`Simulator::fork_checkpoint`] then `run(cycles)`, so one warmed
+//! checkpoint (shared via `Arc`) can seed many measured cells.
 //!
-//! **Interleaving is result-neutral by construction.** Cells share no
-//! state — each owns its simulator, and a cell's cycle sequence is
-//! exactly the sequence [`Simulator::run`] (for cold cells) or a
-//! checkpoint fork (restore → [`Simulator::mark_restored_from_checkpoint`]
-//! → [`Simulator::reset_stats`] → run) would execute sequentially. The
-//! order those sequences interleave in wall-clock time is invisible to
-//! every statistic, so each [`SimReport`] is byte-identical to the
-//! sequential run's; the root `tests/fleet.rs` suite pins this against
-//! both freshly-run sequential simulators and the checked-in goldens.
+//! Cells share no state and each runs exactly its sequential cycle
+//! sequence, so every [`SimReport`] is byte-identical to the sequential
+//! run's whatever the worker count; the root `tests/fleet.rs` suite pins
+//! this against freshly-run sequential simulators, the sweeps'
+//! `fork_cell` and the checked-in goldens.
 //!
 //! # Examples
 //!
@@ -44,17 +36,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use smt_stats::sched::{resolve_workers, WorkQueue};
+use smt_stats::sched::work_steal_map;
 
 use crate::config::SimConfig;
 use crate::pipeline::Simulator;
 use crate::report::SimReport;
-
-/// Default cycle-batch granularity: how many cycles a worker advances one
-/// cell before rotating to the next cell in its batch. Large enough that
-/// per-rotation overhead vanishes, small enough that a batch of cells
-/// genuinely interleaves.
-pub const DEFAULT_BATCH_CYCLES: u64 = 1024;
 
 /// One cell of a fleet: a configuration, how many measured cycles to run,
 /// and optionally a warmed checkpoint to fork from.
@@ -67,8 +53,7 @@ pub struct FleetCell {
 
 impl FleetCell {
     /// A cell that builds its simulator cold and runs exactly like
-    /// `config.build().run(cycles)` — including the configured warmup
-    /// window, which the fleet interleaves like any other cycles.
+    /// `config.build().run(cycles)`, configured warmup window included.
     pub fn cold(config: SimConfig, cycles: u64) -> FleetCell {
         FleetCell {
             config,
@@ -77,11 +62,11 @@ impl FleetCell {
         }
     }
 
-    /// A cell that forks from a warmed checkpoint: restore under `config`,
-    /// mark the report's provenance flag, open a fresh measurement window
-    /// and run `cycles` — the exact sequence the experiment sweeps use to
-    /// fork a warm cell, so one checkpoint (shared via `Arc`) can seed
-    /// every cell of its (mix, seed, partition) key.
+    /// A cell that forks from a warmed checkpoint
+    /// ([`Simulator::fork_checkpoint`]) and runs `cycles` — the exact
+    /// sequence the experiment sweeps use to fork a warm cell, so one
+    /// checkpoint (shared via `Arc`) can seed every cell of its
+    /// (mix, seed, partition) key.
     pub fn forked(config: SimConfig, checkpoint: Arc<Vec<u8>>, cycles: u64) -> FleetCell {
         FleetCell {
             config,
@@ -89,86 +74,22 @@ impl FleetCell {
             cycles,
         }
     }
-
-    /// Builds the cell's simulator and the cycle counts still to run,
-    /// exactly as the sequential equivalents would.
-    fn start(self) -> Lane {
-        let (sim, measured) = match self.checkpoint {
-            None => (self.config.build(), self.cycles),
-            Some(ckpt) => {
-                let mut sim = Simulator::restore_checkpoint(self.config, &mut ckpt.as_slice())
-                    .expect("fleet checkpoints share the cell's machine fingerprint");
-                sim.mark_restored_from_checkpoint();
-                sim.reset_stats();
-                (sim, self.cycles)
-            }
-        };
-        let warmup_left = sim.pending_warmup_cycles();
-        Lane {
-            sim,
-            warmup_left,
-            measured_left: measured,
-        }
-    }
 }
 
-/// One in-flight cell on a worker: its simulator plus how much of the
-/// warmup and measured windows remain.
-struct Lane {
-    sim: Simulator,
-    warmup_left: u64,
-    measured_left: u64,
-}
-
-impl Lane {
-    /// Advances the lane by up to `batch` cycles, crossing the
-    /// warmup→measured boundary exactly where [`Simulator::run`] would
-    /// (statistics reset at the boundary). Returns `true` when the lane
-    /// has finished its measured window.
-    fn advance(&mut self, batch: u64) -> bool {
-        let mut budget = batch.max(1);
-        if self.warmup_left > 0 {
-            let n = budget.min(self.warmup_left);
-            for _ in 0..n {
-                self.sim.step_cycle();
-            }
-            self.warmup_left -= n;
-            budget -= n;
-            if self.warmup_left > 0 {
-                return false;
-            }
-            self.sim.reset_stats();
-        }
-        let n = budget.min(self.measured_left);
-        for _ in 0..n {
-            self.sim.step_cycle();
-        }
-        self.measured_left -= n;
-        self.measured_left == 0
-    }
-}
-
-/// A batch of independent simulations run in one process: workers claim
-/// cells from a work-stealing queue and advance their claimed cells
-/// round-robin in cycle batches. See the module docs for the equivalence
-/// argument; [`SimFleet::run`] returns one [`SimReport`] per cell, in push
-/// order, each byte-identical to its sequential equivalent.
+/// A batch of independent simulations run in one process.
+/// [`SimFleet::run`] returns one [`SimReport`] per cell, in push order,
+/// each byte-identical to its sequential equivalent.
 #[derive(Debug, Default)]
 pub struct SimFleet {
     cells: Vec<FleetCell>,
     jobs: usize,
-    batch_cycles: u64,
 }
 
 impl SimFleet {
-    /// An empty fleet with default worker count (one per available core)
-    /// and batch granularity ([`DEFAULT_BATCH_CYCLES`]).
+    /// An empty fleet with the default worker count (one per available
+    /// core).
     pub fn new() -> SimFleet {
-        SimFleet {
-            cells: Vec::new(),
-            jobs: 0,
-            batch_cycles: DEFAULT_BATCH_CYCLES,
-        }
+        SimFleet::default()
     }
 
     /// Sets the worker thread count; `0` (the default) uses one worker per
@@ -178,35 +99,13 @@ impl SimFleet {
         self
     }
 
-    /// Sets how many cycles a worker advances one cell before rotating to
-    /// the next cell in its claimed batch. Values are clamped to at least
-    /// one cycle. Results are independent of this knob — it trades
-    /// rotation overhead against interleaving granularity only.
-    pub fn with_batch_cycles(mut self, cycles: u64) -> SimFleet {
-        self.batch_cycles = cycles.max(1);
-        self
-    }
-
     /// Appends one cell; [`run`](SimFleet::run) reports in push order.
     pub fn push(&mut self, cell: FleetCell) {
         self.cells.push(cell);
     }
 
-    /// Number of cells pushed so far.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the fleet holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Runs every cell to completion and returns the reports in push
-    /// order. Workers claim batches of cell indices from a shared
-    /// work-stealing queue ([`WorkQueue`]) and advance each claimed batch
-    /// round-robin in [`batch_cycles`](SimFleet::with_batch_cycles)-sized
-    /// steps until all its cells finish, then claim again.
+    /// Runs every cell to completion on [`work_steal_map`]'s pool and
+    /// returns the reports in push order.
     ///
     /// # Panics
     ///
@@ -214,147 +113,21 @@ impl SimFleet {
     /// cell's machine — fleets are built from checkpoints written for the
     /// same key, so a mismatch is a caller bug, not an input error.
     pub fn run(self) -> Vec<SimReport> {
-        let SimFleet {
-            cells,
-            jobs,
-            batch_cycles,
-        } = self;
-        let count = cells.len();
-        let workers = resolve_workers(jobs, count);
-        // Cells move to whichever worker claims their index; each slot is
-        // locked exactly once, by the claimant.
-        let slots: Vec<Mutex<Option<FleetCell>>> =
-            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let queue = WorkQueue::new(count, workers);
-        let done: Mutex<Vec<(usize, SimReport)>> = Mutex::new(Vec::with_capacity(count));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, SimReport)> = Vec::new();
-                    while let Some(batch) = queue.claim() {
-                        let mut lanes: Vec<(usize, Lane)> = batch
-                            .map(|i| {
-                                let cell = slots[i]
-                                    .lock()
-                                    .expect("no panics while claiming")
-                                    .take()
-                                    .expect("each cell index is claimed exactly once");
-                                (i, cell.start())
-                            })
-                            .collect();
-                        while !lanes.is_empty() {
-                            lanes.retain_mut(|(i, lane)| {
-                                if lane.advance(batch_cycles) {
-                                    local.push((*i, lane.sim.report()));
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                        }
-                    }
-                    if !local.is_empty() {
-                        done.lock().expect("no panics while merging").extend(local);
-                    }
-                });
-            }
-        });
-        let mut done = done.into_inner().expect("workers joined");
-        done.sort_unstable_by_key(|&(i, _)| i);
-        assert_eq!(
-            done.len(),
-            count,
-            "every fleet cell must report exactly once"
-        );
-        done.into_iter().map(|(_, report)| report).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smt_workload::Benchmark;
-
-    fn cfg(seed: u64, warmup: u64) -> SimConfig {
-        SimConfig::new()
-            .with_benchmarks(vec![Benchmark::Espresso, Benchmark::Alvinn], seed)
-            .with_warmup(warmup)
-    }
-
-    #[test]
-    fn empty_fleet_returns_no_reports() {
-        assert!(SimFleet::new().run().is_empty());
-        assert!(SimFleet::new().is_empty());
-    }
-
-    #[test]
-    fn cold_cells_match_sequential_runs_across_batch_sizes() {
-        let sequential: Vec<String> = (0..3)
-            .map(|i| cfg(40 + i, 120).build().run(350).to_json().render())
-            .collect();
-        // Batch granularity must be result-neutral, including batches
-        // that split the warmup window and batches larger than the run.
-        for batch in [1, 7, 128, 10_000] {
-            let mut fleet = SimFleet::new().with_jobs(2).with_batch_cycles(batch);
-            for i in 0..3 {
-                fleet.push(FleetCell::cold(cfg(40 + i, 120), 350));
-            }
-            let reports = fleet.run();
-            for (report, expect) in reports.iter().zip(&sequential) {
-                assert_eq!(
-                    &report.to_json().render(),
-                    expect,
-                    "fleet diverged at batch_cycles={batch}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forked_cells_match_the_sequential_fork_sequence() {
-        // Warm one machine, fork it twice in the fleet, and compare to
-        // the sequential restore → mark → reset → run sequence.
-        let mut warm = cfg(42, 0).build();
-        for _ in 0..200 {
-            warm.step_cycle();
-        }
-        let mut bytes = Vec::new();
-        warm.save_checkpoint(&mut bytes).unwrap();
-        let ckpt = Arc::new(bytes);
-
-        let sequential = {
-            let mut sim = Simulator::restore_checkpoint(cfg(42, 0), &mut ckpt.as_slice()).unwrap();
-            sim.mark_restored_from_checkpoint();
-            sim.reset_stats();
-            sim.run(300).to_json().render()
-        };
-
-        let mut fleet = SimFleet::new().with_jobs(2).with_batch_cycles(64);
-        fleet.push(FleetCell::forked(cfg(42, 0), ckpt.clone(), 300));
-        fleet.push(FleetCell::forked(cfg(42, 0), ckpt, 300));
-        let reports = fleet.run();
-        assert_eq!(reports.len(), 2);
-        for report in &reports {
-            assert!(report.restored_from_checkpoint);
-            assert_eq!(report.to_json().render(), sequential);
-        }
-    }
-
-    #[test]
-    fn reports_come_back_in_push_order() {
-        let mut fleet = SimFleet::new().with_jobs(4).with_batch_cycles(32);
-        let seeds = [9u64, 1, 5, 3, 7];
-        for &seed in &seeds {
-            fleet.push(FleetCell::cold(cfg(seed, 0), 200));
-        }
-        assert_eq!(fleet.len(), seeds.len());
-        let reports = fleet.run();
-        let expect: Vec<String> = seeds
-            .iter()
-            .map(|&seed| cfg(seed, 0).build().run(200).to_json().render())
-            .collect();
-        for (report, expect) in reports.iter().zip(&expect) {
-            assert_eq!(&report.to_json().render(), expect);
-        }
+        // A `SimConfig` is `Send` but not `Sync` (boxed policies) and
+        // building consumes it, so each cell is handed to the worker that
+        // draws its index.
+        let count = self.cells.len();
+        let cells = Mutex::new(self.cells.into_iter().map(Some).collect::<Vec<_>>());
+        work_steal_map(count, self.jobs, |i| {
+            let cell = cells.lock().expect("no panics under the lock")[i]
+                .take()
+                .expect("each index is drawn once");
+            let mut sim = match cell.checkpoint {
+                None => cell.config.build(),
+                Some(checkpoint) => Simulator::fork_checkpoint(cell.config, &checkpoint)
+                    .expect("fleet checkpoints share the cell's machine fingerprint"),
+            };
+            sim.run(cell.cycles)
+        })
     }
 }

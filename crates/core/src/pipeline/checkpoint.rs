@@ -269,6 +269,29 @@ impl Simulator {
         Ok(sim)
     }
 
+    /// Forks a measurement cell off a warmed checkpoint — the one place the
+    /// fork sequence is written:
+    /// [`restore_checkpoint`](Simulator::restore_checkpoint) under `cfg`,
+    /// [`mark_restored_from_checkpoint`](Simulator::mark_restored_from_checkpoint),
+    /// then [`reset_stats`](Simulator::reset_stats), so the machine comes
+    /// back with its provenance flag set and a fresh measurement window
+    /// open at the checkpoint's cycle. The bytes are fully consumed: a
+    /// caller may drop the buffer before the measured run.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`restore_checkpoint`](Simulator::restore_checkpoint)
+    /// refuses.
+    pub fn fork_checkpoint(
+        cfg: SimConfig,
+        mut checkpoint: &[u8],
+    ) -> Result<Simulator, CheckpointError> {
+        let mut sim = Simulator::restore_checkpoint(cfg, &mut checkpoint)?;
+        sim.mark_restored_from_checkpoint();
+        sim.reset_stats();
+        Ok(sim)
+    }
+
     /// Marks this simulator's report as restored-from-checkpoint
     /// provenance (the `restored_from_checkpoint` report field/JSON key).
     ///

@@ -552,9 +552,8 @@ impl Simulator {
     ///
     /// [`reset_stats`]: Simulator::reset_stats
     pub fn run(&mut self, cycles: u64) -> SimReport {
-        let warmup = self.pending_warmup_cycles();
-        if warmup > 0 {
-            for _ in 0..warmup {
+        if self.cycle == 0 && self.cfg.warmup_cycles > 0 {
+            for _ in 0..self.cfg.warmup_cycles {
                 self.step_cycle();
             }
             self.reset_stats();
@@ -563,21 +562,6 @@ impl Simulator {
             self.step_cycle();
         }
         self.report()
-    }
-
-    /// The warmup cycles [`run`](Simulator::run) would still simulate
-    /// before its measured window: the configured warmup
-    /// ([`SimConfig::with_warmup`]) while nothing has been simulated yet,
-    /// `0` once the machine has stepped (including a machine restored from
-    /// a warmed checkpoint). The fleet driver uses this to interleave the
-    /// warmup window with other cells while keeping the cycle sequence —
-    /// and therefore the report — identical to `run`.
-    pub fn pending_warmup_cycles(&self) -> u64 {
-        if self.cycle == 0 {
-            self.cfg.warmup_cycles
-        } else {
-            0
-        }
     }
 
     /// Opens a fresh measurement window: zeroes every statistic — fetch

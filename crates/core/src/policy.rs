@@ -46,15 +46,16 @@ impl FetchPartition {
         }
     }
 
-    /// Parses a `"T.I"` string such as `"2.8"`.
+    /// Parses a `"T.I"` string such as `"2.8"`. Each component must be in
+    /// `1..=`[`TOTAL_WIDTH`](FetchPartition::TOTAL_WIDTH): the fetch unit
+    /// serves a wider request exactly like the clamped one, so accepting
+    /// it would label one machine as two.
     pub fn parse(s: &str) -> Option<FetchPartition> {
         let (t, i) = s.split_once('.')?;
         let t: u8 = t.trim().parse().ok()?;
         let i: u8 = i.trim().parse().ok()?;
-        if t == 0 || i == 0 {
-            return None;
-        }
-        Some(FetchPartition::new(t, i))
+        let served = |n: u8| n > 0 && u32::from(n) <= FetchPartition::TOTAL_WIDTH;
+        (served(t) && served(i)).then(|| FetchPartition::new(t, i))
     }
 
     /// The paper's four partitioning schemes, in ascending thread count.
@@ -391,8 +392,13 @@ mod tests {
         let p = FetchPartition::parse("2.8").unwrap();
         assert_eq!(p, FetchPartition::new(2, 8));
         assert_eq!(p.to_string(), "2.8");
-        assert!(FetchPartition::parse("0.8").is_none());
-        assert!(FetchPartition::parse("nope").is_none());
+        assert_eq!(
+            FetchPartition::parse("8.8"),
+            Some(FetchPartition::new(8, 8))
+        );
+        for bad in ["0.8", "nope", "1.200", "16.1", "9.8", "255.255"] {
+            assert!(FetchPartition::parse(bad).is_none(), "{bad} parsed");
+        }
         assert_eq!(FetchPartition::all_schemes().len(), 4);
     }
 

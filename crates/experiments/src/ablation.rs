@@ -43,7 +43,9 @@ use smt_stats::json::Json;
 use smt_stats::TextTable;
 
 use crate::fault::{CellError, Degradation};
-use crate::study::{fetch_name, mean, validate_mix, StudyConfig};
+use crate::study::{
+    distinct_policies, fetch_name, mean, reject_repeats, validate_mix, StudyConfig,
+};
 use crate::sweep::{self, CellPlan, Sweep, Warm};
 
 /// The paper's claim the wrong-path exemption quantifies: wrong-path
@@ -150,15 +152,14 @@ impl AblationStudyConfig {
         }
     }
 
-    /// Validates every policy, ablation, partition and mix name.
+    /// Validates every policy, ablation and mix name, the warm window, and
+    /// that no axis is empty or lists an entry twice.
     ///
     /// # Errors
     ///
     /// Returns a usage-style message naming the first problem.
     pub fn validate(&self) -> Result<(), String> {
-        for f in &self.fetch_policies {
-            fetch_name(f)?;
-        }
+        distinct_policies("fetch", &self.fetch_policies, fetch_name)?;
         for a in &self.ablations {
             check_ablation(a)?;
         }
@@ -176,7 +177,10 @@ impl AblationStudyConfig {
         if self.warmup == 0 {
             return Err("the warm window needs --warmup > 0".to_string());
         }
-        Ok(())
+        reject_repeats("ablation", &self.ablations)?;
+        reject_repeats("partition", &self.partitions)?;
+        reject_repeats("mix", &self.mixes)?;
+        reject_repeats("seed", &self.seeds)
     }
 
     /// Number of cells the sweep will run (baseline + each ablation, per

@@ -73,7 +73,9 @@ fn probe(site: &str, key: u64) -> io::Result<()> {
 /// The temp-file sibling a write is staged under before its rename. The
 /// process id keeps concurrent *processes* from clobbering each other's
 /// staging files; within one process each target path is written by at
-/// most one worker.
+/// most one worker, because every sweep configuration's `validate`
+/// rejects an axis that lists an entry twice (distinct cells have distinct
+/// journal keys and cache entries).
 fn staging_path(path: &Path) -> PathBuf {
     let name = path
         .file_name()

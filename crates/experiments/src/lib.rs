@@ -332,6 +332,20 @@ impl Default for ExpConfig {
     }
 }
 
+impl ExpConfig {
+    /// Checks the policy names and that neither swept axis lists an entry
+    /// twice (see [`StudyConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage-style message naming the first problem.
+    pub fn validate(&self) -> Result<(), String> {
+        study::distinct_policies("fetch", &self.fetch_policies, study::fetch_name)?;
+        study::issue_name(&self.issue_policy)?;
+        study::reject_repeats("partition", &self.partitions)
+    }
+}
+
 /// The workload for `threads` contexts: the standard mix, cycled.
 pub fn mix_for(threads: usize) -> Vec<Benchmark> {
     let mix = standard_mix();
@@ -375,9 +389,10 @@ pub struct Matrix {
 ///
 /// # Errors
 ///
-/// Returns the open error when the requested journal directory cannot be
-/// created.
+/// Returns the [`ExpConfig::validate`] message, or the open error when
+/// the requested journal directory cannot be created.
 pub fn run_matrix(cfg: &ExpConfig) -> Result<Matrix, String> {
+    cfg.validate()?;
     let mix = format!("standard-{}t", cfg.threads);
     let (mix, issue, seed) = (mix.as_str(), cfg.issue_policy.as_str(), cfg.seed);
     let mut plans = Vec::new();
@@ -693,6 +708,7 @@ pub fn parse_cli(args: &[String]) -> Result<Command, String> {
                  use --study issue to sweep issue policies"
                 .to_string());
         }
+        exp.validate()?;
         return Ok(Command::Matrix(exp));
     };
 
@@ -1024,7 +1040,10 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_names() {
         assert!(parse_cli(&argv(&["--fetch", "nonesuch"])).is_err());
-        assert!(parse_cli(&argv(&["--partition", "0.8"])).is_err());
+        for bad in ["0.8", "1.200", "16.1", "2.8,255.255"] {
+            let err = parse_cli(&argv(&["--partition", bad])).unwrap_err();
+            assert!(err.starts_with("bad partition"), "{bad}: {err}");
+        }
         assert!(parse_cli(&argv(&["--study", "fetch"])).is_err());
         assert!(parse_cli(&argv(&["--study", "issue", "--mixes", "nonesuch"])).is_err());
         assert!(parse_cli(&argv(&["--issue", "nonesuch"])).is_err());

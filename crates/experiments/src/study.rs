@@ -231,6 +231,35 @@ pub(crate) fn issue_name(name: &str) -> Result<String, String> {
     Ok(policy.name().to_string())
 }
 
+/// Rejects a sweep axis that lists an entry twice: the two cells would
+/// share one journal key and one checkpoint-cache entry, and two workers
+/// publishing the same file break `durable`'s one-writer-per-path rule.
+pub(crate) fn reject_repeats<T: PartialEq + std::fmt::Display>(
+    axis: &str,
+    entries: &[T],
+) -> Result<(), String> {
+    for (i, entry) in entries.iter().enumerate() {
+        if entries[..i].contains(entry) {
+            return Err(format!("the {axis} axis lists '{entry}' more than once"));
+        }
+    }
+    Ok(())
+}
+
+/// Checks a policy axis: every name known, none listed twice — compared
+/// by canonical name, so `rr,RR` repeats.
+pub(crate) fn distinct_policies(
+    axis: &str,
+    names: &[String],
+    canonical: fn(&str) -> Result<String, String>,
+) -> Result<(), String> {
+    let names: Vec<String> = names
+        .iter()
+        .map(|n| canonical(n))
+        .collect::<Result<_, _>>()?;
+    reject_repeats(axis, &names)
+}
+
 /// Mean of the values, `None` when there are none.
 pub(crate) fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
     let mut sum = 0.0;
@@ -305,18 +334,15 @@ impl Default for StudyConfig {
 }
 
 impl StudyConfig {
-    /// Validates every policy, partition and mix name.
+    /// Validates every policy and mix name, and that no axis is empty or
+    /// lists an entry twice.
     ///
     /// # Errors
     ///
-    /// Returns a usage-style message naming the first unknown entry.
+    /// Returns a usage-style message naming the first problem.
     pub fn validate(&self) -> Result<(), String> {
-        for f in &self.fetch_policies {
-            fetch_name(f)?;
-        }
-        for i in &self.issue_policies {
-            issue_name(i)?;
-        }
+        distinct_policies("fetch", &self.fetch_policies, fetch_name)?;
+        distinct_policies("issue", &self.issue_policies, issue_name)?;
         for m in &self.mixes {
             validate_mix(m)?;
         }
@@ -328,7 +354,9 @@ impl StudyConfig {
         {
             return Err("study sweep axes must all be non-empty".to_string());
         }
-        Ok(())
+        reject_repeats("partition", &self.partitions)?;
+        reject_repeats("mix", &self.mixes)?;
+        reject_repeats("seed", &self.seeds)
     }
 
     /// Number of cells the sweep will run.

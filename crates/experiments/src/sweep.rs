@@ -91,7 +91,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use smt_core::checkpoint::config_fingerprint;
-use smt_core::{FetchPartition, SimConfig, SimReport};
+use smt_core::{FetchPartition, SimConfig, SimReport, Simulator};
 use smt_stats::json::Json;
 use smt_stats::sched::{catch_panic, work_steal_map_catch};
 
@@ -99,8 +99,8 @@ use crate::fault::{CellError, Degradation, DegradeReason};
 use crate::journal::{journal_key, Journal};
 use crate::study::{resolve_mix, MixImages, JSON_SCHEMA_VERSION};
 use crate::warmup::{
-    canonical_config_for, restore_fork, warm_checkpoint, warm_checkpoint_reporting,
-    warm_checkpoint_under, WarmOutcome,
+    canonical_config_for, warm_checkpoint, warm_checkpoint_reporting, warm_checkpoint_under,
+    WarmOutcome,
 };
 
 /// Workload images per (mix, seed), shared by every cell of the pair. A
@@ -324,7 +324,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
             return Ok(Done::of(report.clone(), 0));
         }
         let fork = |checkpoint: &[u8]| {
-            restore_fork((plan.config)(images), checkpoint)
+            Simulator::fork_checkpoint((plan.config)(images), checkpoint)
                 .map_err(|e| CellError::checkpoint(e.to_string()))
         };
         let mut done = match &plan.warm {
@@ -393,7 +393,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
             degradations,
             ..
         } = warmed;
-        let mut sim = restore_fork(build(), &checkpoint)
+        let mut sim = Simulator::fork_checkpoint(build(), &checkpoint)
             .expect("a machine restores the checkpoint it has just saved");
         drop(checkpoint);
         let second = sim.run(sweep.cycles - sweep.warmup);

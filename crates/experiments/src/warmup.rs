@@ -293,13 +293,12 @@ fn load_cached(
     Ok(Some(bytes))
 }
 
-/// Forks one measurement cell off a warmed checkpoint: restore under the
-/// cell's configuration (which may differ from the canonical one only in
-/// the fork axes — fetch, issue, ablations), mark the report's provenance
-/// flag, open a fresh measurement window at the warmup boundary and run.
-/// The resulting report is byte-identical to a straight-through
-/// `cfg.with_warmup(warmup).build().run(cycles)` run except for the
-/// `restored_from_checkpoint` flag.
+/// Forks one measurement cell off a warmed checkpoint
+/// ([`Simulator::fork_checkpoint`] under the cell's configuration, which
+/// may differ from the canonical one only in the fork axes — fetch,
+/// issue, ablations) and runs it. The resulting report is byte-identical
+/// to a straight-through `cfg.with_warmup(warmup).build().run(cycles)`
+/// run except for the `restored_from_checkpoint` flag.
 ///
 /// # Errors
 ///
@@ -313,21 +312,7 @@ pub fn try_fork_cell(
     checkpoint: &[u8],
     cycles: u64,
 ) -> Result<SimReport, smt_core::CheckpointError> {
-    Ok(restore_fork(cfg, checkpoint)?.run(cycles))
-}
-
-/// The restore half of [`try_fork_cell`]: the forked machine with its
-/// provenance flag set and a fresh measurement window open at the
-/// checkpoint's cycle. The checkpoint bytes are fully consumed — the
-/// engine drops a single-use buffer before the measured run.
-pub(crate) fn restore_fork(
-    cfg: SimConfig,
-    checkpoint: &[u8],
-) -> Result<Simulator, smt_core::CheckpointError> {
-    let mut sim = Simulator::restore_checkpoint(cfg, &mut &checkpoint[..])?;
-    sim.mark_restored_from_checkpoint();
-    sim.reset_stats();
-    Ok(sim)
+    Ok(Simulator::fork_checkpoint(cfg, checkpoint)?.run(cycles))
 }
 
 /// [`try_fork_cell`] for callers outside a containment boundary.

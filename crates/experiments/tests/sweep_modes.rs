@@ -7,6 +7,7 @@
 //!   entry — to the byte-identical document, and keys of different sweep
 //!   shapes or modes never collide in a shared directory;
 //! * an unloadable workload file fails only its own cells;
+//! * an axis that lists an entry twice is refused before any cell runs;
 //! * a `--checkpoint-dir` repeat sweep performs zero warmups, also when
 //!   the mix string is longer than a file name may be;
 //! * each mode's document equals a reference built cell by cell from the
@@ -36,7 +37,9 @@ use smt_experiments::study::{resolve_mix, run_study, MixImages, Study, StudyCell
 use smt_experiments::warmup::{
     canonical_config_for, compute_checkpoint, compute_checkpoint_under, fork_cell,
 };
-use smt_experiments::{generate_programs, matrix_to_json, run_matrix, ExpConfig, Matrix};
+use smt_experiments::{
+    generate_programs, matrix_to_json, parse_cli, run_matrix, ExpConfig, Matrix,
+};
 use smt_stats::json::Json;
 use smt_stats::TextTable;
 
@@ -445,6 +448,91 @@ fn every_mode_matches_its_hand_built_reference() {
             "{}: the engine changed the document",
             mode.name
         );
+    }
+}
+
+/// Two cells at the same coordinates share one journal key and one
+/// checkpoint-cache entry, and two workers publishing one file lose
+/// renames nondeterministically — so every mode refuses a repeated axis
+/// entry (policies by canonical name) before it touches the journal.
+#[test]
+fn a_repeated_axis_entry_is_refused_in_every_mode() {
+    let journal = tmp_dir("repeat", "all");
+    let k = Knobs {
+        journal: Some(journal.clone()),
+        ..Knobs::default()
+    };
+    fn twice(a: &str, b: &str) -> Vec<String> {
+        vec![a.to_string(), b.to_string()]
+    }
+    let matrix = |edit: fn(&mut ExpConfig)| {
+        let mut cfg = tiny_matrix(&k);
+        edit(&mut cfg);
+        run_matrix(&cfg).map(drop)
+    };
+    let issue = |edit: fn(&mut StudyConfig)| {
+        let mut cfg = tiny_issue(&k);
+        edit(&mut cfg);
+        run_study(&cfg).map(drop)
+    };
+    let ablation = |edit: fn(&mut AblationStudyConfig)| {
+        let mut cfg = tiny_ablation(&k);
+        edit(&mut cfg);
+        run_ablation_study(&cfg).map(drop)
+    };
+    let cases = [
+        (
+            "matrix: fetch axis lists 'RR'",
+            matrix(|c| c.fetch_policies = twice("rr", "RR")),
+        ),
+        (
+            "matrix: partition axis lists '2.8'",
+            matrix(|c| c.partitions.insert(0, FetchPartition::new(2, 8))),
+        ),
+        (
+            "issue: issue axis lists 'OLDEST_FIRST'",
+            issue(|c| c.issue_policies = twice("oldest", "OLDEST")),
+        ),
+        (
+            "issue: mix axis lists 'mixed4'",
+            issue(|c| c.mixes = twice("mixed4", "mixed4")),
+        ),
+        (
+            "issue: partition axis lists '2.8'",
+            issue(|c| c.partitions.insert(0, FetchPartition::new(2, 8))),
+        ),
+        (
+            "ablation: seed axis lists '1'",
+            ablation(|c| c.seeds = vec![1, 1]),
+        ),
+        (
+            "ablation: fetch axis lists 'ICOUNT'",
+            ablation(|c| c.fetch_policies = twice("icount", "icount")),
+        ),
+        (
+            "ablation: ablation axis lists 'perfect_icache'",
+            ablation(|c| c.ablations = twice("perfect_icache", "perfect_icache")),
+        ),
+    ];
+    for (case, result) in cases {
+        let (_, expect) = case.split_once(": ").unwrap();
+        let err = result.expect_err(case);
+        assert!(err.contains(expect), "{case}: got '{err}'");
+    }
+    assert!(!journal.exists(), "a refused sweep opened its journal");
+
+    // The CLI refuses at parse time, in all three modes.
+    for (args, expect) in [
+        (
+            "--study ablation --mixes mixed4 --seeds 1,1 --fetch icount",
+            "seed axis lists '1'",
+        ),
+        ("--study issue --fetch rr,RR", "fetch axis lists 'RR'"),
+        ("--partition 2.8,2.8", "partition axis lists '2.8'"),
+    ] {
+        let args: Vec<String> = args.split(' ').map(str::to_string).collect();
+        let err = parse_cli(&args).expect_err(expect);
+        assert!(err.contains(expect), "'{err}' lacks '{expect}'");
     }
 }
 

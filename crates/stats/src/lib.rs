@@ -1,9 +1,8 @@
 //! Statistics primitives and text-table rendering for the SMT simulator.
 //!
 //! The pipeline model and the experiment harness both need the same small
-//! vocabulary: event/ratio counters, running means, small histograms, named
-//! data series (one per figure line), and fixed-width text tables that can
-//! be diffed against the paper's tables.
+//! vocabulary: event/ratio counters (declared through [`counters!`]) and
+//! fixed-width text tables that can be diffed against the paper's tables.
 //!
 //! # Examples
 //!
@@ -73,168 +72,6 @@ impl Ratio {
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.1}% ({}/{})", self.percent(), self.hits, self.total)
-    }
-}
-
-/// An incrementally updated arithmetic mean.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty mean.
-    pub fn new() -> RunningMean {
-        RunningMean::default()
-    }
-
-    /// Adds one sample.
-    #[inline]
-    pub fn record(&mut self, sample: f64) {
-        self.sum += sample;
-        self.count += 1;
-    }
-
-    /// The mean of all recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
-/// A small fixed-bucket histogram over `0..=max` with an overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram covering values `0..=max`; larger values land in
-    /// the final (overflow) bucket.
-    pub fn new(max: usize) -> Histogram {
-        Histogram {
-            buckets: vec![0; max + 2],
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, value: usize) {
-        let idx = value.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Count in the bucket for `value` (overflow bucket for large values).
-    pub fn count(&self, value: usize) -> u64 {
-        self.buckets[value.min(self.buckets.len() - 1)]
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Mean of recorded samples, treating overflow samples as `max + 1`.
-    pub fn mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| v as f64 * c as f64)
-            .sum();
-        sum / total as f64
-    }
-}
-
-/// A named series of `(x, y)` points — one line of a paper figure.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Series {
-    /// Line label, e.g. `"ICOUNT.2.8"`.
-    pub name: String,
-    /// `(x, y)` points, e.g. `(threads, IPC)`.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Creates an empty series with the given name.
-    pub fn new(name: impl Into<String>) -> Series {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Appends one point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// The `y` value at the given `x`, if present.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
-    }
-
-    /// The maximum `y` value in the series, if non-empty.
-    pub fn y_max(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| {
-            Some(match acc {
-                None => y,
-                Some(m) => m.max(y),
-            })
-        })
-    }
-}
-
-/// Renders a set of series as a fixed-width text table: one row per distinct
-/// `x`, one column per series. Useful for printing figure data.
-pub fn render_series_table(x_label: &str, series: &[Series]) -> String {
-    let mut xs: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|&(x, _)| x))
-        .collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN x values"));
-    xs.dedup();
-
-    let mut table = TextTable::new();
-    let mut header = vec![x_label.to_string()];
-    header.extend(series.iter().map(|s| s.name.clone()));
-    table.header(header);
-    for x in xs {
-        let mut row = vec![format_num(x)];
-        for s in series {
-            row.push(match s.y_at(x) {
-                Some(y) => format!("{:.2}", y),
-                None => "-".to_string(),
-            });
-        }
-        table.row(row);
-    }
-    table.to_string()
-}
-
-fn format_num(x: f64) -> String {
-    if x.fract() == 0.0 {
-        format!("{}", x as i64)
-    } else {
-        format!("{:.2}", x)
     }
 }
 
@@ -373,64 +210,6 @@ mod tests {
         let r = Ratio { hits: 1, total: 3 };
         let s = r.to_string();
         assert!(s.contains("1/3"));
-    }
-
-    #[test]
-    fn running_mean() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            m.record(v);
-        }
-        assert_eq!(m.mean(), 2.5);
-        assert_eq!(m.count(), 4);
-        assert_eq!(m.sum(), 10.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(4);
-        for v in [0, 1, 1, 4, 9, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(4), 1);
-        // 9 and 100 land in the overflow bucket (treated as 5).
-        assert_eq!(h.count(5), 2);
-        assert_eq!(h.total(), 6);
-        assert!(h.mean() > 0.0);
-    }
-
-    #[test]
-    fn histogram_empty_mean_is_zero() {
-        let h = Histogram::new(4);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn series_points_and_lookup() {
-        let mut s = Series::new("ICOUNT.2.8");
-        s.push(1.0, 2.1);
-        s.push(8.0, 5.4);
-        assert_eq!(s.y_at(8.0), Some(5.4));
-        assert_eq!(s.y_at(2.0), None);
-        assert_eq!(s.y_max(), Some(5.4));
-    }
-
-    #[test]
-    fn series_table_renders_all_lines() {
-        let mut a = Series::new("RR.1.8");
-        a.push(1.0, 2.1);
-        a.push(8.0, 3.9);
-        let mut b = Series::new("ICOUNT.2.8");
-        b.push(8.0, 5.4);
-        let out = render_series_table("threads", &[a, b]);
-        assert!(out.contains("RR.1.8"));
-        assert!(out.contains("ICOUNT.2.8"));
-        assert!(out.contains("5.40"));
-        // x=1 exists only for series a; series b shows "-".
-        assert!(out.lines().any(|l| l.starts_with('1') && l.contains('-')));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! A work-stealing scheduler for sweeps of independent jobs.
 //!
-//! Both experiment studies and the fleet driver (`smt-core::fleet`) run
-//! many independent simulations whose per-item costs are heavily skewed —
-//! a warm cell forks off a checkpoint in about a millisecond while a cold
-//! cell simulates its whole warmup, an order of magnitude longer. A static
-//! chunking of the index space strands that skew on whichever worker drew
-//! the expensive chunk; the [`WorkQueue`] here instead hands out
-//! shrinking batches from a single atomic cursor (guided
-//! self-scheduling), so early claims are large enough to amortize the
-//! atomic traffic and the tail degrades to single items that any idle
+//! Every sweep (the experiment studies, and `smt-core::fleet` on top of
+//! the same call) runs many independent simulations whose per-item costs
+//! are heavily skewed — a warm cell forks off a checkpoint in about a
+//! millisecond while a cold cell simulates its whole warmup, an order of
+//! magnitude longer. A static chunking of the index space strands that
+//! skew on whichever worker drew the expensive chunk; [`work_steal_map`]
+//! instead hands out shrinking batches from a single atomic cursor
+//! (guided self-scheduling), so early claims are large enough to amortize
+//! the atomic traffic and the tail degrades to single items that any idle
 //! worker can steal.
 //!
 //! Two properties matter more than the stealing itself:
@@ -36,7 +36,7 @@ use std::sync::Mutex;
 
 /// Resolves a `--jobs` style worker count: `0` means one worker per
 /// available core; the pool never exceeds `count` jobs and is never empty.
-pub fn resolve_workers(jobs: usize, count: usize) -> usize {
+fn resolve_workers(jobs: usize, count: usize) -> usize {
     let workers = if jobs > 0 {
         jobs
     } else {
@@ -53,8 +53,7 @@ pub fn resolve_workers(jobs: usize, count: usize) -> usize {
 /// and the tail is handed out item by item — the classic guided
 /// self-scheduling compromise between atomic-operation overhead and load
 /// balance under skewed per-item costs.
-#[derive(Debug)]
-pub struct WorkQueue {
+struct WorkQueue {
     next: AtomicUsize,
     count: usize,
     shrink: usize,
@@ -62,7 +61,7 @@ pub struct WorkQueue {
 
 impl WorkQueue {
     /// A queue over `0..count` tuned for `workers` concurrent claimants.
-    pub fn new(count: usize, workers: usize) -> WorkQueue {
+    fn new(count: usize, workers: usize) -> WorkQueue {
         WorkQueue {
             next: AtomicUsize::new(0),
             count,
@@ -70,15 +69,10 @@ impl WorkQueue {
         }
     }
 
-    /// Total number of indices the queue hands out.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Claims the next batch of indices, or `None` when the queue is
     /// drained. Batches are contiguous, disjoint, and cover `0..count`
     /// exactly across all claimants.
-    pub fn claim(&self) -> Option<Range<usize>> {
+    fn claim(&self) -> Option<Range<usize>> {
         // The cursor publishes no data — every job is independent and the
         // results flow back through the caller's own structures — so
         // relaxed ordering suffices; the CAS only has to be atomic.
@@ -105,9 +99,10 @@ impl WorkQueue {
 /// the results in job-index order. `jobs == 0` uses one worker per
 /// available core; the pool never exceeds `count`.
 ///
-/// Work is distributed through a [`WorkQueue`], so skewed per-item costs
-/// rebalance across workers instead of stranding on whichever worker a
-/// static chunking would have assigned them to. Results are accumulated
+/// Work is claimed in shrinking batches from one atomic cursor, so skewed
+/// per-item costs rebalance across workers instead of stranding on
+/// whichever worker a static chunking would have assigned them to.
+/// Results are accumulated
 /// per worker and merged after the pool joins; output order is the job
 /// index order regardless of worker count or claim interleaving.
 pub fn work_steal_map<T, F>(count: usize, jobs: usize, run: F) -> Vec<T>

@@ -1,18 +1,17 @@
-//! Fleet differential-equivalence tests: batched execution through
-//! [`SimFleet`] must be **result-neutral by construction**, and these
-//! tests prove it three ways over the golden matrix (standard/int8/fp8 ×
-//! seeds 42/1337):
+//! Fleet differential-equivalence tests: a cell run through [`SimFleet`]
+//! is the cell run on its own, and these tests pin it three ways over the
+//! golden matrix (standard/int8/fp8 × seeds 42/1337):
 //!
 //! 1. against N independent sequential `Simulator` runs, byte-for-byte on
 //!    `SimReport::to_json()`,
 //! 2. against the checked-in `tests/golden/` files themselves — the same
 //!    bytes every pre-fleet PR pinned, so the fleet is anchored to the
 //!    full historical trajectory, not just to today's simulator,
-//! 3. for checkpoint-seeded fleets, against the sequential fork sequence
-//!    the experiment sweeps use (restore → mark → reset → run).
+//! 3. for checkpoint-seeded fleets, against the `fork_cell` sequence the
+//!    experiment sweeps use, provenance flag included.
 //!
-//! The interleaving knobs (worker count, cycle-batch granularity) are
-//! swept too: none of them may leak into any report.
+//! The worker count is swept too: it may not leak into any report, nor
+//! into the order they come back in.
 
 use std::fs;
 use std::path::PathBuf;
@@ -44,15 +43,24 @@ fn golden_text(mix: &str, seed: u64) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()))
 }
 
-/// The tentpole differential: one fleet over the full golden matrix,
-/// byte-identical to both fresh sequential runs and the checked-in
-/// goldens, across worker counts and batch granularities.
+/// One fleet over the full golden matrix, byte-identical to both fresh
+/// sequential runs and the checked-in goldens across worker counts —
+/// with the push order rotated per worker count, so a report that came
+/// back out of push order would land on the wrong cell's expectation.
 #[test]
 fn fleet_matches_sequential_runs_and_checked_in_goldens() {
-    let sequential: Vec<String> = MIXES
+    assert!(
+        SimFleet::new().run().is_empty(),
+        "an empty fleet reports nothing"
+    );
+
+    let matrix: Vec<(&str, u64)> = MIXES
         .iter()
-        .flat_map(|mix| SEEDS.iter().map(move |&seed| (mix, seed)))
-        .map(|(mix, seed)| {
+        .flat_map(|&mix| SEEDS.iter().map(move |&seed| (mix, seed)))
+        .collect();
+    let sequential: Vec<String> = matrix
+        .iter()
+        .map(|&(mix, seed)| {
             golden_config(mix, seed)
                 .build()
                 .run(CYCLES)
@@ -61,35 +69,32 @@ fn fleet_matches_sequential_runs_and_checked_in_goldens() {
         })
         .collect();
 
-    for (jobs, batch_cycles) in [(1, 1024), (2, 1024), (6, 256), (3, 999)] {
-        let mut fleet = SimFleet::new()
-            .with_jobs(jobs)
-            .with_batch_cycles(batch_cycles);
-        for mix in MIXES {
-            for seed in SEEDS {
-                fleet.push(FleetCell::cold(golden_config(mix, seed), CYCLES));
-            }
+    for jobs in [1, 2, 6] {
+        let order: Vec<usize> = (0..matrix.len())
+            .map(|k| (k + jobs) % matrix.len())
+            .collect();
+        let mut fleet = SimFleet::new().with_jobs(jobs);
+        for &i in &order {
+            let (mix, seed) = matrix[i];
+            fleet.push(FleetCell::cold(golden_config(mix, seed), CYCLES));
         }
         let reports = fleet.run();
-        assert_eq!(reports.len(), sequential.len());
+        assert_eq!(reports.len(), matrix.len());
 
-        let mut i = 0;
-        for mix in MIXES {
-            for seed in SEEDS {
-                let text = reports[i].to_json().render_pretty();
-                assert_eq!(
-                    text, sequential[i],
-                    "fleet cell diverged from its sequential run for mix={mix} \
-                     seed={seed} (jobs={jobs}, batch_cycles={batch_cycles})"
-                );
-                assert_eq!(
-                    text,
-                    golden_text(mix, seed),
-                    "fleet cell diverged from the checked-in golden for mix={mix} \
-                     seed={seed} (jobs={jobs}, batch_cycles={batch_cycles})"
-                );
-                i += 1;
-            }
+        for (report, &i) in reports.iter().zip(&order) {
+            let (mix, seed) = matrix[i];
+            let text = report.to_json().render_pretty();
+            assert_eq!(
+                text, sequential[i],
+                "fleet cell diverged from its sequential run for mix={mix} \
+                 seed={seed} (jobs={jobs})"
+            );
+            assert_eq!(
+                text,
+                golden_text(mix, seed),
+                "fleet cell diverged from the checked-in golden for mix={mix} \
+                 seed={seed} (jobs={jobs})"
+            );
         }
     }
 }
@@ -110,35 +115,46 @@ fn checkpoint_seeded_fleet_matches_sequential_forks() {
     };
 
     // One warm checkpoint per (mix, seed) key; both fetch policies fork it.
-    let keys: Vec<(&str, u64)> = MIXES
-        .iter()
-        .flat_map(|&mix| SEEDS.iter().map(move |&seed| (mix, seed)))
-        .collect();
-    let fetches = ["icount", "rr"];
-
-    let mut fleet = SimFleet::new().with_jobs(4).with_batch_cycles(500);
-    let mut sequential = Vec::new();
-    for &(mix, seed) in &keys {
-        let images = smt_experiments::study::MixImages::Programs(programs(mix, seed));
-        let ckpt = Arc::new(compute_checkpoint(&images, seed, partition, 400));
-        for fetch in fetches {
-            let cfg = || {
-                canonical_config(programs(mix, seed), seed, partition)
-                    .with_fetch(smt_core::fetch_policy_by_name(fetch).expect("shipped policy"))
-            };
-            sequential.push(fork_cell(cfg(), &ckpt, 700).to_json().render_pretty());
-            fleet.push(FleetCell::forked(cfg(), ckpt.clone(), 700));
+    let mut cells = Vec::new();
+    for mix in MIXES {
+        for seed in SEEDS {
+            let images = smt_experiments::study::MixImages::Programs(programs(mix, seed));
+            let ckpt = Arc::new(compute_checkpoint(&images, seed, partition, 400));
+            for fetch in ["icount", "rr"] {
+                cells.push((mix, seed, fetch, ckpt.clone()));
+            }
         }
     }
+    let cfg = |mix: &str, seed: u64, fetch: &str| {
+        canonical_config(programs(mix, seed), seed, partition)
+            .with_fetch(smt_core::fetch_policy_by_name(fetch).expect("shipped policy"))
+    };
+    let sequential: Vec<String> = cells
+        .iter()
+        .map(|(mix, seed, fetch, ckpt)| {
+            fork_cell(cfg(mix, *seed, fetch), ckpt, 700)
+                .to_json()
+                .render_pretty()
+        })
+        .collect();
 
-    let reports = fleet.run();
-    assert_eq!(reports.len(), sequential.len());
-    for (i, (report, expect)) in reports.iter().zip(&sequential).enumerate() {
-        assert!(report.restored_from_checkpoint, "cell {i} lost provenance");
-        assert_eq!(
-            &report.to_json().render_pretty(),
-            expect,
-            "forked fleet cell {i} diverged from the sequential fork"
-        );
+    for jobs in [1, 2, 6] {
+        let mut fleet = SimFleet::new().with_jobs(jobs);
+        for (mix, seed, fetch, ckpt) in &cells {
+            fleet.push(FleetCell::forked(cfg(mix, *seed, fetch), ckpt.clone(), 700));
+        }
+        let reports = fleet.run();
+        assert_eq!(reports.len(), sequential.len());
+        for (i, (report, expect)) in reports.iter().zip(&sequential).enumerate() {
+            assert!(
+                report.restored_from_checkpoint,
+                "cell {i} lost provenance (jobs={jobs})"
+            );
+            assert_eq!(
+                &report.to_json().render_pretty(),
+                expect,
+                "forked fleet cell {i} diverged from the sequential fork (jobs={jobs})"
+            );
+        }
     }
 }
