@@ -73,6 +73,18 @@
 //! A mismatch means the checkpoint describes a different machine and
 //! restoration is refused ([`CheckpointError::ConfigMismatch`]).
 //!
+//! The workload is the entry count, then per entry its name followed by
+//! what pins its instructions: nothing more for a
+//! [`WorkloadSpec::Benchmark`] (regenerated from name, seed and slot), the
+//! entry PC and the instruction/branch/memory counts for a
+//! [`WorkloadSpec::Program`], the image fingerprint for a
+//! [`WorkloadSpec::Elf`] or [`WorkloadSpec::Trace`]. One tag rule: when
+//! every entry is a benchmark, or every entry is a program, the entries are
+//! written as they are; any other list prefixes each entry with a kind
+//! byte (0 benchmark, 1 program, 2 ELF, 3 trace). The two untagged shapes
+//! are the encodings synthetic-only machines had before mixed backends
+//! existed, so their checkpoints and journal keys still resolve.
+//!
 //! [`Simulator::save_checkpoint`]: crate::Simulator::save_checkpoint
 //! [`Simulator::restore_checkpoint`]: crate::Simulator::restore_checkpoint
 
@@ -83,7 +95,7 @@ use smt_branch::PredictorConfig;
 use smt_mem::{CacheParams, MemConfig};
 use smt_stats::binio::BinWriter;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, WorkloadSpec};
 
 /// Magic bytes opening every checkpoint stream.
 pub const MAGIC: [u8; 8] = *b"SMT1CKPT";
@@ -176,8 +188,6 @@ impl From<io::Error> for CheckpointError {
 /// machines onto one `--checkpoint-dir` entry and one journal key.
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     let SimConfig {
-        benchmarks,
-        programs,
         workloads,
         seed,
         // The fork axes: one warmed checkpoint restores under any of them.
@@ -224,52 +234,34 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     } = predictor;
     let mut w = BinWriter::new(Vec::new());
     let r: io::Result<()> = (|| {
-        // Workload identity: explicit program images when supplied,
-        // benchmark names otherwise (images are regenerated from the
-        // benchmark + seed at build time, so the name pins them). The
-        // mixed `workloads` list gets its own kind-tagged encoding; it is
-        // empty for every synthetic-only configuration, so those
-        // fingerprints are byte-identical to what they were before the
-        // pluggable-backend refactor.
-        w.len(cfg.threads())?;
-        if !workloads.is_empty() {
-            for spec in workloads {
-                match spec {
-                    crate::WorkloadSpec::Benchmark(b) => {
-                        w.u8(0)?;
-                        w.str(b.name())?;
-                    }
-                    crate::WorkloadSpec::Program(p) => {
-                        w.u8(1)?;
-                        w.str(p.name())?;
-                        w.u64(p.entry())?;
-                        w.len(p.len())?;
-                        w.len(p.branch_count())?;
-                        w.len(p.mem_count())?;
-                    }
-                    crate::WorkloadSpec::Elf(img) => {
-                        w.u8(2)?;
-                        w.str(img.name())?;
-                        w.u64(img.fingerprint())?;
-                    }
-                    crate::WorkloadSpec::Trace(t) => {
-                        w.u8(3)?;
-                        w.str(t.name())?;
-                        w.u64(t.fingerprint())?;
-                    }
+        // Workload identity, by the tag rule in the module docs.
+        let untagged = workloads
+            .iter()
+            .all(|s| matches!(s, WorkloadSpec::Benchmark(_)))
+            || workloads
+                .iter()
+                .all(|s| matches!(s, WorkloadSpec::Program(_)));
+        w.len(workloads.len())?;
+        for spec in workloads {
+            if !untagged {
+                w.u8(match spec {
+                    WorkloadSpec::Benchmark(_) => 0,
+                    WorkloadSpec::Program(_) => 1,
+                    WorkloadSpec::Elf(_) => 2,
+                    WorkloadSpec::Trace(_) => 3,
+                })?;
+            }
+            w.str(spec.name())?;
+            match spec {
+                WorkloadSpec::Benchmark(_) => {}
+                WorkloadSpec::Program(p) => {
+                    w.u64(p.entry())?;
+                    w.len(p.len())?;
+                    w.len(p.branch_count())?;
+                    w.len(p.mem_count())?;
                 }
-            }
-        } else if programs.is_empty() {
-            for b in benchmarks {
-                w.str(b.name())?;
-            }
-        } else {
-            for p in programs {
-                w.str(p.name())?;
-                w.u64(p.entry())?;
-                w.len(p.len())?;
-                w.len(p.branch_count())?;
-                w.len(p.mem_count())?;
+                WorkloadSpec::Elf(img) => w.u64(img.fingerprint())?,
+                WorkloadSpec::Trace(t) => w.u64(t.fingerprint())?,
             }
         }
         w.u64(*seed)?;

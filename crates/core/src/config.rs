@@ -24,14 +24,14 @@ pub const MAX_THREADS: usize = 32;
 /// thread runs. The variants mirror the `smt-workload` backends — the
 /// synthetic generator (by benchmark profile or pre-generated image), a
 /// functionally executed RISC-V binary, or a recorded trace replayed
-/// allocation-free.
+/// allocation-free. [`SimConfig::workloads`] holds one per context.
 #[derive(Clone)]
 pub enum WorkloadSpec {
-    /// Synthetic program generated from the benchmark profile and the
-    /// configuration seed (same behaviour as [`SimConfig::benchmarks`]).
+    /// Synthetic program generated at build time from the benchmark
+    /// profile, the configuration seed and the context's slot.
     Benchmark(Benchmark),
-    /// A pre-generated synthetic program image (same behaviour as
-    /// [`SimConfig::programs`]).
+    /// A pre-generated synthetic program image, shared rather than
+    /// regenerated (a sweep generates each mix once per seed).
     Program(Arc<Program>),
     /// A loaded rv32i/rv64i binary, decoded and functionally executed.
     Elf(Arc<RiscvImage>),
@@ -71,18 +71,10 @@ impl std::fmt::Debug for WorkloadSpec {
 /// the Table-2 memory hierarchy and the Section-2 branch predictor, running
 /// the standard 8-thread mix.
 pub struct SimConfig {
-    /// Benchmarks, one per hardware context (defines the thread count).
-    pub benchmarks: Vec<Benchmark>,
-    /// Pre-generated program images, one per context. When non-empty this
-    /// overrides `benchmarks` entirely; thread labels in reports come from
-    /// [`Program::name`].
-    pub programs: Vec<Arc<Program>>,
-    /// Per-context workload sources. When non-empty this overrides both
-    /// `benchmarks` and `programs`, and is the only way to mix backends —
-    /// e.g. a real ELF on thread 0 next to synthetic threads. Empty by
-    /// default, which keeps synthetic-only configurations (and their
-    /// checkpoint fingerprints) exactly as they were before this field
-    /// existed.
+    /// The workload, one entry per hardware context: its length is the
+    /// thread count, and each entry's [`WorkloadSpec::name`] is that
+    /// thread's label in reports. Backends mix freely — e.g. a real ELF on
+    /// thread 0 next to synthetic threads.
     pub workloads: Vec<WorkloadSpec>,
     /// Master seed for program generation and all stochastic behaviour.
     pub seed: u64,
@@ -150,9 +142,10 @@ impl SimConfig {
             ..MemConfig::default()
         };
         SimConfig {
-            benchmarks: standard_mix(),
-            programs: Vec::new(),
-            workloads: Vec::new(),
+            workloads: standard_mix()
+                .into_iter()
+                .map(WorkloadSpec::Benchmark)
+                .collect(),
             seed: 42,
             fetch: Box::new(ICount),
             issue: Box::new(OldestFirst),
@@ -213,58 +206,30 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the workload (one benchmark per hardware context) and the
-    /// generation seed.
-    pub fn with_benchmarks(mut self, benchmarks: Vec<Benchmark>, seed: u64) -> SimConfig {
-        self.benchmarks = benchmarks;
-        self.seed = seed;
-        self.programs.clear();
-        self
+    /// Replaces the workload with one synthetic benchmark per hardware
+    /// context, and the generation seed.
+    pub fn with_benchmarks(self, benchmarks: Vec<Benchmark>, seed: u64) -> SimConfig {
+        let workloads = benchmarks.into_iter().map(WorkloadSpec::Benchmark);
+        self.with_workloads(workloads.collect()).with_seed(seed)
     }
 
-    /// Supplies pre-generated program images directly (one per context).
-    pub fn with_programs(mut self, programs: Vec<Arc<Program>>) -> SimConfig {
-        self.programs = programs;
-        self
-    }
-
-    /// Supplies per-context workload sources directly (one per context),
-    /// overriding both `benchmarks` and `programs`. This is the mixing
-    /// interface: any combination of synthetic, ELF-backed and
-    /// trace-replay threads.
+    /// Replaces the workload, one source per hardware context: any
+    /// combination of synthetic, ELF-backed and trace-replay threads.
     pub fn with_workloads(mut self, workloads: Vec<WorkloadSpec>) -> SimConfig {
         self.workloads = workloads;
         self
     }
 
     /// Replaces the master seed (oracle stochasticity, and program
-    /// generation when `benchmarks` is used).
+    /// generation for [`WorkloadSpec::Benchmark`] entries).
     pub fn with_seed(mut self, seed: u64) -> SimConfig {
         self.seed = seed;
         self
     }
 
-    /// Replaces the memory hierarchy configuration.
-    pub fn with_mem(mut self, mem: MemConfig) -> SimConfig {
-        self.mem = mem;
-        self
-    }
-
-    /// Replaces the branch predictor configuration.
-    pub fn with_predictor(mut self, predictor: PredictorConfig) -> SimConfig {
-        self.predictor = predictor;
-        self
-    }
-
     /// Number of hardware contexts this configuration describes.
     pub fn threads(&self) -> usize {
-        if !self.workloads.is_empty() {
-            self.workloads.len()
-        } else if self.programs.is_empty() {
-            self.benchmarks.len()
-        } else {
-            self.programs.len()
-        }
+        self.workloads.len()
     }
 
     /// Builds the simulator, generating program images as needed.
@@ -300,7 +265,6 @@ impl Default for SimConfig {
 impl std::fmt::Debug for SimConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimConfig")
-            .field("benchmarks", &self.benchmarks)
             .field("workloads", &self.workloads)
             .field("seed", &self.seed)
             .field("fetch", &self.fetch.name())
@@ -359,9 +323,66 @@ mod tests {
         assert!(format!("{c:?}").contains("perfect_icache"));
     }
 
+    /// Every workload installer replaces the whole list: the last one wins
+    /// in `threads()`, in `Debug`, in the report's thread labels, and an
+    /// empty last list is refused at build time.
     #[test]
-    #[should_panic(expected = "at least one hardware context")]
-    fn empty_workload_panics() {
-        let _ = SimConfig::new().with_benchmarks(vec![], 1).build();
+    fn the_last_workload_installer_wins() {
+        fn mixed() -> Vec<WorkloadSpec> {
+            vec![
+                WorkloadSpec::Program(Arc::new(Benchmark::Xlisp.generate(3, 0))),
+                WorkloadSpec::Benchmark(Benchmark::Alvinn),
+            ]
+        }
+        fn pair() -> Vec<Benchmark> {
+            vec![Benchmark::Espresso, Benchmark::Tomcatv]
+        }
+        type Install = fn(SimConfig) -> SimConfig;
+        let cases: [(Install, &[&str]); 6] = [
+            (
+                |c| c.with_workloads(mixed()).with_benchmarks(pair(), 7),
+                &["benchmark:espresso", "benchmark:tomcatv"],
+            ),
+            (
+                |c| c.with_benchmarks(pair(), 7).with_workloads(mixed()),
+                &["program:xlisp", "benchmark:alvinn"],
+            ),
+            (
+                |c| {
+                    c.with_workloads(mixed())
+                        .with_workloads(mixed()[..1].to_vec())
+                },
+                &["program:xlisp"],
+            ),
+            (|c| c.with_benchmarks(pair(), 7).with_workloads(vec![]), &[]),
+            (
+                |c| c.with_workloads(mixed()).with_benchmarks(vec![], 7),
+                &[],
+            ),
+            (|c| c.with_workloads(vec![]), &[]),
+        ];
+        for (install, expected) in cases {
+            let cfg = install(SimConfig::new());
+            let debug = format!("{cfg:?}");
+            assert!(
+                debug.contains(&format!("workloads: [{}]", expected.join(", "))),
+                "{expected:?} not installed: {debug}"
+            );
+            assert_eq!(cfg.threads(), expected.len(), "{debug}");
+            if expected.is_empty() {
+                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cfg.build()));
+                let message = built.err().expect("an empty workload must not build");
+                let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(message.contains("at least one hardware context"), "{debug}");
+                continue;
+            }
+            let report = cfg.build().run(50);
+            let labels: Vec<&str> = report.threads.iter().map(|t| &*t.benchmark).collect();
+            let names: Vec<&str> = expected
+                .iter()
+                .map(|e| e.split_once(':').unwrap().1)
+                .collect();
+            assert_eq!(labels, names, "{debug}");
+        }
     }
 }

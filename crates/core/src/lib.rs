@@ -16,9 +16,10 @@
 //!
 //! [`SimConfig`] bundles policies with the machine description (Table-2
 //! caches via `smt-mem`, the Section-2 predictor via `smt-branch`,
-//! per-class register files and queues) and a workload (`smt-workload`
-//! benchmarks), and builds a [`Simulator`] whose [`run`](Simulator::run)
-//! returns a [`SimReport`] built on `smt-stats`.
+//! per-class register files and queues) and a workload (one
+//! [`WorkloadSpec`] per hardware context), and builds a [`Simulator`]
+//! whose [`run`](Simulator::run) returns a [`SimReport`] built on
+//! `smt-stats`.
 //!
 //! Adding a policy requires implementing one trait — no simulator internals:
 //!

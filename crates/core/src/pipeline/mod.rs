@@ -410,42 +410,25 @@ impl Simulator {
     /// Builds the machine described by `cfg`. Prefer [`SimConfig::build`].
     pub(crate) fn new(cfg: SimConfig) -> Simulator {
         let threads = cfg.threads();
-        // Resolve each context's workload into a boxed source. The
-        // explicit `workloads` list wins (it is the only way to mix
-        // backends); otherwise the legacy synthetic paths apply.
         let synthetic = |program: Arc<Program>, i: usize| -> Box<dyn WorkloadSource> {
             Box::new(SyntheticSource::new(
                 program,
                 cfg.seed ^ (i as u64).wrapping_mul(0x9e37),
             ))
         };
-        let sources: Vec<Box<dyn WorkloadSource>> = if !cfg.workloads.is_empty() {
-            cfg.workloads
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| match spec {
-                    WorkloadSpec::Benchmark(b) => {
-                        synthetic(Arc::new(b.generate(cfg.seed, i as u32)), i)
-                    }
-                    WorkloadSpec::Program(p) => synthetic(p.clone(), i),
-                    WorkloadSpec::Elf(img) => Box::new(smt_workload::RiscvSource::new(img.clone()))
-                        as Box<dyn WorkloadSource>,
-                    WorkloadSpec::Trace(t) => Box::new(smt_workload::TraceSource::new(t.clone())),
-                })
-                .collect()
-        } else if cfg.programs.is_empty() {
-            cfg.benchmarks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| synthetic(Arc::new(b.generate(cfg.seed, i as u32)), i))
-                .collect()
-        } else {
-            cfg.programs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| synthetic(p.clone(), i))
-                .collect()
-        };
+        let sources: Vec<Box<dyn WorkloadSource>> = cfg
+            .workloads
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| match spec {
+                WorkloadSpec::Benchmark(b) => {
+                    synthetic(Arc::new(b.generate(cfg.seed, i as u32)), i)
+                }
+                WorkloadSpec::Program(p) => synthetic(p.clone(), i),
+                WorkloadSpec::Elf(img) => Box::new(smt_workload::RiscvSource::new(img.clone())),
+                WorkloadSpec::Trace(t) => Box::new(smt_workload::TraceSource::new(t.clone())),
+            })
+            .collect();
         let phys = smt_isa::LOGICAL_REGS * threads + cfg.extra_phys_regs;
         let mut regs = [PhysRegFile::new(phys), PhysRegFile::new(phys)];
         let bp = BranchPredictor::new(cfg.predictor.clone(), threads);

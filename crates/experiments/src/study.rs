@@ -154,33 +154,26 @@ pub fn validate_mix(mix: &str) -> Result<(), String> {
 }
 
 /// Pre-generated workload images for one (mix, seed) pair, shared
-/// (`Arc`-cloned) between every cell that uses the pair.
+/// (`Arc`-cloned) between every cell that uses the pair. Both variants
+/// install as one [`SimConfig::workloads`] list; the split only records
+/// where the images came from.
 #[derive(Debug, Clone)]
 pub enum MixImages {
-    /// A named synthetic mix as program images — the legacy
-    /// `with_programs` path, byte- and fingerprint-identical to every
-    /// sweep that predates custom mixes.
+    /// A named synthetic mix as program images (one
+    /// [`WorkloadSpec::Program`] per context).
     Programs(Vec<Arc<Program>>),
-    /// A custom workload list (`riscv:` / `trace:` entries, possibly mixed
-    /// with synthetic benchmarks), run through the `with_workloads` path.
+    /// A custom workload list: `riscv:` / `trace:` entries and synthetic
+    /// benchmarks, in the order the mix names them.
     Workloads(Vec<WorkloadSpec>),
 }
 
 impl MixImages {
     /// Installs this workload set on a configuration.
     pub fn apply(&self, cfg: SimConfig) -> SimConfig {
-        match self {
-            MixImages::Programs(p) => cfg.with_programs(p.clone()),
-            MixImages::Workloads(w) => cfg.with_workloads(w.clone()),
-        }
-    }
-
-    /// Hardware contexts this mix occupies.
-    pub fn thread_count(&self) -> usize {
-        match self {
-            MixImages::Programs(p) => p.len(),
-            MixImages::Workloads(w) => w.len(),
-        }
+        cfg.with_workloads(match self {
+            MixImages::Programs(p) => p.iter().cloned().map(WorkloadSpec::Program).collect(),
+            MixImages::Workloads(w) => w.clone(),
+        })
     }
 }
 
@@ -824,8 +817,7 @@ mod tests {
         // Loader errors surface at resolve time, with the path named.
         assert!(resolve_mix("riscv:/no/such/file.elf", 42).is_err());
         let resolved = resolve_mix(&format!("riscv:{}+espresso", elf_path("loops")), 42).unwrap();
-        assert_eq!(resolved.thread_count(), 2);
-        assert!(matches!(resolved, MixImages::Workloads(_)));
+        assert!(matches!(resolved, MixImages::Workloads(w) if w.len() == 2));
     }
 
     #[test]

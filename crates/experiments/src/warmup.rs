@@ -58,7 +58,6 @@ use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, FetchPartition, SimConfig, SimReport, Simulator,
 };
-use smt_workload::Program;
 
 use crate::fault::{Degradation, DegradeReason};
 use crate::study::{resolve_mix, MixImages};
@@ -75,15 +74,6 @@ pub fn canonical_config_for(images: &MixImages, seed: u64, partition: FetchParti
         .with_fetch(fetch_policy_by_name("icount").expect("shipped policy"))
         .with_issue(issue_policy_by_name("oldest").expect("shipped policy"))
         .with_partition(partition)
-}
-
-/// [`canonical_config_for`] on a plain synthetic program list.
-pub fn canonical_config(
-    programs: Vec<Arc<Program>>,
-    seed: u64,
-    partition: FetchPartition,
-) -> SimConfig {
-    canonical_config_for(&MixImages::Programs(programs), seed, partition)
 }
 
 /// Simulates `warmup` cycles under the given configuration and serializes
@@ -437,26 +427,17 @@ pub fn run_checkpoint_verify(cfg: &CheckpointCliConfig) -> Result<String, String
 mod tests {
     use super::*;
 
-    fn programs() -> Vec<Arc<Program>> {
-        crate::study::mix_by_name("mixed4")
-            .unwrap()
-            .iter()
-            .enumerate()
-            .map(|(slot, b)| Arc::new(b.generate(42, slot as u32)))
-            .collect()
-    }
-
     fn images() -> MixImages {
-        MixImages::Programs(programs())
+        resolve_mix("mixed4", 42).expect("named mix")
     }
 
     #[test]
     fn fork_matches_straight_through_warmup() {
         let partition = FetchPartition::new(2, 8);
         let ckpt = compute_checkpoint(&images(), 42, partition, 300);
-        let cell_cfg = canonical_config(programs(), 42, partition);
+        let cell_cfg = canonical_config_for(&images(), 42, partition);
         let forked = fork_cell(cell_cfg, &ckpt, 400);
-        let straight = canonical_config(programs(), 42, partition)
+        let straight = canonical_config_for(&images(), 42, partition)
             .with_warmup(300)
             .build()
             .run(400);

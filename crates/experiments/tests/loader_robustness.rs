@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use smt_core::{SimConfig, Simulator};
+use smt_core::{SimConfig, Simulator, WorkloadSpec};
 use smt_experiments::journal::{journal_key, Journal};
-use smt_workload::{Benchmark, Program, RiscvImage, TraceImage, Xlen};
+use smt_workload::{Benchmark, RiscvImage, TraceImage, Xlen};
 
 /// A tiny valid RISC-V flat image (the store/load/branch loop the
 /// workspace's other tests use).
@@ -40,8 +40,8 @@ fn valid_trace_bytes() -> Vec<u8> {
 /// A two-thread machine whose checkpoint is tens of kilobytes, not the
 /// default 380 kB (the cache tag arrays dominate), over pre-generated
 /// programs, so the suite below can afford thousands of restores.
-fn small_machine(programs: &[Arc<Program>]) -> SimConfig {
-    let mut cfg = SimConfig::new().with_programs(programs.to_vec());
+fn small_machine(programs: &[WorkloadSpec]) -> SimConfig {
+    let mut cfg = SimConfig::new().with_workloads(programs.to_vec());
     for (level, kib) in [
         (&mut cfg.mem.icache, 4),
         (&mut cfg.mem.dcache, 4),
@@ -108,7 +108,8 @@ fn every_smt1_format_rejects_truncation_and_bit_flips() {
 
     // SMT1JRNL: a stored journal entry, mutated on disk, through
     // `Journal::load`.
-    let programs = [Benchmark::Espresso, Benchmark::Eqntott].map(|b| Arc::new(b.generate(11, 0)));
+    let programs = [Benchmark::Espresso, Benchmark::Eqntott]
+        .map(|b| WorkloadSpec::Program(Arc::new(b.generate(11, 0))));
     let mut sim = small_machine(&programs).build();
     let report = sim.run(300);
     let dir = std::env::temp_dir().join(format!("smt-exp-mutate-{}", std::process::id()));

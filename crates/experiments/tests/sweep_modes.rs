@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, Ablation, Ablations, FetchPartition, SimConfig,
-    SimReport,
+    SimReport, WorkloadSpec,
 };
 use smt_experiments::ablation::{
     run_ablation_study, AblationCell, AblationStudy, AblationStudyConfig, Window,
@@ -225,13 +225,16 @@ fn run_ablation(cfg: &AblationStudyConfig) -> Run {
 /// The matrix document from the pre-engine `run_cell` chain, cell by cell.
 fn reference_matrix() -> String {
     let cfg = tiny_matrix(&Knobs::default());
-    let programs = generate_programs(&cfg);
+    let programs: Vec<WorkloadSpec> = generate_programs(&cfg)
+        .into_iter()
+        .map(WorkloadSpec::Program)
+        .collect();
     let mut reports = Vec::new();
     for &partition in &cfg.partitions {
         for fetch in &cfg.fetch_policies {
             reports.push(
                 SimConfig::new()
-                    .with_programs(programs.clone())
+                    .with_workloads(programs.clone())
                     .with_seed(cfg.seed)
                     .with_fetch(fetch_policy_by_name(fetch).unwrap())
                     .with_issue(issue_policy_by_name(&cfg.issue_policy).unwrap())

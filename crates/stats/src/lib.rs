@@ -27,7 +27,6 @@ pub mod json;
 pub mod sched;
 
 use std::fmt;
-use std::fmt::Write as _;
 
 pub use counters::Counters;
 
@@ -102,44 +101,6 @@ impl TextTable {
         self.rows.push(cells);
         self
     }
-
-    /// Appends a row from string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut TextTable {
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as comma-separated values (header included).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        if !self.header.is_empty() {
-            let cells: Vec<String> = self.header.iter().map(|c| esc(c)).collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| esc(c)).collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        out
-    }
 }
 
 impl fmt::Display for TextTable {
@@ -213,18 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn text_table_alignment_and_csv() {
+    fn text_table_alignment() {
         let mut t = TextTable::new();
         t.header(vec!["metric".into(), "1".into(), "8".into()]);
-        t.row_strs(&["ipc", "2.10", "5.40"]);
-        t.row_strs(&["miss,rate", "2.5%", "14.1%"]);
+        t.row(vec!["ipc".into(), "2.10".into(), "5.40".into()]);
         let s = t.to_string();
         assert!(s.contains("metric"));
         assert!(s.contains("5.40"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("metric,1,8"));
-        assert!(csv.contains("\"miss,rate\""));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 }

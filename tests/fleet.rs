@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use smt::{FleetCell, SimConfig, SimFleet};
 use smt_core::FetchPartition;
-use smt_experiments::study::mix_by_name;
-use smt_experiments::warmup::{canonical_config, compute_checkpoint, fork_cell};
+use smt_experiments::study::{mix_by_name, MixImages};
+use smt_experiments::warmup::{canonical_config_for, compute_checkpoint, fork_cell};
 
 /// The golden matrix (kept in lockstep with `tests/golden.rs`).
 const MIXES: [&str; 3] = ["standard", "int8", "fp8"];
@@ -105,28 +105,29 @@ fn fleet_matches_sequential_runs_and_checked_in_goldens() {
 #[test]
 fn checkpoint_seeded_fleet_matches_sequential_forks() {
     let partition = FetchPartition::new(2, 8);
-    let programs = |mix: &str, seed: u64| -> Vec<Arc<smt_workload::Program>> {
-        mix_by_name(mix)
-            .expect("golden mixes are predefined")
-            .iter()
-            .enumerate()
-            .map(|(slot, b)| Arc::new(b.generate(seed, slot as u32)))
-            .collect()
+    let images = |mix: &str, seed: u64| {
+        MixImages::Programs(
+            mix_by_name(mix)
+                .expect("golden mixes are predefined")
+                .iter()
+                .enumerate()
+                .map(|(slot, b)| Arc::new(b.generate(seed, slot as u32)))
+                .collect(),
+        )
     };
 
     // One warm checkpoint per (mix, seed) key; both fetch policies fork it.
     let mut cells = Vec::new();
     for mix in MIXES {
         for seed in SEEDS {
-            let images = smt_experiments::study::MixImages::Programs(programs(mix, seed));
-            let ckpt = Arc::new(compute_checkpoint(&images, seed, partition, 400));
+            let ckpt = Arc::new(compute_checkpoint(&images(mix, seed), seed, partition, 400));
             for fetch in ["icount", "rr"] {
                 cells.push((mix, seed, fetch, ckpt.clone()));
             }
         }
     }
     let cfg = |mix: &str, seed: u64, fetch: &str| {
-        canonical_config(programs(mix, seed), seed, partition)
+        canonical_config_for(&images(mix, seed), seed, partition)
             .with_fetch(smt_core::fetch_policy_by_name(fetch).expect("shipped policy"))
     };
     let sequential: Vec<String> = cells

@@ -12,6 +12,8 @@ use smt::{
     Benchmark, FetchPartition, RiscvImage, RoundRobin, SimConfig, SimReport, TraceImage,
     WorkloadSpec,
 };
+use smt_experiments::study::resolve_mix;
+use smt_experiments::warmup::canonical_config_for;
 
 fn elf_path(stem: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -164,8 +166,8 @@ fn elf_threads_mix_with_synthetic_threads() {
 
 #[test]
 fn synthetic_only_configs_ignore_the_workloads_field() {
-    // An empty `workloads` list must leave the legacy paths bit-exact:
-    // same benchmarks + seed => same report as the with_benchmarks path.
+    // `with_benchmarks` is shorthand for a workloads list of benchmarks:
+    // same benchmarks + seed => same report.
     let a = json(
         &SimConfig::new()
             .with_benchmarks(vec![Benchmark::Espresso, Benchmark::Eqntott], 42)
@@ -198,13 +200,33 @@ fn image_trace_and_config_fingerprints_are_pinned() {
     assert_eq!(loops.fingerprint(), 0xfd61_c686_aeb5_0212);
     let trace = TraceImage::record(&loops, 256).expect("record trace");
     assert_eq!(trace.fingerprint(), 0xfda9_0ada_df28_4219);
+    let fingerprint = smt_core::checkpoint::config_fingerprint;
     let mix = SimConfig::new().with_workloads(vec![
-        WorkloadSpec::Elf(loops),
+        WorkloadSpec::Elf(loops.clone()),
         WorkloadSpec::Elf(elf("memsum")),
         WorkloadSpec::Elf(elf("gcd")),
     ]);
+    assert_eq!(fingerprint(&mix), 0x7620_5619_4930_6391);
+
+    // One pin per workload encoding: the untagged all-benchmark list (the
+    // default machine), the untagged all-program list (a named mix), and
+    // the kind-tagged encoding of a list that mixes backends.
+    assert_eq!(fingerprint(&SimConfig::new()), 0x8d53_7edc_4c01_0d80);
+    let canonical = |mix: &str| {
+        let images = resolve_mix(mix, 42).expect("mix resolves");
+        canonical_config_for(&images, 42, FetchPartition::new(2, 8))
+    };
+    assert_eq!(fingerprint(&canonical("mixed4")), 0x4fbe_0616_e788_9267);
+    let mixed = SimConfig::new().with_workloads(vec![
+        WorkloadSpec::Elf(loops),
+        WorkloadSpec::Program(Arc::new(Benchmark::Espresso.generate(42, 1))),
+        WorkloadSpec::Benchmark(Benchmark::Alvinn),
+    ]);
+    assert_eq!(fingerprint(&mixed), 0x40b2_3903_da26_4dde);
+    // A custom mix of benchmark names is an all-program list, so it takes
+    // the untagged encoding of a named mix.
     assert_eq!(
-        smt_core::checkpoint::config_fingerprint(&mix),
-        0x7620_5619_4930_6391
+        fingerprint(&canonical("espresso+alvinn")),
+        0x6b33_9bfa_64da_4ca8
     );
 }
