@@ -37,6 +37,8 @@
 #![warn(missing_docs)]
 
 use smt_isa::{Addr, Opcode, ThreadId};
+use smt_stats::binio::invalid;
+use smt_stats::persist;
 
 /// Configuration of the branch prediction hardware.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +170,7 @@ pub struct Btb {
     sets: usize,
     assoc: usize,
     thread_tagged: bool,
-    entries: Vec<BtbEntry>,
+    entries: Box<[BtbEntry]>,
 }
 
 impl Btb {
@@ -191,7 +193,7 @@ impl Btb {
             sets,
             assoc,
             thread_tagged,
-            entries: vec![BtbEntry::default(); entries],
+            entries: vec![BtbEntry::default(); entries].into(),
         }
     }
 
@@ -281,7 +283,7 @@ impl Btb {
 /// Pattern history table of 2-bit saturating counters.
 #[derive(Debug, Clone)]
 pub struct Pht {
-    counters: Vec<u8>,
+    counters: Box<[u8]>,
 }
 
 impl Pht {
@@ -296,7 +298,7 @@ impl Pht {
             "PHT entries must be a power of two"
         );
         Pht {
-            counters: vec![2; entries],
+            counters: vec![2; entries].into(),
         }
     }
 
@@ -335,7 +337,7 @@ impl Pht {
 /// hardware without checkpoint repair.
 #[derive(Debug, Clone)]
 pub struct Ras {
-    slots: Vec<Addr>,
+    slots: Box<[Addr]>,
     top: usize,
     depth: usize,
 }
@@ -345,7 +347,7 @@ impl Ras {
     pub fn new(capacity: usize) -> Ras {
         assert!(capacity > 0, "RAS capacity must be positive");
         Ras {
-            slots: vec![0; capacity],
+            slots: vec![0; capacity].into(),
             top: 0,
             depth: 0,
         }
@@ -382,8 +384,8 @@ pub struct BranchPredictor {
     cfg: PredictorConfig,
     btb: Btb,
     pht: Pht,
-    ras: Vec<Ras>,
-    history: Vec<u16>,
+    ras: Box<[Ras]>,
+    history: Box<[u16]>,
     history_mask: u16,
     stats: PredictorStats,
 }
@@ -403,7 +405,7 @@ impl BranchPredictor {
             btb,
             pht,
             ras,
-            history: vec![0; threads],
+            history: vec![0; threads].into(),
             history_mask,
             stats: PredictorStats::default(),
         }
@@ -571,126 +573,41 @@ impl BranchPredictor {
     pub fn history(&self, thread: ThreadId) -> u16 {
         self.history[thread.index()]
     }
+}
 
-    /// Serializes the predictor's complete deterministic state — BTB
-    /// entries, PHT counters, every RAS, per-thread global histories and
-    /// prediction statistics — through `w`, as the `smt-branch` section of
-    /// a simulator checkpoint. The configuration is not written; it is
-    /// covered by the checkpoint header's fingerprint and
-    /// [`restore_state`](BranchPredictor::restore_state) targets a
-    /// predictor freshly built from it.
-    pub fn save_state<W: std::io::Write>(&self, w: &mut BinWriter<W>) -> std::io::Result<()> {
-        w.len(self.btb.entries.len())?;
-        for e in &self.btb.entries {
-            w.bool(e.valid)?;
-            w.u64(e.tag)?;
-            w.u8(e.thread)?;
-            w.u64(e.target)?;
-            w.u8(e.lru)?;
-        }
-        w.len(self.pht.counters.len())?;
-        for &c in &self.pht.counters {
-            w.u8(c)?;
-        }
-        w.len(self.ras.len())?;
-        for ras in &self.ras {
-            w.len(ras.slots.len())?;
-            for &a in &ras.slots {
-                w.u64(a)?;
-            }
-            w.len(ras.top)?;
-            w.len(ras.depth)?;
-        }
-        w.len(self.history.len())?;
-        for &h in &self.history {
-            w.u16(h)?;
-        }
-        self.stats.write_bin(w)
-    }
+// The predictor's complete deterministic state, as the `smt-branch` section
+// of a simulator checkpoint: BTB entries, PHT counters, every RAS, the
+// per-thread global histories and the prediction statistics. The
+// configuration is covered by the checkpoint header's fingerprint, so
+// restore targets a predictor freshly built from it.
+persist! { BranchPredictor { btb, pht, ras, history, stats } skip { cfg, history_mask } }
+persist! { Btb { entries } skip { sets, assoc, thread_tagged } }
+persist! { BtbEntry { valid, tag, thread, target, lru } }
+persist! { Pht { counters } check Pht::validate }
+persist! { Ras { slots, top, depth } check Ras::validate }
 
-    /// Restores state written by
-    /// [`save_state`](BranchPredictor::save_state) into this predictor,
-    /// which must have been built from a configuration with identical
-    /// table geometry. Malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` errors, never
-    /// a panic; on error the predictor is left partially written and must
-    /// be discarded.
-    pub fn restore_state<R: std::io::Read>(&mut self, r: &mut BinReader<R>) -> std::io::Result<()> {
-        let n = r.len()?;
-        if n != self.btb.entries.len() {
-            return Err(binio::invalid(format!(
-                "BTB has {n} entries, configuration expects {}",
-                self.btb.entries.len()
-            )));
+impl Pht {
+    fn validate(&self) -> std::io::Result<()> {
+        match self.counters.iter().find(|&&c| c > 3) {
+            Some(c) => Err(invalid(format!("PHT counter value {c} out of 2-bit range"))),
+            None => Ok(()),
         }
-        for e in &mut self.btb.entries {
-            e.valid = r.bool()?;
-            e.tag = r.u64()?;
-            e.thread = r.u8()?;
-            e.target = r.u64()?;
-            e.lru = r.u8()?;
-        }
-        let n = r.len()?;
-        if n != self.pht.counters.len() {
-            return Err(binio::invalid(format!(
-                "PHT has {n} counters, configuration expects {}",
-                self.pht.counters.len()
-            )));
-        }
-        for c in &mut self.pht.counters {
-            *c = r.u8()?;
-            if *c > 3 {
-                return Err(binio::invalid(format!(
-                    "PHT counter value {c} out of 2-bit range"
-                )));
-            }
-        }
-        let n = r.len()?;
-        if n != self.ras.len() {
-            return Err(binio::invalid(format!(
-                "checkpoint has {n} return address stacks, configuration expects {}",
-                self.ras.len()
-            )));
-        }
-        for ras in &mut self.ras {
-            let slots = r.len()?;
-            if slots != ras.slots.len() {
-                return Err(binio::invalid(format!(
-                    "RAS has {slots} slots, configuration expects {}",
-                    ras.slots.len()
-                )));
-            }
-            for a in &mut ras.slots {
-                *a = r.u64()?;
-            }
-            ras.top = r.len()?;
-            ras.depth = r.len()?;
-            if ras.top >= ras.slots.len().max(1) || ras.depth > ras.slots.len() {
-                return Err(binio::invalid(format!(
-                    "RAS pointers (top {}, depth {}) out of range for {} slots",
-                    ras.top,
-                    ras.depth,
-                    ras.slots.len()
-                )));
-            }
-        }
-        let n = r.len()?;
-        if n != self.history.len() {
-            return Err(binio::invalid(format!(
-                "checkpoint has {n} history registers, configuration expects {}",
-                self.history.len()
-            )));
-        }
-        for h in &mut self.history {
-            *h = r.u16()?;
-        }
-        self.stats = PredictorStats::read_bin(r)?;
-        Ok(())
     }
 }
 
-use smt_stats::binio::{self, BinReader, BinWriter};
-use smt_stats::Counters;
+impl Ras {
+    fn validate(&self) -> std::io::Result<()> {
+        if self.top >= self.slots.len() || self.depth > self.slots.len() {
+            return Err(invalid(format!(
+                "RAS pointers (top {}, depth {}) out of range for {} slots",
+                self.top,
+                self.depth,
+                self.slots.len()
+            )));
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -24,9 +24,10 @@
 //! | 4     | format version (`u32`, currently [`FORMAT_VERSION`])       |
 //! | 8     | config fingerprint (`u64`, [`config_fingerprint`])         |
 //!
-//! **Per-crate sections**, in fixed order, each written by the owning
-//! crate's `save_state` hook so layout knowledge stays where the state
-//! lives:
+//! **Per-crate sections**, in fixed order. Each structure's bytes are its
+//! `smt_stats::persist!` field list, declared next to the structure in the
+//! owning crate, so layout knowledge stays where the state lives and one
+//! list drives both save and restore:
 //!
 //! 1. `smt-core` machine: cycle / measurement-window base / sequence
 //!    counter, the instruction slab (hot + cold records and the free

@@ -149,7 +149,7 @@ impl SimConfig {
             seed: 42,
             fetch: Box::new(ICount),
             issue: Box::new(OldestFirst),
-            partition: FetchPartition::new(2, 8),
+            partition: FetchPartition::default(),
             mem,
             predictor: PredictorConfig::default(),
             iq_entries: 32,

@@ -1,6 +1,8 @@
-//! Checkpoint save/restore for the whole machine: the `smt-core` sections
-//! of the format specified in [`crate::checkpoint`], plus the calls into
-//! each state-owning crate's `save_state`/`restore_state` hook.
+//! Checkpoint save/restore for the whole machine: the header of the
+//! format specified in [`crate::checkpoint`], then the machine's state as
+//! one [`Persist`] field list — the `smt-core` structures listed here and
+//! in [`super::slab`] and [`crate::regfile`], the memory hierarchy,
+//! predictor and instruction sources through their own crates' lists.
 //!
 //! Save serializes from a `&Simulator`; restore builds a **fresh**
 //! simulator from the configuration and only then overwrites its state,
@@ -9,19 +11,42 @@
 //! with the error. The checksum trailer is verified before the simulator
 //! is returned.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
-use smt_stats::binio::{invalid, BinReader, BinWriter};
-use smt_stats::Counters;
+use smt_stats::binio::{BinReader, BinWriter};
+use smt_stats::{persist, Persist};
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, FORMAT_VERSION, MAGIC};
 use crate::config::SimConfig;
 
-use super::slab::{GenRef, InstRef, InstSlab, PendingLoads};
-use super::{ExecEvent, PipelineStats, ReadyEntry, Simulator, EXEC_RING};
+use super::slab::opcode;
+use super::{ExecEvent, ReadyEntry, Simulator, Thread};
 
-use smt_isa::Opcode;
-use smt_mem::ReqId;
+// The machine's checkpoint payload, in section order (see the format spec
+// in `crate::checkpoint`): core machine state, per-thread state (each with
+// its instruction source), the memory hierarchy, the branch predictor.
+// Everything skipped is configuration, derived from it, or per-cycle
+// scratch; the provenance flag is deliberately never carried
+// (`mark_restored_from_checkpoint`).
+persist! {
+    Simulator {
+        cycle, stats_base_cycle, next_seq, insts, regs, ready_q, iq_len, exec_done, pending_loads,
+        stats, threads, mem, bp,
+    } skip {
+        cfg, frontend_limit, iq_limit, restored_from_checkpoint, fetch_rank_scratch,
+        fetch_view_scratch, fetch_key_scratch, issue_rank_scratch, issue_cand_scratch,
+        issue_key_scratch, loss_scratch, completion_scratch, woken_scratch, commit_scratch,
+        rename_loc,
+    } check Simulator::validate
+}
+persist! { ReadyEntry { seq, opt_until, iref, op via opcode, ti } }
+persist! { ExecEvent { seq, inst } }
+persist! {
+    Thread {
+        fetch_pc, stall_until, icache_req, in_flight, outstanding_misses, wrong_path, frontend,
+        unresolved_ctrl, rob, wp_salt, committed, committed_base, map, source,
+    } skip { id }
+}
 
 impl Simulator {
     /// Serializes the machine's complete deterministic state as a
@@ -30,83 +55,12 @@ impl Simulator {
     /// these bytes via [`restore_checkpoint`](Simulator::restore_checkpoint)
     /// is bit-equivalent to this one: running both produces byte-identical
     /// reports.
-    pub fn save_checkpoint<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
-        // The stream is coerced to `&mut dyn Write` up front so the
-        // object-safe `WorkloadSource::save_state` hook can write each
-        // thread's section through the same writer — one running checksum
-        // covers the whole stream, and the byte layout is unchanged.
+    pub fn save_checkpoint<W: Write>(&self, out: &mut W) -> io::Result<()> {
         let mut w = BinWriter::new(out as &mut dyn Write);
         w.bytes(&MAGIC)?;
         w.u32(FORMAT_VERSION)?;
         w.u64(config_fingerprint(&self.cfg))?;
-
-        // Section 1: core machine state.
-        w.u64(self.cycle)?;
-        w.u64(self.stats_base_cycle)?;
-        w.u64(self.next_seq)?;
-        self.insts.save_state(&mut w)?;
-        self.regs[0].save_state(&mut w)?;
-        self.regs[1].save_state(&mut w)?;
-        w.len(self.ready_q.len())?;
-        for e in &self.ready_q {
-            w.u64(e.seq)?;
-            w.u64(e.opt_until)?;
-            w.u32(e.iref.raw())?;
-            w.u8(e.op.code())?;
-            w.u8(e.ti)?;
-        }
-        w.len(self.iq_len[0])?;
-        w.len(self.iq_len[1])?;
-        for bucket in &self.exec_done {
-            w.len(bucket.len())?;
-            for ev in bucket {
-                w.u64(ev.seq)?;
-                w.u32(ev.inst.slot().raw())?;
-                w.u32(ev.inst.generation())?;
-            }
-        }
-        self.pending_loads.save_state(&mut w)?;
-        self.stats.write_bin(&mut w)?;
-
-        // Section 2: per-thread state (including each oracle).
-        w.len(self.threads.len())?;
-        for t in &self.threads {
-            w.u64(t.fetch_pc)?;
-            w.u64(t.stall_until)?;
-            match t.icache_req {
-                None => w.bool(false)?,
-                Some(req) => {
-                    w.bool(true)?;
-                    w.u64(req.0)?;
-                }
-            }
-            w.u32(t.in_flight)?;
-            w.u32(t.outstanding_misses)?;
-            w.bool(t.wrong_path)?;
-            w.len(t.frontend.len())?;
-            for &(iref, ready_at) in &t.frontend {
-                w.u32(iref.raw())?;
-                w.u64(ready_at)?;
-            }
-            w.len(t.unresolved_ctrl.len())?;
-            for &seq in &t.unresolved_ctrl {
-                w.u64(seq)?;
-            }
-            w.len(t.rob.len())?;
-            for iref in &t.rob {
-                w.u32(iref.raw())?;
-            }
-            w.u64(t.wp_salt)?;
-            w.u64(t.committed)?;
-            w.u64(t.committed_base)?;
-            t.map.save_state(&mut w)?;
-            t.source.save_state(&mut w)?;
-        }
-
-        // Sections 3 and 4: the memory hierarchy and branch predictor
-        // serialize themselves.
-        self.mem.save_state(&mut w)?;
-        self.bp.save_state(&mut w)?;
+        self.save(&mut w)?;
         w.finish()
     }
 
@@ -137,9 +91,6 @@ impl Simulator {
         cfg: SimConfig,
         input: &mut R,
     ) -> Result<Simulator, CheckpointError> {
-        // Mirrors the save side: the stream is read as `&mut dyn Read` so
-        // each thread's `WorkloadSource::restore_state` hook can consume
-        // its section through the shared reader/checksum.
         let mut r = BinReader::new(input as &mut dyn Read);
         let mut magic = [0u8; 8];
         r.bytes(&mut magic)?;
@@ -155,118 +106,38 @@ impl Simulator {
         if found != expected {
             return Err(CheckpointError::ConfigMismatch { expected, found });
         }
-
         let mut sim = cfg.build();
-
-        // Section 1: core machine state.
-        sim.cycle = r.u64()?;
-        sim.stats_base_cycle = r.u64()?;
-        sim.next_seq = r.u64()?;
-        sim.insts = InstSlab::restore_state(&mut r)?;
-        let slab_len = sim.insts.hot.len();
-        let read_iref = |r: &mut BinReader<&mut dyn Read>| -> std::io::Result<InstRef> {
-            let i = r.u32()?;
-            if (i as usize) < slab_len {
-                Ok(InstRef::from_raw(i))
-            } else {
-                Err(invalid(format!("instruction handle {i} outside the slab")))
-            }
-        };
-        let read_genref = |r: &mut BinReader<&mut dyn Read>| -> std::io::Result<GenRef> {
-            let slot = r.u32()?;
-            // NULL placeholders carry slot 0 even in an empty slab.
-            if slot as usize >= slab_len.max(1) {
-                return Err(invalid(format!("event handle {slot} outside the slab")));
-            }
-            let gen = r.u32()?;
-            Ok(GenRef::from_parts(InstRef::from_raw(slot), gen))
-        };
-        sim.regs[0].restore_state(&mut r, slab_len)?;
-        sim.regs[1].restore_state(&mut r, slab_len)?;
-        let n_ready = r.len()?;
-        sim.ready_q.clear();
-        for _ in 0..n_ready {
-            let seq = r.u64()?;
-            let opt_until = r.u64()?;
-            let iref = read_iref(&mut r)?;
-            let op_code = r.u8()?;
-            let op = Opcode::from_code(op_code)
-                .ok_or_else(|| invalid(format!("invalid opcode code {op_code}")))?;
-            let ti = r.u8()?;
-            sim.ready_q.push(ReadyEntry {
-                seq,
-                opt_until,
-                iref,
-                op,
-                ti,
-            });
-        }
-        sim.iq_len = [r.len()?, r.len()?];
-        for bucket in &mut sim.exec_done {
-            bucket.clear();
-        }
-        for b in 0..EXEC_RING {
-            let n = r.len()?;
-            for _ in 0..n {
-                let seq = r.u64()?;
-                let inst = read_genref(&mut r)?;
-                sim.exec_done[b].push(ExecEvent { seq, inst });
-            }
-        }
-        sim.pending_loads = PendingLoads::restore_state(&mut r, slab_len)?;
-        sim.stats = PipelineStats::read_bin(&mut r)?;
-
-        // Section 2: per-thread state.
-        let n_threads = r.len()?;
-        if n_threads != sim.threads.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "checkpoint has {n_threads} threads, configuration expects {}",
-                sim.threads.len()
-            )));
-        }
-        let phys = smt_isa::LOGICAL_REGS * sim.threads.len() + sim.cfg.extra_phys_regs;
-        for t in &mut sim.threads {
-            t.fetch_pc = r.u64()?;
-            t.stall_until = r.u64()?;
-            t.icache_req = if r.bool()? {
-                Some(ReqId(r.u64()?))
-            } else {
-                None
-            };
-            t.in_flight = r.u32()?;
-            t.outstanding_misses = r.u32()?;
-            t.wrong_path = r.bool()?;
-            let n = r.len()?;
-            t.frontend.clear();
-            for _ in 0..n {
-                let iref = read_iref(&mut r)?;
-                let ready_at = r.u64()?;
-                t.frontend.push_back((iref, ready_at));
-            }
-            let n = r.len()?;
-            t.unresolved_ctrl.clear();
-            for _ in 0..n {
-                t.unresolved_ctrl.push(r.u64()?);
-            }
-            let n = r.len()?;
-            t.rob.clear();
-            for _ in 0..n {
-                t.rob.push_back(read_iref(&mut r)?);
-            }
-            t.wp_salt = r.u64()?;
-            t.committed = r.u64()?;
-            t.committed_base = r.u64()?;
-            t.map.restore_state(&mut r, [phys, phys])?;
-            t.source.restore_state(&mut r)?;
-        }
-
-        // Sections 3 and 4.
-        sim.mem.restore_state(&mut r)?;
-        sim.bp.restore_state(&mut r)?;
-
+        sim.restore(&mut r)?;
         // Only now is the stream known to be intact end to end.
         r.finish()?;
         Ok(sim)
+    }
+
+    /// Rejects restored handles that name no slab slot and rename maps that
+    /// name no register: the cross-structure facts no one field list sees.
+    fn validate(&self) -> io::Result<()> {
+        let slab = &self.insts;
+        for file in &self.regs {
+            file.waiters().try_for_each(|c| slab.check_ref(c.slot()))?;
+        }
+        self.ready_q
+            .iter()
+            .try_for_each(|e| slab.check_ref(e.iref))?;
+        self.exec_done
+            .iter()
+            .flatten()
+            .try_for_each(|e| slab.check_ref(e.inst.slot()))?;
+        self.pending_loads
+            .loads()
+            .try_for_each(|l| slab.check_ref(l.slot()))?;
+        for t in self.threads.iter() {
+            t.frontend
+                .iter()
+                .try_for_each(|&(i, _)| slab.check_ref(i))?;
+            t.rob.iter().try_for_each(|&i| slab.check_ref(i))?;
+            t.map.validate(&self.regs)?;
+        }
+        Ok(())
     }
 
     /// Forks a measurement cell off a warmed checkpoint — the one place the

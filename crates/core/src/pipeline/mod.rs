@@ -100,7 +100,7 @@ use slab::{GenRef, InstRef, InstSlab, PendingLoads, PREG_NONE};
 /// and the load-speculation window bound — so building issue candidates
 /// touches neither the slab nor the register scoreboard; the slab is
 /// consulted only for instructions that actually win a functional unit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ReadyEntry {
     /// Global age (the issue policies' `age` field).
     seq: u64,
@@ -124,7 +124,7 @@ struct ReadyEntry {
 /// miss-completed) instruction, parked in its due cycle's calendar bucket.
 /// `seq` orders the bucket (global age order) and the tagged ref fails its
 /// slab lookup if the instruction was squashed after scheduling.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ExecEvent {
     seq: u64,
     inst: GenRef,
@@ -208,7 +208,7 @@ struct Thread {
     committed_base: u64,
     map: RenameMap,
     /// The thread's instruction source: correct-path stream, wrong-path
-    /// synthesis and checkpoint hooks, behind the pluggable
+    /// synthesis and checkpoint codec, behind the pluggable
     /// [`WorkloadSource`] trait (synthetic oracle, RISC-V execution or
     /// trace replay — fetch never names a concrete backend).
     source: Box<dyn WorkloadSource>,
@@ -263,7 +263,7 @@ pub struct Simulator {
     /// `reset_stats`; 0 if statistics were never reset).
     stats_base_cycle: u64,
     next_seq: u64,
-    threads: Vec<Thread>,
+    threads: Box<[Thread]>,
     /// Every in-flight instruction, across all threads (see [`slab`]).
     insts: InstSlab,
     regs: [PhysRegFile; 2],
@@ -284,7 +284,7 @@ pub struct Simulator {
     /// completion), so push and drain are O(1) with no heap discipline.
     /// Events for squashed instructions go stale and are skipped when
     /// their bucket drains (the slot generation moved on).
-    exec_done: Vec<Vec<ExecEvent>>,
+    exec_done: [Vec<ExecEvent>; EXEC_RING],
     mem: MemoryHierarchy,
     bp: BranchPredictor,
     /// Outstanding D-miss loads, keyed by request id (see
@@ -449,7 +449,7 @@ impl Simulator {
         } else {
             (cfg.frontend_depth, cfg.iq_entries)
         };
-        let thread_state: Vec<Thread> = sources
+        let thread_state: Box<[Thread]> = sources
             .into_iter()
             .enumerate()
             .map(|(i, source)| Thread {
@@ -494,7 +494,7 @@ impl Simulator {
             regs,
             ready_q: Vec::with_capacity(256),
             iq_len: [0, 0],
-            exec_done: (0..EXEC_RING).map(|_| Vec::with_capacity(128)).collect(),
+            exec_done: std::array::from_fn(|_| Vec::with_capacity(128)),
             mem,
             bp,
             pending_loads: PendingLoads::with_capacity(256),

@@ -35,16 +35,19 @@
 //! miss completion resolves with one masked array index and one compare
 //! instead of a hash probe.
 
+use std::io::{self, Read, Write};
+
 use smt_branch::Prediction;
 use smt_isa::{Addr, Opcode, Outcome, Reg, RegClass};
 use smt_mem::ReqId;
 use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::{persist, Persist};
 
 const COLD_PRED_TAKEN: u8 = 1 << 0;
 const COLD_OUTCOME_TAKEN: u8 = 1 << 1;
 
 /// A 4-byte handle to one slab slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct InstRef(u32);
 
 impl InstRef {
@@ -53,26 +56,13 @@ impl InstRef {
     pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw slot index (checkpoint serialization).
-    #[inline]
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Reassembles a handle from a serialized slot index (checkpoint
-    /// restore; the caller validates the index against the slab).
-    #[inline]
-    pub(crate) fn from_raw(i: u32) -> InstRef {
-        InstRef(i)
-    }
 }
 
 /// An authenticated handle: the slot plus the generation observed when the
 /// artifact was created. Stale artifacts (their instruction squashed, the
 /// slot possibly reused) fail [`InstSlab::live`] and are dropped, exactly
 /// as stale sequence numbers failed `Thread::locate` before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct GenRef {
     iref: InstRef,
     gen: u32,
@@ -98,22 +88,10 @@ impl GenRef {
         }
     }
 
-    /// The slot handle (checkpoint serialization).
+    /// The slot handle (checkpoint restore validation).
     #[inline]
     pub(crate) fn slot(self) -> InstRef {
         self.iref
-    }
-
-    /// The observed generation (checkpoint serialization).
-    #[inline]
-    pub(crate) fn generation(self) -> u32 {
-        self.gen
-    }
-
-    /// Reassembles a handle from its serialized parts (checkpoint restore).
-    #[inline]
-    pub(crate) fn from_parts(iref: InstRef, gen: u32) -> GenRef {
-        GenRef { iref, gen }
     }
 }
 
@@ -190,7 +168,7 @@ const FLAG_MISPREDICT: u8 = 0b0001_0000;
 /// in 48 bytes (including the slot's generation, so artifact
 /// authentication and the subsequent field reads share one cache line).
 /// Cold payload lives in the parallel [`ColdInst`] array.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct HotInst {
     /// The slot's generation, owned by the slab (callers never write it):
     /// bumped on free so outstanding [`GenRef`]s go stale.
@@ -260,6 +238,18 @@ impl HotInst {
             | if wrong_path { FLAG_WRONG_PATH } else { 0 }
             | if mispredict { FLAG_MISPREDICT } else { 0 }
     }
+
+    fn validate(&self) -> io::Result<()> {
+        let flags = self.flags;
+        if flags & STATE_MASK > InstState::Done as u8
+            || flags & !(STATE_MASK | FLAG_WRONG_PATH | FLAG_MISPREDICT) != 0
+        {
+            return Err(invalid(format!(
+                "invalid instruction flag byte {flags:#04x}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// The cold record: the branch-resolution payload, packed to 24 bytes and
@@ -305,6 +295,16 @@ impl ColdInst {
     #[inline]
     pub(crate) fn outcome_taken(&self) -> bool {
         self.cflags & COLD_OUTCOME_TAKEN != 0
+    }
+
+    fn validate(&self) -> io::Result<()> {
+        if self.cflags & !(COLD_PRED_TAKEN | COLD_OUTCOME_TAKEN) != 0 {
+            return Err(invalid(format!(
+                "invalid cold flag byte {:#04x}",
+                self.cflags
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -466,128 +466,79 @@ impl InstSlab {
         (self.hot[t.iref.index()].gen == t.gen).then_some(t.iref)
     }
 
-    /// Serializes every slot (hot and cold records, field by field) and the
-    /// free list through `w` (checkpoint save).
-    pub(crate) fn save_state<W: std::io::Write>(
-        &self,
-        w: &mut BinWriter<W>,
-    ) -> std::io::Result<()> {
-        w.len(self.hot.len())?;
-        for h in &self.hot {
-            w.u32(h.gen)?;
-            w.u64(h.seq)?;
-            w.u64(h.when)?;
-            w.u64(h.mem_addr)?;
-            w.u16(h.dest_phys)?;
-            w.u16(h.prev_phys)?;
-            w.u16(h.srcs_phys[0])?;
-            w.u16(h.srcs_phys[1])?;
-            w.u8(h.flags)?;
-            w.u8(h.op.code())?;
-            w.u8(h.ti)?;
-            w.u8(h.pending_srcs)?;
-            w.u8(h.dest_log)?;
-            w.u8(h.srcs_log[0])?;
-            w.u8(h.srcs_log[1])?;
+    /// Rejects a restored handle that names no slot.
+    pub(crate) fn check_ref(&self, r: InstRef) -> io::Result<()> {
+        if r.index() < self.hot.len() {
+            Ok(())
+        } else {
+            Err(invalid(format!(
+                "instruction handle {} outside the slab",
+                r.0
+            )))
         }
-        for c in &self.cold {
-            w.u64(c.pc)?;
-            w.u64(c.next_pc)?;
-            w.u32(c.pht_index)?;
-            w.u16(c.history_before)?;
-            w.u8(c.cflags)?;
-        }
-        w.len(self.free.len())?;
+    }
+
+    /// Rejects a restored free list that names a slot outside the slab, or
+    /// one slot twice.
+    fn validate(&self) -> io::Result<()> {
+        let mut seen = vec![false; self.hot.len()];
         for &i in &self.free {
-            w.u32(i)?;
+            let idx = i as usize;
+            if idx >= seen.len() || std::mem::replace(&mut seen[idx], true) {
+                return Err(invalid(format!("invalid free-list slot {i}")));
+            }
         }
         Ok(())
     }
+}
 
-    /// Rebuilds a slab from its serialized form (checkpoint restore).
-    /// Every slot index, opcode, flag byte and free-list entry is
-    /// validated; malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] errors, never a panic.
-    pub(crate) fn restore_state<R: std::io::Read>(
-        r: &mut BinReader<R>,
-    ) -> std::io::Result<InstSlab> {
-        let n = r.len()?;
-        // `n` is untrusted until `n` records have actually been read: a
-        // bit flip in it must end in EOF or a checksum error, not in a
-        // 100 GB allocation. The cap is far above any real slab.
-        let mut slab = InstSlab::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let gen = r.u32()?;
-            let seq = r.u64()?;
-            let when = r.u64()?;
-            let mem_addr = r.u64()?;
-            let dest_phys = r.u16()?;
-            let prev_phys = r.u16()?;
-            let srcs_phys = [r.u16()?, r.u16()?];
-            let flags = r.u8()?;
-            if flags & STATE_MASK > InstState::Done as u8
-                || flags & !(STATE_MASK | FLAG_WRONG_PATH | FLAG_MISPREDICT) != 0
-            {
-                return Err(invalid(format!(
-                    "invalid instruction flag byte {flags:#04x}"
-                )));
-            }
-            let op_code = r.u8()?;
-            let op = Opcode::from_code(op_code)
-                .ok_or_else(|| invalid(format!("invalid opcode code {op_code}")))?;
-            let ti = r.u8()?;
-            let pending_srcs = r.u8()?;
-            let dest_log = r.u8()?;
-            let srcs_log = [r.u8()?, r.u8()?];
-            slab.hot.push(HotInst {
-                gen,
-                seq,
-                when,
-                mem_addr,
-                dest_phys,
-                prev_phys,
-                srcs_phys,
-                flags,
-                op,
-                ti,
-                pending_srcs,
-                dest_log,
-                srcs_log,
-            });
-        }
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let next_pc = r.u64()?;
-            let pht_index = r.u32()?;
-            let history_before = r.u16()?;
-            let cflags = r.u8()?;
-            if cflags & !(COLD_PRED_TAKEN | COLD_OUTCOME_TAKEN) != 0 {
-                return Err(invalid(format!("invalid cold flag byte {cflags:#04x}")));
-            }
-            slab.cold.push(ColdInst {
-                pc,
-                next_pc,
-                pht_index,
-                history_before,
-                cflags,
-            });
-        }
-        let n_free = r.len()?;
-        if n_free > n {
-            return Err(invalid(format!(
-                "free list has {n_free} entries for a {n}-slot slab"
-            )));
-        }
-        let mut seen = vec![false; n];
-        for _ in 0..n_free {
-            let i = r.u32()?;
-            let idx = i as usize;
-            if idx >= n || std::mem::replace(&mut seen[idx], true) {
-                return Err(invalid(format!("invalid free-list slot {i}")));
-            }
-            slab.free.push(i);
-        }
-        Ok(slab)
+/// The slab's checkpoint section: every slot's hot record, every slot's
+/// cold record, then the free list. The cold array parallels the hot one,
+/// so it carries no length of its own — the one layout a field list cannot
+/// say.
+impl Persist for InstSlab {
+    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
+        self.hot.save(w)?;
+        ColdInst::save_slice(&self.cold, w)?;
+        self.free.save(w)
+    }
+
+    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
+        self.hot.restore(r)?;
+        self.cold.clear();
+        self.cold.resize(self.hot.len(), ColdInst::default());
+        ColdInst::restore_slice(&mut self.cold, r)?;
+        self.free.restore(r)?;
+        self.validate()
+    }
+}
+
+persist! { InstRef { 0 } }
+persist! { GenRef { iref, gen } }
+persist! {
+    HotInst {
+        gen, seq, when, mem_addr, dest_phys, prev_phys, srcs_phys, flags, op via opcode, ti,
+        pending_srcs, dest_log, srcs_log,
+    } check HotInst::validate
+}
+persist! { ColdInst { pc, next_pc, pht_index, history_before, cflags } check ColdInst::validate }
+
+/// [`Opcode`]'s checkpoint codec: its [`Opcode::code`] byte.
+pub(crate) mod opcode {
+    use std::io::{self, Read, Write};
+
+    use smt_isa::Opcode;
+    use smt_stats::binio::{invalid, BinReader, BinWriter};
+
+    pub(crate) fn save(op: &Opcode, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
+        w.u8(op.code())
+    }
+
+    pub(crate) fn restore(op: &mut Opcode, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
+        let code = r.u8()?;
+        *op = Opcode::from_code(code)
+            .ok_or_else(|| invalid(format!("invalid opcode code {code}")))?;
+        Ok(())
     }
 }
 
@@ -668,63 +619,9 @@ impl PendingLoads {
         Some(slot.load)
     }
 
-    /// Serializes the table capacity and the live entries in slot order
-    /// (checkpoint save). Slot order is deterministic for a given logical
-    /// content and capacity, so identical state produces identical bytes.
-    pub(crate) fn save_state<W: std::io::Write>(
-        &self,
-        w: &mut BinWriter<W>,
-    ) -> std::io::Result<()> {
-        w.len(self.slots.len())?;
-        w.len(self.len)?;
-        for s in &self.slots {
-            if s.req != EMPTY {
-                w.u64(s.req)?;
-                w.u32(s.load.slot().raw())?;
-                w.u32(s.load.generation())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a table from its serialized form (checkpoint restore),
-    /// re-inserting each live entry into a table of the saved capacity so
-    /// the slot layout — and thus any subsequent checkpoint — reproduces
-    /// exactly. `slab_len` bounds the load handles.
-    pub(crate) fn restore_state<R: std::io::Read>(
-        r: &mut BinReader<R>,
-        slab_len: usize,
-    ) -> std::io::Result<PendingLoads> {
-        let cap = r.len()?;
-        if !cap.is_power_of_two() || cap > 1 << 24 {
-            return Err(invalid(format!(
-                "invalid pending-load table capacity {cap}"
-            )));
-        }
-        let n = r.len()?;
-        if n > cap {
-            return Err(invalid(format!(
-                "{n} pending loads exceed table capacity {cap}"
-            )));
-        }
-        let mut table = PendingLoads::with_capacity(cap);
-        for _ in 0..n {
-            let req = r.u64()?;
-            if req == EMPTY {
-                return Err(invalid(
-                    "pending-load request id collides with the empty sentinel",
-                ));
-            }
-            let slot = r.u32()?;
-            if slot as usize >= slab_len {
-                return Err(invalid(format!(
-                    "pending-load slot {slot} outside the slab"
-                )));
-            }
-            let gen = r.u32()?;
-            table.insert(ReqId(req), GenRef::from_parts(InstRef::from_raw(slot), gen));
-        }
-        Ok(table)
+    /// Every outstanding load.
+    pub(crate) fn loads(&self) -> impl Iterator<Item = GenRef> + '_ {
+        self.slots.iter().filter(|s| s.req != EMPTY).map(|s| s.load)
     }
 
     /// Doubles the table and re-places the live entries (their home slot
@@ -751,6 +648,50 @@ impl PendingLoads {
                 self.slots[idx] = s;
             }
         }
+    }
+}
+
+/// The table's checkpoint section: its capacity, then the live entries in
+/// slot order. Slot order is deterministic for a given logical content and
+/// capacity, so identical state produces identical bytes; restore
+/// re-inserts each entry into a table of the saved capacity, so the slot
+/// layout — and thus any later checkpoint — reproduces exactly.
+impl Persist for PendingLoads {
+    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
+        w.len(self.slots.len())?;
+        w.len(self.len)?;
+        for s in self.slots.iter().filter(|s| s.req != EMPTY) {
+            (s.req, s.load).save(w)?;
+        }
+        Ok(())
+    }
+
+    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
+        let cap = r.len()?;
+        if !cap.is_power_of_two() || cap > 1 << 24 {
+            return Err(invalid(format!(
+                "invalid pending-load table capacity {cap}"
+            )));
+        }
+        let n = r.len()?;
+        if n > cap {
+            return Err(invalid(format!(
+                "{n} pending loads exceed table capacity {cap}"
+            )));
+        }
+        *self = PendingLoads::with_capacity(cap);
+        for _ in 0..n {
+            let (req, load) = <(u64, GenRef)>::decode(r)?;
+            // `insert` assumes unique ids: a repeated one would double the
+            // table forever.
+            if req == EMPTY || self.slots[(req & self.mask) as usize].req == req {
+                return Err(invalid(format!(
+                    "empty-sentinel or repeated pending-load request id {req:#x}"
+                )));
+            }
+            self.insert(ReqId(req), load);
+        }
+        Ok(())
     }
 }
 

@@ -26,6 +26,15 @@ pub struct FetchPartition {
     pub insts_per_thread: u8,
 }
 
+/// The paper's headline partition, `2.8` ([`SimConfig::new`]'s).
+///
+/// [`SimConfig::new`]: crate::SimConfig::new
+impl Default for FetchPartition {
+    fn default() -> FetchPartition {
+        FetchPartition::new(2, 8)
+    }
+}
+
 impl FetchPartition {
     /// Total fetch bandwidth of the machine, in instructions per cycle.
     pub const TOTAL_WIDTH: u32 = 8;

@@ -14,7 +14,8 @@
 //! polling anywhere.
 
 use smt_isa::{Reg, RegClass, LOGICAL_REGS};
-use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::binio::invalid;
+use smt_stats::persist;
 
 /// A dispatched instruction waiting on a register: an 8-byte
 /// generation-authenticated slab handle
@@ -54,7 +55,7 @@ struct RegState {
 #[derive(Debug, Clone)]
 pub(crate) struct PhysRegFile {
     free: Vec<u16>,
-    state: Vec<RegState>,
+    state: Box<[RegState]>,
     /// Overflow consumers as `(register, consumer)` pairs in registration
     /// order. Kept tiny (usually empty): scanned only when a register's
     /// `waiting` exceeds its inline capacity.
@@ -79,7 +80,8 @@ impl PhysRegFile {
                     by_load: false,
                 };
                 total
-            ],
+            ]
+            .into(),
             spill: Vec::new(),
         }
     }
@@ -221,105 +223,47 @@ impl PhysRegFile {
         }
     }
 
-    /// Serializes the free list, every register record (including its
-    /// inline wakeup list) and the spill list through `w` (checkpoint
-    /// save).
-    pub(crate) fn save_state<W: std::io::Write>(
-        &self,
-        w: &mut BinWriter<W>,
-    ) -> std::io::Result<()> {
-        w.len(self.free.len())?;
-        for &p in &self.free {
-            w.u16(p)?;
-        }
-        w.len(self.state.len())?;
-        for s in &self.state {
-            w.u64(s.ready_at)?;
-            for c in &s.inline {
-                w.u32(c.slot().raw())?;
-                w.u32(c.generation())?;
-            }
-            w.u16(s.waiting)?;
-            w.bool(s.ready)?;
-            w.bool(s.by_load)?;
-        }
-        w.len(self.spill.len())?;
-        for &(p, c) in &self.spill {
-            w.u16(p)?;
-            w.u32(c.slot().raw())?;
-            w.u32(c.generation())?;
-        }
-        Ok(())
+    /// Number of physical registers in this file.
+    pub(crate) fn size(&self) -> usize {
+        self.state.len()
     }
 
-    /// Restores state written by [`save_state`](PhysRegFile::save_state)
-    /// into this file, which must have been built with the same register
-    /// count. Malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] errors, never a panic.
-    pub(crate) fn restore_state<R: std::io::Read>(
-        &mut self,
-        r: &mut BinReader<R>,
-        slab_len: usize,
-    ) -> std::io::Result<()> {
-        let read_consumer = |r: &mut BinReader<R>| -> std::io::Result<Consumer> {
-            let slot = r.u32()?;
-            // NULL placeholders (unused inline slots) carry slot 0, so only
-            // reject slots beyond the slab when a slab exists.
-            if slot as usize >= slab_len.max(1) {
-                return Err(invalid(format!("consumer slot {slot} outside the slab")));
-            }
-            let gen = r.u32()?;
-            Ok(Consumer::from_parts(
-                crate::pipeline::slab::InstRef::from_raw(slot),
-                gen,
-            ))
-        };
-        let n_free = r.len()?;
-        if n_free > self.state.len() {
-            return Err(invalid(format!(
-                "free list has {n_free} registers for a {}-register file",
-                self.state.len()
-            )));
-        }
-        self.free.clear();
+    /// Every consumer on a wakeup list: the live inline waiters, then the
+    /// spilled ones. Inline slots past `waiting` are placeholders.
+    pub(crate) fn waiters(&self) -> impl Iterator<Item = Consumer> + '_ {
+        let inline = self
+            .state
+            .iter()
+            .flat_map(|s| &s.inline[..usize::from(s.waiting).min(INLINE_WAITERS)]);
+        inline.copied().chain(self.spill.iter().map(|&(_, c)| c))
+    }
+
+    /// Rejects a restored free or spill list that names a register outside
+    /// the file, or a free list that names one twice.
+    fn validate(&self) -> std::io::Result<()> {
         let mut seen = vec![false; self.state.len()];
-        for _ in 0..n_free {
-            let p = r.u16()?;
+        for &p in &self.free {
             let idx = usize::from(p);
-            if idx >= self.state.len() || std::mem::replace(&mut seen[idx], true) {
+            if idx >= seen.len() || std::mem::replace(&mut seen[idx], true) {
                 return Err(invalid(format!("invalid free-list register {p}")));
             }
-            self.free.push(p);
         }
-        let n = r.len()?;
-        if n != self.state.len() {
-            return Err(invalid(format!(
-                "checkpoint has {n} register records, configuration expects {}",
-                self.state.len()
-            )));
+        match self
+            .spill
+            .iter()
+            .find(|&&(p, _)| usize::from(p) >= seen.len())
+        {
+            Some((p, _)) => Err(invalid(format!("spilled waiter names register {p}"))),
+            None => Ok(()),
         }
-        for s in &mut self.state {
-            s.ready_at = r.u64()?;
-            for c in &mut s.inline {
-                *c = read_consumer(r)?;
-            }
-            s.waiting = r.u16()?;
-            s.ready = r.bool()?;
-            s.by_load = r.bool()?;
-        }
-        let n_spill = r.len()?;
-        self.spill.clear();
-        for _ in 0..n_spill {
-            let p = r.u16()?;
-            if usize::from(p) >= self.state.len() {
-                return Err(invalid(format!("spilled waiter names register {p}")));
-            }
-            let c = read_consumer(r)?;
-            self.spill.push((p, c));
-        }
-        Ok(())
     }
 }
+
+// Checkpoint sections: the free list, every register record (including its
+// inline wakeup list) and the spill list; then each thread's rename map.
+persist! { PhysRegFile { free, state, spill } check PhysRegFile::validate }
+persist! { RegState { ready_at, inline, waiting, ready, by_load } }
+persist! { RenameMap { map } }
 
 /// One thread's rename maps, one per register class.
 #[derive(Debug, Clone)]
@@ -359,36 +303,15 @@ impl RenameMap {
         std::mem::replace(&mut self.map[r.class().index()][r.index()], p)
     }
 
-    /// Serializes both classes' maps through `w` (checkpoint save).
-    pub(crate) fn save_state<W: std::io::Write>(
-        &self,
-        w: &mut BinWriter<W>,
-    ) -> std::io::Result<()> {
-        for class in &self.map {
-            for &p in class {
-                w.u16(p)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores a serialized map ([`save_state`](RenameMap::save_state)),
-    /// validating every mapping against the per-class register counts in
-    /// `file_sizes`.
-    pub(crate) fn restore_state<R: std::io::Read>(
-        &mut self,
-        r: &mut BinReader<R>,
-        file_sizes: [usize; 2],
-    ) -> std::io::Result<()> {
-        for (class, &size) in self.map.iter_mut().zip(&file_sizes) {
-            for slot in class.iter_mut() {
-                let p = r.u16()?;
-                if usize::from(p) >= size {
-                    return Err(invalid(format!(
-                        "rename map names physical register {p} of a {size}-register file"
-                    )));
-                }
-                *slot = p;
+    /// Rejects a restored map that names a register outside its class's
+    /// file.
+    pub(crate) fn validate(&self, files: &[PhysRegFile; 2]) -> std::io::Result<()> {
+        for (class, file) in self.map.iter().zip(files) {
+            if let Some(p) = class.iter().find(|&&p| usize::from(p) >= file.size()) {
+                return Err(invalid(format!(
+                    "rename map names physical register {p} of a {}-register file",
+                    file.size()
+                )));
             }
         }
         Ok(())

@@ -13,12 +13,12 @@ use smt_branch::PredictorStats;
 use smt_mem::MemStats;
 use smt_stats::binio::{invalid, BinReader, BinWriter};
 use smt_stats::json::Json;
-use smt_stats::{counters, Counters, Ratio, TextTable};
+use smt_stats::{counters, persist, Counters, Persist, Ratio, TextTable};
 
 use crate::policy::FetchPartition;
 
 /// Results for one hardware context.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThreadReport {
     /// Context index.
     pub thread: usize,
@@ -80,7 +80,7 @@ counters! {
 }
 
 /// Complete results of one simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Cycles in the measurement window (excludes any warmup).
     pub cycles: u64,
@@ -123,6 +123,26 @@ pub struct SimReport {
     pub squashed_insts: u64,
     /// Memory system statistics.
     pub mem: MemStats,
+}
+
+// The lossless binary form ([`SimReport::write_bin`]), in stream order.
+persist! {
+    SimReport {
+        cycles, warmup_cycles, restored_from_checkpoint, fetch_policy, issue_policy, ablations,
+        partition, threads, fetch, issue, cond_prediction, pred, squashes, squashed_insts, mem,
+    }
+}
+persist! { ThreadReport { thread, benchmark, committed, ipc } }
+persist! { FetchPartition { threads_per_cycle, insts_per_thread } check valid_partition }
+
+fn valid_partition(p: &FetchPartition) -> io::Result<()> {
+    if p.threads_per_cycle == 0 || p.insts_per_thread == 0 {
+        return Err(invalid(format!(
+            "invalid fetch partition {}.{}",
+            p.threads_per_cycle, p.insts_per_thread
+        )));
+    }
+    Ok(())
 }
 
 impl SimReport {
@@ -362,97 +382,20 @@ impl SimReport {
     /// [`BinWriter::finish`] after, so the checksum covers header and
     /// report together.
     pub fn write_bin<W: Write>(&self, w: &mut BinWriter<W>) -> io::Result<()> {
-        w.u64(self.cycles)?;
-        w.u64(self.warmup_cycles)?;
-        w.bool(self.restored_from_checkpoint)?;
-        w.str(&self.fetch_policy)?;
-        w.str(&self.issue_policy)?;
-        w.len(self.ablations.len())?;
-        for a in &self.ablations {
-            w.str(a)?;
-        }
-        w.u8(self.partition.threads_per_cycle)?;
-        w.u8(self.partition.insts_per_thread)?;
-        w.len(self.threads.len())?;
-        for t in &self.threads {
-            w.u64(t.thread as u64)?;
-            w.str(&t.benchmark)?;
-            w.u64(t.committed)?;
-            w.u64(t.ipc.to_bits())?;
-        }
-        self.fetch.write_bin(w)?;
-        self.issue.write_bin(w)?;
-        self.cond_prediction.write_bin(w)?;
-        self.pred.write_bin(w)?;
-        w.u64(self.squashes)?;
-        w.u64(self.squashed_insts)?;
-        self.mem.write_bin(w)
+        w.erased(|w| self.save(w))
     }
 
     /// Reads a report written by [`write_bin`](SimReport::write_bin).
     ///
-    /// The stream is untrusted: lengths are capped, strings must be
-    /// UTF-8, and the partition components must be non-zero, so corrupt
-    /// or truncated input surfaces as a typed [`io::Error`]
-    /// ([`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`])
-    /// rather than a panic or an absurd allocation. The caller verifies
-    /// the checksum via [`BinReader::finish`] after reading its framing.
+    /// The stream is untrusted: strings are capped and must be UTF-8,
+    /// lists are read element by element, and the partition components
+    /// must be non-zero, so corrupt or truncated input surfaces as a typed
+    /// [`io::Error`] ([`io::ErrorKind::InvalidData`] /
+    /// [`io::ErrorKind::UnexpectedEof`]) rather than a panic or an absurd
+    /// allocation. The caller verifies the checksum via
+    /// [`BinReader::finish`] after reading its framing.
     pub fn read_bin<R: Read>(r: &mut BinReader<R>) -> io::Result<SimReport> {
-        let cycles = r.u64()?;
-        let warmup_cycles = r.u64()?;
-        let restored_from_checkpoint = r.bool()?;
-        let fetch_policy = r.string(MAX_BIN_STR, "fetch policy")?;
-        let issue_policy = r.string(MAX_BIN_STR, "issue policy")?;
-        let n_ablations = r.len()?;
-        if n_ablations > 64 {
-            return Err(invalid(format!("{n_ablations} ablations exceeds cap")));
-        }
-        let mut ablations = Vec::with_capacity(n_ablations);
-        for _ in 0..n_ablations {
-            ablations.push(r.string(MAX_BIN_STR, "ablation name")?);
-        }
-        let t = r.u8()?;
-        let i = r.u8()?;
-        if t == 0 || i == 0 {
-            return Err(invalid(format!("invalid fetch partition {t}.{i}")));
-        }
-        let partition = FetchPartition::new(t, i);
-        let n_threads = r.len()?;
-        if n_threads > 1024 {
-            return Err(invalid(format!("{n_threads} threads exceeds cap")));
-        }
-        let mut threads = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let thread = usize::try_from(r.u64()?)
-                .map_err(|_| invalid("thread index exceeds address space"))?;
-            let benchmark = r.string(MAX_BIN_STR, "benchmark name")?;
-            let committed = r.u64()?;
-            let ipc = f64::from_bits(r.u64()?);
-            threads.push(ThreadReport {
-                thread,
-                benchmark,
-                committed,
-                ipc,
-            });
-        }
-        // The counter tables, in stream order (initialisers run as written).
-        Ok(SimReport {
-            cycles,
-            warmup_cycles,
-            restored_from_checkpoint,
-            fetch_policy,
-            issue_policy,
-            ablations,
-            partition,
-            threads,
-            fetch: Counters::read_bin(r)?,
-            issue: Counters::read_bin(r)?,
-            cond_prediction: Counters::read_bin(r)?,
-            pred: Counters::read_bin(r)?,
-            squashes: r.u64()?,
-            squashed_insts: r.u64()?,
-            mem: Counters::read_bin(r)?,
-        })
+        r.erased(|r| SimReport::decode(r))
     }
 
     /// Per-thread results as a text table.
@@ -520,10 +463,6 @@ fn counters_json(table: &impl Counters) -> Json {
     });
     Json::Object(fields)
 }
-
-/// Longest string the binary decoder accepts; far above any real policy,
-/// benchmark, or ablation name, far below anything allocation-hostile.
-const MAX_BIN_STR: usize = 4096;
 
 impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

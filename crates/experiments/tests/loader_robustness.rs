@@ -5,12 +5,15 @@
 //! fault containment relies on this layer (a bad `riscv:`/`trace:` file
 //! becomes a `workload` entry in `failed_cells`, a bad journal or cache
 //! entry a `degraded_cells` one), so the loaders are fuzzed here over
-//! truncation points and bit flips, by one helper for all three formats.
+//! truncation points and bit flips, by one helper for all three formats,
+//! and checkpoints once more with the checksum recomputed after the damage,
+//! so the restore-side checks themselves are exercised.
 
 use std::sync::Arc;
 
 use smt_core::{SimConfig, Simulator, WorkloadSpec};
 use smt_experiments::journal::{journal_key, Journal};
+use smt_stats::binio::{fnv1a, FNV_OFFSET};
 use smt_workload::{Benchmark, RiscvImage, TraceImage, Xlen};
 
 /// A tiny valid RISC-V flat image (the store/load/branch loop the
@@ -135,6 +138,52 @@ fn every_smt1_format_rejects_truncation_and_bit_flips() {
         restored.save_checkpoint(&mut again).expect("vec write");
         Ok(again == checkpoint)
     });
+}
+
+#[test]
+fn resealed_checkpoint_corruption_is_typed_or_round_trips() {
+    // The checksum only proves the bytes are the ones written. A stream
+    // damaged *before* its checksum was computed — a buggy writer, or a
+    // hand-edited file — gets past it to the field lists' own checks, so
+    // flip bits and recompute the trailer: every result must be a typed
+    // error or a machine whose own checkpoint restores to the same bytes,
+    // never a panic. One machine carries every kind of checkpointed state:
+    // an ELF executor, a trace cursor and a synthetic oracle.
+    let trace = Arc::new(TraceImage::record(&loop_image(), 64).expect("record"));
+    let sources = [
+        WorkloadSpec::Elf(loop_image()),
+        WorkloadSpec::Trace(trace),
+        WorkloadSpec::Program(Arc::new(Benchmark::Espresso.generate(11, 2))),
+    ];
+    let mut sim = small_machine(&sources).build();
+    for _ in 0..400 {
+        sim.step_cycle();
+    }
+    let mut checkpoint = Vec::new();
+    sim.save_checkpoint(&mut checkpoint).expect("vec write");
+    let restore =
+        |bytes: &[u8]| Simulator::restore_checkpoint(small_machine(&sources), &mut &bytes[..]);
+    let trailer = checkpoint.len() - 8;
+    // Past the header (magic, version, fingerprint), which is checked
+    // before any field is read; a prime stride samples every section.
+    for at in (20..trailer).step_by(97) {
+        let mut bytes = checkpoint.clone();
+        bytes[at] ^= 1 << (at % 8);
+        let sum = fnv1a(FNV_OFFSET, &bytes[..trailer]);
+        bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
+        if let Ok(accepted) = restore(&bytes) {
+            let mut again = Vec::new();
+            accepted.save_checkpoint(&mut again).expect("vec write");
+            let mut twice = Vec::new();
+            restore(&again)
+                .unwrap_or_else(|e| {
+                    panic!("flip at {at}: an accepted machine's checkpoint is refused: {e}")
+                })
+                .save_checkpoint(&mut twice)
+                .expect("vec write");
+            assert_eq!(again, twice, "flip at {at}: save and restore disagree");
+        }
+    }
 }
 
 #[test]

@@ -185,9 +185,10 @@ impl FuKind {
 /// | FP divide              | 17, 30  |
 /// | all other FP           | 4       |
 /// | load (cache hit)       | 1       |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Simple integer ALU operation (add, sub, logical, shift): latency 1.
+    #[default]
     IntAlu,
     /// 32-bit integer multiply: latency 8.
     IntMul,

@@ -47,8 +47,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::io::{Read, Write};
 
 use smt_isa::{Addr, ThreadId};
+use smt_stats::binio::{invalid, BinReader, BinWriter};
+use smt_stats::{persist, Persist};
 
 /// Parameters of one cache level (one row of Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +184,7 @@ impl Default for MemConfig {
 }
 
 /// Identifier of an outstanding miss request, returned on completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
 /// Result of a cache access attempt.
@@ -266,7 +269,7 @@ struct TagArray {
     assoc: usize,
     line_shift: u32,
     tag_shift: u32,
-    lines: Vec<Line>,
+    lines: Box<[Line]>,
 }
 
 impl TagArray {
@@ -286,7 +289,7 @@ impl TagArray {
             assoc: p.assoc,
             line_shift,
             tag_shift: line_shift + sets.trailing_zeros(),
-            lines: vec![Line::default(); sets * p.assoc],
+            lines: vec![Line::default(); sets * p.assoc].into(),
         }
     }
 
@@ -394,7 +397,7 @@ struct TlbEntry {
     stamp: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TlbFilter {
     vpn: u64,
     slot: u32,
@@ -402,7 +405,7 @@ struct TlbFilter {
 
 #[derive(Debug, Clone)]
 struct Tlb {
-    slots: Vec<TlbEntry>,
+    slots: Box<[TlbEntry]>,
     mask: usize,
     /// Per-thread last translation: slot of the thread's previous page.
     last: [Option<TlbFilter>; MAX_TLB_THREADS],
@@ -426,7 +429,7 @@ impl Tlb {
         // 2x capacity keeps linear probes short; never smaller than 8.
         let table = (capacity * 2).next_power_of_two().max(8);
         Tlb {
-            slots: vec![TlbEntry::default(); table],
+            slots: vec![TlbEntry::default(); table].into(),
             mask: table - 1,
             last: [None; MAX_TLB_THREADS],
             len: 0,
@@ -534,13 +537,14 @@ impl Tlb {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Side {
+    #[default]
     Instr,
     Data,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Mshr {
     line: Addr,
     side: Side,
@@ -549,7 +553,7 @@ struct Mshr {
 }
 
 /// One completed miss request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Completion {
     /// The request id returned by the original access.
     pub req: ReqId,
@@ -577,8 +581,8 @@ pub struct MemoryHierarchy {
     d_banks_used: u64,
 
     // Resource reservations (next free cycle).
-    l2_bank_free: Vec<u64>,
-    l3_bank_free: Vec<u64>,
+    l2_bank_free: Box<[u64]>,
+    l3_bank_free: Box<[u64]>,
     bus_l1i_free: u64,
     bus_l1d_free: u64,
     bus_l2_free: u64,
@@ -626,8 +630,8 @@ impl MemoryHierarchy {
             d_ports_used: 0,
             i_banks_used: 0,
             d_banks_used: 0,
-            l2_bank_free: vec![0; l2_banks],
-            l3_bank_free: vec![0; l3_banks],
+            l2_bank_free: vec![0; l2_banks].into(),
+            l3_bank_free: vec![0; l3_banks].into(),
             bus_l1i_free: 0,
             bus_l1d_free: 0,
             bus_l2_free: 0,
@@ -1027,289 +1031,65 @@ impl MemoryHierarchy {
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
         out.append(&mut self.ready);
     }
-
-    /// Serializes the hierarchy's complete deterministic state — tag
-    /// arrays, TLBs (including the last-translation filters), statistics,
-    /// bank/bus reservations, MSHRs with their waiter lists, scheduled
-    /// completions/fills/TLB walks, and the request-id counter — through
-    /// `w`, as the `smt-mem` section of a simulator checkpoint. The
-    /// configuration itself is *not* written: it is covered by the
-    /// checkpoint header's config fingerprint, and
-    /// [`restore_state`](MemoryHierarchy::restore_state) targets a
-    /// hierarchy freshly built from it.
-    pub fn save_state<W: std::io::Write>(&self, w: &mut BinWriter<W>) -> std::io::Result<()> {
-        self.stats.write_bin(w)?;
-        for arr in [&self.icache, &self.dcache, &self.l2, &self.l3] {
-            arr.save_state(w)?;
-        }
-        self.itlb.save_state(w)?;
-        self.dtlb.save_state(w)?;
-        w.u64(self.cycle)?;
-        w.u32(self.i_ports_used)?;
-        w.u32(self.d_ports_used)?;
-        w.u64(self.i_banks_used)?;
-        w.u64(self.d_banks_used)?;
-        for free in [&self.l2_bank_free, &self.l3_bank_free] {
-            w.len(free.len())?;
-            for &t in free {
-                w.u64(t)?;
-            }
-        }
-        for bus in [
-            self.bus_l1i_free,
-            self.bus_l1d_free,
-            self.bus_l2_free,
-            self.bus_mem_free,
-        ] {
-            w.u64(bus)?;
-        }
-        w.len(self.mshrs.len())?;
-        for m in &self.mshrs {
-            w.u64(m.line)?;
-            w.u8(side_code(m.side))?;
-            w.u64(m.complete_at)?;
-            w.len(m.waiters.len())?;
-            for &r in &m.waiters {
-                w.u64(r.0)?;
-            }
-        }
-        // The completion heap's internal array layout is construction-order
-        // dependent; serialize the entries in sorted order so identical
-        // logical state always produces identical bytes. (Pop order only
-        // depends on the entry multiset — keys are unique — so rebuilding
-        // the heap by pushing is behaviour-preserving.)
-        let sorted = self.completions.clone().into_sorted_vec();
-        w.len(sorted.len())?;
-        for Reverse((t, key)) in sorted {
-            w.u64(t)?;
-            w.u64(key)?;
-        }
-        // Fill and delay lists are drained with order-sensitive
-        // `swap_remove` scans: preserve their exact element order.
-        w.len(self.pending_fills.len())?;
-        for &(t, side, line) in &self.pending_fills {
-            w.u64(t)?;
-            w.u8(side_code(side))?;
-            w.u64(line)?;
-        }
-        w.len(self.delay_only.len())?;
-        for &(t, req) in &self.delay_only {
-            w.u64(t)?;
-            w.u64(req.0)?;
-        }
-        w.len(self.ready.len())?;
-        for c in &self.ready {
-            w.u64(c.req.0)?;
-            w.u64(c.at_cycle)?;
-        }
-        w.u64(self.next_req)?;
-        w.u64(self.next_fill_at)?;
-        w.u64(self.next_delay_at)
-    }
-
-    /// Restores state written by [`save_state`](MemoryHierarchy::save_state)
-    /// into this hierarchy, which must have been built from a configuration
-    /// with identical array geometry (the checkpoint layer's fingerprint
-    /// check guarantees this). Malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` errors, never
-    /// a panic; on error the hierarchy is left partially written and must
-    /// be discarded.
-    pub fn restore_state<R: std::io::Read>(&mut self, r: &mut BinReader<R>) -> std::io::Result<()> {
-        self.stats = MemStats::read_bin(r)?;
-        // Split borrows: destructure so the tag arrays can be iterated
-        // mutably while reading.
-        for arr in [
-            &mut self.icache,
-            &mut self.dcache,
-            &mut self.l2,
-            &mut self.l3,
-        ] {
-            arr.restore_state(r)?;
-        }
-        self.itlb.restore_state(r)?;
-        self.dtlb.restore_state(r)?;
-        self.cycle = r.u64()?;
-        self.i_ports_used = r.u32()?;
-        self.d_ports_used = r.u32()?;
-        self.i_banks_used = r.u64()?;
-        self.d_banks_used = r.u64()?;
-        for free in [&mut self.l2_bank_free, &mut self.l3_bank_free] {
-            let n = r.len()?;
-            if n != free.len() {
-                return Err(binio::invalid(format!(
-                    "bank reservation count {n} does not match configuration ({})",
-                    free.len()
-                )));
-            }
-            for slot in free.iter_mut() {
-                *slot = r.u64()?;
-            }
-        }
-        self.bus_l1i_free = r.u64()?;
-        self.bus_l1d_free = r.u64()?;
-        self.bus_l2_free = r.u64()?;
-        self.bus_mem_free = r.u64()?;
-        let n_mshrs = r.len()?;
-        self.mshrs.clear();
-        for _ in 0..n_mshrs {
-            let line = r.u64()?;
-            let side = side_from_code(r.u8()?)?;
-            let complete_at = r.u64()?;
-            let n_waiters = r.len()?;
-            let mut waiters = Vec::new();
-            for _ in 0..n_waiters {
-                waiters.push(ReqId(r.u64()?));
-            }
-            self.mshrs.push(Mshr {
-                line,
-                side,
-                complete_at,
-                waiters,
-            });
-        }
-        let n_completions = r.len()?;
-        self.completions.clear();
-        for _ in 0..n_completions {
-            let t = r.u64()?;
-            let key = r.u64()?;
-            self.completions.push(Reverse((t, key)));
-        }
-        let n_fills = r.len()?;
-        self.pending_fills.clear();
-        for _ in 0..n_fills {
-            let t = r.u64()?;
-            let side = side_from_code(r.u8()?)?;
-            let line = r.u64()?;
-            self.pending_fills.push((t, side, line));
-        }
-        let n_delay = r.len()?;
-        self.delay_only.clear();
-        for _ in 0..n_delay {
-            let t = r.u64()?;
-            let req = ReqId(r.u64()?);
-            self.delay_only.push((t, req));
-        }
-        let n_ready = r.len()?;
-        self.ready.clear();
-        for _ in 0..n_ready {
-            let req = ReqId(r.u64()?);
-            let at_cycle = r.u64()?;
-            self.ready.push(Completion { req, at_cycle });
-        }
-        self.next_req = r.u64()?;
-        self.next_fill_at = r.u64()?;
-        self.next_delay_at = r.u64()?;
-        Ok(())
-    }
 }
 
-use smt_stats::binio::{self, BinReader, BinWriter};
-use smt_stats::Counters;
-
-fn side_code(s: Side) -> u8 {
-    match s {
-        Side::Instr => 0,
-        Side::Data => 1,
-    }
+// The hierarchy's complete deterministic state, as the `smt-mem` section of
+// a simulator checkpoint: statistics, tag arrays, TLBs (including the
+// last-translation filters), port and bank/bus reservations, MSHRs with
+// their waiter lists, scheduled completions/fills/TLB walks and the
+// request-id counter. The configuration is covered by the checkpoint
+// header's fingerprint, so restore targets a hierarchy freshly built from
+// it; the waiter pool is recycled storage, not state.
+persist! {
+    MemoryHierarchy {
+        stats, icache, dcache, l2, l3, itlb, dtlb, cycle, i_ports_used, d_ports_used, i_banks_used,
+        d_banks_used, l2_bank_free, l3_bank_free, bus_l1i_free, bus_l1d_free, bus_l2_free,
+        bus_mem_free, mshrs, completions, pending_fills, delay_only, ready, next_req, next_fill_at,
+        next_delay_at,
+    } skip { cfg, waiter_pool }
 }
-
-fn side_from_code(code: u8) -> std::io::Result<Side> {
-    match code {
-        0 => Ok(Side::Instr),
-        1 => Ok(Side::Data),
-        other => Err(binio::invalid(format!("invalid cache side code {other}"))),
-    }
-}
-
-impl TagArray {
-    fn save_state<W: std::io::Write>(&self, w: &mut BinWriter<W>) -> std::io::Result<()> {
-        w.len(self.lines.len())?;
-        for l in &self.lines {
-            w.u32(l.tag)?;
-            w.bool(l.valid)?;
-            w.bool(l.dirty)?;
-            w.u8(l.lru)?;
-        }
-        Ok(())
-    }
-
-    fn restore_state<R: std::io::Read>(&mut self, r: &mut BinReader<R>) -> std::io::Result<()> {
-        let n = r.len()?;
-        if n != self.lines.len() {
-            return Err(binio::invalid(format!(
-                "tag array has {n} lines, configuration expects {}",
-                self.lines.len()
-            )));
-        }
-        for l in &mut self.lines {
-            l.tag = r.u32()?;
-            l.valid = r.bool()?;
-            l.dirty = r.bool()?;
-            l.lru = r.u8()?;
-        }
-        Ok(())
-    }
-}
+persist! { TagArray { lines } skip { sets, assoc, line_shift, tag_shift } }
+persist! { Line { tag, valid, dirty, lru } }
+persist! { Tlb { slots, last, len, tick } skip { mask, capacity, page_shift } check Tlb::validate }
+persist! { TlbEntry { live, thread, vpn, stamp } }
+persist! { TlbFilter { vpn, slot } }
+persist! { Mshr { line, side, complete_at, waiters } }
+persist! { Completion { req, at_cycle } }
+persist! { ReqId { 0 } }
 
 impl Tlb {
-    fn save_state<W: std::io::Write>(&self, w: &mut BinWriter<W>) -> std::io::Result<()> {
-        w.len(self.slots.len())?;
-        for s in &self.slots {
-            w.bool(s.live)?;
-            w.u8(s.thread)?;
-            w.u64(s.vpn)?;
-            w.u64(s.stamp)?;
-        }
-        for f in &self.last {
-            match f {
-                None => w.bool(false)?,
-                Some(f) => {
-                    w.bool(true)?;
-                    w.u64(f.vpn)?;
-                    w.u32(f.slot)?;
-                }
-            }
-        }
-        w.len(self.len)?;
-        w.u64(self.tick)
-    }
-
-    fn restore_state<R: std::io::Read>(&mut self, r: &mut BinReader<R>) -> std::io::Result<()> {
-        let n = r.len()?;
-        if n != self.slots.len() {
-            return Err(binio::invalid(format!(
-                "TLB table has {n} slots, configuration expects {}",
-                self.slots.len()
-            )));
-        }
-        for s in &mut self.slots {
-            s.live = r.bool()?;
-            s.thread = r.u8()?;
-            s.vpn = r.u64()?;
-            s.stamp = r.u64()?;
-        }
-        for f in &mut self.last {
-            *f = if r.bool()? {
-                let vpn = r.u64()?;
-                let slot = r.u32()?;
-                if slot as usize >= self.slots.len() {
-                    return Err(binio::invalid(format!(
-                        "TLB filter slot {slot} out of range"
-                    )));
-                }
-                Some(TlbFilter { vpn, slot })
-            } else {
-                None
-            };
-        }
-        self.len = r.len()?;
+    fn validate(&self) -> std::io::Result<()> {
         if self.len > self.capacity {
-            return Err(binio::invalid(format!(
+            return Err(invalid(format!(
                 "TLB population {} exceeds capacity {}",
                 self.len, self.capacity
             )));
         }
-        self.tick = r.u64()?;
+        match self
+            .last
+            .iter()
+            .flatten()
+            .find(|f| f.slot as usize >= self.slots.len())
+        {
+            Some(f) => Err(invalid(format!("TLB filter slot {} out of range", f.slot))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Persist for Side {
+    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()> {
+        w.u8(match self {
+            Side::Instr => 0,
+            Side::Data => 1,
+        })
+    }
+    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()> {
+        *self = match r.u8()? {
+            0 => Side::Instr,
+            1 => Side::Data,
+            other => return Err(invalid(format!("invalid cache side code {other}"))),
+        };
         Ok(())
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! The workspace is dependency-free by design, so instead of `serde` the
 //! state-owning crates write their state field by field through a
-//! [`BinWriter`] and read it back through a [`BinReader`] (structs of
-//! counters get both from one field list, [`crate::counters!`]). Both sides
+//! [`BinWriter`] and read it back through a [`BinReader`] (a checkpointed
+//! structure gets both directions from one field list,
+//! [`crate::persist!`]). Both sides
 //! accumulate an FNV-1a checksum over every payload byte; [`BinWriter::finish`]
 //! appends the checksum as an 8-byte trailer and [`BinReader::finish`]
 //! verifies it, so arbitrary bit flips anywhere in the payload surface as a
@@ -121,6 +122,19 @@ impl<W: Write> BinWriter<W> {
         self.checksum
     }
 
+    /// Runs `f` on a type-erased view of this writer — the same stream and
+    /// the same running checksum — for the `dyn`-stream
+    /// [`Persist`](crate::Persist) codec.
+    pub fn erased<T>(&mut self, f: impl FnOnce(&mut BinWriter<&mut dyn Write>) -> T) -> T {
+        let mut view = BinWriter {
+            inner: &mut self.inner as &mut dyn Write,
+            checksum: self.checksum,
+        };
+        let out = f(&mut view);
+        self.checksum = view.checksum;
+        out
+    }
+
     /// Writes the checksum trailer and flushes. Consumes the writer: no
     /// payload bytes may follow the trailer.
     pub fn finish(mut self) -> io::Result<()> {
@@ -214,6 +228,19 @@ impl<R: Read> BinReader<R> {
         let mut buf = vec![0u8; n];
         self.bytes(&mut buf)?;
         String::from_utf8(buf).map_err(|_| invalid(format!("{what} is not UTF-8")))
+    }
+
+    /// Runs `f` on a type-erased view of this reader — the same stream and
+    /// the same running checksum — for the `dyn`-stream
+    /// [`Persist`](crate::Persist) codec.
+    pub fn erased<T>(&mut self, f: impl FnOnce(&mut BinReader<&mut dyn Read>) -> T) -> T {
+        let mut view = BinReader {
+            inner: &mut self.inner as &mut dyn Read,
+            checksum: self.checksum,
+        };
+        let out = f(&mut view);
+        self.checksum = view.checksum;
+        out
     }
 
     /// Reads the checksum trailer and verifies it against the accumulated
@@ -330,6 +357,22 @@ mod tests {
         assert_eq!(r.string(4, "name").unwrap(), "abcd");
         let err = r.string(4, "name").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn erased_views_share_the_stream_and_checksum() {
+        let mut buf = Vec::new();
+        let mut w = BinWriter::new(&mut buf);
+        w.u32(1).unwrap();
+        w.erased(|w| w.u64(2)).unwrap();
+        w.u8(3).unwrap();
+        w.finish().unwrap();
+
+        let mut r = BinReader::new(&buf[..]);
+        assert_eq!(r.erased(|r| r.u32()).unwrap(), 1);
+        assert_eq!(r.u64().unwrap(), 2);
+        assert_eq!(r.erased(|r| r.u8()).unwrap(), 3);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A struct declared through [`counters!`](crate::counters!) lists its
 //! fields **once**; the macro generates from that list everything that has
-//! to agree with it — the [`binio`](crate::binio) codec the sweep journal
-//! and the checkpoints store it with, the window merge behind
+//! to agree with it — the [`Persist`] codec the sweep journal and the
+//! checkpoints store it with, the window merge behind
 //! `SimReport::concat`, and a `(name, value)` walk for renderers. A field
 //! is a `u64` or another struct of counters, and **declaration order is the
 //! byte order**: reordering, inserting or removing a field changes the
@@ -30,17 +30,12 @@
 //! assert_eq!(seen, [("accesses", 15), ("misses", 3)]);
 //! ```
 
-use std::io::{self, Read, Write};
-
-use crate::binio::{BinReader, BinWriter};
+use crate::Persist;
 
 /// A `u64` event counter, or a struct of them declared through
-/// [`counters!`](crate::counters!).
-pub trait Counters: Sized {
-    /// Writes every counter as a little-endian `u64`, in declaration order.
-    fn write_bin<W: Write>(&self, w: &mut BinWriter<W>) -> io::Result<()>;
-    /// Reads what [`write_bin`](Counters::write_bin) wrote.
-    fn read_bin<R: Read>(r: &mut BinReader<R>) -> io::Result<Self>;
+/// [`counters!`](crate::counters!). The codec is [`Persist`]: every counter
+/// a little-endian `u64`, in declaration order.
+pub trait Counters: Persist + Default {
     /// Adds `other`'s counts to this one's: the counters of two adjacent
     /// measurement windows merged into the counters of their union.
     fn merge(&mut self, other: &Self);
@@ -53,12 +48,6 @@ pub trait Counters: Sized {
 }
 
 impl Counters for u64 {
-    fn write_bin<W: Write>(&self, w: &mut BinWriter<W>) -> io::Result<()> {
-        w.u64(*self)
-    }
-    fn read_bin<R: Read>(r: &mut BinReader<R>) -> io::Result<u64> {
-        r.u64()
-    }
     fn merge(&mut self, other: &u64) {
         *self += other;
     }
@@ -68,8 +57,9 @@ impl Counters for u64 {
 }
 
 /// Declares a plain-data struct of counters (`Debug`, `Clone`, `Copy`,
-/// `Default`, `PartialEq`, `Eq`) and implements [`Counters`] for it from
-/// the one field list; see the [module docs](mod@crate::counters).
+/// `Default`, `PartialEq`, `Eq`) and implements [`Persist`] and
+/// [`Counters`] for it from the one field list; see the
+/// [module docs](mod@crate::counters).
 #[macro_export]
 macro_rules! counters {
     ($(#[$meta:meta])* $vis:vis struct $name:ident {
@@ -81,20 +71,9 @@ macro_rules! counters {
             $($(#[$fmeta])* $fvis $field: $ty,)+
         }
 
+        $crate::persist!($name { $($field),+ });
+
         impl $crate::Counters for $name {
-            fn write_bin<W: ::std::io::Write>(
-                &self,
-                w: &mut $crate::binio::BinWriter<W>,
-            ) -> ::std::io::Result<()> {
-                $($crate::Counters::write_bin(&self.$field, w)?;)+
-                Ok(())
-            }
-            fn read_bin<R: ::std::io::Read>(
-                r: &mut $crate::binio::BinReader<R>,
-            ) -> ::std::io::Result<Self> {
-                // Field initialisers run in the order written.
-                Ok($name { $($field: $crate::Counters::read_bin(r)?,)+ })
-            }
             fn merge(&mut self, other: &Self) {
                 $($crate::Counters::merge(&mut self.$field, &other.$field);)+
             }
@@ -107,7 +86,10 @@ macro_rules! counters {
 
 #[cfg(test)]
 mod tests {
+    use std::io::{self, Read, Write};
+
     use super::*;
+    use crate::binio::{BinReader, BinWriter};
 
     counters! {
         struct Inner {
@@ -132,15 +114,14 @@ mod tests {
     #[test]
     fn declaration_order_is_the_byte_order() {
         let mut bytes = Vec::new();
-        let mut w = BinWriter::new(&mut bytes);
-        SAMPLE.write_bin(&mut w).unwrap();
+        SAMPLE
+            .save(&mut BinWriter::new(&mut bytes as &mut dyn Write))
+            .unwrap();
         let expected: Vec<u8> = (1u64..=4).flat_map(u64::to_le_bytes).collect();
         assert_eq!(bytes, expected);
-        assert_eq!(
-            Outer::read_bin(&mut BinReader::new(&bytes[..])).unwrap(),
-            SAMPLE
-        );
-        let eof = Outer::read_bin(&mut BinReader::new(&bytes[..31])).unwrap_err();
+        let read = |mut b: &[u8]| Outer::decode(&mut BinReader::new(&mut b as &mut dyn Read));
+        assert_eq!(read(&bytes).unwrap(), SAMPLE);
+        let eof = read(&bytes[..31]).unwrap_err();
         assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
     }
 

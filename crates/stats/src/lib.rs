@@ -24,11 +24,13 @@ pub mod counters;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
 pub mod json;
+pub mod persist;
 pub mod sched;
 
 use std::fmt;
 
 pub use counters::Counters;
+pub use persist::Persist;
 
 counters! {
     /// A hit/total style ratio counter (miss rates, prediction rates, ...).

@@ -52,9 +52,10 @@
 //! 3. The `wrong_*` hooks synthesize *wrong-path* behaviour — what the
 //!    machine fetches past a mispredicted branch before resolution. They
 //!    must be pure functions of `(pc, salt)` so runs reproduce exactly.
-//! 4. `save_state`/`restore_state` serialize the cursor for warmed-state
-//!    checkpoints; keep them minimal (the image itself travels as a
-//!    config fingerprint, not checkpoint payload).
+//! 4. The `Persist` supertrait serializes the cursor for warmed-state
+//!    checkpoints: one `smt_stats::persist!` list of the mutable fields,
+//!    with the image `skip`ped (it travels as a config fingerprint, not
+//!    checkpoint payload).
 //!
 //! Then give the config layer a handle: `smt-core`'s `WorkloadSpec` enum
 //! names each backend's image type, `SimConfig::with_workloads` installs

@@ -16,6 +16,8 @@ use std::sync::Arc;
 use crate::mix64;
 use crate::program::{BranchBehavior, MemPattern, Program};
 use smt_isa::{Addr, Opcode, Outcome, Reg, StaticInst, INST_BYTES};
+use smt_stats::binio::invalid;
+use smt_stats::persist;
 
 /// Maximum modeled call depth; deeper calls recycle the oldest frame, which
 /// matches what a bounded synthetic CFG can produce anyway.
@@ -32,18 +34,29 @@ pub struct ThreadContext {
     seed: u64,
     pc: Addr,
     executed: u64,
-    branch_execs: Vec<u32>,
+    branch_execs: Box<[u32]>,
     /// Per-branch loop phase (`execs % trip`, maintained incrementally):
     /// loop back-edges resolve with a compare instead of a variable-divisor
     /// `%`, which costs tens of host cycles on every executed branch.
-    loop_phase: Vec<u32>,
-    mem_execs: Vec<u64>,
+    loop_phase: Box<[u32]>,
+    mem_execs: Box<[u64]>,
     /// Per-memory-model stride state `(offset, step)` with
     /// `offset == (n · stride) % span` maintained incrementally (`step` is
     /// `stride % span`, precomputed): strided address generation needs no
     /// division either.
-    stride_state: Vec<(u64, u64)>,
+    stride_state: Box<[(u64, u64)]>,
     ret_stack: Vec<Addr>,
+}
+
+// One thread's `smt-workload` section of a simulator checkpoint: PC,
+// executed count, per-branch and per-memory-model counters, stride state
+// and the modeled return stack. The program and seed are regenerated from
+// the configuration (covered by the checkpoint header's fingerprint), so
+// restore targets a context freshly built from them.
+persist! {
+    ThreadContext {
+        pc, executed, branch_execs, loop_phase, mem_execs, stride_state, ret_stack,
+    } skip { program, seed } check ThreadContext::validate
 }
 
 impl ThreadContext {
@@ -51,9 +64,9 @@ impl ThreadContext {
     /// probabilistic behaviour (Bernoulli branches, random address
     /// patterns), so equal seeds replay identical dynamic streams.
     pub fn new(program: Arc<Program>, seed: u64) -> ThreadContext {
-        let branch_execs = vec![0; program.branch_count()];
-        let loop_phase = vec![0; program.branch_count()];
-        let mem_execs = vec![0; program.mem_count()];
+        let branch_execs = vec![0; program.branch_count()].into();
+        let loop_phase = vec![0; program.branch_count()].into();
+        let mem_execs = vec![0; program.mem_count()].into();
         let stride_state = (0..program.mem_count() as u32)
             .map(|meta| match program.mem_model(meta).pattern {
                 MemPattern::Stride { region, stride } => {
@@ -92,112 +105,19 @@ impl ThreadContext {
         self.executed
     }
 
-    /// Serializes the oracle's complete deterministic state — PC, executed
-    /// count, per-branch and per-memory-model execution counters, stride
-    /// state and the modeled return stack — through `w`, as one thread's
-    /// `smt-workload` section of a simulator checkpoint. The program and
-    /// seed are not written: they are regenerated from the configuration
-    /// (covered by the checkpoint header's fingerprint) and
-    /// [`restore_state`](ThreadContext::restore_state) targets a context
-    /// freshly built from them.
-    pub fn save_state<W: std::io::Write>(
-        &self,
-        w: &mut smt_stats::binio::BinWriter<W>,
-    ) -> std::io::Result<()> {
-        w.u64(self.pc)?;
-        w.u64(self.executed)?;
-        w.len(self.branch_execs.len())?;
-        for &x in &self.branch_execs {
-            w.u32(x)?;
-        }
-        w.len(self.loop_phase.len())?;
-        for &x in &self.loop_phase {
-            w.u32(x)?;
-        }
-        w.len(self.mem_execs.len())?;
-        for &x in &self.mem_execs {
-            w.u64(x)?;
-        }
-        w.len(self.stride_state.len())?;
-        for &(off, step) in &self.stride_state {
-            w.u64(off)?;
-            w.u64(step)?;
-        }
-        w.len(self.ret_stack.len())?;
-        for &a in &self.ret_stack {
-            w.u64(a)?;
-        }
-        Ok(())
-    }
-
-    /// Restores state written by [`save_state`](ThreadContext::save_state)
-    /// into this context, which must have been built from the same program
-    /// and seed. Malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` errors, never
-    /// a panic; on error the context is left partially written and must be
-    /// discarded.
-    pub fn restore_state<R: std::io::Read>(
-        &mut self,
-        r: &mut smt_stats::binio::BinReader<R>,
-    ) -> std::io::Result<()> {
-        use smt_stats::binio::invalid;
-        let pc = r.u64()?;
-        if self.program.inst_at(pc).is_none() {
+    /// Rejects restored state this context's program cannot reach.
+    fn validate(&self) -> std::io::Result<()> {
+        if self.program.inst_at(self.pc).is_none() {
             return Err(invalid(format!(
-                "oracle PC {pc:#x} points outside the program image"
+                "oracle PC {:#x} points outside the program image",
+                self.pc
             )));
         }
-        self.pc = pc;
-        self.executed = r.u64()?;
-        let n = r.len()?;
-        if n != self.branch_execs.len() {
+        if self.ret_stack.len() > MAX_CALL_DEPTH {
             return Err(invalid(format!(
-                "checkpoint has {n} branch counters, program expects {}",
-                self.branch_execs.len()
+                "return stack depth {} exceeds the modeled maximum of {MAX_CALL_DEPTH}",
+                self.ret_stack.len()
             )));
-        }
-        for x in &mut self.branch_execs {
-            *x = r.u32()?;
-        }
-        let n = r.len()?;
-        if n != self.loop_phase.len() {
-            return Err(invalid(format!(
-                "checkpoint has {n} loop phases, program expects {}",
-                self.loop_phase.len()
-            )));
-        }
-        for x in &mut self.loop_phase {
-            *x = r.u32()?;
-        }
-        let n = r.len()?;
-        if n != self.mem_execs.len() {
-            return Err(invalid(format!(
-                "checkpoint has {n} memory counters, program expects {}",
-                self.mem_execs.len()
-            )));
-        }
-        for x in &mut self.mem_execs {
-            *x = r.u64()?;
-        }
-        let n = r.len()?;
-        if n != self.stride_state.len() {
-            return Err(invalid(format!(
-                "checkpoint has {n} stride records, program expects {}",
-                self.stride_state.len()
-            )));
-        }
-        for s in &mut self.stride_state {
-            *s = (r.u64()?, r.u64()?);
-        }
-        let n = r.len()?;
-        if n > MAX_CALL_DEPTH {
-            return Err(invalid(format!(
-                "return stack depth {n} exceeds the modeled maximum of {MAX_CALL_DEPTH}"
-            )));
-        }
-        self.ret_stack.clear();
-        for _ in 0..n {
-            self.ret_stack.push(r.u64()?);
         }
         Ok(())
     }

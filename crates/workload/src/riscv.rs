@@ -36,12 +36,12 @@
 //! memory state) keeps executed runs and trace replays byte-identical —
 //! the recorded trace embeds the same image (see [`crate::trace`]).
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 use smt_isa::riscv::{decode, RvOp};
 use smt_isa::{Addr, Opcode, Outcome, StaticInst, INST_BYTES};
-use smt_stats::binio::{fnv1a, invalid, BinReader, BinWriter, FNV_OFFSET};
+use smt_stats::binio::{fnv1a, invalid, FNV_OFFSET};
+use smt_stats::persist;
 
 use crate::mix64;
 use crate::source::WorkloadSource;
@@ -342,15 +342,18 @@ pub struct RiscvSource {
     pc: Addr,
     executed: u64,
     /// Mutable memory: pristine image followed by the zeroed pad.
-    arena: Vec<u8>,
+    arena: Box<[u8]>,
 }
+
+// The checkpoint section: the image is rebuilt from the configuration.
+persist! { RiscvSource { pc, executed, regs, arena } skip { image } check RiscvSource::validate }
 
 impl RiscvSource {
     /// Creates the execution state at the image's entry point: registers
     /// zero except the stack pointer (`x2`, parked near the arena top),
     /// memory equal to the pristine image plus a zeroed pad.
     pub fn new(image: Arc<RiscvImage>) -> RiscvSource {
-        let mut arena = vec![0u8; image.arena_len()];
+        let mut arena = vec![0u8; image.arena_len()].into_boxed_slice();
         arena[..image.image.len()].copy_from_slice(&image.image);
         let mut s = RiscvSource {
             pc: image.entry,
@@ -375,6 +378,13 @@ impl RiscvSource {
     fn reset_regs(&mut self) {
         self.regs = [0; 32];
         self.regs[2] = self.sp_init();
+    }
+
+    fn validate(&self) -> std::io::Result<()> {
+        if self.regs[0] != 0 {
+            return Err(invalid("checkpoint carries a non-zero x0"));
+        }
+        Ok(())
     }
 
     /// Program restart: pristine memory, fresh registers, PC at entry.
@@ -728,39 +738,15 @@ impl WorkloadSource for RiscvSource {
     fn wrong_taken_target(&self, _inst: StaticInst, pc: Addr) -> Addr {
         wrong_taken_target(&self.image.image, self.image.base, self.image.entry, pc)
     }
-
-    fn save_state(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()> {
-        w.u64(self.pc)?;
-        w.u64(self.executed)?;
-        for &r in &self.regs {
-            w.u64(r)?;
-        }
-        w.len(self.arena.len())?;
-        w.bytes(&self.arena)
-    }
-
-    fn restore_state(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()> {
-        self.pc = r.u64()?;
-        self.executed = r.u64()?;
-        for reg in &mut self.regs {
-            *reg = r.u64()?;
-        }
-        if self.regs[0] != 0 {
-            return Err(invalid("checkpoint carries a non-zero x0"));
-        }
-        let n = r.len()?;
-        if n != self.arena.len() {
-            return Err(invalid(format!(
-                "checkpoint arena is {n} bytes, image expects {}",
-                self.arena.len()
-            )));
-        }
-        r.bytes(&mut self.arena)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::{Read, Write};
+
+    use smt_stats::binio::{BinReader, BinWriter};
+    use smt_stats::Persist;
+
     use super::*;
 
     /// Hand-assembled rv64i loop:
@@ -842,12 +828,12 @@ mod tests {
         let mut bytes = Vec::new();
         {
             let mut w = BinWriter::new(&mut bytes as &mut dyn Write);
-            s.save_state(&mut w).expect("vec write");
+            s.save(&mut w).expect("vec write");
         }
         let mut restored = RiscvSource::new(loop_image());
         let mut slice: &[u8] = &bytes;
         let mut r = BinReader::new(&mut slice as &mut dyn Read);
-        restored.restore_state(&mut r).expect("restore");
+        restored.restore(&mut r).expect("restore");
         for _ in 0..300 {
             assert_eq!(restored.step(), s.step());
         }

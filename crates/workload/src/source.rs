@@ -4,7 +4,7 @@
 //! per hardware context and, once fetch has diverged down a mispredicted
 //! path, synthesizes plausible *wrong-path* instructions and addresses
 //! until the offending branch resolves. Both halves — stepping the correct
-//! path and synthesizing the wrong one — plus the checkpoint hooks are
+//! path and synthesizing the wrong one — plus its checkpoint codec are
 //! what a workload backend owes the simulator, and this trait is exactly
 //! that contract. `smt-core` holds a `Box<dyn WorkloadSource>` per thread
 //! and never names a concrete backend.
@@ -26,12 +26,14 @@ use std::sync::Arc;
 
 use smt_isa::{Addr, Opcode, Outcome, StaticInst, INST_BYTES};
 use smt_stats::binio::{BinReader, BinWriter};
+use smt_stats::{persist, Persist};
 
 use crate::oracle::{ThreadContext, WrongPath};
 use crate::program::Program;
 
 /// One hardware context's instruction source: the correct-path stream, the
-/// wrong-path synthesis rules, and the checkpoint hooks.
+/// wrong-path synthesis rules, and (through [`Persist`]) the checkpoint
+/// codec.
 ///
 /// # Contract
 ///
@@ -47,17 +49,14 @@ use crate::program::Program;
 ///   checkpoint bit-equivalence all rest on this.
 /// * The `wrong_*` methods are consulted only while fetch is off the
 ///   correct path; they must not disturb the correct-path state.
-/// * [`save_state`](WorkloadSource::save_state) /
-///   [`restore_state`](WorkloadSource::restore_state) serialize the
-///   source's complete mutable state (construction-derived state is
-///   rebuilt from the configuration, which the checkpoint header
-///   fingerprints). Restore targets a freshly built source and must
-///   validate every decoded length and address, returning
-///   [`std::io::ErrorKind::InvalidData`] errors rather than panicking.
-///
-/// The streams are `&mut dyn` so the trait stays object-safe while the
-/// per-crate sections of one checkpoint share a single running checksum.
-pub trait WorkloadSource: Send {
+/// * The [`Persist`] codec carries the source's complete mutable state as
+///   this thread's `smt-workload` section of a simulator checkpoint
+///   (construction-derived state is rebuilt from the configuration, which
+///   the checkpoint header fingerprints; declare it `skip`). Restore
+///   targets a freshly built source and must validate every decoded length
+///   and address, returning [`std::io::ErrorKind::InvalidData`] errors
+///   rather than panicking.
+pub trait WorkloadSource: Persist + Send {
     /// Thread label shown in reports (the `benchmark` field).
     fn name(&self) -> &str;
 
@@ -84,17 +83,16 @@ pub trait WorkloadSource: Send {
     /// target on the wrong path (no architectural outcome exists to
     /// consult) for the control instruction `inst` fetched at `pc`.
     fn wrong_taken_target(&self, inst: StaticInst, pc: Addr) -> Addr;
+}
 
-    /// Serializes the source's complete mutable state as this thread's
-    /// `smt-workload` section of a simulator checkpoint.
-    fn save_state(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()>;
-
-    /// Restores state written by [`save_state`](WorkloadSource::save_state)
-    /// into this source, which must have been freshly built from the same
-    /// configuration. Malformed data yields
-    /// [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` errors, never
-    /// a panic; on error the source must be discarded.
-    fn restore_state(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()>;
+/// A thread's source is saved and restored through its backend's codec.
+impl Persist for Box<dyn WorkloadSource> {
+    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()> {
+        (**self).save(w)
+    }
+    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()> {
+        (**self).restore(r)
+    }
 }
 
 /// The synthetic-CFG backend: a [`ThreadContext`] oracle walking a
@@ -108,6 +106,8 @@ pub struct SyntheticSource {
     oracle: ThreadContext,
     program: Arc<Program>,
 }
+
+persist! { SyntheticSource { oracle } skip { program } }
 
 impl SyntheticSource {
     /// Creates the source at the program's entry point; `seed` drives all
@@ -166,14 +166,6 @@ impl WorkloadSource for SyntheticSource {
             pc + INST_BYTES
         }
     }
-
-    fn save_state(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()> {
-        self.oracle.save_state(w)
-    }
-
-    fn restore_state(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()> {
-        self.oracle.restore_state(r)
-    }
 }
 
 #[cfg(test)]
@@ -217,13 +209,13 @@ mod tests {
         }
         let mut bytes = Vec::new();
         {
-            let mut w = BinWriter::new(&mut bytes as &mut dyn std::io::Write);
-            s.save_state(&mut w).expect("vec write");
+            let mut w = BinWriter::new(&mut bytes as &mut dyn Write);
+            s.save(&mut w).expect("vec write");
         }
         let mut restored = source();
         let mut slice: &[u8] = &bytes;
-        let mut r = BinReader::new(&mut slice as &mut dyn std::io::Read);
-        restored.restore_state(&mut r).expect("restore");
+        let mut r = BinReader::new(&mut slice as &mut dyn Read);
+        restored.restore(&mut r).expect("restore");
         assert_eq!(restored.pc(), s.pc());
         assert_eq!(restored.executed(), s.executed());
         for _ in 0..1_000 {

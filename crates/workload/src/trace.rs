@@ -54,6 +54,7 @@ use std::sync::Arc;
 
 use smt_isa::{Addr, Opcode, Outcome, Reg, StaticInst, NO_META};
 use smt_stats::binio::{fnv1a, invalid, BinReader, BinWriter, FNV_OFFSET};
+use smt_stats::persist;
 
 use crate::riscv::{self, RiscvImage, RiscvSource, Xlen};
 use crate::source::WorkloadSource;
@@ -306,6 +307,9 @@ pub struct TraceSource {
     executed: u64,
 }
 
+// The checkpoint section: the trace is reloaded from the configuration.
+persist! { TraceSource { pc, executed, cursor } skip { trace } check TraceSource::validate }
+
 impl TraceSource {
     /// Creates a replay cursor at the start of the trace.
     pub fn new(trace: Arc<TraceImage>) -> TraceSource {
@@ -320,6 +324,17 @@ impl TraceSource {
     /// The trace this source replays.
     pub fn trace(&self) -> &Arc<TraceImage> {
         &self.trace
+    }
+
+    fn validate(&self) -> io::Result<()> {
+        if self.cursor > self.trace.steps.len() {
+            return Err(invalid(format!(
+                "checkpoint cursor {} beyond the trace's {} steps",
+                self.cursor,
+                self.trace.steps.len()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -370,32 +385,12 @@ impl WorkloadSource for TraceSource {
     fn wrong_taken_target(&self, _inst: StaticInst, pc: Addr) -> Addr {
         riscv::wrong_taken_target(&self.trace.image, self.trace.base, self.trace.entry, pc)
     }
-
-    fn save_state(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
-        w.u64(self.pc)?;
-        w.u64(self.executed)?;
-        w.len(self.cursor)
-    }
-
-    fn restore_state(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
-        let pc = r.u64()?;
-        let executed = r.u64()?;
-        let cursor = r.len()?;
-        if cursor > self.trace.steps.len() {
-            return Err(invalid(format!(
-                "checkpoint cursor {cursor} beyond the trace's {} steps",
-                self.trace.steps.len()
-            )));
-        }
-        self.pc = pc;
-        self.executed = executed;
-        self.cursor = cursor;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use smt_stats::Persist;
+
     use super::*;
 
     fn loop_image() -> Arc<RiscvImage> {
@@ -514,12 +509,12 @@ mod tests {
         let mut bytes = Vec::new();
         {
             let mut w = BinWriter::new(&mut bytes as &mut dyn Write);
-            s.save_state(&mut w).expect("vec write");
+            s.save(&mut w).expect("vec write");
         }
         let mut restored = TraceSource::new(trace);
         let mut slice: &[u8] = &bytes;
         let mut r = BinReader::new(&mut slice as &mut dyn Read);
-        restored.restore_state(&mut r).expect("restore");
+        restored.restore(&mut r).expect("restore");
         for _ in 0..200 {
             assert_eq!(restored.step(), s.step());
         }
