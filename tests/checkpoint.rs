@@ -9,6 +9,9 @@
 use smt::{Ablation, FetchPartition, SimConfig, Simulator};
 use smt_experiments::study::mix_by_name;
 
+mod common;
+use common::pin;
+
 fn config(
     mix: &str,
     seed: u64,
@@ -124,49 +127,37 @@ fn checkpoints_are_deterministic_bytes() {
 
 #[test]
 fn checkpoints_never_observe_a_partial_fetch_block() {
-    // The block-granular front end stages and commits each fetch block
-    // entirely inside one `step_cycle` (one slab free-list transaction
-    // per chunk), and checkpoints can only be taken between `step_cycle`
-    // calls — so a mid-block machine state is unobservable *by
-    // construction*. Pin that invariant from the outside: the chunk size
-    // is excluded from the config fingerprint, so a checkpoint written
-    // under the default 8-wide chunking must restore under forced
-    // per-instruction chunking (and vice versa) and continue bit-exactly.
-    // Any block state leaking into the checkpoint, or any mid-block save
-    // point, would break this equivalence.
-    let partition = FetchPartition::new(2, 8);
-    let chunked = |chunk: usize| {
-        let mut cfg = config("mixed4", 42, partition, None);
-        cfg.fetch_block_chunk = chunk;
-        cfg
-    };
-    let mut sim = chunked(8).build();
+    // Checkpoints are taken between `step_cycle` calls, so no half-fetched
+    // block or half-renamed group can be in one. Pinned from the outside:
+    // the mixed4 checkpoint at an odd cycle, and the report of its
+    // continuation both straight through and restored. The literals were
+    // read when the front end still had a block-granular slab path; it
+    // wrote these bytes, and so did the per-instruction path.
+    let cfg = || config("mixed4", 42, FetchPartition::new(2, 8), None);
+    let mut sim = cfg().build();
     for _ in 0..771 {
         sim.step_cycle();
     }
     let bytes = checkpoint_of(&sim);
-    let reference = sim.run(600).to_json().render();
-    for chunk in [1, 3, 8] {
-        let mut restored = Simulator::restore_checkpoint(chunked(chunk), &mut &bytes[..])
-            .expect("chunk size must not participate in the config fingerprint");
-        assert_eq!(
-            restored.run(600).to_json().render(),
-            reference,
-            "restore under chunk {chunk} diverged: block granularity leaked \
-             into the checkpoint"
+    pin(
+        "the mixed4 checkpoint at cycle 771",
+        &bytes,
+        342_126,
+        0xadea_c3f5_99af_f4a0,
+        "checkpoint bytes changed",
+    );
+    let mut restored =
+        Simulator::restore_checkpoint(cfg(), &mut &bytes[..]).expect("restore must succeed");
+    for (how, sim) in [("straight through", &mut sim), ("restored", &mut restored)] {
+        let json = sim.run(600).to_json().render();
+        pin(
+            &format!("the 600-cycle continuation report ({how})"),
+            json.as_bytes(),
+            1_082,
+            0x86d4_4b0f_77fd_6836,
+            "simulated behaviour changed",
         );
     }
-    // And the write side is chunk-blind too: the same machine advanced
-    // under per-instruction chunking checkpoints to the identical bytes.
-    let mut single = chunked(1).build();
-    for _ in 0..771 {
-        single.step_cycle();
-    }
-    assert_eq!(
-        checkpoint_of(&single),
-        bytes,
-        "checkpoint bytes depend on the fetch-block chunk size"
-    );
 }
 
 #[test]

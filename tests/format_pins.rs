@@ -14,25 +14,16 @@
 
 use std::sync::Arc;
 
-use smt::crates::smt_stats::binio::{fnv1a, BinWriter, FNV_OFFSET};
+use smt::crates::smt_stats::binio::BinWriter;
 use smt::{Benchmark, RiscvImage, SimConfig, TraceImage, WorkloadSpec};
+
+mod common;
+use common::pin;
 
 const LAYOUT_CHANGED: &str = "on-disk layout changed: bump `FORMAT_VERSION` and \
                               `JOURNAL_FORMAT_VERSION`, then re-pin";
 const JSON_CHANGED: &str = "report JSON changed: regenerate `tests/golden/*` and \
                             `crates/experiments/tests/golden/*`, then re-pin";
-
-#[track_caller]
-fn pin(what: &str, bytes: &[u8], len: usize, hash: u64, fix: &str) {
-    let got = (bytes.len(), fnv1a(FNV_OFFSET, bytes));
-    assert_eq!(
-        got,
-        (len, hash),
-        "{what} is {} bytes hashing to {:#018x} — {fix}",
-        got.0,
-        got.1,
-    );
-}
 
 #[test]
 fn report_stream_checkpoint_and_json_bytes_are_pinned() {

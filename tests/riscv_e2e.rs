@@ -230,3 +230,70 @@ fn image_trace_and_config_fingerprints_are_pinned() {
         0x6b33_9bfa_64da_4ca8
     );
 }
+
+/// The fingerprint of a machine whose every identity field is off its
+/// default and differs from its same-typed neighbours (the paired bools
+/// differ from each other, so one of each pair keeps its default): a swap
+/// of two such fields in the encoder, or a field that stops reaching it,
+/// moves this literal where the default-valued pins above would not.
+#[test]
+fn every_config_identity_field_reaches_the_fingerprint() {
+    use smt_branch::PredictorConfig;
+    use smt_mem::{CacheParams, MemConfig};
+
+    let level = |base: usize| CacheParams {
+        size_bytes: base + 1,
+        assoc: base + 2,
+        line_bytes: base + 3,
+        banks: base + 4,
+        accesses_per_cycle: base as u32 + 5,
+        cycles_per_access: base as u64 + 6,
+        transfer_cycles: base as u64 + 7,
+        fill_cycles: base as u64 + 8,
+        latency_to_next: base as u64 + 9,
+    };
+    let loops = elf("loops");
+    let mut cfg = SimConfig::new()
+        .with_workloads(vec![
+            WorkloadSpec::Trace(Arc::new(TraceImage::record(&loops, 256).expect("record"))),
+            WorkloadSpec::Program(Arc::new(Benchmark::Espresso.generate(42, 1))),
+            WorkloadSpec::Elf(loops),
+            WorkloadSpec::Benchmark(Benchmark::Alvinn),
+        ])
+        .with_seed(0x5eed)
+        .with_partition(FetchPartition::new(4, 2));
+    cfg.mem = MemConfig {
+        icache: level(100),
+        dcache: level(200),
+        l2: level(300),
+        l3: level(400),
+        itlb_entries: 501,
+        dtlb_entries: 502,
+        page_bytes: 503,
+        mshrs: 504,
+        infinite_bandwidth: true,
+        perfect_icache: false,
+    };
+    cfg.predictor = PredictorConfig {
+        btb_entries: 601,
+        btb_assoc: 602,
+        pht_entries: 603,
+        ras_entries: 604,
+        thread_tagged_btb: false,
+        per_thread_ras: true,
+    };
+    cfg.iq_entries = 701;
+    cfg.extra_phys_regs = 702;
+    cfg.int_units = 703;
+    cfg.ldst_units = 704;
+    cfg.fp_units = 705;
+    cfg.decode_width = 706;
+    cfg.commit_width = 707;
+    cfg.frontend_depth = 708;
+    cfg.decode_cycles = 709;
+    cfg.misfetch_penalty = 710;
+    assert_eq!(
+        smt_core::checkpoint::config_fingerprint(&cfg),
+        0x0f42_c4b0_ec67_4f34
+    );
+}
