@@ -581,6 +581,13 @@ impl BranchPredictor {
 // configuration is covered by the checkpoint header's fingerprint, so
 // restore targets a predictor freshly built from it.
 persist! { BranchPredictor { btb, pht, ras, history, stats } skip { cfg, history_mask } }
+// The configuration's identity bytes, hashed into the checkpoint header's
+// fingerprint (`smt_core::checkpoint::config_fingerprint`), never stored.
+persist! {
+    PredictorConfig {
+        btb_entries, btb_assoc, pht_entries, ras_entries, thread_tagged_btb, per_thread_ras,
+    }
+}
 persist! { Btb { entries } skip { sets, assoc, thread_tagged } }
 persist! { BtbEntry { valid, tag, thread, target, lru } }
 persist! { Pht { counters } check Pht::validate }

@@ -74,6 +74,15 @@
 //! A mismatch means the checkpoint describes a different machine and
 //! restoration is refused ([`CheckpointError::ConfigMismatch`]).
 //!
+//! The hashed bytes are `SimConfig`'s `persist!` field list, declared in
+//! this module, which reaches `MemConfig`, `CacheParams` and
+//! `PredictorConfig` through the lists declared next to them in
+//! `smt-mem` and `smt-branch`. The fork axes are that list's skip set, so
+//! a new configuration field does not compile until it is hashed or
+//! named a fork axis. Field order is byte order: moving a field moves
+//! every fingerprint, which orphans existing `--checkpoint-dir` entries
+//! and journal keys (`tests/riscv_e2e.rs` pins the values).
+//!
 //! The workload is the entry count, then per entry its name followed by
 //! what pins its instructions: nothing more for a
 //! [`WorkloadSpec::Benchmark`] (regenerated from name, seed and slot), the
@@ -88,15 +97,18 @@
 //!
 //! [`Simulator::save_checkpoint`]: crate::Simulator::save_checkpoint
 //! [`Simulator::restore_checkpoint`]: crate::Simulator::restore_checkpoint
+//! [`WorkloadSpec::Benchmark`]: crate::WorkloadSpec::Benchmark
+//! [`WorkloadSpec::Program`]: crate::WorkloadSpec::Program
+//! [`WorkloadSpec::Elf`]: crate::WorkloadSpec::Elf
+//! [`WorkloadSpec::Trace`]: crate::WorkloadSpec::Trace
 
 use std::fmt;
 use std::io;
 
-use smt_branch::PredictorConfig;
-use smt_mem::{CacheParams, MemConfig};
 use smt_stats::binio::BinWriter;
+use smt_stats::{persist, Persist};
 
-use crate::config::{SimConfig, WorkloadSpec};
+use crate::config::SimConfig;
 
 /// Magic bytes opening every checkpoint stream.
 pub const MAGIC: [u8; 8] = *b"SMT1CKPT";
@@ -179,63 +191,42 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// Fingerprint of the state-shaping configuration (see the module docs
-/// for exactly what is covered and why the fork axes — fetch/issue
-/// policies, ablations, warmup length — are excluded).
-///
-/// Every configuration struct is destructured without `..`: a new field
-/// does not compile until it either enters the hash or is bound to `_`
-/// below as a fork axis. Left out silently, it would alias two different
-/// machines onto one `--checkpoint-dir` entry and one journal key.
+/// Fingerprint of the state-shaping configuration: the FNV-1a of its
+/// `persist!` field list (see the module docs for exactly what is covered
+/// and why the fork axes — fetch/issue policies, ablations, warmup length
+/// — are excluded).
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    let SimConfig {
-        workloads,
-        seed,
-        // The fork axes: one warmed checkpoint restores under any of them.
-        fetch: _,
-        issue: _,
-        warmup_cycles: _,
-        ablations: _,
-        partition,
-        mem,
-        predictor,
-        iq_entries,
-        extra_phys_regs,
-        int_units,
-        ldst_units,
-        fp_units,
-        decode_width,
-        commit_width,
-        frontend_depth,
-        decode_cycles,
-        misfetch_penalty,
-        // An implementation granularity, not part of the machine: every
-        // value produces bit-identical results (`tests/block_rename.rs`).
-        fetch_block_chunk: _,
-    } = cfg;
-    let MemConfig {
-        icache,
-        dcache,
-        l2,
-        l3,
-        itlb_entries,
-        dtlb_entries,
-        page_bytes,
-        mshrs,
-        infinite_bandwidth,
-        perfect_icache,
-    } = mem;
-    let PredictorConfig {
-        btb_entries,
-        btb_assoc,
-        pht_entries,
-        ras_entries,
-        thread_tagged_btb,
-        per_thread_ras,
-    } = predictor;
-    let mut w = BinWriter::new(Vec::new());
-    let r: io::Result<()> = (|| {
-        // Workload identity, by the tag rule in the module docs.
+    let mut w = BinWriter::new(io::sink());
+    w.erased(|w| cfg.save(w))
+        .expect("writing to a sink cannot fail");
+    w.checksum()
+}
+
+// The machine's identity, in byte order. The fork axes are skipped: one
+// warmed checkpoint restores under any of them. A new field does not
+// compile until it is listed (it shapes the machine) or skipped (it is a
+// fork axis); left out silently, it would alias two different machines
+// onto one `--checkpoint-dir` entry and one journal key.
+persist! {
+    SimConfig {
+        workloads via workload_identity, seed, partition, mem, predictor, iq_entries,
+        extra_phys_regs, int_units, ldst_units, fp_units, decode_width, commit_width,
+        frontend_depth, decode_cycles, misfetch_penalty,
+    } skip { fetch, issue, warmup_cycles, ablations }
+}
+
+/// The workload's identity bytes, by the tag rule in the module docs.
+mod workload_identity {
+    use std::io::{self, Read, Write};
+
+    use smt_stats::binio::{invalid, BinReader, BinWriter};
+
+    use crate::config::WorkloadSpec;
+
+    pub(super) fn save(
+        workloads: &[WorkloadSpec],
+        w: &mut BinWriter<&mut dyn Write>,
+    ) -> io::Result<()> {
         let untagged = workloads
             .iter()
             .all(|s| matches!(s, WorkloadSpec::Benchmark(_)))
@@ -265,56 +256,16 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
                 WorkloadSpec::Trace(t) => w.u64(t.fingerprint())?,
             }
         }
-        w.u64(*seed)?;
-        w.u8(partition.threads_per_cycle)?;
-        w.u8(partition.insts_per_thread)?;
-        for level in [icache, dcache, l2, l3] {
-            let CacheParams {
-                size_bytes,
-                assoc,
-                line_bytes,
-                banks,
-                accesses_per_cycle,
-                cycles_per_access,
-                transfer_cycles,
-                fill_cycles,
-                latency_to_next,
-            } = level;
-            w.len(*size_bytes)?;
-            w.len(*assoc)?;
-            w.len(*line_bytes)?;
-            w.len(*banks)?;
-            w.u32(*accesses_per_cycle)?;
-            w.u64(*cycles_per_access)?;
-            w.u64(*transfer_cycles)?;
-            w.u64(*fill_cycles)?;
-            w.u64(*latency_to_next)?;
-        }
-        w.len(*itlb_entries)?;
-        w.len(*dtlb_entries)?;
-        w.u64(*page_bytes)?;
-        w.len(*mshrs)?;
-        w.bool(*infinite_bandwidth)?;
-        w.bool(*perfect_icache)?;
-        w.len(*btb_entries)?;
-        w.len(*btb_assoc)?;
-        w.len(*pht_entries)?;
-        w.len(*ras_entries)?;
-        w.bool(*thread_tagged_btb)?;
-        w.bool(*per_thread_ras)?;
-        w.len(*iq_entries)?;
-        w.len(*extra_phys_regs)?;
-        w.len(*int_units)?;
-        w.len(*ldst_units)?;
-        w.len(*fp_units)?;
-        w.len(*decode_width)?;
-        w.len(*commit_width)?;
-        w.len(*frontend_depth)?;
-        w.u64(*decode_cycles)?;
-        w.u64(*misfetch_penalty)
-    })();
-    r.expect("writing to a Vec cannot fail");
-    w.checksum()
+        Ok(())
+    }
+
+    /// A configuration is hashed, never read back.
+    pub(super) fn restore(
+        _: &mut [WorkloadSpec],
+        _: &mut BinReader<&mut dyn Read>,
+    ) -> io::Result<()> {
+        Err(invalid("a workload list is not decoded from a stream"))
+    }
 }
 
 #[cfg(test)]

@@ -121,14 +121,6 @@ pub struct SimConfig {
     /// default: no mechanism is disabled and every hook is inert — see the
     /// [`Ablations`] docs for what each switch removes.
     pub ablations: Ablations,
-    /// Fetch-block chunk size: how many instructions the front end decodes
-    /// and commits to the slab per block transaction. Purely an
-    /// implementation granularity — every value produces bit-identical
-    /// results (the equivalence the block-rename property test pins with
-    /// chunk size 1). Not part of the machine description, so it is
-    /// excluded from the checkpoint config fingerprint by construction.
-    #[doc(hidden)]
-    pub fetch_block_chunk: usize,
 }
 
 impl SimConfig {
@@ -164,7 +156,6 @@ impl SimConfig {
             misfetch_penalty: 2,
             warmup_cycles: 0,
             ablations: Ablations::none(),
-            fetch_block_chunk: 8,
         }
     }
 
@@ -251,7 +242,6 @@ impl SimConfig {
             "load/store units are a subset of int units"
         );
         assert!(self.frontend_depth > 0 && self.int_units > 0 && self.fp_units > 0);
-        assert!(self.fetch_block_chunk > 0, "fetch block chunk must be > 0");
         Simulator::new(self)
     }
 }

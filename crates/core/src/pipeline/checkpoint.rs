@@ -35,8 +35,7 @@ persist! {
     } skip {
         cfg, frontend_limit, iq_limit, restored_from_checkpoint, fetch_rank_scratch,
         fetch_view_scratch, fetch_key_scratch, issue_rank_scratch, issue_cand_scratch,
-        issue_key_scratch, loss_scratch, completion_scratch, woken_scratch, commit_scratch,
-        rename_loc,
+        issue_key_scratch, loss_scratch, completion_scratch, woken_scratch,
     } check Simulator::validate
 }
 persist! { ReadyEntry { seq, opt_until, iref, op via opcode, ti } }

@@ -11,28 +11,19 @@ impl Simulator {
     /// Committing a renaming instruction frees the physical register its
     /// destination previously mapped to — by then every consumer of that
     /// old mapping has itself committed, so no wakeup list can reference
-    /// it. Retirement moves a 4-byte slab handle and recycles the slot;
+    /// it. Retirement moves a 4-byte slab handle and recycles the slot
+    /// with [`free`](super::slab::InstSlab::free), the call squash uses;
     /// the instruction record itself is never copied.
-    /// Each thread's ready-to-retire run is popped into a pooled scratch
-    /// buffer and recycled as one
-    /// [`free_block`](super::slab::InstSlab::free_block) transaction —
-    /// one free-list push run and one committed-counter update per thread
-    /// per cycle instead of per instruction. Free order (and therefore
-    /// subsequent LIFO slot reuse) is bit-identical to the per-instruction
-    /// path.
     pub(super) fn commit(&mut self) {
         let mut budget = self.cfg.commit_width;
         let n = self.threads.len();
         let start = self.cycle as usize % n;
-        let mut retired = std::mem::take(&mut self.commit_scratch);
         for k in 0..n {
             if budget == 0 {
                 break;
             }
-            let ti = (start + k) % n;
-            retired.clear();
+            let t = &mut self.threads[(start + k) % n];
             while budget > 0 {
-                let t = &mut self.threads[ti];
                 let Some(&head) = t.rob.front() else {
                     break;
                 };
@@ -49,14 +40,10 @@ impl Simulator {
                 if prev != PREG_NONE {
                     self.regs[preg_class(prev)].release(preg_index(prev));
                 }
-                retired.push(head);
+                self.insts.free(head);
+                t.committed += 1;
                 budget -= 1;
             }
-            if !retired.is_empty() {
-                self.insts.free_block(&retired);
-                self.threads[ti].committed += retired.len() as u64;
-            }
         }
-        self.commit_scratch = retired;
     }
 }

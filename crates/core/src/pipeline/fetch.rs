@@ -183,22 +183,11 @@ impl Simulator {
     /// With `arbitrate: false` (the wrong-path exemption ablation) the
     /// I-cache access neither checks nor consumes bank/port resources.
     ///
-    /// The block is one **slab transaction per chunk** (chunk size =
-    /// `SimConfig::fetch_block_chunk`, the full 8-wide block by default):
-    /// the PC run is streamed through the oracle/predictor in one pass,
-    /// each decoded [`HotInst`] is staged **directly into its final slab
-    /// slot** ([`stage`](super::slab::InstSlab::stage) — no staging copy),
-    /// and the free list is settled once per chunk
-    /// ([`commit_block`](super::slab::InstSlab::commit_block)). The live
-    /// ICOUNT (`in_flight`), sequence and fetch counters are updated once
-    /// per block with the net delta.
-    ///
-    /// Every chunk size yields bit-identical results to the
-    /// instruction-granular path (chunk size 1 — one free-list
-    /// transaction per instruction, exactly the old `alloc` loop): decode
-    /// order, slot assignment and loss-entry order are all preserved —
-    /// the equivalence `tests/block_rename.rs` pins across the reference
-    /// matrix.
+    /// The PC run is streamed through the oracle/predictor in one pass and
+    /// each decoded [`HotInst`] is written straight into its slab slot
+    /// ([`alloc`](super::slab::InstSlab::alloc), one instruction at a
+    /// time). The live ICOUNT (`in_flight`), sequence and fetch counters
+    /// are updated once per block with the net delta.
     fn fetch_block(
         &mut self,
         ti: usize,
@@ -235,7 +224,6 @@ impl Simulator {
         let frontend_limit = self.frontend_limit;
         let decode_cycles = self.cfg.decode_cycles;
         let misfetch_penalty = self.cfg.misfetch_penalty;
-        let chunk = self.cfg.fetch_block_chunk as u32;
         let perfect_bp = self
             .cfg
             .ablations
@@ -247,8 +235,6 @@ impl Simulator {
         let mut misfetches = 0u64;
         let mut wrong_ct = 0u64;
         let mut fetched = 0u32;
-        let mut staged = 0u32;
-        let mut cur = insts.begin_block();
         while fetched < cap {
             if t.frontend.len() >= frontend_limit {
                 losses.push((LossCause::FrontendFull, cap - fetched));
@@ -340,26 +326,21 @@ impl Simulator {
                 wrong_ct += 1;
             }
 
-            // Staged straight into its final slab slot; the free list is
-            // settled once per chunk below.
-            let iref = insts.stage(
-                &mut cur,
-                HotInst {
-                    gen: 0, // overwritten with the slot's generation
-                    seq,
-                    when: cycle + decode_cycles,
-                    mem_addr,
-                    dest_phys: PREG_NONE,
-                    prev_phys: PREG_NONE,
-                    srcs_phys: [PREG_NONE, PREG_NONE],
-                    flags: HotInst::initial_flags(wrong_path, mispredict),
-                    op: inst.op,
-                    ti: ti as u8,
-                    pending_srcs: 0,
-                    dest_log: lreg_pack(inst.dest),
-                    srcs_log: [lreg_pack(inst.srcs[0]), lreg_pack(inst.srcs[1])],
-                },
-            );
+            let iref = insts.alloc(HotInst {
+                gen: 0, // overwritten with the slot's generation
+                seq,
+                when: cycle + decode_cycles,
+                mem_addr,
+                dest_phys: PREG_NONE,
+                prev_phys: PREG_NONE,
+                srcs_phys: [PREG_NONE, PREG_NONE],
+                flags: HotInst::initial_flags(wrong_path, mispredict),
+                op: inst.op,
+                ti: ti as u8,
+                pending_srcs: 0,
+                dest_log: lreg_pack(inst.dest),
+                srcs_log: [lreg_pack(inst.srcs[0]), lreg_pack(inst.srcs[1])],
+            });
             // Only correct-path control instructions are ever resolved
             // against a cold record; everything else skips the array
             // entirely.
@@ -378,13 +359,6 @@ impl Simulator {
             // ---- end of one instruction ------------------------------
 
             fetched += 1;
-            staged += 1;
-            if staged == chunk {
-                // Forced sub-block granularity (`fetch_block_chunk` < 8):
-                // settle the free list and open the next transaction.
-                insts.commit_block(&mut cur);
-                staged = 0;
-            }
             if end_block {
                 if fetched < cap {
                     losses.push((LossCause::Fragmentation, cap - fetched));
@@ -392,7 +366,6 @@ impl Simulator {
                 break;
             }
         }
-        insts.commit_block(&mut cur);
         // Net per-block counter deltas: one update per fetch block.
         t.in_flight += fetched;
         self.next_seq = seq;

@@ -315,81 +315,6 @@ pub struct Simulator {
     completion_scratch: Vec<smt_mem::Completion>,
     /// Reused wakeup drain buffer (filled by `PhysRegFile::set_ready`).
     woken_scratch: Vec<crate::regfile::Consumer>,
-    /// Reused commit retirement buffer: the ready-to-retire run popped
-    /// off a ROB, freed as one `InstSlab::free_block` transaction.
-    commit_scratch: Vec<InstRef>,
-    /// The block-granular rename stage's local scratch map (see
-    /// [`RenameScratch`]).
-    rename_loc: RenameScratch,
-}
-
-/// One entry of the block-local rename scratch map: the cached rename
-/// answer for a logical register, valid only while `stamp` matches the
-/// current block's stamp.
-#[derive(Clone, Copy)]
-#[repr(align(16))]
-struct RenameEntry {
-    /// Cached opt-window end, or `u64::MAX` for a not-ready register.
-    opt: u64,
-    /// Owning block's stamp; the entry is stale under any other stamp.
-    stamp: u32,
-    /// Cached *packed* physical register ([`slab::preg_pack`]) — exactly
-    /// the value a consumer stores in its `srcs_phys`, so a hit needs no
-    /// re-packing.
-    phys: u16,
-}
-
-/// The per-block rename scratch map (the block-granular front end's local
-/// map): one entry per packed logical-register byte ([`slab::lreg_pack`]),
-/// indexed by the raw byte so lookups are bounds-check-free and skip the
-/// unpack entirely; entries are validated by a per-block stamp so
-/// invalidation is O(1) — no clearing between blocks.
-///
-/// Each block's first probe of a source operand caches the packed physical
-/// register plus its readiness/opt-window answer (immutable for the whole
-/// rename phase, see `PhysRegFile::check_or_wait`), and each in-block
-/// destination rename records the fresh (not-ready) register — so the
-/// shared regfile record behind a logical register is probed at most once
-/// per block, and intra-block producer→consumer dependencies are resolved
-/// without touching the shared scoreboard at all. Purely a cache: results
-/// are bit-identical to per-instruction probing.
-struct RenameScratch {
-    /// Current block's stamp; entries are valid only when theirs matches.
-    /// Bumped per block; on the (once per 2^32 blocks) wrap the whole map
-    /// is cleared so no stale entry can collide with a reused stamp.
-    stamp: u32,
-    /// The map, indexed by the packed logical-register byte.
-    map: [RenameEntry; 256],
-}
-
-impl RenameScratch {
-    fn new() -> RenameScratch {
-        RenameScratch {
-            stamp: 0,
-            map: [RenameEntry {
-                opt: 0,
-                stamp: 0,
-                phys: 0,
-            }; 256],
-        }
-    }
-
-    /// Opens the next block: bumps the stamp (invalidating every entry in
-    /// O(1)) and handles the wrap by clearing the map outright.
-    #[inline]
-    fn next_block(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Stamp reuse after a wrap: scrub so entries from 2^32 blocks
-            // ago cannot read as fresh.
-            self.map = [RenameEntry {
-                opt: 0,
-                stamp: 0,
-                phys: 0,
-            }; 256];
-            self.stamp = 1;
-        }
-    }
 }
 
 /// Per-phase wall-clock accumulators behind the `phase-timing` feature
@@ -509,8 +434,6 @@ impl Simulator {
             loss_scratch: Vec::new(),
             completion_scratch: Vec::new(),
             woken_scratch: Vec::new(),
-            commit_scratch: Vec::new(),
-            rename_loc: RenameScratch::new(),
         }
     }
 

@@ -21,48 +21,34 @@ use super::{ReadyEntry, Simulator};
 impl Simulator {
     // ---- phase 5a: rename / dispatch ---------------------------------
 
-    /// Block-granular rename: each thread's run of decode-ready front-end
-    /// heads is processed as one block against the local
-    /// [`RenameScratch`](super::RenameScratch) map — the shared regfile
-    /// record behind a logical register is probed at most once per block
-    /// (with the wakeup-list registration fused into the probe,
-    /// [`check_or_wait`](crate::regfile::PhysRegFile::check_or_wait)),
-    /// intra-block producer→consumer dependencies resolve against the
-    /// scratch map without touching the shared scoreboard, and IQ
-    /// occupancy is updated once per block with the net delta. Readiness
-    /// is monotone during rename (nothing becomes ready mid-phase), so
-    /// every answer the scratch map serves is bit-identical to a fresh
-    /// per-instruction probe — and a cached not-ready answer never goes
-    /// stale before the follow-up registration.
+    /// Dispatches up to `decode_width` decode-ready front-end heads,
+    /// rotating the starting thread each cycle. Each source operand is
+    /// looked up in the thread's rename map and probed with
+    /// [`check_or_wait`](crate::regfile::PhysRegFile::check_or_wait),
+    /// which either answers with the register's load-speculation window
+    /// end or registers the instruction on its wakeup list — one record
+    /// lookup for both halves.
     pub(super) fn rename(&mut self) {
         let cycle = self.cycle;
         let mut budget = self.cfg.decode_width;
         let n = self.threads.len();
         let start = self.cycle as usize % n;
         let iq_limit = self.iq_limit;
-        // Split every field the block loop touches once, so the inner loop
-        // works entirely off locals the compiler can keep in registers.
+        // Split every field the dispatch loop touches once, so the inner
+        // loop works entirely off locals the compiler can keep in
+        // registers.
         let threads = &mut self.threads;
         let insts = &mut self.insts;
         let regs = &mut self.regs;
-        let loc = &mut self.rename_loc;
         let ready_q = &mut self.ready_q;
         let iq_len = &mut self.iq_len;
-        let mut done = false;
         for k in 0..n {
-            if done || budget == 0 {
+            if budget == 0 {
                 break;
             }
             let ti = (start + k) % n;
             let t = &mut threads[ti];
-            // A fresh stamp invalidates the whole scratch map in O(1).
-            loc.next_block();
-            let mut iq_delta = [0usize; 2];
-            loop {
-                if budget == 0 {
-                    done = true;
-                    break;
-                }
+            while budget > 0 {
                 // The head's decode-ready cycle rides in the queue entry,
                 // so a not-yet-decoded head costs no slab touch.
                 let Some(&(iref, ready_at)) = t.frontend.front() else {
@@ -79,7 +65,7 @@ impl Simulator {
                 );
                 debug_assert_eq!(hot.when, ready_at);
                 let class = hot.op.queue();
-                if iq_len[class.index()] + iq_delta[class.index()] >= iq_limit {
+                if iq_len[class.index()] >= iq_limit {
                     break; // IQ full: dispatch stalls, fetch feels back-pressure
                 }
                 let dest_log = hot.dest_log;
@@ -102,37 +88,12 @@ impl Simulator {
                 let mut opt_until = 0u64;
                 for (si, &s) in srcs_log.iter().enumerate() {
                     if s != LREG_NONE {
-                        // Indexing by the packed byte skips both the
-                        // unpack and the bounds check (u8 < 256).
-                        let e = &mut loc.map[usize::from(s)];
-                        let (packed, opt) = if e.stamp == loc.stamp {
-                            // Block-local hit: an intra-block producer's
-                            // fresh register, or a source this block
-                            // already probed. Not ready — register on the
-                            // producer's wakeup list (probe already paid).
-                            if e.opt == u64::MAX {
-                                regs[super::slab::preg_class(e.phys)]
-                                    .add_waiter(super::slab::preg_index(e.phys), tag);
-                            }
-                            (e.phys, e.opt)
-                        } else {
-                            let r = lreg_unpack(s);
-                            let ci = r.class().index();
-                            let p = t.map.lookup(r);
-                            let opt = regs[ci].check_or_wait(p, tag).unwrap_or(u64::MAX);
-                            let packed = preg_pack(r.class(), p);
-                            *e = super::RenameEntry {
-                                opt,
-                                stamp: loc.stamp,
-                                phys: packed,
-                            };
-                            (packed, opt)
-                        };
-                        srcs_phys[si] = packed;
-                        if opt == u64::MAX {
-                            pending += 1;
-                        } else {
-                            opt_until = opt_until.max(opt);
+                        let r = lreg_unpack(s);
+                        let p = t.map.lookup(r);
+                        srcs_phys[si] = preg_pack(r.class(), p);
+                        match regs[r.class().index()].check_or_wait(p, tag) {
+                            Some(opt) => opt_until = opt_until.max(opt),
+                            None => pending += 1,
                         }
                     }
                 }
@@ -145,19 +106,12 @@ impl Simulator {
                     let prev = t.map.redefine(d, p);
                     hot.dest_phys = preg_pack(d.class(), p);
                     hot.prev_phys = preg_pack(d.class(), prev);
-                    // Later consumers in this block resolve against the
-                    // fresh (not-ready) register locally.
-                    loc.map[usize::from(dest_log)] = super::RenameEntry {
-                        opt: u64::MAX,
-                        stamp: loc.stamp,
-                        phys: hot.dest_phys,
-                    };
                 }
                 hot.pending_srcs = pending;
                 hot.set_state(InstState::Queued);
                 let op = hot.op;
                 t.frontend.pop_front();
-                iq_delta[class.index()] += 1;
+                iq_len[class.index()] += 1;
                 if pending == 0 {
                     // All operands already available: ready from dispatch.
                     debug_assert_eq!(opt_until, super::opt_until_of(regs, &srcs_phys));
@@ -172,8 +126,6 @@ impl Simulator {
                 }
                 budget -= 1;
             }
-            iq_len[0] += iq_delta[0];
-            iq_len[1] += iq_delta[1];
         }
     }
 }

@@ -308,16 +308,6 @@ impl ColdInst {
     }
 }
 
-/// An open block allocation transaction on the [`InstSlab`]: counts the
-/// slots staged from the back of the free list so
-/// [`commit_block`](InstSlab::commit_block) can settle them in one
-/// truncate. See [`begin_block`](InstSlab::begin_block).
-#[derive(Debug)]
-pub(crate) struct BlockCursor {
-    /// Free-list slots staged (from the back, LIFO) since the last commit.
-    taken: usize,
-}
-
 /// The generation-indexed slab holding every in-flight instruction.
 #[derive(Debug)]
 pub(crate) struct InstSlab {
@@ -354,15 +344,8 @@ impl InstSlab {
     /// record is **not** written — callers that need one (correct-path
     /// control instructions) store it through
     /// [`cold`](InstSlab::cold) afterwards; everyone else skips the array
-    /// entirely.
-    ///
-    /// The pipeline itself allocates through the block transaction
-    /// ([`begin_block`](InstSlab::begin_block) /
-    /// [`stage`](InstSlab::stage) /
-    /// [`commit_block`](InstSlab::commit_block), the block-granular front
-    /// end); this single-record form remains as the semantic reference the
-    /// block-equivalence tests compare against.
-    #[cfg(test)]
+    /// entirely. Fetch allocates every instruction here, one at a time.
+    #[inline]
     pub(crate) fn alloc(&mut self, mut hot: HotInst) -> InstRef {
         match self.free.pop() {
             Some(i) => {
@@ -380,74 +363,12 @@ impl InstSlab {
         }
     }
 
-    /// Opens a block allocation transaction (the block-granular front
-    /// end's bulk path): [`stage`](InstSlab::stage) writes each record
-    /// straight into its final slot — no staging copy — and
-    /// [`commit_block`](InstSlab::commit_block) settles the free list in
-    /// **one transaction per block** instead of one pop per instruction.
-    ///
-    /// Slot assignment is bit-identical to successive single-record
-    /// `alloc` calls: record `i` takes the `i`-th slot from the back of
-    /// the free list (LIFO, hottest lines first), and once the list runs
-    /// dry the remainder extends the slab in order. Staged slots remain
-    /// on the free list until the commit; that intermediate state is
-    /// never observable because the slab has a single owner and fetch
-    /// stages whole blocks atomically within a cycle phase.
-    pub(crate) fn begin_block(&mut self) -> BlockCursor {
-        BlockCursor { taken: 0 }
-    }
-
-    /// Stages `hot` into the next slot of the open block transaction
-    /// (its `gen` field is overwritten with the slot's, exactly as in
-    /// `alloc`; the cold record is untouched).
-    #[inline]
-    pub(crate) fn stage(&mut self, cur: &mut BlockCursor, mut hot: HotInst) -> InstRef {
-        let top = self.free.len();
-        if cur.taken < top {
-            let slot = self.free[top - 1 - cur.taken] as usize;
-            cur.taken += 1;
-            hot.gen = self.hot[slot].gen;
-            self.hot[slot] = hot;
-            InstRef(slot as u32)
-        } else {
-            let slot = self.hot.len() as u32;
-            hot.gen = 0;
-            self.hot.push(hot);
-            self.cold.push(ColdInst::default());
-            InstRef(slot)
-        }
-    }
-
-    /// Commits the open block transaction: removes every staged slot from
-    /// the free list in one truncate (growth slots are already permanent)
-    /// and resets the cursor for the next block.
-    #[inline]
-    pub(crate) fn commit_block(&mut self, cur: &mut BlockCursor) {
-        let top = self.free.len();
-        self.free.truncate(top - cur.taken);
-        cur.taken = 0;
-    }
-
     /// Frees a slot (commit or squash): bumps its generation so every
     /// outstanding [`GenRef`] to it goes stale, and recycles the index.
     pub(crate) fn free(&mut self, r: InstRef) {
         let h = &mut self.hot[r.index()];
         h.gen = h.gen.wrapping_add(1);
         self.free.push(r.0);
-    }
-
-    /// Frees a whole retired block as one free-list transaction: each
-    /// slot's generation is bumped and the indices are pushed in order —
-    /// bit-identical to successive [`free`](InstSlab::free) calls, so
-    /// subsequent (block) allocation reuses the same slots in the same
-    /// LIFO order.
-    pub(crate) fn free_block(&mut self, refs: &[InstRef]) {
-        self.free.reserve(refs.len());
-        for &r in refs {
-            let h = &mut self.hot[r.index()];
-            h.gen = h.gen.wrapping_add(1);
-            self.free.push(r.0);
-        }
     }
 
     /// An authenticated handle to a currently-live slot.
@@ -792,47 +713,6 @@ mod tests {
         assert_eq!(slab.live(tag_a), None, "old tag stays stale after reuse");
         assert_eq!(slab.live(slab.tag(b)), Some(b));
         assert_eq!(slab.hot[b.index()].seq, 2);
-    }
-
-    #[test]
-    fn block_transactions_match_instruction_granular_order() {
-        // The same alloc/free sequence driven per-instruction and as block
-        // transactions must produce identical slot assignment, generations
-        // and free-list order — the invariant the block-granular front end
-        // (and the forced block-size-1 equivalence test) rests on.
-        let mut single = InstSlab::with_capacity(4);
-        let mut block = InstSlab::with_capacity(4);
-        // Pre-populate and free in a scrambled order so the free lists are
-        // non-trivial and partially cover the next block.
-        let mut pre_s = Vec::new();
-        let mut pre_b = Vec::new();
-        let mut cur = block.begin_block();
-        for seq in 0..5 {
-            pre_s.push(single.alloc(hot(seq)));
-            pre_b.push(block.stage(&mut cur, hot(seq)));
-        }
-        block.commit_block(&mut cur);
-        assert_eq!(pre_s, pre_b);
-        for &i in &[1usize, 3, 4] {
-            single.free(pre_s[i]);
-        }
-        block.free_block(&[pre_b[1], pre_b[3], pre_b[4]]);
-        // A 5-record block over a 3-entry free list: 3 reuses + 2 grows.
-        let hots: Vec<HotInst> = (10..15).map(hot).collect();
-        let mut cur = block.begin_block();
-        let out_b: Vec<InstRef> = hots.iter().map(|&h| block.stage(&mut cur, h)).collect();
-        block.commit_block(&mut cur);
-        let out_s: Vec<InstRef> = hots.iter().map(|&h| single.alloc(h)).collect();
-        assert_eq!(out_s, out_b, "slot assignment diverged");
-        assert_eq!(single.hot.len(), block.hot.len());
-        assert_eq!(single.free.len(), block.free.len());
-        for (a, b) in single.hot.iter().zip(&block.hot) {
-            assert_eq!((a.gen, a.seq), (b.gen, b.seq), "record state diverged");
-        }
-        // Tags authenticate identically after the mixed transaction.
-        for (&a, &b) in out_s.iter().zip(&out_b) {
-            assert_eq!(single.tag(a), block.tag(b));
-        }
     }
 
     #[test]

@@ -128,37 +128,14 @@ impl PhysRegFile {
         self.free.push(p);
     }
 
-    /// Registers a consumer to be woken when `p` becomes ready — the
-    /// registration half of a dispatch-time source check, used by the
-    /// block-granular rename path when its scratch map already answered
-    /// the probe half (the register was seen not-ready earlier in the same
-    /// block, by [`check_or_wait`](PhysRegFile::check_or_wait) or an
-    /// in-block destination rename). Only legal while the register is not
-    /// ready (a ready register never un-readies while referenced, so
-    /// consumers of ready registers never wait), and readiness is monotone
-    /// during rename — a cached not-ready answer cannot go stale before
-    /// this registration.
-    pub(crate) fn add_waiter(&mut self, p: u16, consumer: Consumer) {
-        let s = &mut self.state[p as usize];
-        debug_assert!(!s.ready, "waiting on already-ready register {p}");
-        let n = usize::from(s.waiting);
-        if n < INLINE_WAITERS {
-            s.inline[n] = consumer;
-        } else {
-            self.spill.push((p, consumer));
-        }
-        s.waiting += 1;
-    }
-
     /// The fused dispatch-time source check: if `p` is ready, returns its
     /// load-speculation window end
     /// ([`opt_window_end`](PhysRegFile::opt_window_end)); otherwise
-    /// registers `consumer` on `p`'s wakeup list — exactly as
-    /// [`add_waiter`](PhysRegFile::add_waiter) would — and returns `None`.
-    /// One record lookup serves both halves, and the block-granular rename
-    /// path caches the answer per logical register per block (valid
-    /// because readiness and the `(by_load, ready_at)` pair are immutable
-    /// for the whole rename phase).
+    /// registers `consumer` on `p`'s wakeup list, after any consumers
+    /// already there, and returns `None`. One record lookup serves both
+    /// halves. Rename calls it once per source operand; a ready register
+    /// never un-readies while referenced, so consumers of ready registers
+    /// never wait.
     #[inline]
     pub(crate) fn check_or_wait(&mut self, p: u16, consumer: Consumer) -> Option<u64> {
         let s = &mut self.state[p as usize];
@@ -357,8 +334,8 @@ mod tests {
         let mut f = PhysRegFile::new(40);
         let p = f.alloc().unwrap();
         let (a, b) = (Consumer::synthetic(7, 2), Consumer::synthetic(9, 0));
-        f.add_waiter(p, a);
-        f.add_waiter(p, b);
+        assert_eq!(f.check_or_wait(p, a), None);
+        assert_eq!(f.check_or_wait(p, b), None);
         let mut woken = Vec::new();
         f.set_ready(p, 3, false, &mut woken);
         assert_eq!(woken, vec![a, b]);
@@ -372,7 +349,7 @@ mod tests {
     fn release_drops_stale_waiters_without_waking() {
         let mut f = PhysRegFile::new(40);
         let p = f.alloc().unwrap();
-        f.add_waiter(p, Consumer::synthetic(11, 0));
+        assert_eq!(f.check_or_wait(p, Consumer::synthetic(11, 0)), None);
         // Squash path: the register dies with its (also-dead) consumers.
         f.release(p);
         let q = f.alloc().unwrap();

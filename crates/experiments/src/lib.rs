@@ -333,15 +333,22 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// Checks the policy names and that neither swept axis lists an entry
-    /// twice (see [`StudyConfig::validate`]).
+    /// Checks the thread count, the policy names, and that neither swept
+    /// axis is empty or lists an entry twice (see
+    /// [`StudyConfig::validate`]).
     ///
     /// # Errors
     ///
     /// Returns a usage-style message naming the first problem.
     pub fn validate(&self) -> Result<(), String> {
+        if !(1..=smt_core::MAX_THREADS).contains(&self.threads) {
+            return Err(format!("--threads must be 1..={}", smt_core::MAX_THREADS));
+        }
         study::distinct_policies("fetch", &self.fetch_policies, study::fetch_name)?;
         study::issue_name(&self.issue_policy)?;
+        if self.fetch_policies.is_empty() || self.partitions.is_empty() {
+            return Err("matrix sweep axes must all be non-empty".to_string());
+        }
         study::reject_repeats("partition", &self.partitions)
     }
 }
@@ -662,12 +669,7 @@ pub fn parse_cli(args: &[String]) -> Result<Command, String> {
                 let all = STUDY_MIXES.iter().map(|s| s.to_string()).collect();
                 mixes = Some(name_list(&value(arg)?, all, study::validate_mix)?);
             }
-            "--threads" => {
-                exp.threads = number(arg, &value(arg)?)?;
-                if exp.threads == 0 || exp.threads > smt_core::MAX_THREADS {
-                    return Err(format!("--threads must be 1..={}", smt_core::MAX_THREADS));
-                }
-            }
+            "--threads" => exp.threads = number(arg, &value(arg)?)?,
             "--cycles" => exp.cycles = number(arg, &value(arg)?)?,
             "--warmup" => warmup = Some(number(arg, &value(arg)?)?),
             "--seed" => exp.seed = number(arg, &value(arg)?)?,
@@ -1121,6 +1123,54 @@ mod tests {
         assert_eq!(matrix.reports[0].cycles, 300);
         assert_eq!(matrix.reports[0].warmup_cycles, 150);
         assert!(!matrix.reports[0].restored_from_checkpoint);
+    }
+
+    /// A degenerate matrix is refused up front with the CLI's message,
+    /// through the library as through `parse_cli` — not run as a sweep in
+    /// which every cell fails.
+    #[test]
+    fn degenerate_matrices_are_refused_before_any_cell_runs() {
+        let threads = format!("--threads must be 1..={}", smt_core::MAX_THREADS);
+        let axes = "matrix sweep axes must all be non-empty";
+        let cases = [
+            (
+                ExpConfig {
+                    threads: 0,
+                    ..ExpConfig::default()
+                },
+                &threads[..],
+            ),
+            (
+                ExpConfig {
+                    threads: 33,
+                    ..ExpConfig::default()
+                },
+                &threads[..],
+            ),
+            (
+                ExpConfig {
+                    fetch_policies: vec![],
+                    ..ExpConfig::default()
+                },
+                axes,
+            ),
+            (
+                ExpConfig {
+                    partitions: vec![],
+                    ..ExpConfig::default()
+                },
+                axes,
+            ),
+        ];
+        for (cfg, message) in cases {
+            assert_eq!(run_matrix(&cfg).err().as_deref(), Some(message), "{cfg:?}");
+        }
+        for n in ["0", "33"] {
+            assert_eq!(
+                parse_cli(&argv(&["--threads", n])).err(),
+                Some(threads.clone())
+            );
+        }
     }
 
     #[test]

@@ -1048,6 +1048,20 @@ persist! {
         next_delay_at,
     } skip { cfg, waiter_pool }
 }
+// The configuration's identity bytes, hashed into the checkpoint header's
+// fingerprint (`smt_core::checkpoint::config_fingerprint`), never stored.
+persist! {
+    MemConfig {
+        icache, dcache, l2, l3, itlb_entries, dtlb_entries, page_bytes, mshrs, infinite_bandwidth,
+        perfect_icache,
+    }
+}
+persist! {
+    CacheParams {
+        size_bytes, assoc, line_bytes, banks, accesses_per_cycle, cycles_per_access,
+        transfer_cycles, fill_cycles, latency_to_next,
+    }
+}
 persist! { TagArray { lines } skip { sets, assoc, line_shift, tag_shift } }
 persist! { Line { tag, valid, dirty, lru } }
 persist! { Tlb { slots, last, len, tick } skip { mask, capacity, page_shift } check Tlb::validate }
