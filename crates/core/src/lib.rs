@@ -103,16 +103,17 @@
 //!    perf report --no-children
 //!    ```
 //!
-//! What the steady-state profile should look like (warmed, block-granular
-//! front end): the seven phases split roughly rename (~24%) > fetch ≈
-//! issue (~20% each) > writeback (~17%) > commit (~12%) > memory events
-//! (~7%), with **zero heap allocations per cycle** (pinned by this crate's
+//! What the steady-state profile should look like (warmed
+//! `hotloop_standard`, one traced run on a shared 2-CPU host): the seven
+//! phases split roughly fetch ≈ rename (~22–23% each) > issue (~20%) >
+//! writeback (~17%) > commit (~11%) > memory events (~6%), with **zero
+//! heap allocations per cycle** (pinned by this crate's
 //! `tests/alloc_guard.rs` — a counting global allocator over a warmed
-//! 5k-cycle window). Rename leads because the block-granular path
-//! concentrates per-instruction work there: the whole fetch block moves
-//! through one slab free-list transaction and a flat block-local rename
-//! scratch, so fetch and dispatch are mostly bulk cursor moves while
-//! rename does the per-operand probes. Leaf components are cheap (oracle
+//! 5k-cycle window). Fetch and rename lead because they do the
+//! per-instruction work: fetch steps the instruction source and the
+//! predictor and allocates one slab slot per instruction, and rename
+//! probes one scoreboard record per source operand
+//! (`PhysRegFile::check_or_wait`). Leaf components are cheap (oracle
 //! step and a predictor lookup are each a few nanoseconds); the cycle cost
 //! is dominated by cache traffic over the pipeline's own state, which is
 //! why the data layout (packed 48-byte hot records, 4-byte slab handles,

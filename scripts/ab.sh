@@ -6,7 +6,7 @@
 #
 # Extracts PARENT_REV (`git archive`) into a directory under $TMPDIR,
 # removed on exit; builds each tree's `benchmark/` package offline into its
-# own target directory there; then runs N pairs (default 10) of
+# own target directory there; then runs N pairs (default 10, at least 2) of
 # `benchmark/run.sh --workload W --seconds S` per workload, each side from
 # its own tree's root, alternating which side runs first. S defaults to
 # BENCHMARK.json's `run_seconds`, the workloads to all of its workloads.
@@ -40,7 +40,7 @@ while [ $# -gt 1 ]; do
         *) echo "ab.sh: unknown argument '$1'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
-if [ $# -ne 1 ] || [ "${1#-}" != "$1" ]; then
+if [ $# -ne 1 ] || [ "${1#-}" != "$1" ] || ! [ "$pairs" -ge 2 ] 2>/dev/null; then
     echo "$usage" >&2
     exit 2
 fi
@@ -71,7 +71,7 @@ run() { # <side> <workload> <pair>
     # the scratch directory, not into the tree's benchmark/out.
     if ! CARGO_TARGET_DIR="$work/target-$1" bash "${tree[$1]}/benchmark/run.sh" \
         --workload "$2" --seconds "$seconds" --out "$work/out-$1" 2>"$out.err" | tail -n 1 >"$out"; then
-        echo "ab: $1 $2 pair $3 exited nonzero (stderr in the summary below)" >&2
+        echo "ab: $1 $2 pair $3 exited nonzero" >&2
         status=1
     fi
 }

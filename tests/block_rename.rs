@@ -1,12 +1,12 @@
 //! Literal pins of simulated behaviour across the study matrix: the
 //! rendered report JSON of every partition scheme × study mix × seed, and
-//! of one longer default-partition cell.
+//! of one seed-7 cell on the default partition.
 //!
 //! The front end once had a block-granular allocation and rename path
 //! next to the per-instruction one, and this file compared the two. These
 //! literals were read when both paths produced them, so a front-end
 //! change that moves any report — in fetch order, slot reuse, rename or
-//! wakeup registration — fails here with the cell matrix named.
+//! wakeup registration — fails here.
 
 use smt::{FetchPartition, SimConfig};
 use smt_experiments::study::{mix_by_name, STUDY_MIXES};
@@ -48,6 +48,8 @@ fn block_and_instruction_granular_paths_are_bit_identical() {
     );
 }
 
+/// Named for the chunk-size sweep this pin replaced: every chunk size
+/// produced these bytes.
 #[test]
 fn every_chunk_size_matches_the_default() {
     let json = report_json(FetchPartition::new(2, 8), STUDY_MIXES[0], 7, 600);
