@@ -2,7 +2,11 @@
 //! and a brand-new issue policy are registered purely through the public
 //! `SimConfig` API — no `smt-core` internals are touched or re-implemented.
 
-use smt::{Benchmark, FetchPolicy, IssueCandidate, IssuePolicy, SimConfig, ThreadFetchView};
+use smt::{
+    standard_mix, Benchmark, BrCount, BranchFirst, FetchPartition, FetchPolicy, ICount,
+    IssueCandidate, IssuePolicy, MissCount, OldestFirst, OptLast, RoundRobin, SimConfig, SpecLast,
+    ThreadFetchView,
+};
 
 /// A deliberately odd custom policy: always prefer the *highest*-numbered
 /// fetchable thread. (Nobody should ship this; it proves the trait is the
@@ -78,4 +82,93 @@ fn custom_policies_change_behaviour_but_preserve_correctness() {
     // correct simulations with non-trivial throughput.
     assert!(default.total_ipc() > 0.3);
     assert!(custom.total_ipc() > 0.3);
+}
+
+/// Forwards `name` and `priority` to the policy it wraps and implements
+/// nothing else, so the simulator must rank through plain per-item
+/// `priority` calls whatever fast path the wrapped policy takes.
+struct Plain<P>(P);
+
+impl<P: FetchPolicy> FetchPolicy for Plain<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn priority(&self, cycle: u64, view: &ThreadFetchView) -> i64 {
+        self.0.priority(cycle, view)
+    }
+}
+
+impl<P: IssuePolicy> IssuePolicy for Plain<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn priority(&self, c: &IssueCandidate) -> i64 {
+        self.0.priority(c)
+    }
+}
+
+/// Every shipped policy ranks exactly like its plain `priority` key: the
+/// wrapped and unwrapped machines render byte-identical reports over every
+/// partition scheme and two seeds. Fetch policies run under OLDEST_FIRST
+/// and issue policies under ICOUNT, so each side of the pair differs in
+/// one policy only.
+#[test]
+fn shipped_policies_rank_like_their_plain_priority() {
+    fn fetch_pair() -> [(Box<dyn FetchPolicy>, Box<dyn FetchPolicy>); 4] {
+        [
+            (Box::new(RoundRobin), Box::new(Plain(RoundRobin))),
+            (Box::new(ICount), Box::new(Plain(ICount))),
+            (Box::new(BrCount), Box::new(Plain(BrCount))),
+            (Box::new(MissCount), Box::new(Plain(MissCount))),
+        ]
+    }
+    fn issue_pair() -> [(Box<dyn IssuePolicy>, Box<dyn IssuePolicy>); 4] {
+        [
+            (Box::new(OldestFirst), Box::new(Plain(OldestFirst))),
+            (Box::new(OptLast), Box::new(Plain(OptLast))),
+            (Box::new(SpecLast), Box::new(Plain(SpecLast))),
+            (Box::new(BranchFirst), Box::new(Plain(BranchFirst))),
+        ]
+    }
+    let report = |partition: FetchPartition, seed: u64, cfg: SimConfig| {
+        cfg.with_benchmarks(standard_mix(), seed)
+            .with_partition(partition)
+            .with_warmup(2_000)
+            .build()
+            .run(2_000)
+            .to_json()
+            .render()
+    };
+    for partition in FetchPartition::all_schemes() {
+        for seed in [42, 1337] {
+            for (shipped, plain) in fetch_pair() {
+                let name = shipped.name().to_string();
+                let with = |fetch| {
+                    SimConfig::new()
+                        .with_fetch(fetch)
+                        .with_issue(Box::new(OldestFirst))
+                };
+                assert_eq!(
+                    report(partition, seed, with(shipped)),
+                    report(partition, seed, with(plain)),
+                    "{name} ranks unlike its priority key ({partition}, seed {seed})"
+                );
+            }
+            for (shipped, plain) in issue_pair() {
+                let name = shipped.name().to_string();
+                let with = |issue| {
+                    SimConfig::new()
+                        .with_issue(issue)
+                        .with_fetch(Box::new(ICount))
+                };
+                assert_eq!(
+                    report(partition, seed, with(shipped)),
+                    report(partition, seed, with(plain)),
+                    "{name} ranks unlike its priority key ({partition}, seed {seed})"
+                );
+            }
+        }
+    }
 }
