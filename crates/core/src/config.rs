@@ -228,7 +228,8 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (no threads, more than
-    /// [`MAX_THREADS`], or zero-width structures).
+    /// [`MAX_THREADS`], or zero-width structures: queues, units, TLBs, or
+    /// MSHRs on a finite-bandwidth memory).
     pub fn build(self) -> Simulator {
         let threads = self.threads();
         assert!(threads > 0, "at least one hardware context is required");
@@ -242,6 +243,15 @@ impl SimConfig {
             "load/store units are a subset of int units"
         );
         assert!(self.frontend_depth > 0 && self.int_units > 0 && self.fp_units > 0);
+        // An empty TLB has no entry to evict on its first miss, and with no
+        // MSHR every cache miss bounces as a bank conflict forever (the
+        // infinite-bandwidth machine ignores the MSHR limit).
+        assert!(self.mem.itlb_entries > 0, "mem.itlb_entries must be > 0");
+        assert!(self.mem.dtlb_entries > 0, "mem.dtlb_entries must be > 0");
+        assert!(
+            self.mem.mshrs > 0 || self.mem.infinite_bandwidth,
+            "mem.mshrs must be > 0 unless mem.infinite_bandwidth is set"
+        );
         Simulator::new(self)
     }
 }
@@ -297,6 +307,41 @@ mod tests {
         assert_eq!(c.threads(), 2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.warmup_cycles, 5_000);
+    }
+
+    fn with_mem(edit: fn(&mut MemConfig)) -> SimConfig {
+        let mut c = SimConfig::new().with_benchmarks(vec![Benchmark::Espresso], 7);
+        edit(&mut c.mem);
+        c
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.mshrs must be > 0")]
+    fn build_refuses_a_machine_without_mshrs() {
+        with_mem(|m| m.mshrs = 0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.itlb_entries must be > 0")]
+    fn build_refuses_an_empty_itlb() {
+        with_mem(|m| m.itlb_entries = 0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.dtlb_entries must be > 0")]
+    fn build_refuses_an_empty_dtlb() {
+        with_mem(|m| m.dtlb_entries = 0).build();
+    }
+
+    /// Infinite bandwidth ignores the MSHR limit, so zero MSHRs still run.
+    #[test]
+    fn infinite_bandwidth_runs_without_mshrs() {
+        let mut sim = with_mem(|m| {
+            m.mshrs = 0;
+            m.infinite_bandwidth = true;
+        })
+        .build();
+        assert!(sim.run(2_000).total_committed() > 0);
     }
 
     #[test]

@@ -71,9 +71,10 @@
 //!
 //! The per-thread ICOUNT/BRCOUNT/MISSCOUNT counters the fetch policies
 //! read are maintained incrementally at the same state transitions.
-//! Policies are consulted in one batched call per cycle
-//! ([`FetchPolicy::priority_batch`], [`IssuePolicy::priority_batch`]), so
-//! boxed policies cost one dynamic dispatch per cycle, not per candidate.
+//! Policies are consulted one way: [`FetchPolicy::priority`] once per
+//! fetchable thread and [`IssuePolicy::priority`] once per ready
+//! instruction, each a dynamic call on the boxed policy. Only a pure-age
+//! issue policy ([`IssuePolicy::age_is_priority`]) skips the issue ranking.
 //! The pipeline stages live in dedicated modules under `pipeline/`
 //! (`fetch`, `rename`, `issue`, `commit`, `scheduler`), with the wakeup
 //! machinery in `scheduler` and the cycle driver in `pipeline` itself.

@@ -2,10 +2,11 @@
 //! the 8-wide fetch bandwidth under the active
 //! [`FetchPartition`](crate::FetchPartition).
 //!
-//! The policy counters each [`ThreadFetchView`] carries (ICOUNT / BRCOUNT /
-//! MISSCOUNT) are the live values the scheduler maintains at state
-//! transitions — ranking reads them in O(1) instead of recounting the ROBs
-//! every cycle. Wrong-path fetch streams contend for I-cache banks and
+//! Each fetchable thread gets one [`ThreadFetchView`] and one
+//! [`FetchPolicy::priority`](crate::FetchPolicy::priority) call per cycle.
+//! The policy counters a view carries (ICOUNT / BRCOUNT / MISSCOUNT) are
+//! the live values the scheduler maintains at state transitions — ranking
+//! reads them in O(1) instead of recounting the ROBs every cycle. Wrong-path fetch streams contend for I-cache banks and
 //! ports exactly like correct-path ones; the
 //! `wrong_path_fetch_conflicts` counter records how often they were turned
 //! away.
@@ -40,20 +41,12 @@ impl Simulator {
         let n = self.threads.len();
         let tpc = usize::from(self.cfg.partition.threads_per_cycle);
         let ipt = u32::from(self.cfg.partition.insts_per_thread);
-        // Collect the fetchable threads' views, rank them in ONE policy
-        // call (see `FetchPolicy::priority_batch`), then sort.
+        // Rank every fetchable thread by its policy key, tie-broken by the
+        // rotating thread order, then sort.
         let n64 = n as u64;
         let rot_base = cycle % n64;
-        let counter = self.cfg.fetch.ranking_counter();
         let mut ranked = std::mem::take(&mut self.fetch_rank_scratch);
         ranked.clear();
-        let mut views = std::mem::take(&mut self.fetch_view_scratch);
-        views.clear();
-        // One scan decides fetchability and the rotation tie-break for
-        // both ranking modes; only key derivation differs. Policies whose
-        // key IS a live counter (every shipped policy, see
-        // `FetchPolicy::ranking_counter`) read it right here; others get
-        // a view batch and one dynamic `priority_batch` call below.
         for (ti, t) in self.threads.iter().enumerate() {
             let fetchable = t.icache_req.is_none()
                 && t.stall_until <= cycle
@@ -69,35 +62,15 @@ impl Simulator {
                 rotation -= n64;
             }
             debug_assert_eq!(rotation, crate::policy::rotating_rank(cycle, t.id, n as u8));
-            use crate::policy::FetchCounter;
-            let key = match counter {
-                Some(FetchCounter::Rotation) => rotation as i64,
-                Some(FetchCounter::InFlight) => i64::from(t.in_flight),
-                Some(FetchCounter::UnresolvedBranches) => t.unresolved_ctrl.len() as i64,
-                Some(FetchCounter::OutstandingMisses) => i64::from(t.outstanding_misses),
-                None => {
-                    views.push(ThreadFetchView {
-                        thread: t.id,
-                        thread_count: n as u8,
-                        in_flight: t.in_flight,
-                        unresolved_branches: t.unresolved_ctrl.len() as u32,
-                        outstanding_misses: t.outstanding_misses,
-                    });
-                    0 // filled in by the batched ranking call below
-                }
+            let view = ThreadFetchView {
+                thread: t.id,
+                thread_count: n as u8,
+                in_flight: t.in_flight,
+                unresolved_branches: t.unresolved_ctrl.len() as u32,
+                outstanding_misses: t.outstanding_misses,
             };
-            ranked.push((key, rotation, ti));
+            ranked.push((self.cfg.fetch.priority(cycle, &view), rotation, ti));
         }
-        if counter.is_none() {
-            let mut keys = std::mem::take(&mut self.fetch_key_scratch);
-            keys.clear();
-            self.cfg.fetch.priority_batch(cycle, &views, &mut keys);
-            for (slot, &key) in ranked.iter_mut().zip(&keys) {
-                slot.0 = key;
-            }
-            self.fetch_key_scratch = keys;
-        }
-        self.fetch_view_scratch = views;
         ranked.sort_unstable();
 
         // As in the paper, the fetch unit takes the highest-priority

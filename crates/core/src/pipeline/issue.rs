@@ -17,7 +17,9 @@
 //! ([`IssuePolicy::age_is_priority`](crate::IssuePolicy::age_is_priority),
 //! i.e. the default OLDEST_FIRST) take a fast path that issues straight
 //! off the ready set: ranking by age would reproduce its order exactly,
-//! so no candidate batch is built at all.
+//! so no candidate is built and no key computed. Every other policy is
+//! asked for one [`IssuePolicy::priority`](crate::IssuePolicy::priority)
+//! per ready entry.
 //!
 //! [`ReadyEntry`]: super::ReadyEntry
 
@@ -81,14 +83,12 @@ impl Simulator {
             oldest_branch[ti] = t.unresolved_ctrl.first().copied();
         }
 
-        // Build the candidate batch off the age-sorted ready set, rank it
-        // in ONE policy call (see `IssuePolicy::priority_batch`), then
-        // sort. Because candidates arrive in ascending `seq`, age-keyed
-        // policies produce an already-sorted array and the sort below is a
-        // single O(n) ascending-run check.
-        let mut cands = std::mem::take(&mut self.issue_cand_scratch);
-        cands.clear();
-        for e in &self.ready_q {
+        // Rank the age-sorted ready set by policy key, tie-broken by age.
+        // Age-keyed policies produce an already-sorted array, so the sort
+        // below is then a single O(n) ascending-run check.
+        let mut ranked = std::mem::take(&mut self.issue_rank_scratch);
+        ranked.clear();
+        for (qi, e) in self.ready_q.iter().enumerate() {
             debug_assert!(
                 {
                     let i = &self.insts.hot[e.iref.index()];
@@ -103,29 +103,19 @@ impl Simulator {
                 },
                 "ready set holds a stale or not-ready instruction"
             );
-            // One compare replaces the per-cycle scoreboard probes: the
-            // entry cached its load-speculation window bound on creation.
-            let optimistic = cycle <= e.opt_until;
-            cands.push(IssueCandidate {
+            let cand = IssueCandidate {
                 age: e.seq,
                 // Thread ids are the thread indexes by construction.
                 thread: smt_isa::ThreadId(e.ti),
                 queue: e.op.queue(),
                 is_branch: e.op.is_control(),
                 speculative: oldest_branch[usize::from(e.ti)].is_some_and(|b| e.seq > b),
-                optimistic,
-            });
+                // One compare replaces the per-cycle scoreboard probes: the
+                // entry cached its load-speculation window bound on creation.
+                optimistic: cycle <= e.opt_until,
+            };
+            ranked.push((self.cfg.issue.priority(&cand), e.seq, qi as u32));
         }
-        let mut keys = std::mem::take(&mut self.issue_key_scratch);
-        keys.clear();
-        self.cfg.issue.priority_batch(&cands, &mut keys);
-        let mut ranked = std::mem::take(&mut self.issue_rank_scratch);
-        ranked.clear();
-        for (qi, (&key, cand)) in keys.iter().zip(&cands).enumerate() {
-            ranked.push((key, cand.age, qi as u32));
-        }
-        self.issue_cand_scratch = cands;
-        self.issue_key_scratch = keys;
         ranked.sort_unstable();
 
         let mut issued_any = false;

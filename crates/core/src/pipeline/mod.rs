@@ -298,17 +298,9 @@ pub struct Simulator {
     restored_from_checkpoint: bool,
     /// Reused sort buffer for fetch ranking (allocation-free hot loop).
     fetch_rank_scratch: Vec<(i64, u64, usize)>,
-    /// Reused view batch handed to `FetchPolicy::priority_batch`.
-    fetch_view_scratch: Vec<crate::policy::ThreadFetchView>,
-    /// Reused key buffer filled by `FetchPolicy::priority_batch`.
-    fetch_key_scratch: Vec<i64>,
     /// Reused sort buffer for issue ranking:
     /// `(policy key, seq, index in the ready set)`.
     issue_rank_scratch: Vec<(i64, u64, u32)>,
-    /// Reused candidate batch handed to `IssuePolicy::priority_batch`.
-    issue_cand_scratch: Vec<crate::policy::IssueCandidate>,
-    /// Reused key buffer filled by `IssuePolicy::priority_batch`.
-    issue_key_scratch: Vec<i64>,
     /// Reused fetch slot-loss accumulator.
     loss_scratch: Vec<(fetch::LossCause, u32)>,
     /// Reused miss-completion drain buffer.
@@ -374,6 +366,12 @@ impl Simulator {
         } else {
             (cfg.frontend_depth, cfg.iq_entries)
         };
+        // Generous initial slab capacity: a bounded machine's in-flight
+        // population stays well under this, so the steady state never
+        // grows the slab, nor a per-thread ROB sized to it
+        // (`tests/alloc_guard.rs` in this crate pins it under every
+        // shipped policy pair).
+        let slab_capacity = 64 * sources.len().max(8);
         let thread_state: Box<[Thread]> = sources
             .into_iter()
             .enumerate()
@@ -387,7 +385,7 @@ impl Simulator {
                 id: ThreadId(i as u8),
                 unresolved_ctrl: Vec::new(),
                 frontend: VecDeque::new(),
-                rob: VecDeque::new(),
+                rob: VecDeque::with_capacity(slab_capacity),
                 wp_salt: 0,
                 committed: 0,
                 committed_base: 0,
@@ -395,10 +393,6 @@ impl Simulator {
                 source,
             })
             .collect();
-        // Generous initial slab capacity: a bounded machine's in-flight
-        // population stays well under this, so the steady state never
-        // grows the slab (`tests/alloc_guard.rs` in this crate pins it).
-        let slab_capacity = 64 * thread_state.len().max(8);
         // Spilled wakeup entries are bounded by two source registrations
         // per in-flight instruction; reserving that bound up front keeps
         // the cycle path allocation-free even on workloads whose
@@ -426,11 +420,7 @@ impl Simulator {
             stats: PipelineStats::default(),
             restored_from_checkpoint: false,
             fetch_rank_scratch: Vec::new(),
-            fetch_view_scratch: Vec::new(),
-            fetch_key_scratch: Vec::new(),
             issue_rank_scratch: Vec::new(),
-            issue_cand_scratch: Vec::new(),
-            issue_key_scratch: Vec::new(),
             loss_scratch: Vec::new(),
             completion_scratch: Vec::new(),
             woken_scratch: Vec::new(),
@@ -741,10 +731,14 @@ mod tests {
     #[test]
     fn mshr_exhaustion_is_not_a_wrong_path_bank_conflict() {
         let mut cfg = tiny_config();
-        cfg.mem.mshrs = 0; // every miss is rejected for MSHR pressure
+        cfg.mem.mshrs = 1;
         let mut sim = cfg.build();
         sim.cycle = 2; // rotation ranks thread 0 first
         sim.mem.begin_cycle(2);
+        // A data miss takes the one MSHR, so every fetch miss is rejected
+        // for MSHR pressure.
+        let data_miss = sim.mem.dcache_access(ThreadId(1), 0x4000_0000, false);
+        assert!(matches!(data_miss, smt_mem::AccessResult::Miss(_)));
         sim.threads[0].wrong_path = true;
         sim.fetch();
         assert_eq!(

@@ -6,6 +6,11 @@
 //! implementing one trait and handing it to
 //! [`SimConfig`](crate::SimConfig) — no simulator internals are involved.
 //!
+//! A policy is consulted one way: the pipeline calls `priority` once per
+//! fetchable thread and once per ready instruction, and sorts on the keys.
+//! The one optional hook, [`IssuePolicy::age_is_priority`], only lets a
+//! pure-age issue policy skip that ranking; it never changes the order.
+//!
 //! The shipped fetch policies are the paper's Section 4 heuristics
 //! ([`RoundRobin`], [`ICount`], [`BrCount`], [`MissCount`]); the shipped
 //! issue policies are the Section 5 heuristics ([`OldestFirst`],
@@ -101,20 +106,6 @@ pub struct ThreadFetchView {
     pub outstanding_misses: u32,
 }
 
-/// The live per-thread counter a shipped fetch policy ranks by — the fast
-/// path behind [`FetchPolicy::ranking_counter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchCounter {
-    /// The rotating thread order itself ([`RoundRobin`]).
-    Rotation,
-    /// [`ThreadFetchView::in_flight`] ([`ICount`]).
-    InFlight,
-    /// [`ThreadFetchView::unresolved_branches`] ([`BrCount`]).
-    UnresolvedBranches,
-    /// [`ThreadFetchView::outstanding_misses`] ([`MissCount`]).
-    OutstandingMisses,
-}
-
 /// Ranks hardware contexts for fetch each cycle.
 ///
 /// Lower keys fetch first. The simulator computes a key for every thread
@@ -128,30 +119,6 @@ pub trait FetchPolicy: Send {
 
     /// Priority key for one thread this cycle; lower fetches first.
     fn priority(&self, cycle: u64, view: &ThreadFetchView) -> i64;
-
-    /// Appends the priority key of every view to `keys`, in order.
-    ///
-    /// The simulator ranks all fetchable threads once per cycle through
-    /// this entry point, so a boxed policy pays one dynamic dispatch per
-    /// cycle instead of one per thread — the default body is compiled
-    /// against the concrete policy type, where
-    /// [`priority`](FetchPolicy::priority) inlines. Must be equivalent to
-    /// calling `priority` on each view.
-    fn priority_batch(&self, cycle: u64, views: &[ThreadFetchView], keys: &mut Vec<i64>) {
-        keys.extend(views.iter().map(|v| self.priority(cycle, v)));
-    }
-
-    /// The single live counter this policy's key equals, if any — e.g.
-    /// `Some(FetchCounter::InFlight)` for ICOUNT. When set, the simulator
-    /// reads that counter directly while scanning for fetchable threads
-    /// instead of materializing [`ThreadFetchView`]s and paying the
-    /// ranking round-trip; the resulting order is identical by definition.
-    /// Policies whose key is any other function of the view (or of the
-    /// cycle) must keep the default `None` and rely on
-    /// [`priority_batch`](FetchPolicy::priority_batch).
-    fn ranking_counter(&self) -> Option<FetchCounter> {
-        None
-    }
 }
 
 /// The rotating thread order: at cycle `c`, thread `c mod n` ranks first,
@@ -175,10 +142,6 @@ impl FetchPolicy for RoundRobin {
     fn priority(&self, cycle: u64, view: &ThreadFetchView) -> i64 {
         rotating_rank(cycle, view.thread, view.thread_count) as i64
     }
-
-    fn ranking_counter(&self) -> Option<FetchCounter> {
-        Some(FetchCounter::Rotation)
-    }
 }
 
 /// Favor threads with the fewest instructions in decode, rename and the
@@ -193,10 +156,6 @@ impl FetchPolicy for ICount {
 
     fn priority(&self, _cycle: u64, view: &ThreadFetchView) -> i64 {
         i64::from(view.in_flight)
-    }
-
-    fn ranking_counter(&self) -> Option<FetchCounter> {
-        Some(FetchCounter::InFlight)
     }
 }
 
@@ -213,10 +172,6 @@ impl FetchPolicy for BrCount {
     fn priority(&self, _cycle: u64, view: &ThreadFetchView) -> i64 {
         i64::from(view.unresolved_branches)
     }
-
-    fn ranking_counter(&self) -> Option<FetchCounter> {
-        Some(FetchCounter::UnresolvedBranches)
-    }
 }
 
 /// Favor threads with the fewest outstanding D-cache misses (`MISSCOUNT`),
@@ -231,10 +186,6 @@ impl FetchPolicy for MissCount {
 
     fn priority(&self, _cycle: u64, view: &ThreadFetchView) -> i64 {
         i64::from(view.outstanding_misses)
-    }
-
-    fn ranking_counter(&self) -> Option<FetchCounter> {
-        Some(FetchCounter::OutstandingMisses)
     }
 }
 
@@ -276,29 +227,18 @@ pub trait IssuePolicy: Send {
     /// Priority key for one ready instruction; lower issues first.
     fn priority(&self, candidate: &IssueCandidate) -> i64;
 
-    /// Appends the priority key of every candidate to `keys`, in order.
-    ///
-    /// The simulator ranks the whole ready set once per cycle through this
-    /// entry point, so a boxed policy pays one dynamic dispatch per cycle
-    /// instead of one per candidate — the default body is compiled against
-    /// the concrete policy type, where [`priority`](IssuePolicy::priority)
-    /// inlines. Implementations normally keep the default; override only
-    /// to vectorize a custom policy further. Must be equivalent to calling
-    /// `priority` on each candidate.
-    fn priority_batch(&self, candidates: &[IssueCandidate], keys: &mut Vec<i64>) {
-        keys.extend(candidates.iter().map(|c| self.priority(c)));
-    }
-
     /// Whether this policy's key is exactly the candidate's age
     /// (`priority(c) == c.age as i64` for **every** possible candidate).
     ///
     /// The simulator keeps its ready set age-sorted, so a `true` here lets
-    /// it skip building and ranking the candidate batch entirely and issue
+    /// it skip building and ranking the candidates entirely and issue
     /// straight off the ready set — the shipped [`OldestFirst`] policy's
-    /// fast path, worth ~10% of total simulator throughput. The result is
-    /// identical by construction (ranking by age reproduces the ready
-    /// set's order); policies whose key depends on anything besides age
-    /// must keep the default `false`.
+    /// fast path. It is the one ranking hint that measures: ranking
+    /// OLDEST_FIRST through [`priority`](IssuePolicy::priority) instead
+    /// made the benchmark's memory-bound hot loop 7.8% slower in median
+    /// wall clock. The result is identical by construction (ranking by age
+    /// reproduces the ready set's order); policies whose key depends on
+    /// anything besides age must keep the default `false`.
     fn age_is_priority(&self) -> bool {
         false
     }

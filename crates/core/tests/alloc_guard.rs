@@ -38,28 +38,37 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A warmed simulator steps 5000 cycles without a single heap allocation.
+/// A warmed simulator steps 5000 cycles without a single heap allocation,
+/// under every shipped fetch × issue policy pair: the rotation and counter
+/// fetch keys, the OLDEST_FIRST fast path and the general issue ranking.
 /// The simulation is deterministic, so this is a sharp regression
 /// tripwire: any future per-cycle allocation — a grown scratch vector, an
 /// un-pooled event list, a map rehash — fails it immediately.
 #[test]
 fn warmed_cycle_path_is_allocation_free() {
-    let mut sim = smt_core::SimConfig::new()
-        .with_benchmarks(smt_workload::standard_mix(), 42)
-        .build();
-    // Warm every structure past its high-water mark: caches, TLBs and
-    // predictor tables fill, the slab and every scratch buffer reach
-    // steady-state capacity.
-    sim.run(30_000);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..5_000 {
-        sim.step_cycle();
+    for fetch in ["rr", "icount", "brcount", "misscount"] {
+        for issue in ["oldest", "opt_last", "spec_last", "branch_first"] {
+            let mut sim = smt_core::SimConfig::new()
+                .with_benchmarks(smt_workload::standard_mix(), 42)
+                .with_fetch(smt_core::fetch_policy_by_name(fetch).unwrap())
+                .with_issue(smt_core::issue_policy_by_name(issue).unwrap())
+                .build();
+            // Warm every structure past its high-water mark: caches, TLBs
+            // and predictor tables fill, the slab and every scratch buffer
+            // reach steady-state capacity.
+            sim.run(30_000);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            for _ in 0..5_000 {
+                sim.step_cycle();
+            }
+            let during = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                during, 0,
+                "warmed {fetch}/{issue} simulator allocated {during} times across a \
+                 5k-cycle window"
+            );
+            // The machine made real progress while we were counting.
+            assert!(sim.cycle() >= 35_000);
+        }
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        during, 0,
-        "warmed simulator allocated {during} times across a 5k-cycle window"
-    );
-    // The machine made real progress while we were counting.
-    assert!(sim.cycle() >= 35_000);
 }

@@ -44,7 +44,8 @@ use smt_stats::TextTable;
 
 use crate::fault::{CellError, Degradation};
 use crate::study::{
-    distinct_policies, fetch_name, mean, reject_repeats, validate_mix, StudyConfig,
+    distinct_policies, fetch_name, mean, reject_inexact_seeds, reject_repeats, validate_mix,
+    StudyConfig,
 };
 use crate::sweep::{self, CellPlan, Sweep, Warm};
 
@@ -152,8 +153,9 @@ impl AblationStudyConfig {
         }
     }
 
-    /// Validates every policy, ablation and mix name, the warm window, and
-    /// that no axis is empty or lists an entry twice.
+    /// Validates every policy, ablation and mix name, the warm window, that
+    /// no axis is empty or lists an entry twice, and that no seed exceeds
+    /// 2^53.
     ///
     /// # Errors
     ///
@@ -180,7 +182,8 @@ impl AblationStudyConfig {
         reject_repeats("ablation", &self.ablations)?;
         reject_repeats("partition", &self.partitions)?;
         reject_repeats("mix", &self.mixes)?;
-        reject_repeats("seed", &self.seeds)
+        reject_repeats("seed", &self.seeds)?;
+        reject_inexact_seeds(&self.seeds)
     }
 
     /// Number of cells the sweep will run (baseline + each ablation, per

@@ -333,8 +333,8 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// Checks the thread count, the policy names, and that neither swept
-    /// axis is empty or lists an entry twice (see
+    /// Checks the thread count, the policy names, the seed, and that
+    /// neither swept axis is empty or lists an entry twice (see
     /// [`StudyConfig::validate`]).
     ///
     /// # Errors
@@ -349,7 +349,8 @@ impl ExpConfig {
         if self.fetch_policies.is_empty() || self.partitions.is_empty() {
             return Err("matrix sweep axes must all be non-empty".to_string());
         }
-        study::reject_repeats("partition", &self.partitions)
+        study::reject_repeats("partition", &self.partitions)?;
+        study::reject_inexact_seeds(&[self.seed])
     }
 }
 

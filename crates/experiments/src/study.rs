@@ -239,6 +239,22 @@ pub(crate) fn reject_repeats<T: PartialEq + std::fmt::Display>(
     Ok(())
 }
 
+/// The largest seed a sweep document reports exactly. JSON numbers are
+/// `f64`s, so a larger seed would print as a neighbouring value while the
+/// journal key and cache names use the exact one: two distinct machines
+/// would show up under one seed.
+pub(crate) const MAX_EXACT_SEED: u64 = 1 << 53;
+
+/// Rejects a seed above [`MAX_EXACT_SEED`].
+pub(crate) fn reject_inexact_seeds(seeds: &[u64]) -> Result<(), String> {
+    match seeds.iter().find(|&&s| s > MAX_EXACT_SEED) {
+        Some(s) => Err(format!(
+            "seed {s} is above 2^53 = {MAX_EXACT_SEED}, which the JSON document cannot report exactly"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Checks a policy axis: every name known, none listed twice — compared
 /// by canonical name, so `rr,RR` repeats.
 pub(crate) fn distinct_policies(
@@ -327,8 +343,8 @@ impl Default for StudyConfig {
 }
 
 impl StudyConfig {
-    /// Validates every policy and mix name, and that no axis is empty or
-    /// lists an entry twice.
+    /// Validates every policy and mix name, that no axis is empty or lists
+    /// an entry twice, and that no seed exceeds 2^53.
     ///
     /// # Errors
     ///
@@ -349,7 +365,8 @@ impl StudyConfig {
         }
         reject_repeats("partition", &self.partitions)?;
         reject_repeats("mix", &self.mixes)?;
-        reject_repeats("seed", &self.seeds)
+        reject_repeats("seed", &self.seeds)?;
+        reject_inexact_seeds(&self.seeds)
     }
 
     /// Number of cells the sweep will run.

@@ -539,6 +539,53 @@ fn a_repeated_axis_entry_is_refused_in_every_mode() {
     }
 }
 
+/// A JSON number is an `f64`, exact only up to 2^53: a larger seed would
+/// print as a neighbour while journal keys and cache names use the exact
+/// value, so two distinct machines would share one reported seed. Every
+/// mode refuses such a seed, and keeps 2^53 itself.
+#[test]
+fn a_seed_above_2_pow_53_is_refused_in_every_mode() {
+    const EXACT: u64 = 1 << 53;
+    let k = Knobs::default();
+    let validate = |seed: u64| {
+        let mut matrix = tiny_matrix(&k);
+        matrix.seed = seed;
+        let mut issue = tiny_issue(&k);
+        issue.seeds = vec![42, seed];
+        let mut ablation = tiny_ablation(&k);
+        ablation.seeds = vec![seed];
+        [
+            ("matrix", matrix.validate()),
+            ("issue", issue.validate()),
+            ("ablation", ablation.validate()),
+        ]
+    };
+    for (mode, result) in validate(EXACT) {
+        assert_eq!(result, Ok(()), "{mode}: 2^53 is exact");
+    }
+    for seed in [EXACT + 1, u64::MAX] {
+        for (mode, result) in validate(seed) {
+            let err = result.expect_err(mode);
+            let expect = format!("seed {seed} is above 2^53");
+            assert!(err.contains(&expect), "{mode}: got '{err}'");
+        }
+    }
+
+    // The CLI refuses at parse time, in all three modes.
+    for args in [
+        "--seed 9007199254740993",
+        "--study issue --mixes mixed4 --seeds 9007199254740992,9007199254740993",
+        "--study ablation --mixes mixed4 --seeds 9007199254740993",
+    ] {
+        let args: Vec<String> = args.split(' ').map(str::to_string).collect();
+        let err = parse_cli(&args).expect_err("an inexact seed parsed");
+        assert!(
+            err.contains("seed 9007199254740993 is above 2^53"),
+            "got '{err}'"
+        );
+    }
+}
+
 #[test]
 fn journal_resume_is_byte_identical_and_reuses_entries() {
     for mode in &MODES {

@@ -544,6 +544,12 @@ enum Side {
     Data,
 }
 
+/// Initial capacity of a fresh MSHR waiter list. The default machine
+/// merges at most 48 requests into one miss under every shipped policy
+/// pair, so a recycled list never grows in the steady state
+/// (`crates/core/tests/alloc_guard.rs` pins this).
+const MSHR_WAITERS: usize = 64;
+
 #[derive(Debug, Default)]
 struct Mshr {
     line: Addr,
@@ -877,7 +883,10 @@ impl MemoryHierarchy {
         }
         let start = self.cycle + 1 + extra_delay;
         let complete_at = self.service_miss(side, line, start);
-        let mut waiters = self.waiter_pool.pop().unwrap_or_default();
+        let mut waiters = self
+            .waiter_pool
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(MSHR_WAITERS));
         waiters.push(req);
         let m = Mshr {
             line,
