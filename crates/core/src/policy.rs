@@ -235,10 +235,11 @@ pub trait IssuePolicy: Send {
     /// straight off the ready set — the shipped [`OldestFirst`] policy's
     /// fast path. It is the one ranking hint that measures: ranking
     /// OLDEST_FIRST through [`priority`](IssuePolicy::priority) instead
-    /// made the benchmark's memory-bound hot loop 7.8% slower in median
-    /// wall clock. The result is identical by construction (ranking by age
-    /// reproduces the ready set's order); policies whose key depends on
-    /// anything besides age must keep the default `false`.
+    /// made the benchmark's `hotloop_standard` and `hotloop_membound`
+    /// 16% and 19% slower in median wall clock (10 interleaved pairs each,
+    /// 2-CPU Xeon host). The result is identical by construction (ranking
+    /// by age reproduces the ready set's order); policies whose key depends
+    /// on anything besides age must keep the default `false`.
     fn age_is_priority(&self) -> bool {
         false
     }
