@@ -243,7 +243,7 @@ pub(crate) fn reject_repeats<T: PartialEq + std::fmt::Display>(
 /// `f64`s, so a larger seed would print as a neighbouring value while the
 /// journal key and cache names use the exact one: two distinct machines
 /// would show up under one seed.
-pub(crate) const MAX_EXACT_SEED: u64 = 1 << 53;
+const MAX_EXACT_SEED: u64 = 1 << 53;
 
 /// Rejects a seed above [`MAX_EXACT_SEED`].
 pub(crate) fn reject_inexact_seeds(seeds: &[u64]) -> Result<(), String> {
