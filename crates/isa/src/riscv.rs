@@ -14,59 +14,119 @@
 //! [`RvOp::Illegal`]. This matches the checked-in `testdata/riscv/`
 //! programs, which the bundled assembler emits without compression.
 //!
+//! # Operation families
+//!
+//! [`RvOp`] names operation *families*, not mnemonics. [`RvOp::Alu`]
+//! covers the register (OP), immediate (OP-IMM), word (OP-32) and
+//! word-immediate (OP-IMM-32) forms of the 18 [`AluOp`]s — the 10 of the
+//! base ISA and the 8 of the M extension — and [`AluOp::of`] is the one
+//! `funct3`/`funct7` table all four opcodes decode through.
+//! [`RvOp::Branch`] covers the six [`Cond`]itions, and [`RvOp::Load`] and
+//! [`RvOp::Store`] every width. The executor computes every arithmetic
+//! form with the one ALU, [`AluOp::eval`].
+//!
 //! # Class mapping
 //!
-//! | RISC-V | [`Opcode`] |
+//! | [`RvOp`] | [`Opcode`] |
 //! |---|---|
-//! | `beq`/`bne`/`blt[u]`/`bge[u]` | `CondBranch` |
-//! | `jal` with a link `rd` (`x1`/`x5`) | `Call`, else `Jump` |
-//! | `jalr` with a link `rd` | `Call` |
-//! | `jalr x0, ra/t0` | `Return`, other `jalr` | `JumpInd` |
-//! | loads | `Load`, stores | `Store` |
-//! | `mul[w]` | `IntMul`; `mulh*`/`div*`/`rem*` | `IntMulLong` |
-//! | `ecall`/`ebreak` | `Jump` (modeled as a program restart) |
-//! | everything else | `IntAlu` |
+//! | `Branch` | `CondBranch` |
+//! | `Jal`/`Jalr` writing a link register (`x1`/`x5`) | `Call` |
+//! | other `Jal` | `Jump` |
+//! | `Jalr x0` through a link register (a return) | `Return` |
+//! | other `Jalr` | `JumpInd` |
+//! | `Load`, `Store` | `Load`, `Store` |
+//! | `Alu` | [`AluOp::class`]: `IntMul` for `mul[w]`, `IntMulLong` for `mulh*`/`div*`/`rem*`, else `IntAlu` |
+//! | `Ecall`/`Ebreak` | `Jump` (modeled as a program restart) |
+//! | `Lui`, `Auipc`, `Fence` | `IntAlu` |
+//! | `Illegal` | `IntAlu` filler writing `x1` from `x2`, `x3` |
 //!
-//! Register `x0` is hardwired zero, so it maps to *no* operand
-//! ([`None`] — always ready, never written); `x1..x31` map to
-//! [`Reg::int`] of the same index.
+//! The operands are the decoded `rd`, `rs1` and `rs2`; [`decode`] leaves
+//! a field the encoding lacks at `x0`. Register `x0` is hardwired zero,
+//! so it maps to *no* operand ([`None`] — always ready, never written);
+//! `x1..x31` map to [`Reg::int`] of the same index.
 
 use crate::{Opcode, Reg, StaticInst, NO_META};
 
-/// One decoded RISC-V operation (rv32i/rv64i base + M extension).
+/// One decoded RISC-V operation family (rv32i/rv64i base + M extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // the variants are the RISC-V mnemonics themselves
 pub enum RvOp {
+    /// `lui`: `rd = imm`.
     Lui,
+    /// `auipc`: `rd = pc + imm`.
     Auipc,
+    /// `jal`: `rd = pc + 4`, jump to `pc + imm`.
     Jal,
+    /// `jalr`: `rd = pc + 4`, jump to `(rs1 + imm) & !1`.
     Jalr,
-    Beq,
-    Bne,
-    Blt,
-    Bge,
-    Bltu,
-    Bgeu,
-    Lb,
-    Lh,
-    Lw,
-    Lbu,
-    Lhu,
-    Lwu,
-    Ld,
-    Sb,
-    Sh,
-    Sw,
-    Sd,
-    Addi,
-    Slti,
-    Sltiu,
-    Xori,
-    Ori,
-    Andi,
-    Slli,
-    Srli,
-    Srai,
+    /// A conditional branch to `pc + imm`.
+    Branch(Cond),
+    /// A load of `bytes` (1, 2, 4 or 8) from `rs1 + imm`, sign-extended
+    /// when `signed`.
+    Load {
+        /// Access width in bytes.
+        bytes: u8,
+        /// Whether the loaded value is sign-extended (`lb`/`lh`/`lw`/`ld`).
+        signed: bool,
+    },
+    /// A store of the low `bytes` (1, 2, 4 or 8) of `rs2` to `rs1 + imm`.
+    Store {
+        /// Access width in bytes.
+        bytes: u8,
+    },
+    /// `rd = f(rs1, b)`, with `b` the immediate when `imm` and `rs2`
+    /// otherwise; `word` marks the rv64 `*w` forms, which compute on the
+    /// low 32 bits and sign-extend the result.
+    Alu {
+        /// The operation.
+        f: AluOp,
+        /// Immediate (OP-IMM, OP-IMM-32) rather than register operand.
+        imm: bool,
+        /// A 32-bit word form (OP-32, OP-IMM-32).
+        word: bool,
+    },
+    /// `fence`: no architectural effect in a single-hart model.
+    Fence,
+    /// `ecall`: modeled as a program restart.
+    Ecall,
+    /// `ebreak`: modeled as a program restart.
+    Ebreak,
+    /// Anything this decoder does not handle (including compressed words).
+    Illegal,
+}
+
+/// A branch comparison (the BRANCH opcode's `funct3`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the variants are the mnemonics without their `b`
+pub enum Cond {
+    Eq,
+    Ne,
+    Lt,
+    Ge,
+    Ltu,
+    Geu,
+}
+
+impl Cond {
+    /// Whether the branch is taken for register values `a` (`rs1`) and
+    /// `b` (`rs2`). rv32 registers hold sign-extended values, which order
+    /// the same way as their 32-bit patterns, signed and unsigned.
+    pub fn holds(self, a: u64, b: u64) -> bool {
+        match self {
+            Cond::Eq => a == b,
+            Cond::Ne => a != b,
+            Cond::Lt => (a as i64) < (b as i64),
+            Cond::Ge => (a as i64) >= (b as i64),
+            Cond::Ltu => a < b,
+            Cond::Geu => a >= b,
+        }
+    }
+}
+
+/// An arithmetic operation: the 10 of the base ISA and the 8 of the M
+/// extension, each in every form its opcodes define (see [`RvOp::Alu`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the variants are the register-form mnemonics
+pub enum AluOp {
     Add,
     Sub,
     Sll,
@@ -77,15 +137,6 @@ pub enum RvOp {
     Sra,
     Or,
     And,
-    Addiw,
-    Slliw,
-    Srliw,
-    Sraiw,
-    Addw,
-    Subw,
-    Sllw,
-    Srlw,
-    Sraw,
     Mul,
     Mulh,
     Mulhsu,
@@ -94,16 +145,101 @@ pub enum RvOp {
     Divu,
     Rem,
     Remu,
-    Mulw,
-    Divw,
-    Divuw,
-    Remw,
-    Remuw,
-    Fence,
-    Ecall,
-    Ebreak,
-    /// Anything this decoder does not handle (including compressed words).
-    Illegal,
+}
+
+impl AluOp {
+    /// The operation a `(funct3, funct7)` pair selects in the OP opcode
+    /// (`funct7` 0x00 base, 0x20 `sub`/`sra`, 0x01 M extension); the
+    /// other arithmetic opcodes reuse the table and refuse what they lack
+    /// (see [`decode`]).
+    pub fn of(funct3: u32, funct7: u32) -> Option<AluOp> {
+        use AluOp::*;
+        const BASE: [AluOp; 8] = [Add, Sll, Slt, Sltu, Xor, Srl, Or, And];
+        const M: [AluOp; 8] = [Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu];
+        let f3 = (funct3 & 7) as usize;
+        match (funct7, f3) {
+            (0x00, _) => Some(BASE[f3]),
+            (0x20, 0) => Some(Sub),
+            (0x20, 5) => Some(Sra),
+            (0x01, _) => Some(M[f3]),
+            _ => None,
+        }
+    }
+
+    /// Whether the opcode of this form has the operation: the immediate
+    /// forms have no `sub` and no M extension, the word forms only
+    /// add/sub, the shifts and mul/div/rem, the word-immediate forms only
+    /// add and the shifts.
+    fn has_form(self, imm: bool, word: bool) -> bool {
+        use AluOp::*;
+        match (imm, word) {
+            (false, false) => true,
+            (true, false) => matches!(self, Add | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And),
+            (false, true) => !matches!(self, Slt | Sltu | Xor | Or | And | Mulh | Mulhsu | Mulhu),
+            (true, true) => matches!(self, Add | Sll | Srl | Sra),
+        }
+    }
+
+    /// The timing class: `IntMul` for `mul`, `IntMulLong` for the other M
+    /// operations, `IntAlu` for the base ISA.
+    pub fn class(self) -> Opcode {
+        use AluOp::*;
+        match self {
+            Mul => Opcode::IntMul,
+            Mulh | Mulhsu | Mulhu | Div | Divu | Rem | Remu => Opcode::IntMulLong,
+            _ => Opcode::IntAlu,
+        }
+    }
+
+    /// The one ALU: `a op b` on XLEN = 64 register values. With `narrow`
+    /// it computes on the low 32 bits instead (signed operations read
+    /// them sign-extended, unsigned ones zero-extended, shift amounts are
+    /// 5 bits, `mulh*` return bits 32..64) and sign-extends the 32-bit
+    /// result — the rule of the rv64 `*w` forms and of every rv32
+    /// operation. Division follows the spec: by zero gives all ones
+    /// (`rem*`: the dividend), and `INT_MIN / -1` gives `INT_MIN`
+    /// (`rem`: 0).
+    pub fn eval(self, a: u64, b: u64, narrow: bool) -> u64 {
+        use AluOp::*;
+        let s = |x: u64| if narrow { x as i32 as i64 } else { x as i64 };
+        let u = |x: u64| if narrow { x as u32 as u64 } else { x };
+        let sh = (b & if narrow { 31 } else { 63 }) as u32;
+        let hi = if narrow { 32 } else { 64 };
+        let v = match self {
+            Add => a.wrapping_add(b),
+            Sub => a.wrapping_sub(b),
+            Sll => a << sh,
+            Slt => u64::from(s(a) < s(b)),
+            Sltu => u64::from(u(a) < u(b)),
+            Xor => a ^ b,
+            Srl => u(a) >> sh,
+            Sra => (s(a) >> sh) as u64,
+            Or => a | b,
+            And => a & b,
+            Mul => a.wrapping_mul(b),
+            Mulh => ((i128::from(s(a)) * i128::from(s(b))) >> hi) as u64,
+            Mulhsu => ((i128::from(s(a)) * i128::from(u(b))) >> hi) as u64,
+            Mulhu => ((u128::from(u(a)) * u128::from(u(b))) >> hi) as u64,
+            Div => match s(b) {
+                0 => u64::MAX,
+                d => s(a).wrapping_div(d) as u64,
+            },
+            Divu => u(a).checked_div(u(b)).unwrap_or(u64::MAX),
+            Rem => match s(b) {
+                0 => a,
+                d => s(a).wrapping_rem(d) as u64,
+            },
+            Remu => match u(b) {
+                0 => a,
+                d => u(a) % d,
+            },
+        };
+        if narrow {
+            v as i32 as i64 as u64
+        } else {
+            v
+        }
+    }
 }
 
 /// One decoded instruction: operation, register numbers and the
@@ -119,7 +255,7 @@ pub struct RvInst {
     pub rs1: u8,
     /// Second source register number.
     pub rs2: u8,
-    /// Sign-extended immediate (shift amounts are the raw 6-bit field).
+    /// Sign-extended immediate (shift amounts are the raw shamt field).
     pub imm: i64,
 }
 
@@ -134,16 +270,7 @@ impl RvInst {
     pub fn is_control(&self) -> bool {
         matches!(
             self.op,
-            RvOp::Jal
-                | RvOp::Jalr
-                | RvOp::Beq
-                | RvOp::Bne
-                | RvOp::Blt
-                | RvOp::Bge
-                | RvOp::Bltu
-                | RvOp::Bgeu
-                | RvOp::Ecall
-                | RvOp::Ebreak
+            RvOp::Jal | RvOp::Jalr | RvOp::Branch(_) | RvOp::Ecall | RvOp::Ebreak
         )
     }
 
@@ -152,111 +279,47 @@ impl RvInst {
     /// everything else (indirect or not control).
     pub fn rel_target(&self, pc: u64) -> Option<u64> {
         match self.op {
-            RvOp::Jal | RvOp::Beq | RvOp::Bne | RvOp::Blt | RvOp::Bge | RvOp::Bltu | RvOp::Bgeu => {
-                Some(pc.wrapping_add(self.imm as u64))
-            }
+            RvOp::Jal | RvOp::Branch(_) => Some(pc.wrapping_add(self.imm as u64)),
             _ => None,
         }
     }
 
     /// Maps the decoded operation onto the simulator's timing classes (see
-    /// the module docs for the full table). `meta` is always [`NO_META`]:
-    /// real code needs no synthetic branch/memory model — targets and
-    /// addresses come from execution.
+    /// the module docs for the full table). The operands are `rd`, `rs1`
+    /// and `rs2` as decoded: a field the format lacks is `x0`, which maps
+    /// to no operand. `meta` is always [`NO_META`]: real code needs no
+    /// synthetic branch/memory model — targets and addresses come from
+    /// execution.
     pub fn static_inst(&self) -> StaticInst {
-        let dest = |r: u8| (r != 0).then(|| Reg::int(r));
-        let src = dest;
-        let (op, d, s1, s2) = match self.op {
-            RvOp::Beq | RvOp::Bne | RvOp::Blt | RvOp::Bge | RvOp::Bltu | RvOp::Bgeu => {
-                (Opcode::CondBranch, None, src(self.rs1), src(self.rs2))
-            }
-            RvOp::Jal => {
-                let op = if is_link(self.rd) {
-                    Opcode::Call
-                } else {
-                    Opcode::Jump
-                };
-                (op, dest(self.rd), None, None)
-            }
-            RvOp::Jalr => {
-                let op = if is_link(self.rd) {
-                    Opcode::Call
-                } else if self.rd == 0 && is_link(self.rs1) {
-                    Opcode::Return
-                } else {
-                    Opcode::JumpInd
-                };
-                (op, dest(self.rd), src(self.rs1), None)
-            }
-            RvOp::Lb | RvOp::Lh | RvOp::Lw | RvOp::Lbu | RvOp::Lhu | RvOp::Lwu | RvOp::Ld => {
-                (Opcode::Load, dest(self.rd), src(self.rs1), None)
-            }
-            RvOp::Sb | RvOp::Sh | RvOp::Sw | RvOp::Sd => {
-                (Opcode::Store, None, src(self.rs1), src(self.rs2))
-            }
-            RvOp::Mul | RvOp::Mulw => (Opcode::IntMul, dest(self.rd), src(self.rs1), src(self.rs2)),
-            RvOp::Mulh
-            | RvOp::Mulhsu
-            | RvOp::Mulhu
-            | RvOp::Div
-            | RvOp::Divu
-            | RvOp::Rem
-            | RvOp::Remu
-            | RvOp::Divw
-            | RvOp::Divuw
-            | RvOp::Remw
-            | RvOp::Remuw => (
-                Opcode::IntMulLong,
-                dest(self.rd),
-                src(self.rs1),
-                src(self.rs2),
-            ),
+        let op = match self.op {
+            RvOp::Branch(_) => Opcode::CondBranch,
+            RvOp::Jal | RvOp::Jalr if is_link(self.rd) => Opcode::Call,
+            RvOp::Jal => Opcode::Jump,
+            RvOp::Jalr if self.rd == 0 && is_link(self.rs1) => Opcode::Return,
+            RvOp::Jalr => Opcode::JumpInd,
+            RvOp::Load { .. } => Opcode::Load,
+            RvOp::Store { .. } => Opcode::Store,
+            RvOp::Alu { f, .. } => f.class(),
             // Exit requests restart the program: an unconditional jump
             // back to the entry point, resolved by the executor.
-            RvOp::Ecall | RvOp::Ebreak => (Opcode::Jump, None, None, None),
-            RvOp::Lui | RvOp::Auipc => (Opcode::IntAlu, dest(self.rd), None, None),
-            RvOp::Addi
-            | RvOp::Slti
-            | RvOp::Sltiu
-            | RvOp::Xori
-            | RvOp::Ori
-            | RvOp::Andi
-            | RvOp::Slli
-            | RvOp::Srli
-            | RvOp::Srai
-            | RvOp::Addiw
-            | RvOp::Slliw
-            | RvOp::Srliw
-            | RvOp::Sraiw => (Opcode::IntAlu, dest(self.rd), src(self.rs1), None),
-            RvOp::Add
-            | RvOp::Sub
-            | RvOp::Sll
-            | RvOp::Slt
-            | RvOp::Sltu
-            | RvOp::Xor
-            | RvOp::Srl
-            | RvOp::Sra
-            | RvOp::Or
-            | RvOp::And
-            | RvOp::Addw
-            | RvOp::Subw
-            | RvOp::Sllw
-            | RvOp::Srlw
-            | RvOp::Sraw => (Opcode::IntAlu, dest(self.rd), src(self.rs1), src(self.rs2)),
-            RvOp::Fence => (Opcode::IntAlu, None, None, None),
+            RvOp::Ecall | RvOp::Ebreak => Opcode::Jump,
+            RvOp::Lui | RvOp::Auipc | RvOp::Fence => Opcode::IntAlu,
             // Filler matching the synthetic wrong-path convention: a
             // plausible ALU op with benign dependences.
-            RvOp::Illegal => (
-                Opcode::IntAlu,
-                Some(Reg::int(1)),
-                Some(Reg::int(2)),
-                Some(Reg::int(3)),
-            ),
+            RvOp::Illegal => {
+                return StaticInst {
+                    op: Opcode::IntAlu,
+                    dest: Some(Reg::int(1)),
+                    srcs: [Some(Reg::int(2)), Some(Reg::int(3))],
+                    meta: NO_META,
+                }
+            }
         };
+        let reg = |r: u8| (r != 0).then(|| Reg::int(r));
         StaticInst {
             op,
-            dest: d,
-            srcs: [s1, s2],
+            dest: reg(self.rd),
+            srcs: [reg(self.rs1), reg(self.rs2)],
             meta: NO_META,
         }
     }
@@ -315,119 +378,56 @@ pub fn decode(w: u32) -> RvInst {
     if w & 0x3 != 0x3 {
         return illegal; // compressed or malformed parcel
     }
+    let f3 = funct3(w);
     let (op, rd, rs1, rs2, imm) = match w & 0x7f {
         0x37 => (RvOp::Lui, rd(w), 0, 0, imm_u(w)),
         0x17 => (RvOp::Auipc, rd(w), 0, 0, imm_u(w)),
         0x6f => (RvOp::Jal, rd(w), 0, 0, imm_j(w)),
-        0x67 if funct3(w) == 0 => (RvOp::Jalr, rd(w), rs1(w), 0, imm_i(w)),
+        0x67 if f3 == 0 => (RvOp::Jalr, rd(w), rs1(w), 0, imm_i(w)),
         0x63 => {
-            let op = match funct3(w) {
-                0 => RvOp::Beq,
-                1 => RvOp::Bne,
-                4 => RvOp::Blt,
-                5 => RvOp::Bge,
-                6 => RvOp::Bltu,
-                7 => RvOp::Bgeu,
+            let cond = match f3 {
+                0 => Cond::Eq,
+                1 => Cond::Ne,
+                4 => Cond::Lt,
+                5 => Cond::Ge,
+                6 => Cond::Ltu,
+                7 => Cond::Geu,
                 _ => return illegal,
             };
-            (op, 0, rs1(w), rs2(w), imm_b(w))
+            (RvOp::Branch(cond), 0, rs1(w), rs2(w), imm_b(w))
         }
-        0x03 => {
-            let op = match funct3(w) {
-                0 => RvOp::Lb,
-                1 => RvOp::Lh,
-                2 => RvOp::Lw,
-                3 => RvOp::Ld,
-                4 => RvOp::Lbu,
-                5 => RvOp::Lhu,
-                6 => RvOp::Lwu,
-                _ => return illegal,
+        // funct3 = log2(width), plus 4 for the zero-extending forms.
+        0x03 if f3 != 7 => {
+            let op = RvOp::Load {
+                bytes: 1 << (f3 & 3),
+                signed: f3 & 4 == 0,
             };
             (op, rd(w), rs1(w), 0, imm_i(w))
         }
-        0x23 => {
-            let op = match funct3(w) {
-                0 => RvOp::Sb,
-                1 => RvOp::Sh,
-                2 => RvOp::Sw,
-                3 => RvOp::Sd,
+        0x23 if f3 < 4 => (RvOp::Store { bytes: 1 << f3 }, 0, rs1(w), rs2(w), imm_s(w)),
+        // OP-IMM (0x13), OP-IMM-32 (0x1b), OP (0x33), OP-32 (0x3b): bit 5
+        // separates register from immediate operands, bit 3 the word forms.
+        0x13 | 0x1b | 0x33 | 0x3b => {
+            let imm = w & 0x20 == 0;
+            let word = w & 0x08 != 0;
+            let shift = f3 == 1 || f3 == 5;
+            // An immediate's top bits are funct7 only for the shifts, and
+            // the rv64 shift amount is 6 bits wide (funct6 + shamt[5]).
+            let funct7 = match (imm, shift) {
+                (true, false) => 0,
+                (true, true) if !word => funct7(w) & !1,
+                _ => funct7(w),
+            };
+            let f = match AluOp::of(f3, funct7) {
+                Some(f) if f.has_form(imm, word) => f,
                 _ => return illegal,
             };
-            (op, 0, rs1(w), rs2(w), imm_s(w))
-        }
-        0x13 => {
-            // Shift immediates carry funct6 in the top bits (rv64 shamt is
-            // 6 bits wide); everything else is a plain I-type.
-            let shamt = i64::from((w >> 20) & 0x3f);
-            let op = match funct3(w) {
-                0 => RvOp::Addi,
-                1 if funct7(w) & !1 == 0 => return shift(RvOp::Slli, w, shamt),
-                2 => RvOp::Slti,
-                3 => RvOp::Sltiu,
-                4 => RvOp::Xori,
-                5 if funct7(w) & !1 == 0 => return shift(RvOp::Srli, w, shamt),
-                5 if funct7(w) & !1 == 0x20 => return shift(RvOp::Srai, w, shamt),
-                6 => RvOp::Ori,
-                7 => RvOp::Andi,
-                _ => return illegal,
+            let (rs2, imm_val) = match (imm, shift) {
+                (false, _) => (rs2(w), 0),
+                (true, true) => (0, i64::from((w >> 20) & if word { 0x1f } else { 0x3f })),
+                (true, false) => (0, imm_i(w)),
             };
-            (op, rd(w), rs1(w), 0, imm_i(w))
-        }
-        0x1b => {
-            let shamt = i64::from((w >> 20) & 0x1f);
-            return match funct3(w) {
-                0 => RvInst {
-                    op: RvOp::Addiw,
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    rs2: 0,
-                    imm: imm_i(w),
-                },
-                1 if funct7(w) == 0 => shift(RvOp::Slliw, w, shamt),
-                5 if funct7(w) == 0 => shift(RvOp::Srliw, w, shamt),
-                5 if funct7(w) == 0x20 => shift(RvOp::Sraiw, w, shamt),
-                _ => illegal,
-            };
-        }
-        0x33 => {
-            let op = match (funct7(w), funct3(w)) {
-                (0x00, 0) => RvOp::Add,
-                (0x20, 0) => RvOp::Sub,
-                (0x00, 1) => RvOp::Sll,
-                (0x00, 2) => RvOp::Slt,
-                (0x00, 3) => RvOp::Sltu,
-                (0x00, 4) => RvOp::Xor,
-                (0x00, 5) => RvOp::Srl,
-                (0x20, 5) => RvOp::Sra,
-                (0x00, 6) => RvOp::Or,
-                (0x00, 7) => RvOp::And,
-                (0x01, 0) => RvOp::Mul,
-                (0x01, 1) => RvOp::Mulh,
-                (0x01, 2) => RvOp::Mulhsu,
-                (0x01, 3) => RvOp::Mulhu,
-                (0x01, 4) => RvOp::Div,
-                (0x01, 5) => RvOp::Divu,
-                (0x01, 6) => RvOp::Rem,
-                (0x01, 7) => RvOp::Remu,
-                _ => return illegal,
-            };
-            (op, rd(w), rs1(w), rs2(w), 0)
-        }
-        0x3b => {
-            let op = match (funct7(w), funct3(w)) {
-                (0x00, 0) => RvOp::Addw,
-                (0x20, 0) => RvOp::Subw,
-                (0x00, 1) => RvOp::Sllw,
-                (0x00, 5) => RvOp::Srlw,
-                (0x20, 5) => RvOp::Sraw,
-                (0x01, 0) => RvOp::Mulw,
-                (0x01, 4) => RvOp::Divw,
-                (0x01, 5) => RvOp::Divuw,
-                (0x01, 6) => RvOp::Remw,
-                (0x01, 7) => RvOp::Remuw,
-                _ => return illegal,
-            };
-            (op, rd(w), rs1(w), rs2(w), 0)
+            (RvOp::Alu { f, imm, word }, rd(w), rs1(w), rs2, imm_val)
         }
         0x0f => (RvOp::Fence, 0, 0, 0, 0),
         0x73 => match w {
@@ -446,55 +446,77 @@ pub fn decode(w: u32) -> RvInst {
     }
 }
 
-/// Builds a shift-immediate instruction (the only I-type whose immediate
-/// is the raw shamt field rather than the sign-extended word).
-fn shift(op: RvOp, w: u32, shamt: i64) -> RvInst {
-    RvInst {
-        op,
-        rd: rd(w),
-        rs1: rs1(w),
-        rs2: 0,
-        imm: shamt,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn alu(f: AluOp, imm: bool) -> RvOp {
+        RvOp::Alu {
+            f,
+            imm,
+            word: false,
+        }
+    }
 
     #[test]
     fn decodes_the_base_alu_forms() {
         // addi x5, x6, -3
         let i = decode(0xffd3_0293);
-        assert_eq!((i.op, i.rd, i.rs1, i.imm), (RvOp::Addi, 5, 6, -3));
+        assert_eq!(
+            (i.op, i.rd, i.rs1, i.imm),
+            (alu(AluOp::Add, true), 5, 6, -3)
+        );
         // add x3, x1, x2
         let i = decode(0x0020_81b3);
-        assert_eq!((i.op, i.rd, i.rs1, i.rs2), (RvOp::Add, 3, 1, 2));
+        assert_eq!(
+            (i.op, i.rd, i.rs1, i.rs2),
+            (alu(AluOp::Add, false), 3, 1, 2)
+        );
         // sub x3, x1, x2
         let i = decode(0x4020_81b3);
-        assert_eq!(i.op, RvOp::Sub);
+        assert_eq!(i.op, alu(AluOp::Sub, false));
         // lui x7, 0x12345
         let i = decode(0x1234_53b7);
         assert_eq!((i.op, i.rd, i.imm), (RvOp::Lui, 7, 0x1234_5000));
         // slli x5, x5, 3
         let i = decode(0x0032_9293);
-        assert_eq!((i.op, i.rd, i.rs1, i.imm), (RvOp::Slli, 5, 5, 3));
+        assert_eq!((i.op, i.rd, i.rs1, i.imm), (alu(AluOp::Sll, true), 5, 5, 3));
         // mul x10, x11, x12
         let i = decode(0x02c5_8533);
-        assert_eq!((i.op, i.rd, i.rs1, i.rs2), (RvOp::Mul, 10, 11, 12));
+        assert_eq!(
+            (i.op, i.rd, i.rs1, i.rs2),
+            (alu(AluOp::Mul, false), 10, 11, 12)
+        );
     }
 
     #[test]
     fn decodes_memory_and_control_with_signed_offsets() {
         // lw x8, -8(x2)
         let i = decode(0xff81_2403);
-        assert_eq!((i.op, i.rd, i.rs1, i.imm), (RvOp::Lw, 8, 2, -8));
+        assert_eq!(
+            (i.op, i.rd, i.rs1, i.imm),
+            (
+                RvOp::Load {
+                    bytes: 4,
+                    signed: true
+                },
+                8,
+                2,
+                -8
+            )
+        );
         // sd x9, 16(x2)
         let i = decode(0x0091_3823);
-        assert_eq!((i.op, i.rs1, i.rs2, i.imm), (RvOp::Sd, 2, 9, 16));
+        assert_eq!(
+            (i.op, i.rs1, i.rs2, i.imm),
+            (RvOp::Store { bytes: 8 }, 2, 9, 16)
+        );
         // beq x1, x2, -16  (B-immediate sign extension)
         let i = decode(0xfe20_88e3);
-        assert_eq!((i.op, i.rs1, i.rs2, i.imm), (RvOp::Beq, 1, 2, -16));
+        assert_eq!(
+            (i.op, i.rs1, i.rs2, i.imm),
+            (RvOp::Branch(Cond::Eq), 1, 2, -16)
+        );
         assert_eq!(i.rel_target(0x100), Some(0xf0));
         // jal x1, +2048 (J-immediate bit shuffle: imm[11] lives in bit 20)
         let i = decode(0x0010_00ef);

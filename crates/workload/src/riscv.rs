@@ -12,9 +12,14 @@
 //! # Execution model
 //!
 //! * Instructions are decoded by [`smt_isa::riscv`] and executed with
-//!   full architectural semantics (two's-complement arithmetic, W-ops on
-//!   rv64, M-extension multiply/divide including the division edge
-//!   cases).
+//!   full architectural semantics, one match arm per operation family.
+//!   Every arithmetic form goes through the one ALU,
+//!   [`AluOp::eval`](smt_isa::riscv::AluOp::eval): its second operand is
+//!   `rs2` or the immediate, and it runs `narrow` (on the low 32 bits,
+//!   sign-extending the result) for the rv64 `*w` forms and for every
+//!   operation of an rv32 image. That covers the M-extension division
+//!   edge cases, and gives rv32 `mulh*`/`divu`/`remu` their 32-bit
+//!   results. A load sign-extends by shifting.
 //! * The source must yield instructions forever, so program exit restarts
 //!   it: `ecall`/`ebreak` (and any undecodable word the PC wanders into)
 //!   are modeled as an unconditional [`Opcode::Jump`] back to the entry
@@ -402,8 +407,10 @@ impl RiscvSource {
         self.regs[r as usize]
     }
 
-    /// Register write, truncating to XLEN (rv32 keeps values
-    /// sign-extended to 64 bits, matching how rv64 W-ops behave).
+    /// Register write, truncating to XLEN: an rv32 register holds its
+    /// 32-bit value sign-extended to 64 bits. The ALU already returns such
+    /// values on rv32 (it runs `narrow`); links, loads and `auipc` rely on
+    /// this truncation.
     fn wr(&mut self, r: u8, val: u64) {
         if r != 0 {
             self.regs[r as usize] = match self.image.xlen {
@@ -464,232 +471,52 @@ impl RiscvSource {
         let mut mem_addr = 0u64;
         let link = pc.wrapping_add(INST_BYTES);
         let imm = rv.imm as u64;
-        use RvOp::*;
+        let (a, b) = (self.rx(rv.rs1), self.rx(rv.rs2));
         match rv.op {
-            Lui => self.wr(rv.rd, imm),
-            Auipc => self.wr(rv.rd, pc.wrapping_add(imm)),
-            Jal => {
+            RvOp::Lui => self.wr(rv.rd, imm),
+            RvOp::Auipc => self.wr(rv.rd, pc.wrapping_add(imm)),
+            RvOp::Jal => {
                 self.wr(rv.rd, link);
                 next = pc.wrapping_add(imm) & mask;
                 taken = true;
             }
-            Jalr => {
-                let t = self.rx(rv.rs1).wrapping_add(imm) & !1 & mask;
+            RvOp::Jalr => {
+                next = a.wrapping_add(imm) & !1 & mask;
                 self.wr(rv.rd, link);
-                next = t;
                 taken = true;
             }
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                let (a, b) = (self.rx(rv.rs1), self.rx(rv.rs2));
-                taken = match rv.op {
-                    Beq => a == b,
-                    Bne => a != b,
-                    Blt => (a as i64) < (b as i64),
-                    Bge => (a as i64) >= (b as i64),
-                    Bltu => a < b,
-                    _ => a >= b,
-                };
+            RvOp::Branch(cond) => {
+                taken = cond.holds(a, b);
                 if taken {
                     next = pc.wrapping_add(imm) & mask;
                 }
             }
-            Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld => {
-                let addr = self.rx(rv.rs1).wrapping_add(imm) & mask;
-                mem_addr = addr;
-                let v = match rv.op {
-                    Lb => self.load(addr, 1) as u8 as i8 as i64 as u64,
-                    Lbu => self.load(addr, 1),
-                    Lh => self.load(addr, 2) as u16 as i16 as i64 as u64,
-                    Lhu => self.load(addr, 2),
-                    Lw => self.load(addr, 4) as u32 as i32 as i64 as u64,
-                    Lwu => self.load(addr, 4),
-                    _ => self.load(addr, 8),
+            RvOp::Load { bytes, signed } => {
+                mem_addr = a.wrapping_add(imm) & mask;
+                let v = self.load(mem_addr, bytes.into());
+                let pad = 64 - 8 * u32::from(bytes);
+                let v = if signed {
+                    ((v << pad) as i64 >> pad) as u64
+                } else {
+                    v
                 };
                 self.wr(rv.rd, v);
             }
-            Sb | Sh | Sw | Sd => {
-                let addr = self.rx(rv.rs1).wrapping_add(imm) & mask;
-                mem_addr = addr;
-                let size = match rv.op {
-                    Sb => 1,
-                    Sh => 2,
-                    Sw => 4,
-                    _ => 8,
-                };
-                self.store(addr, size, self.rx(rv.rs2));
+            RvOp::Store { bytes } => {
+                mem_addr = a.wrapping_add(imm) & mask;
+                self.store(mem_addr, bytes.into(), b);
             }
-            Addi => self.wr(rv.rd, self.rx(rv.rs1).wrapping_add(imm)),
-            Slti => self.wr(rv.rd, u64::from((self.rx(rv.rs1) as i64) < rv.imm)),
-            Sltiu => self.wr(rv.rd, u64::from(self.rx(rv.rs1) < imm)),
-            Xori => self.wr(rv.rd, self.rx(rv.rs1) ^ imm),
-            Ori => self.wr(rv.rd, self.rx(rv.rs1) | imm),
-            Andi => self.wr(rv.rd, self.rx(rv.rs1) & imm),
-            Slli | Srli | Srai => {
-                let sh = (imm
-                    & match self.image.xlen {
-                        Xlen::Rv64 => 63,
-                        Xlen::Rv32 => 31,
-                    }) as u32;
-                let a = self.rx(rv.rs1);
-                let v = match rv.op {
-                    Slli => a << sh,
-                    Srli => match self.image.xlen {
-                        Xlen::Rv64 => a >> sh,
-                        Xlen::Rv32 => u64::from((a as u32) >> sh),
-                    },
-                    _ => match self.image.xlen {
-                        Xlen::Rv64 => ((a as i64) >> sh) as u64,
-                        Xlen::Rv32 => ((a as u32 as i32) >> sh) as u64,
-                    },
-                };
-                self.wr(rv.rd, v);
+            RvOp::Alu {
+                f,
+                imm: is_imm,
+                word,
+            } => {
+                let b = if is_imm { imm } else { b };
+                let narrow = word || self.image.xlen == Xlen::Rv32;
+                self.wr(rv.rd, f.eval(a, b, narrow));
             }
-            Add => self.wr(rv.rd, self.rx(rv.rs1).wrapping_add(self.rx(rv.rs2))),
-            Sub => self.wr(rv.rd, self.rx(rv.rs1).wrapping_sub(self.rx(rv.rs2))),
-            Sll | Srl | Sra => {
-                let sh = (self.rx(rv.rs2)
-                    & match self.image.xlen {
-                        Xlen::Rv64 => 63,
-                        Xlen::Rv32 => 31,
-                    }) as u32;
-                let a = self.rx(rv.rs1);
-                let v = match rv.op {
-                    Sll => a << sh,
-                    Srl => match self.image.xlen {
-                        Xlen::Rv64 => a >> sh,
-                        Xlen::Rv32 => u64::from((a as u32) >> sh),
-                    },
-                    _ => match self.image.xlen {
-                        Xlen::Rv64 => ((a as i64) >> sh) as u64,
-                        Xlen::Rv32 => ((a as u32 as i32) >> sh) as u64,
-                    },
-                };
-                self.wr(rv.rd, v);
-            }
-            Slt => self.wr(
-                rv.rd,
-                u64::from((self.rx(rv.rs1) as i64) < (self.rx(rv.rs2) as i64)),
-            ),
-            Sltu => self.wr(rv.rd, u64::from(self.rx(rv.rs1) < self.rx(rv.rs2))),
-            Xor => self.wr(rv.rd, self.rx(rv.rs1) ^ self.rx(rv.rs2)),
-            Or => self.wr(rv.rd, self.rx(rv.rs1) | self.rx(rv.rs2)),
-            And => self.wr(rv.rd, self.rx(rv.rs1) & self.rx(rv.rs2)),
-            Addiw => self.wr(rv.rd, w32(self.rx(rv.rs1).wrapping_add(imm))),
-            Slliw => self.wr(
-                rv.rd,
-                w32(u64::from((self.rx(rv.rs1) as u32) << (imm & 31))),
-            ),
-            Srliw => self.wr(
-                rv.rd,
-                w32(u64::from((self.rx(rv.rs1) as u32) >> (imm & 31))),
-            ),
-            Sraiw => self.wr(
-                rv.rd,
-                ((self.rx(rv.rs1) as u32 as i32) >> (imm & 31)) as i64 as u64,
-            ),
-            Addw => self.wr(rv.rd, w32(self.rx(rv.rs1).wrapping_add(self.rx(rv.rs2)))),
-            Subw => self.wr(rv.rd, w32(self.rx(rv.rs1).wrapping_sub(self.rx(rv.rs2)))),
-            Sllw => self.wr(
-                rv.rd,
-                w32(u64::from(
-                    (self.rx(rv.rs1) as u32) << (self.rx(rv.rs2) & 31),
-                )),
-            ),
-            Srlw => self.wr(
-                rv.rd,
-                w32(u64::from(
-                    (self.rx(rv.rs1) as u32) >> (self.rx(rv.rs2) & 31),
-                )),
-            ),
-            Sraw => self.wr(
-                rv.rd,
-                ((self.rx(rv.rs1) as u32 as i32) >> (self.rx(rv.rs2) & 31)) as i64 as u64,
-            ),
-            Mul => self.wr(rv.rd, self.rx(rv.rs1).wrapping_mul(self.rx(rv.rs2))),
-            Mulh => self.wr(
-                rv.rd,
-                ((i128::from(self.rx(rv.rs1) as i64) * i128::from(self.rx(rv.rs2) as i64)) >> 64)
-                    as u64,
-            ),
-            Mulhsu => self.wr(
-                rv.rd,
-                ((i128::from(self.rx(rv.rs1) as i64) * i128::from(self.rx(rv.rs2))) >> 64) as u64,
-            ),
-            Mulhu => self.wr(
-                rv.rd,
-                ((u128::from(self.rx(rv.rs1)) * u128::from(self.rx(rv.rs2))) >> 64) as u64,
-            ),
-            Div => {
-                let (a, b) = (self.rx(rv.rs1) as i64, self.rx(rv.rs2) as i64);
-                let v = if b == 0 {
-                    -1i64
-                } else if a == i64::MIN && b == -1 {
-                    a
-                } else {
-                    a / b
-                };
-                self.wr(rv.rd, v as u64);
-            }
-            Divu => {
-                let (a, b) = (self.rx(rv.rs1), self.rx(rv.rs2));
-                self.wr(rv.rd, a.checked_div(b).unwrap_or(u64::MAX));
-            }
-            Rem => {
-                let (a, b) = (self.rx(rv.rs1) as i64, self.rx(rv.rs2) as i64);
-                let v = if b == 0 {
-                    a
-                } else if a == i64::MIN && b == -1 {
-                    0
-                } else {
-                    a % b
-                };
-                self.wr(rv.rd, v as u64);
-            }
-            Remu => {
-                let (a, b) = (self.rx(rv.rs1), self.rx(rv.rs2));
-                self.wr(rv.rd, if b == 0 { a } else { a % b });
-            }
-            Mulw => self.wr(
-                rv.rd,
-                w32((self.rx(rv.rs1) as u32)
-                    .wrapping_mul(self.rx(rv.rs2) as u32)
-                    .into()),
-            ),
-            Divw => {
-                let (a, b) = (self.rx(rv.rs1) as i32, self.rx(rv.rs2) as i32);
-                let v = if b == 0 {
-                    -1i32
-                } else if a == i32::MIN && b == -1 {
-                    a
-                } else {
-                    a / b
-                };
-                self.wr(rv.rd, v as i64 as u64);
-            }
-            Divuw => {
-                let (a, b) = (self.rx(rv.rs1) as u32, self.rx(rv.rs2) as u32);
-                self.wr(
-                    rv.rd,
-                    a.checked_div(b).unwrap_or(u32::MAX) as i32 as i64 as u64,
-                );
-            }
-            Remw => {
-                let (a, b) = (self.rx(rv.rs1) as i32, self.rx(rv.rs2) as i32);
-                let v = if b == 0 {
-                    a
-                } else if a == i32::MIN && b == -1 {
-                    0
-                } else {
-                    a % b
-                };
-                self.wr(rv.rd, v as i64 as u64);
-            }
-            Remuw => {
-                let (a, b) = (self.rx(rv.rs1) as u32, self.rx(rv.rs2) as u32);
-                self.wr(rv.rd, (if b == 0 { a } else { a % b }) as i32 as i64 as u64);
-            }
-            Fence => {}
-            Ecall | Ebreak | Illegal => unreachable!("handled above"),
+            RvOp::Fence => {}
+            RvOp::Ecall | RvOp::Ebreak | RvOp::Illegal => unreachable!("handled above"),
         }
         self.pc = next;
         (
@@ -701,11 +528,6 @@ impl RiscvSource {
             },
         )
     }
-}
-
-/// Sign-extends the low 32 bits (the rv64 W-op result rule).
-fn w32(v: u64) -> u64 {
-    v as u32 as i32 as i64 as u64
 }
 
 impl WorkloadSource for RiscvSource {
