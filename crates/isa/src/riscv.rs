@@ -19,7 +19,7 @@
 //! [`RvOp`] names operation *families*, not mnemonics. [`RvOp::Alu`]
 //! covers the register (OP), immediate (OP-IMM), word (OP-32) and
 //! word-immediate (OP-IMM-32) forms of the 18 [`AluOp`]s — the 10 of the
-//! base ISA and the 8 of the M extension — and [`AluOp::of`] is the one
+//! base ISA and the 8 of the M extension — and `AluOp::of` is the one
 //! `funct3`/`funct7` table all four opcodes decode through.
 //! [`RvOp::Branch`] covers the six [`Cond`]itions, and [`RvOp::Load`] and
 //! [`RvOp::Store`] every width. The executor computes every arithmetic
@@ -35,7 +35,7 @@
 //! | `Jalr x0` through a link register (a return) | `Return` |
 //! | other `Jalr` | `JumpInd` |
 //! | `Load`, `Store` | `Load`, `Store` |
-//! | `Alu` | [`AluOp::class`]: `IntMul` for `mul[w]`, `IntMulLong` for `mulh*`/`div*`/`rem*`, else `IntAlu` |
+//! | `Alu` | `IntMul` for `mul[w]`, `IntMulLong` for `mulh*`/`div*`/`rem*`, else `IntAlu` |
 //! | `Ecall`/`Ebreak` | `Jump` (modeled as a program restart) |
 //! | `Lui`, `Auipc`, `Fence` | `IntAlu` |
 //! | `Illegal` | `IntAlu` filler writing `x1` from `x2`, `x3` |
@@ -152,7 +152,7 @@ impl AluOp {
     /// (`funct7` 0x00 base, 0x20 `sub`/`sra`, 0x01 M extension); the
     /// other arithmetic opcodes reuse the table and refuse what they lack
     /// (see [`decode`]).
-    pub fn of(funct3: u32, funct7: u32) -> Option<AluOp> {
+    pub(crate) fn of(funct3: u32, funct7: u32) -> Option<AluOp> {
         use AluOp::*;
         const BASE: [AluOp; 8] = [Add, Sll, Slt, Sltu, Xor, Srl, Or, And];
         const M: [AluOp; 8] = [Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu];
@@ -182,7 +182,7 @@ impl AluOp {
 
     /// The timing class: `IntMul` for `mul`, `IntMulLong` for the other M
     /// operations, `IntAlu` for the base ISA.
-    pub fn class(self) -> Opcode {
+    pub(crate) fn class(self) -> Opcode {
         use AluOp::*;
         match self {
             Mul => Opcode::IntMul,

@@ -832,10 +832,10 @@ const IMM_FORMS: [&str; 13] = [
 /// A random rv64im program over every encoding family. Each instruction
 /// that writes `rd` is followed by `sd x0, 0(rd)`, so its result shows up
 /// as an effective address. Control transfers go forward, the last word
-/// jumps back to the entry (or restarts the program through `ecall` on odd
-/// seeds), and 64 random words that never execute trail the program for
+/// jumps back to the entry (or, on odd seeds, restarts the program through
+/// `ecall` or `ebreak`), and 64 random words that never execute trail the program for
 /// the wrong-path decoder.
-fn random_program(seed: u64) -> (Vec<u32>, usize) {
+fn random_program(seed: u64) -> Vec<u32> {
     const LEN: usize = 360;
     // A forward offset from word `at` that stays inside the program.
     let fwd = |r: &mut Rng, at: usize| 4 * (1 + r.below((LEN - at).clamp(1, 16) as u64) as i32);
@@ -892,13 +892,13 @@ fn random_program(seed: u64) -> (Vec<u32>, usize) {
         words.push(s_type(3, inst >> 7 & 0x1f, 0, 0));
     }
     let end = words.len();
-    words.push(if seed % 2 == 1 {
-        0x0000_0073 // ecall
-    } else {
-        j_type(0, -(end as i32) * 4)
+    words.push(match seed % 4 {
+        1 => 0x0000_0073, // ecall
+        3 => 0x0010_0073, // ebreak
+        _ => j_type(0, -(end as i32) * 4),
     });
     words.extend((0..64).map(|_| r.next() as u32));
-    (words, end)
+    words
 }
 
 fn fold(h: u64, inst: StaticInst, o: Outcome) -> u64 {
@@ -924,7 +924,7 @@ fn fold(h: u64, inst: StaticInst, o: Outcome) -> u64 {
 fn rv64_random_programs_match_the_pinned_digest() {
     let mut h = smt_stats::binio::FNV_OFFSET;
     for seed in 0..64 {
-        let (words, _) = random_program(seed);
+        let words = random_program(seed);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let image = RiscvImage::from_flat("random", &bytes, Xlen::Rv64).expect("valid image");
         let mut s = RiscvSource::new(Arc::new(image));
