@@ -16,14 +16,32 @@
 //! are fixed. TLB misses cost two full memory accesses and consume no
 //! execution resources.
 //!
+//! The I-cache and the D-cache are one L1 model: every per-side piece of
+//! state (tag array, TLB, port and bank budget, L1 bus) is a two-element
+//! array indexed by side, instruction side first, and all four access
+//! entry points ([`MemoryHierarchy::icache_fetch`],
+//! [`icache_fetch_with`](MemoryHierarchy::icache_fetch_with),
+//! [`icache_bank_free`](MemoryHierarchy::icache_bank_free) and
+//! [`dcache_access`](MemoryHierarchy::dcache_access)) share one path:
+//! arbitrate for a port and the bank, translate, look up the tags, then
+//! hit, miss, or pay a delay-only page walk. An access that bounces on a
+//! busy port or bank touches no TLB or cache state.
+//!
+//! **Write-back model.** Only data accesses write, and every fill installs
+//! a clean line at every level (a store miss's too: its line is dirtied
+//! only by a later store hit), so only L1 data evictions write back (the
+//! writeback occupies the L1 data bus). L2 and L3 lines are never dirty
+//! and the memory bus never carries a writeback: a known fidelity gap,
+//! kept because closing it changes every result.
+//!
 //! Misses are **scheduled completion events**, not polled state: starting
 //! a miss computes its data-return cycle up front (reserving bank and bus
 //! occupancy along the way), and [`MemoryHierarchy::begin_cycle`] delivers
 //! each [`Completion`] on exactly that cycle. The earliest due cycle of
 //! every event class (line fills, delay-only TLB walks, miss completions)
-//! is tracked, so an event-free cycle costs four counter resets and three
-//! compares — nothing is rescanned. The pipeline consumes the events each
-//! cycle:
+//! is tracked, so an event-free cycle costs two port-budget resets and
+//! three compares — nothing is rescanned. The pipeline consumes the events
+//! each cycle:
 //!
 //! ```
 //! use smt_mem::{MemConfig, MemoryHierarchy, AccessResult};
@@ -236,7 +254,8 @@ smt_stats::counters! {
         pub itlb: LevelStats,
         /// Data TLB lookups.
         pub dtlb: LevelStats,
-        /// Dirty lines written back.
+        /// Dirty lines written back. Only L1 data evictions write back:
+        /// fills install clean lines, so L2 and L3 are never dirty.
         pub writebacks: u64,
         /// D-cache accesses rejected for bank/port conflicts.
         pub bank_conflicts: u64,
@@ -307,67 +326,61 @@ impl TagArray {
         (addr >> self.tag_shift) as u32
     }
 
+    /// The way of the set at `base` holding `tag`, if any.
+    #[inline]
+    fn way_of(&self, base: usize, tag: u32) -> Option<usize> {
+        (0..self.assoc).find(|&w| {
+            let l = self.lines[base + w];
+            l.valid && l.tag == tag
+        })
+    }
+
     /// Access for read/write; returns true on hit and updates LRU/dirty.
     fn access(&mut self, addr: Addr, write: bool) -> bool {
         let base = self.set_of(addr) * self.assoc;
-        let tag = self.tag_of(addr);
-        for w in 0..self.assoc {
-            if self.lines[base + w].valid && self.lines[base + w].tag == tag {
-                let hit_lru = self.lines[base + w].lru;
-                for v in 0..self.assoc {
-                    let l = &mut self.lines[base + v];
-                    if l.valid && l.lru < hit_lru {
-                        l.lru += 1;
-                    }
-                }
-                let l = &mut self.lines[base + w];
-                l.lru = 0;
-                l.dirty |= write;
-                return true;
+        let Some(w) = self.way_of(base, self.tag_of(addr)) else {
+            return false;
+        };
+        let hit_lru = self.lines[base + w].lru;
+        for l in &mut self.lines[base..base + self.assoc] {
+            if l.valid && l.lru < hit_lru {
+                l.lru += 1;
             }
         }
-        false
+        let l = &mut self.lines[base + w];
+        l.lru = 0;
+        l.dirty |= write;
+        true
     }
 
-    /// Install the line containing `addr`; returns the evicted dirty line
-    /// address, if any.
-    fn install(&mut self, addr: Addr, dirty: bool) -> Option<Addr> {
-        let set = self.set_of(addr);
-        let base = set * self.assoc;
+    /// Installs the line containing `addr`, clean; returns whether the
+    /// evicted line was dirty. Only [`access`](TagArray::access) with
+    /// `write` dirties a line.
+    fn install(&mut self, addr: Addr) -> bool {
+        let base = self.set_of(addr) * self.assoc;
         let tag = self.tag_of(addr);
-        // Already present (e.g. a racing fill): just refresh.
-        for w in 0..self.assoc {
-            if self.lines[base + w].valid && self.lines[base + w].tag == tag {
-                self.lines[base + w].dirty |= dirty;
-                return None;
-            }
+        // Already present (e.g. a racing fill): nothing to do.
+        if self.way_of(base, tag).is_some() {
+            return false;
         }
-        let victim = (0..self.assoc)
-            .find(|&w| !self.lines[base + w].valid)
-            .unwrap_or_else(|| {
-                (0..self.assoc)
-                    .max_by_key(|&w| self.lines[base + w].lru)
-                    .expect("assoc > 0")
-            });
-        let evicted = &self.lines[base + victim];
-        let wb = if evicted.valid && evicted.dirty {
-            Some((u64::from(evicted.tag) << self.tag_shift) | ((set as u64) << self.line_shift))
-        } else {
-            None
-        };
-        for w in 0..self.assoc {
-            let l = &mut self.lines[base + w];
-            if l.valid {
-                l.lru = l.lru.saturating_add(1).min(self.assoc as u8 - 1);
-            }
+        let set = &mut self.lines[base..base + self.assoc];
+        let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+            (0..set.len())
+                .max_by_key(|&w| set[w].lru)
+                .expect("assoc > 0")
+        });
+        let dirty = set[victim].valid && set[victim].dirty;
+        let max_lru = set.len() as u8 - 1;
+        for l in set.iter_mut().filter(|l| l.valid) {
+            l.lru = l.lru.saturating_add(1).min(max_lru);
         }
-        self.lines[base + victim] = Line {
+        set[victim] = Line {
             tag,
             valid: true,
-            dirty,
+            dirty: false,
             lru: 0,
         };
-        wb
+        dirty
     }
 }
 
@@ -537,11 +550,33 @@ impl Tlb {
     }
 }
 
+/// An L1 side. Its discriminant indexes every per-side array of
+/// [`MemoryHierarchy`], instruction side first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Side {
     #[default]
-    Instr,
-    Data,
+    Instr = 0,
+    Data = 1,
+}
+
+impl Side {
+    /// This side's cache and TLB counters.
+    fn stats(self, s: &mut MemStats) -> (&mut LevelStats, &mut LevelStats) {
+        match self {
+            Side::Instr => (&mut s.icache, &mut s.itlb),
+            Side::Data => (&mut s.dcache, &mut s.dtlb),
+        }
+    }
+}
+
+impl MemConfig {
+    /// The L1 parameters of `side`.
+    fn l1_params(&self, side: Side) -> &CacheParams {
+        match side {
+            Side::Instr => &self.icache,
+            Side::Data => &self.dcache,
+        }
+    }
 }
 
 /// Initial capacity of a fresh MSHR waiter list. The default machine
@@ -568,29 +603,28 @@ pub struct Completion {
 }
 
 /// The full memory hierarchy: L1 I/D, L2, L3, TLBs, buses and MSHRs.
+///
+/// Both L1 sides run one model: their tag arrays, TLBs, port and bank
+/// budgets and L1 buses are two-element arrays indexed by side, and
+/// every access goes through one private access path.
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     cfg: MemConfig,
-    icache: TagArray,
-    dcache: TagArray,
+    l1: [TagArray; 2],
     l2: TagArray,
     l3: TagArray,
-    itlb: Tlb,
-    dtlb: Tlb,
+    tlb: [Tlb; 2],
     stats: MemStats,
 
     // Per-cycle port accounting (reset by `begin_cycle`).
     cycle: u64,
-    i_ports_used: u32,
-    d_ports_used: u32,
-    i_banks_used: u64, // bitmask over banks
-    d_banks_used: u64,
+    ports_used: [u32; 2],
+    banks_used: [u64; 2], // bitmask over banks
 
     // Resource reservations (next free cycle).
     l2_bank_free: Box<[u64]>,
     l3_bank_free: Box<[u64]>,
-    bus_l1i_free: u64,
-    bus_l1d_free: u64,
+    bus_l1_free: [u64; 2],
     bus_l2_free: u64,
     bus_mem_free: u64,
 
@@ -614,32 +648,21 @@ pub struct MemoryHierarchy {
 impl MemoryHierarchy {
     /// Builds the hierarchy from a configuration.
     pub fn new(cfg: MemConfig) -> MemoryHierarchy {
-        let icache = TagArray::new(&cfg.icache);
-        let dcache = TagArray::new(&cfg.dcache);
-        let l2 = TagArray::new(&cfg.l2);
-        let l3 = TagArray::new(&cfg.l3);
-        let itlb = Tlb::new(cfg.itlb_entries, cfg.page_bytes);
-        let dtlb = Tlb::new(cfg.dtlb_entries, cfg.page_bytes);
-        let l2_banks = cfg.l2.banks;
-        let l3_banks = cfg.l3.banks;
         MemoryHierarchy {
-            cfg,
-            icache,
-            dcache,
-            l2,
-            l3,
-            itlb,
-            dtlb,
+            l1: [TagArray::new(&cfg.icache), TagArray::new(&cfg.dcache)],
+            l2: TagArray::new(&cfg.l2),
+            l3: TagArray::new(&cfg.l3),
+            tlb: [
+                Tlb::new(cfg.itlb_entries, cfg.page_bytes),
+                Tlb::new(cfg.dtlb_entries, cfg.page_bytes),
+            ],
             stats: MemStats::default(),
             cycle: 0,
-            i_ports_used: 0,
-            d_ports_used: 0,
-            i_banks_used: 0,
-            d_banks_used: 0,
-            l2_bank_free: vec![0; l2_banks].into(),
-            l3_bank_free: vec![0; l3_banks].into(),
-            bus_l1i_free: 0,
-            bus_l1d_free: 0,
+            ports_used: [0; 2],
+            banks_used: [0; 2],
+            l2_bank_free: vec![0; cfg.l2.banks].into(),
+            l3_bank_free: vec![0; cfg.l3.banks].into(),
+            bus_l1_free: [0; 2],
             bus_l2_free: 0,
             bus_mem_free: 0,
             // Event lists are pre-sized past any plausible steady-state
@@ -654,12 +677,8 @@ impl MemoryHierarchy {
             next_req: 0,
             next_fill_at: u64::MAX,
             next_delay_at: u64::MAX,
+            cfg,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -678,14 +697,12 @@ impl MemoryHierarchy {
     /// Event-driven: each event class (fills, delay-only TLB walks, miss
     /// completions) was scheduled with its due cycle when it was created,
     /// and the earliest due cycle of each class is tracked — on the common
-    /// event-free cycle this resets four counters and does nothing else.
+    /// event-free cycle this resets the port budgets and does nothing else.
     #[inline]
     pub fn begin_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
-        self.i_ports_used = 0;
-        self.d_ports_used = 0;
-        self.i_banks_used = 0;
-        self.d_banks_used = 0;
+        self.ports_used = [0; 2];
+        self.banks_used = [0; 2];
 
         // Install fills that land this cycle.
         if cycle >= self.next_fill_at {
@@ -746,72 +763,35 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The earliest future cycle at which any scheduled event (fill,
-    /// delay-only walk, or miss completion) falls due, if one exists.
-    /// Purely observational — useful for tests and idle-cycle diagnostics.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        let heap_next = self.completions.peek().map(|&Reverse((t, _))| t);
-        [Some(self.next_fill_at), Some(self.next_delay_at), heap_next]
-            .into_iter()
-            .flatten()
-            .filter(|&t| t != u64::MAX)
-            .min()
-    }
-
     fn mshr_key(m: &Mshr) -> u64 {
-        m.line
-            ^ match m.side {
-                Side::Instr => 0x8000_0000_0000_0000,
-                Side::Data => 0,
-            }
+        m.line ^ (u64::from(m.side == Side::Instr) << 63)
     }
 
     fn install_chain(&mut self, side: Side, line: Addr) {
-        // Fill L1; a dirty eviction consumes downstream bus bandwidth.
-        let wb = match side {
-            Side::Instr => self.icache.install(line, false),
-            Side::Data => self.dcache.install(line, false),
-        };
-        if let Some(_dirty_line) = wb {
+        // Fill L1. Only data lines are ever written, so only a data
+        // eviction can be dirty; its writeback occupies the L1 bus.
+        if self.l1[side as usize].install(line) {
             self.stats.writebacks += 1;
             if !self.cfg.infinite_bandwidth {
-                let bus = match side {
-                    Side::Instr => &mut self.bus_l1i_free,
-                    Side::Data => &mut self.bus_l1d_free,
-                };
-                *bus = (*bus).max(self.cycle) + self.cfg.dcache.transfer_cycles;
+                let bus = &mut self.bus_l1_free[side as usize];
+                *bus = (*bus).max(self.cycle) + self.cfg.l1_params(side).transfer_cycles;
             }
         }
         // Fill outer levels (simple inclusive fill on the miss path).
-        if let Some(_wb2) = self.l2.install(line, false) {
-            self.stats.writebacks += 1;
-            if !self.cfg.infinite_bandwidth {
-                self.bus_l2_free = self.bus_l2_free.max(self.cycle) + self.cfg.l2.transfer_cycles;
-            }
-        }
-        if let Some(_wb3) = self.l3.install(line, false) {
-            self.stats.writebacks += 1;
-            if !self.cfg.infinite_bandwidth {
-                self.bus_mem_free = self.bus_mem_free.max(self.cycle) + self.cfg.l3.transfer_cycles;
-            }
-        }
+        // Fills install clean, so these evictions never write back.
+        self.l2.install(line);
+        self.l3.install(line);
     }
 
     /// Computes the data-return time for a miss that leaves L1 at `cycle`,
     /// reserving bus/bank occupancy along the way.
     fn service_miss(&mut self, side: Side, line: Addr, start: u64) -> u64 {
         let inf = self.cfg.infinite_bandwidth;
-        let l1 = match side {
-            Side::Instr => &self.cfg.icache,
-            Side::Data => &self.cfg.dcache,
-        };
+        let l1 = self.cfg.l1_params(side);
         // L1 -> L2 request+data uses the L1 bus and the fixed level latency.
         let mut t = start;
         if !inf {
-            let bus = match side {
-                Side::Instr => &mut self.bus_l1i_free,
-                Side::Data => &mut self.bus_l1d_free,
-            };
+            let bus = &mut self.bus_l1_free[side as usize];
             t = t.max(*bus);
             *bus = t + l1.transfer_cycles;
         }
@@ -903,6 +883,74 @@ impl MemoryHierarchy {
         Some(req)
     }
 
+    /// Whether `side` still has a port, and the bank holding `addr`, free
+    /// this cycle.
+    #[inline]
+    fn port_free(&self, side: Side, addr: Addr) -> bool {
+        let p = self.cfg.l1_params(side);
+        self.ports_used[side as usize] < p.accesses_per_cycle
+            && self.banks_used[side as usize] & (1 << p.bank_of(addr)) == 0
+    }
+
+    /// The one L1 access path, for either side. In order: arbitrate for a
+    /// port and the bank (when `arbitrate` is set and bandwidth is finite),
+    /// look up the TLB, look up the tags, and answer with a hit, a miss, or
+    /// a delay-only page walk (a tag hit whose translation missed). A
+    /// bounced access touches no TLB or cache state; only a data-side
+    /// bounce counts in `bank_conflicts`.
+    #[inline]
+    fn l1_access(
+        &mut self,
+        side: Side,
+        thread: ThreadId,
+        addr: Addr,
+        write: bool,
+        arbitrate: bool,
+    ) -> AccessResult {
+        let s = side as usize;
+        if arbitrate && !self.cfg.infinite_bandwidth {
+            if !self.port_free(side, addr) {
+                if side == Side::Data {
+                    self.stats.bank_conflicts += 1;
+                }
+                return AccessResult::BankConflict;
+            }
+            self.ports_used[s] += 1;
+            self.banks_used[s] |= 1 << self.cfg.l1_params(side).bank_of(addr);
+        }
+
+        let walk = 2 * self.full_memory_latency();
+        let (cache, tlb) = side.stats(&mut self.stats);
+        tlb.accesses += 1;
+        let tlb_extra = if self.tlb[s].access(thread, addr) {
+            0
+        } else {
+            tlb.misses += 1;
+            walk
+        };
+
+        cache.accesses += 1;
+        if !self.l1[s].access(addr, write) {
+            cache.misses += 1;
+            let line = self.cfg.l1_params(side).line_of(addr);
+            return match self.start_miss(side, line, tlb_extra) {
+                Some(req) => AccessResult::Miss(req),
+                None => AccessResult::BankConflict,
+            };
+        }
+        if tlb_extra == 0 {
+            return AccessResult::Hit;
+        }
+        // Line present but translation missing: pay the page-walk delay
+        // without generating downstream traffic.
+        let req = ReqId(self.next_req);
+        self.next_req += 1;
+        let due = self.cycle + 1 + tlb_extra;
+        self.delay_only.push((due, req));
+        self.next_delay_at = self.next_delay_at.min(due);
+        AccessResult::Miss(req)
+    }
+
     /// Instruction fetch access for one thread's fetch block at `addr`.
     ///
     /// On a miss the thread should stop fetching until the returned request
@@ -929,59 +977,13 @@ impl MemoryHierarchy {
             self.stats.icache.accesses += 1;
             return AccessResult::Hit;
         }
-
-        // ITLB.
-        self.stats.itlb.accesses += 1;
-        let tlb_extra = if self.itlb.access(thread, addr) {
-            0
-        } else {
-            self.stats.itlb.misses += 1;
-            2 * self.full_memory_latency()
-        };
-
-        let p = &self.cfg.icache;
-        let bank = p.bank_of(addr) as u64;
-        if arbitrate && !self.cfg.infinite_bandwidth {
-            if self.i_ports_used >= p.accesses_per_cycle || self.i_banks_used & (1 << bank) != 0 {
-                return AccessResult::BankConflict;
-            }
-            self.i_ports_used += 1;
-            self.i_banks_used |= 1 << bank;
-        }
-
-        self.stats.icache.accesses += 1;
-        let line = p.line_of(addr);
-        let tag_hit = self.icache.access(addr, false);
-        if tag_hit && tlb_extra == 0 {
-            return AccessResult::Hit;
-        }
-        if !tag_hit {
-            self.stats.icache.misses += 1;
-            match self.start_miss(Side::Instr, line, tlb_extra) {
-                Some(req) => AccessResult::Miss(req),
-                None => AccessResult::BankConflict,
-            }
-        } else {
-            // Line present but translation missing: pay the page-walk delay
-            // without generating downstream traffic.
-            let req = ReqId(self.next_req);
-            self.next_req += 1;
-            let due = self.cycle + 1 + tlb_extra;
-            self.delay_only.push((due, req));
-            self.next_delay_at = self.next_delay_at.min(due);
-            AccessResult::Miss(req)
-        }
+        self.l1_access(Side::Instr, thread, addr, false, arbitrate)
     }
 
     /// Whether the I-cache bank for `addr` is still free this cycle.
     #[inline]
     pub fn icache_bank_free(&self, addr: Addr) -> bool {
-        if self.cfg.infinite_bandwidth || self.cfg.perfect_icache {
-            return true;
-        }
-        let bank = self.cfg.icache.bank_of(addr) as u64;
-        self.i_banks_used & (1 << bank) == 0
-            && self.i_ports_used < self.cfg.icache.accesses_per_cycle
+        self.cfg.infinite_bandwidth || self.cfg.perfect_icache || self.port_free(Side::Instr, addr)
     }
 
     /// Data access (load or store) at `addr`.
@@ -991,46 +993,7 @@ impl MemoryHierarchy {
     /// optimistically issued dependents, per Section 2 of the paper).
     #[inline]
     pub fn dcache_access(&mut self, thread: ThreadId, addr: Addr, write: bool) -> AccessResult {
-        let p = &self.cfg.dcache;
-        let bank = p.bank_of(addr) as u64;
-        if !self.cfg.infinite_bandwidth {
-            if self.d_ports_used >= p.accesses_per_cycle || self.d_banks_used & (1 << bank) != 0 {
-                self.stats.bank_conflicts += 1;
-                return AccessResult::BankConflict;
-            }
-            self.d_ports_used += 1;
-            self.d_banks_used |= 1 << bank;
-        }
-
-        // DTLB.
-        self.stats.dtlb.accesses += 1;
-        let tlb_extra = if self.dtlb.access(thread, addr) {
-            0
-        } else {
-            self.stats.dtlb.misses += 1;
-            2 * self.full_memory_latency()
-        };
-
-        self.stats.dcache.accesses += 1;
-        let line = p.line_of(addr);
-        let tag_hit = self.dcache.access(addr, write);
-        if tag_hit && tlb_extra == 0 {
-            return AccessResult::Hit;
-        }
-        if !tag_hit {
-            self.stats.dcache.misses += 1;
-            match self.start_miss(Side::Data, line, tlb_extra) {
-                Some(req) => AccessResult::Miss(req),
-                None => AccessResult::BankConflict,
-            }
-        } else {
-            let req = ReqId(self.next_req);
-            self.next_req += 1;
-            let due = self.cycle + 1 + tlb_extra;
-            self.delay_only.push((due, req));
-            self.next_delay_at = self.next_delay_at.min(due);
-            AccessResult::Miss(req)
-        }
+        self.l1_access(Side::Data, thread, addr, write, true)
     }
 
     /// Drains all ready miss completions into `out` (appended, preserving
@@ -1051,10 +1014,9 @@ impl MemoryHierarchy {
 // it; the waiter pool is recycled storage, not state.
 persist! {
     MemoryHierarchy {
-        stats, icache, dcache, l2, l3, itlb, dtlb, cycle, i_ports_used, d_ports_used, i_banks_used,
-        d_banks_used, l2_bank_free, l3_bank_free, bus_l1i_free, bus_l1d_free, bus_l2_free,
-        bus_mem_free, mshrs, completions, pending_fills, delay_only, ready, next_req, next_fill_at,
-        next_delay_at,
+        stats, l1, l2, l3, tlb, cycle, ports_used, banks_used, l2_bank_free, l3_bank_free,
+        bus_l1_free, bus_l2_free, bus_mem_free, mshrs, completions, pending_fills, delay_only,
+        ready, next_req, next_fill_at, next_delay_at,
     } skip { cfg, waiter_pool }
 }
 // The configuration's identity bytes, hashed into the checkpoint header's
@@ -1102,10 +1064,7 @@ impl Tlb {
 
 impl Persist for Side {
     fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> std::io::Result<()> {
-        w.u8(match self {
-            Side::Instr => 0,
-            Side::Data => 1,
-        })
+        w.u8(*self as u8)
     }
     fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> std::io::Result<()> {
         *self = match r.u8()? {
@@ -1350,6 +1309,35 @@ mod tests {
     }
 
     #[test]
+    fn a_bounced_access_touches_no_tlb_or_cache_state() {
+        for side in [Side::Instr, Side::Data] {
+            let mut m = mem();
+            m.begin_cycle(0);
+            let access = |m: &mut MemoryHierarchy, addr| match side {
+                Side::Instr => m.icache_fetch(T0, addr),
+                Side::Data => m.dcache_access(T0, addr, true),
+            };
+            let _ = access(&mut m, 0x10_0000);
+            let stats = *m.stats();
+            let contents = format!("{:?}", (&m.l1, &m.tlb));
+            // Same bank, another page: the TLB would miss if it were asked.
+            let busy = 0x10_0000 + 4 * 8 * 1024;
+            assert_eq!(access(&mut m, busy), AccessResult::BankConflict);
+            let s = m.stats();
+            let bounces = u64::from(side == Side::Data);
+            assert_eq!(s.bank_conflicts, stats.bank_conflicts + bounces, "{side:?}");
+            assert_eq!(
+                *s,
+                MemStats {
+                    bank_conflicts: s.bank_conflicts,
+                    ..stats
+                }
+            );
+            assert_eq!(format!("{:?}", (&m.l1, &m.tlb)), contents, "{side:?}");
+        }
+    }
+
+    #[test]
     fn tlb_miss_charges_two_memory_accesses() {
         let mut m = mem();
         m.begin_cycle(0);
@@ -1404,26 +1392,6 @@ mod tests {
         };
         assert_eq!(s.miss_rate(), 2.5);
         assert_eq!(LevelStats::default().miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn next_event_cycle_tracks_scheduled_events() {
-        let mut m = mem();
-        m.begin_cycle(0);
-        assert_eq!(m.next_event_cycle(), None, "fresh hierarchy is idle");
-        let AccessResult::Miss(req) = m.dcache_access(T0, 0x10_0000, false) else {
-            panic!("cold access must miss")
-        };
-        let due = m
-            .next_event_cycle()
-            .expect("an outstanding miss schedules events");
-        assert!(due > 0, "events are scheduled in the future");
-        let done = drain_until(&mut m, req, 2000);
-        assert!(done >= due, "completion cannot precede the earliest event");
-        // Once the completion and its line fill have been consumed the
-        // hierarchy is idle again.
-        m.begin_cycle(done + 1);
-        assert_eq!(m.next_event_cycle(), None, "all events drained");
     }
 
     #[test]
