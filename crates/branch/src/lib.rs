@@ -209,52 +209,48 @@ impl Btb {
         (pc >> 2) >> self.sets.trailing_zeros()
     }
 
-    /// Looks up a target for `pc` fetched by `thread`. Updates LRU on hit.
-    pub fn lookup(&mut self, thread: ThreadId, pc: Addr) -> Option<Addr> {
-        let set = self.set_index(pc);
+    /// The base index of `pc`'s set and the way holding `thread`'s entry
+    /// for `pc`, if any: the one tag search behind lookups, inserts and
+    /// probes.
+    #[inline]
+    fn find(&self, thread: ThreadId, pc: Addr) -> (usize, Option<usize>) {
+        let base = self.set_index(pc) * self.assoc;
         let tag = self.tag(pc);
-        let base = set * self.assoc;
-        let mut hit_way = None;
-        for way in 0..self.assoc {
+        let way = (0..self.assoc).find(|&way| {
             let e = &self.entries[base + way];
-            if e.valid && e.tag == tag && (!self.thread_tagged || e.thread == thread.0) {
-                hit_way = Some(way);
-                break;
-            }
-        }
-        let way = hit_way?;
+            e.valid && e.tag == tag && (!self.thread_tagged || e.thread == thread.0)
+        });
+        (base, way)
+    }
+
+    /// Promotes `way` of the set at `base` to most recently used.
+    #[inline]
+    fn touch(&mut self, base: usize, way: usize) {
         let hit_lru = self.entries[base + way].lru;
-        for w in 0..self.assoc {
-            let e = &mut self.entries[base + w];
+        for e in &mut self.entries[base..base + self.assoc] {
             if e.valid && e.lru < hit_lru {
                 e.lru += 1;
             }
         }
         self.entries[base + way].lru = 0;
+    }
+
+    /// Looks up a target for `pc` fetched by `thread`. Updates LRU on hit.
+    pub fn lookup(&mut self, thread: ThreadId, pc: Addr) -> Option<Addr> {
+        let (base, way) = self.find(thread, pc);
+        let way = way?;
+        self.touch(base, way);
         Some(self.entries[base + way].target)
     }
 
     /// Inserts (or refreshes) a target for `pc`, evicting the LRU way.
     pub fn insert(&mut self, thread: ThreadId, pc: Addr, target: Addr) {
-        let set = self.set_index(pc);
-        let tag = self.tag(pc);
-        let base = set * self.assoc;
+        let (base, way) = self.find(thread, pc);
         // Refresh in place on a tag match.
-        for way in 0..self.assoc {
-            let e = &self.entries[base + way];
-            if e.valid && e.tag == tag && (!self.thread_tagged || e.thread == thread.0) {
-                let hit_lru = self.entries[base + way].lru;
-                for w in 0..self.assoc {
-                    let e = &mut self.entries[base + w];
-                    if e.valid && e.lru < hit_lru {
-                        e.lru += 1;
-                    }
-                }
-                let e = &mut self.entries[base + way];
-                e.target = target;
-                e.lru = 0;
-                return;
-            }
+        if let Some(way) = way {
+            self.touch(base, way);
+            self.entries[base + way].target = target;
+            return;
         }
         // Miss: pick an invalid way, else the LRU way.
         let victim = (0..self.assoc)
@@ -264,15 +260,15 @@ impl Btb {
                     .max_by_key(|&way| self.entries[base + way].lru)
                     .expect("associativity is positive")
             });
-        for w in 0..self.assoc {
-            let e = &mut self.entries[base + w];
+        let max_lru = self.assoc as u8 - 1;
+        for e in &mut self.entries[base..base + self.assoc] {
             if e.valid {
-                e.lru = e.lru.saturating_add(1).min(self.assoc as u8 - 1);
+                e.lru = e.lru.saturating_add(1).min(max_lru);
             }
         }
         self.entries[base + victim] = BtbEntry {
             valid: true,
-            tag,
+            tag: self.tag(pc),
             thread: thread.0,
             target,
             lru: 0,
@@ -555,13 +551,7 @@ impl BranchPredictor {
     /// Probes the BTB without updating LRU state: used by the ITAG and
     /// phantom-branch machinery, and by tests.
     pub fn btb_would_hit(&self, thread: ThreadId, pc: Addr) -> bool {
-        let set = self.btb.set_index(pc);
-        let tag = self.btb.tag(pc);
-        let base = set * self.btb.assoc;
-        (0..self.btb.assoc).any(|way| {
-            let e = &self.btb.entries[base + way];
-            e.valid && e.tag == tag && (!self.btb.thread_tagged || e.thread == thread.0)
-        })
+        self.btb.find(thread, pc).1.is_some()
     }
 
     /// Current RAS depth for a thread (diagnostics / tests).
