@@ -14,6 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use smt_workload::Benchmark;
+
 /// Counts every allocation and reallocation the process makes.
 struct CountingAlloc;
 
@@ -38,37 +40,63 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The study mixes the guard runs: the paper's standard mix, and the
+/// integer-heavy and FP-heavy eight-thread mixes of the issue and ablation
+/// studies (`smt_experiments::study::mix_by_name`, spelled out here since
+/// this crate cannot depend on that one). `int8` is the memory-bound mix.
+fn mixes() -> [(&'static str, Vec<Benchmark>); 3] {
+    use Benchmark::*;
+    [
+        ("standard", smt_workload::standard_mix()),
+        (
+            "int8",
+            vec![
+                Espresso, Eqntott, Xlisp, Compress, Espresso, Eqntott, Xlisp, Compress,
+            ],
+        ),
+        (
+            "fp8",
+            vec![
+                Alvinn, Tomcatv, Doduc, Fpppp, Su2cor, Swm256, Alvinn, Tomcatv,
+            ],
+        ),
+    ]
+}
+
 /// A warmed simulator steps 5000 cycles without a single heap allocation,
-/// under every shipped fetch × issue policy pair: the rotation and counter
-/// fetch keys, the OLDEST_FIRST fast path and the general issue ranking.
-/// The simulation is deterministic, so this is a sharp regression
-/// tripwire: any future per-cycle allocation — a grown scratch vector, an
-/// un-pooled event list, a map rehash — fails it immediately.
+/// on every study mix under every shipped fetch × issue policy pair: the
+/// rotation and counter fetch keys, the OLDEST_FIRST fast path and the
+/// general issue ranking. The simulation is deterministic, so this is a
+/// sharp regression tripwire: any future per-cycle allocation — a grown
+/// scratch vector, an un-pooled event list, a map rehash — fails it
+/// immediately.
 #[test]
 fn warmed_cycle_path_is_allocation_free() {
-    for fetch in ["rr", "icount", "brcount", "misscount"] {
-        for issue in ["oldest", "opt_last", "spec_last", "branch_first"] {
-            let mut sim = smt_core::SimConfig::new()
-                .with_benchmarks(smt_workload::standard_mix(), 42)
-                .with_fetch(smt_core::fetch_policy_by_name(fetch).unwrap())
-                .with_issue(smt_core::issue_policy_by_name(issue).unwrap())
-                .build();
-            // Warm every structure past its high-water mark: caches, TLBs
-            // and predictor tables fill, the slab and every scratch buffer
-            // reach steady-state capacity.
-            sim.run(30_000);
-            let before = ALLOCS.load(Ordering::Relaxed);
-            for _ in 0..5_000 {
-                sim.step_cycle();
+    for (mix, benchmarks) in mixes() {
+        for fetch in ["rr", "icount", "brcount", "misscount"] {
+            for issue in ["oldest", "opt_last", "spec_last", "branch_first"] {
+                let mut sim = smt_core::SimConfig::new()
+                    .with_benchmarks(benchmarks.clone(), 42)
+                    .with_fetch(smt_core::fetch_policy_by_name(fetch).unwrap())
+                    .with_issue(smt_core::issue_policy_by_name(issue).unwrap())
+                    .build();
+                // Warm every structure past its high-water mark: caches,
+                // TLBs and predictor tables fill, the slab and every
+                // scratch buffer reach steady-state capacity.
+                sim.run(30_000);
+                let before = ALLOCS.load(Ordering::Relaxed);
+                for _ in 0..5_000 {
+                    sim.step_cycle();
+                }
+                let during = ALLOCS.load(Ordering::Relaxed) - before;
+                assert_eq!(
+                    during, 0,
+                    "warmed {mix} {fetch}/{issue} simulator allocated {during} times \
+                     across a 5k-cycle window"
+                );
+                // The machine made real progress while we were counting.
+                assert!(sim.cycle() >= 35_000);
             }
-            let during = ALLOCS.load(Ordering::Relaxed) - before;
-            assert_eq!(
-                during, 0,
-                "warmed {fetch}/{issue} simulator allocated {during} times across a \
-                 5k-cycle window"
-            );
-            // The machine made real progress while we were counting.
-            assert!(sim.cycle() >= 35_000);
         }
     }
 }
