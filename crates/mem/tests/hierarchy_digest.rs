@@ -3,11 +3,16 @@
 //! The simulator's goldens reach `smt-mem` only through the pipeline on
 //! the default machine. This test drives the public API directly with
 //! seeded random access streams over several configurations and folds
-//! everything observable into one FNV-1a digest per configuration: every
-//! [`AccessResult`], every drained [`Completion`], the final [`MemStats`]
-//! and, every 97 cycles, the hierarchy's checkpoint bytes. Any change in
-//! what the hierarchy answers, when it answers, or what state it keeps
-//! moves a pinned literal.
+//! everything observable into two FNV-1a digests per configuration:
+//!
+//! * the **behaviour** digest: every [`AccessResult`], every drained
+//!   [`Completion`] in drain order, and the final [`MemStats`] — what the
+//!   hierarchy answers and when;
+//! * the **state** digest: the hierarchy's checkpoint bytes every 97
+//!   cycles — what it keeps.
+//!
+//! A change to how state is stored may move only the state literals; a
+//! change in any answer moves a behaviour literal.
 //!
 //! The streams follow the pipeline's contract: an arbitrated instruction
 //! fetch is made only after [`MemoryHierarchy::icache_bank_free`] said yes
@@ -87,10 +92,11 @@ fn fold_state(h: u64, mem: &MemoryHierarchy) -> u64 {
     fnv1a(h, &bytes)
 }
 
-/// One seeded stream's digest, the final statistics, and how many data
-/// accesses bounced on a full MSHR file rather than on a busy bank.
+/// One seeded stream's two digests, the final statistics, and how many
+/// data accesses bounced on a full MSHR file rather than on a busy bank.
 struct Run {
-    digest: u64,
+    behaviour: u64,
+    state: u64,
     stats: MemStats,
     mshr_full: u64,
 }
@@ -101,6 +107,7 @@ fn run(cfg: MemConfig, seed: u64) -> Run {
     let mut rng = Rng(seed);
     let mut done = Vec::new();
     let mut h = FNV_OFFSET;
+    let mut state = FNV_OFFSET;
     let mut mshr_full = 0;
     for cycle in 0..CYCLES {
         mem.begin_cycle(cycle);
@@ -135,18 +142,20 @@ fn run(cfg: MemConfig, seed: u64) -> Run {
             h = fold_result(h, r);
         }
         if cycle % SAVE_EVERY == 0 {
-            h = fold_state(h, &mem);
+            state = fold_state(state, &mem);
         }
     }
     Run {
-        digest: fold_stats(h, mem.stats()),
+        behaviour: fold_stats(h, mem.stats()),
+        state,
         stats: *mem.stats(),
         mshr_full,
     }
 }
 
-/// The configurations the digest covers, each with its pinned literal.
-fn cases() -> Vec<(&'static str, MemConfig, u64)> {
+/// The configurations the digests cover, each with its pinned
+/// `(behaviour, state)` literals.
+fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
     let two_way = {
         let mut c = MemConfig::default();
         for p in [&mut c.icache, &mut c.dcache] {
@@ -157,8 +166,16 @@ fn cases() -> Vec<(&'static str, MemConfig, u64)> {
         c
     };
     vec![
-        ("default", MemConfig::default(), 0xdbe6_cd51_bd2d_8355),
-        ("two_way", two_way, 0x3da5_55ce_0ffc_d06f),
+        (
+            "default",
+            MemConfig::default(),
+            (0x62bb_22e7_6e97_0dce, 0x7415_3da8_cb47_6266),
+        ),
+        (
+            "two_way",
+            two_way,
+            (0x71f8_3d0b_99b8_91f4, 0x35ac_2836_3b61_9aee),
+        ),
         (
             "small_tlb",
             MemConfig {
@@ -167,7 +184,7 @@ fn cases() -> Vec<(&'static str, MemConfig, u64)> {
                 mshrs: 2,
                 ..MemConfig::default()
             },
-            0x92c3_ef68_d8dd_6b1a,
+            (0x7bb4_b4dd_58b8_8166, 0x2b09_9aca_eaf0_4781),
         ),
         (
             "infinite_bandwidth",
@@ -175,7 +192,7 @@ fn cases() -> Vec<(&'static str, MemConfig, u64)> {
                 infinite_bandwidth: true,
                 ..MemConfig::default()
             },
-            0x9c10_58b7_41b6_2f43,
+            (0xa278_cb19_4746_c17c, 0xfb84_51c6_0c4e_db3e),
         ),
         (
             "perfect_icache",
@@ -183,7 +200,7 @@ fn cases() -> Vec<(&'static str, MemConfig, u64)> {
                 perfect_icache: true,
                 ..MemConfig::default()
             },
-            0x5714_b0e0_4865_7835,
+            (0xbae9_7334_8f27_c8f5, 0x1294_effe_7cf4_5f01),
         ),
     ]
 }
@@ -192,9 +209,14 @@ fn cases() -> Vec<(&'static str, MemConfig, u64)> {
 fn random_streams_match_the_pinned_digests() {
     let mut wrong = Vec::new();
     for (name, cfg, pinned) in cases() {
-        let h = run(cfg, 42).digest;
-        if h != pinned {
-            wrong.push(format!("{name}: {h:#018x}"));
+        let Run {
+            behaviour, state, ..
+        } = run(cfg, 42);
+        if behaviour != pinned.0 {
+            wrong.push(format!("{name} behaviour: {behaviour:#018x}"));
+        }
+        if state != pinned.1 {
+            wrong.push(format!("{name} state: {state:#018x}"));
         }
     }
     assert!(wrong.is_empty(), "digest moved: {}", wrong.join(", "));
