@@ -27,7 +27,7 @@
 //! assert_eq!(back.get("scheme").and_then(Json::as_str), Some("ICOUNT.2.8"));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value. Objects keep their insertion order so rendered documents
 /// are deterministic and diffable.
@@ -172,46 +172,38 @@ impl Json {
 
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
-        self.to_string()
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
     }
 
     /// Renders the value as indented JSON (two-space indent), for files a
     /// human may read or diff.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
+    /// The one writer behind [`render`](Json::render), `Display` and
+    /// [`render_pretty`](Json::render_pretty): compact when `depth` is
+    /// `None`, else indented two spaces per level from `depth` on, with
+    /// empty arrays and objects kept on one line.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
         match self {
-            Json::Array(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&pad);
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push(']');
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Array(items) => {
+                write_seq(out, depth, ('[', ']'), items, |out, v, d| v.write(out, d))
             }
-            Json::Object(pairs) if !pairs.is_empty() => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&pad);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
-            }
-            other => out.push_str(&other.to_string()),
+            Json::Object(pairs) => write_seq(out, depth, ('{', '}'), pairs, |out, (k, v), d| {
+                write_escaped(out, k);
+                out.push_str(if d.is_some() { ": " } else { ":" });
+                v.write(out, d);
+            }),
         }
     }
 
@@ -233,6 +225,41 @@ impl Json {
     }
 }
 
+/// Writes `items` between the `open` and `close` brackets, each through
+/// `item`; pretty (`depth` set) puts every item on its own line.
+fn write_seq<T>(
+    out: &mut String,
+    depth: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    item: impl Fn(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = depth.map(|d| d + 1);
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            newline(out, d);
+        }
+        item(out, x, inner);
+    }
+    match depth {
+        Some(d) if !items.is_empty() => newline(out, d),
+        _ => {}
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+// `write!` into a `String` cannot fail, so its `Result` is dropped.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -243,7 +270,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -255,44 +282,15 @@ fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut buf = String::new();
-        match self {
-            Json::Null => buf.push_str("null"),
-            Json::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(&mut buf, *n),
-            Json::Str(s) => write_escaped(&mut buf, s),
-            Json::Array(items) => {
-                buf.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(',');
-                    }
-                    buf.push_str(&v.to_string());
-                }
-                buf.push(']');
-            }
-            Json::Object(pairs) => {
-                buf.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(',');
-                    }
-                    write_escaped(&mut buf, k);
-                    buf.push(':');
-                    buf.push_str(&v.to_string());
-                }
-                buf.push('}');
-            }
-        }
-        f.write_str(&buf)
+        f.write_str(&self.render())
     }
 }
 
