@@ -9,7 +9,7 @@
 //! checkpoints let a study pay for each warmup once and fork it across
 //! the whole cross-product (see the `smt-experiments` crate).
 //!
-//! # Format specification (version 1)
+//! # Format specification (version 2)
 //!
 //! All integers are little-endian. The whole stream (header included) is
 //! covered by a running FNV-1a checksum whose 8-byte value trails the
@@ -36,14 +36,16 @@
 //!    instruction-queue occupancy, the writeback calendar ring, the
 //!    pending-load table, fetch/issue/prediction/squash statistics.
 //! 2. Per-thread state: fetch PC, stall/miss gates, live
-//!    ICOUNT/BRCOUNT/MISSCOUNT counters, front-end queue, unresolved
-//!    control list, ROB, wrong-path salt, commit counters, rename map,
+//!    ICOUNT/BRCOUNT/MISSCOUNT counters, front-end length (the count of
+//!    the ROB's youngest, not yet renamed entries), unresolved control
+//!    list, ROB, wrong-path salt, commit counters, rename map,
 //!    and the thread's `smt-workload` oracle section (PC, executed count,
 //!    per-branch/per-memory counters, stride state, return stack).
-//! 3. `smt-mem`: statistics, cache tag/LRU/dirty arrays, TLBs (including
-//!    the last-translation filters), bank/bus reservations, MSHRs with
-//!    waiter lists, scheduled completions/fills/TLB walks, request-id
-//!    counter.
+//! 3. `smt-mem`: statistics, cache tag/LRU/dirty arrays, TLBs (per-thread
+//!    last slots, packed page/thread keys and their LRU stamps),
+//!    bank/bus reservations, MSHRs (one per outstanding miss: line, side,
+//!    completion cycle, waiter list), scheduled delay-only TLB walks,
+//!    undrained completions, request-id counter.
 //! 4. `smt-branch`: BTB entries, PHT counters, return address stacks,
 //!    per-thread global histories, predictor statistics.
 //!
@@ -61,7 +63,9 @@
 //! to a crate's internal structure that feeds a section. Readers accept
 //! exactly their own version ([`CheckpointError::UnsupportedVersion`]
 //! otherwise); checkpoints are warm-start caches, cheap to regenerate, so
-//! no cross-version migration is attempted.
+//! no cross-version migration is attempted. Version 2 replaced version
+//! 1's front-end queue, open-addressed TLB tables and separate miss
+//! completion and fill lists with the layout above.
 //!
 //! # The config fingerprint
 //!
@@ -115,7 +119,7 @@ pub const MAGIC: [u8; 8] = *b"SMT1CKPT";
 
 /// Current checkpoint format version (see the module docs for the
 /// versioning rules).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written or restored.
 ///

@@ -13,13 +13,13 @@
 
 use std::io::{self, Read, Write};
 
-use smt_stats::binio::{BinReader, BinWriter};
+use smt_stats::binio::{invalid, BinReader, BinWriter};
 use smt_stats::{persist, Persist};
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, FORMAT_VERSION, MAGIC};
 use crate::config::SimConfig;
 
-use super::slab::opcode;
+use super::slab::{opcode, InstState};
 use super::{ExecEvent, ReadyEntry, Simulator, Thread};
 
 // The machine's checkpoint payload, in section order (see the format spec
@@ -41,8 +41,8 @@ persist! { ReadyEntry { seq, opt_until, iref, op via opcode, ti } }
 persist! { ExecEvent { seq, inst } }
 persist! {
     Thread {
-        fetch_pc, stall_until, icache_req, in_flight, outstanding_misses, wrong_path, frontend,
-        unresolved_ctrl, rob, wp_salt, committed, committed_base, map, source,
+        fetch_pc, stall_until, icache_req, in_flight, outstanding_misses, wrong_path,
+        frontend_len, unresolved_ctrl, rob, wp_salt, committed, committed_base, map, source,
     } skip { id }
 }
 
@@ -111,8 +111,9 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Rejects restored handles that name no slab slot and rename maps that
-    /// name no register: the cross-structure facts no one field list sees.
+    /// Rejects restored handles that name no slab slot, rename maps that
+    /// name no register, and front ends that are not a tail of `Decoding`
+    /// ROB entries: the cross-structure facts no one field list sees.
     fn validate(&self) -> io::Result<()> {
         let slab = &self.insts;
         for file in &self.regs {
@@ -129,10 +130,24 @@ impl Simulator {
             .loads()
             .try_for_each(|l| slab.check_ref(l.slot()))?;
         for t in self.threads.iter() {
-            t.frontend
-                .iter()
-                .try_for_each(|&(i, _)| slab.check_ref(i))?;
             t.rob.iter().try_for_each(|&i| slab.check_ref(i))?;
+            let Some(renamed) = t.rob.len().checked_sub(t.frontend_len) else {
+                return Err(invalid(format!(
+                    "front end of {} instructions exceeds its ROB of {}",
+                    t.frontend_len,
+                    t.rob.len()
+                )));
+            };
+            if let Some(i) = t
+                .rob
+                .range(renamed..)
+                .find(|i| slab.hot[i.index()].state() != InstState::Decoding)
+            {
+                return Err(invalid(format!(
+                    "front-end instruction in slot {} is not decoding",
+                    i.index()
+                )));
+            }
             t.map.validate(&self.regs)?;
         }
         Ok(())
@@ -290,6 +305,34 @@ mod tests {
                 Err(CheckpointError::Truncated | CheckpointError::Corrupt(_)) => {}
                 Err(e) => panic!("truncation at {cut} mishandled: {e}"),
                 Ok(_) => panic!("truncation at {cut} went undetected"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_front_ends_are_typed_errors() {
+        // A machine mid-flight, with one thread's front-end length damaged
+        // before the save: longer than its ROB, or covering a renamed ROB
+        // entry.
+        let hostile = |damage: fn(&mut Thread)| {
+            let mut sim = cfg().build();
+            for _ in 0..300 {
+                sim.step_cycle();
+            }
+            damage(&mut sim.threads[0]);
+            Simulator::restore_checkpoint(cfg(), &mut checkpoint_of(&sim).as_slice())
+        };
+        hostile(|_| {}).expect("an undamaged front end restores");
+        type Damage = fn(&mut Thread);
+        let cases: [(&str, Damage); 2] = [
+            ("longer than the ROB", |t| t.frontend_len = t.rob.len() + 1),
+            ("covering a renamed entry", |t| t.frontend_len = t.rob.len()),
+        ];
+        for (what, damage) in cases {
+            match hostile(damage) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                Err(e) => panic!("front end {what}: unexpected error {e}"),
+                Ok(_) => panic!("front end {what}: restore succeeded"),
             }
         }
     }

@@ -50,7 +50,7 @@ impl Simulator {
         for (ti, t) in self.threads.iter().enumerate() {
             let fetchable = t.icache_req.is_none()
                 && t.stall_until <= cycle
-                && t.frontend.len() < self.frontend_limit;
+                && t.frontend_len < self.frontend_limit;
             if !fetchable {
                 continue;
             }
@@ -209,7 +209,7 @@ impl Simulator {
         let mut wrong_ct = 0u64;
         let mut fetched = 0u32;
         while fetched < cap {
-            if t.frontend.len() >= frontend_limit {
+            if t.frontend_len >= frontend_limit {
                 losses.push((LossCause::FrontendFull, cap - fetched));
                 break;
             }
@@ -321,7 +321,7 @@ impl Simulator {
                 insts.cold[iref.index()] = ColdInst::for_control(pc, p, o);
             }
             t.rob.push_back(iref);
-            t.frontend.push_back((iref, cycle + decode_cycles));
+            t.frontend_len += 1;
             if inst.op.is_control() {
                 // Fetch order is age order: appending keeps the list
                 // sorted.

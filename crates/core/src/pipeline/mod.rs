@@ -48,9 +48,10 @@
 //! All in-flight instructions live in one generation-indexed
 //! [`InstSlab`](slab::InstSlab): packed 48-byte hot records in one array,
 //! cold report/resolution payload in a parallel array, 4-byte
-//! [`InstRef`](slab::InstRef) handles everywhere else. Per-thread ROBs,
-//! the front-end queues, the ready set, wakeup lists, calendar events and
-//! pending-load completions all store refs into the slab; stale artifacts
+//! [`InstRef`](slab::InstRef) handles everywhere else. Per-thread ROBs
+//! (whose un-renamed tails are the front ends), the ready set, wakeup
+//! lists, calendar events and pending-load completions all store refs
+//! into the slab; stale artifacts
 //! die on a generation compare ([`slab::GenRef`]). Outstanding D-miss
 //! loads live in a [`PendingLoads`](slab::PendingLoads) table indexed by
 //! request id, so a miss completion is an array index, not a hash probe.
@@ -185,11 +186,12 @@ struct Thread {
     /// Fetch has diverged from the correct path.
     wrong_path: bool,
     id: ThreadId,
-    /// Instructions still in the front end (fetched, not yet renamed),
-    /// paired with the cycle decode finishes: rename gates on the head's
-    /// ready cycle straight from this queue, touching the slab only for
-    /// instructions it actually dispatches.
-    frontend: VecDeque<(InstRef, u64)>,
+    /// Instructions still in the front end (fetched, not yet renamed):
+    /// the ROB's youngest `frontend_len` entries, all
+    /// [`Decoding`](slab::InstState::Decoding). Rename is in order, so
+    /// the front end is always the ROB's tail and its head is
+    /// `rob[rob.len() - frontend_len]`.
+    frontend_len: usize,
     /// Sequence numbers of fetched control instructions not yet executed
     /// (state before [`slab::InstState::Done`]) — BRCOUNT is its size, and
     /// its front is the speculation boundary the issue policies consult.
@@ -394,7 +396,7 @@ impl Simulator {
                 wrong_path: false,
                 id: ThreadId(i as u8),
                 unresolved_ctrl: Vec::with_capacity(STEADY_STATE_LIST),
-                frontend: VecDeque::new(),
+                frontend_len: 0,
                 rob: VecDeque::with_capacity(slab_capacity),
                 wp_salt: 0,
                 committed: 0,

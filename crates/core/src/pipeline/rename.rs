@@ -48,22 +48,19 @@ impl Simulator {
             }
             let ti = (start + k) % n;
             let t = &mut threads[ti];
-            while budget > 0 {
-                // The head's decode-ready cycle rides in the queue entry,
-                // so a not-yet-decoded head costs no slab touch.
-                let Some(&(iref, ready_at)) = t.frontend.front() else {
-                    break;
-                };
-                if ready_at > cycle {
-                    break;
-                }
+            while budget > 0 && t.frontend_len > 0 {
+                // The front end is the ROB's tail; its head is ready once
+                // decode finishes (`when`, set at fetch).
+                let iref = t.rob[t.rob.len() - t.frontend_len];
                 let hot = &insts.hot[iref.index()];
                 debug_assert_eq!(
                     hot.state(),
                     InstState::Decoding,
                     "front-end instruction must be decoding"
                 );
-                debug_assert_eq!(hot.when, ready_at);
+                if hot.when > cycle {
+                    break;
+                }
                 let class = hot.op.queue();
                 if iq_len[class.index()] >= iq_limit {
                     break; // IQ full: dispatch stalls, fetch feels back-pressure
@@ -110,7 +107,7 @@ impl Simulator {
                 hot.pending_srcs = pending;
                 hot.set_state(InstState::Queued);
                 let op = hot.op;
-                t.frontend.pop_front();
+                t.frontend_len -= 1;
                 iq_len[class.index()] += 1;
                 if pending == 0 {
                     // All operands already available: ready from dispatch.

@@ -282,8 +282,8 @@ impl Simulator {
         // The squashed tail takes all younger unresolved branches with it.
         t.squash_ctrl_after(seq);
         // Everything still in the front end is younger than any resolvable
-        // branch (rename is in order), so the whole buffer dies.
-        t.frontend.clear();
+        // branch (rename is in order), so the whole front end died above.
+        t.frontend_len = 0;
         let ti8 = ti as u8;
         self.ready_q.retain(|e| e.ti != ti8 || e.seq <= seq);
     }

@@ -6,9 +6,10 @@
 //!
 //! * **One slab, 4-byte handles.** Every in-flight instruction lives in a
 //!   single [`InstSlab`] shared by all threads, addressed by a 4-byte
-//!   [`InstRef`]. Per-thread ROB order, the front-end queue, the ready set
-//!   and every scheduler artifact store these refs instead of re-deriving
-//!   `(thread, seq, stable position)` triples: commit and squash move
+//!   [`InstRef`]. Per-thread ROB order (whose un-renamed tail is the
+//!   front end), the ready set and every scheduler artifact store these
+//!   refs instead of re-deriving `(thread, seq, stable position)`
+//!   triples: commit and squash move
 //!   4-byte handles, not ~100-byte structs, and a lookup is one array
 //!   index. Freed slots go on a free list and are reused, so the slab's
 //!   footprint is the in-flight high-water mark, not the instruction
@@ -147,8 +148,9 @@ pub(crate) fn lreg_unpack(v: u8) -> Reg {
 /// Lifecycle of one in-flight instruction (3 bits of [`HotInst::flags`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum InstState {
-    /// In the front end (decode/rename pipe); enters a queue once
-    /// [`HotInst::when`] (decode-done cycle) has passed.
+    /// In the front end (decode/rename pipe: the thread's ROB tail);
+    /// enters a queue once [`HotInst::when`] (decode-done cycle) has
+    /// passed.
     Decoding = 0,
     /// In an instruction queue, waiting for operands and a functional unit.
     Queued = 1,

@@ -36,7 +36,7 @@
 //!   ([`crate::warmup::warm_checkpoint_under`], cached under the plan's
 //!   stem). The checkpoint's only fork is the plan's, so it is computed
 //!   *inside* the unit of work and freed as soon as the fork has restored
-//!   it: hoisting these into step 3 would hold one ~380 KB checkpoint per
+//!   it: hoisting these into step 3 would hold one ~370 KB checkpoint per
 //!   warm cell live for the whole sweep. One checkpoint buffer is live per
 //!   worker, at most.
 //!

@@ -18,7 +18,7 @@
 //! cell from a checkpoint warmed under the cell's own configuration
 //! ([`warm_checkpoint_under`]). That checkpoint's only *fork* is the warm
 //! cell's, so the engine computes it inside the unit of work and frees it
-//! as soon as the fork has restored it (holding one ~380 KB checkpoint
+//! as soon as the fork has restored it (holding one ~370 KB checkpoint
 //! per warm cell for the whole sweep would only raise peak memory); the
 //! `--checkpoint-dir` cache dedups it across repeat sweeps. Its
 //! *trajectory* does have a second user, though: the cold cell of the

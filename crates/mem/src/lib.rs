@@ -36,12 +36,13 @@
 //!
 //! Misses are **scheduled completion events**, not polled state: starting
 //! a miss computes its data-return cycle up front (reserving bank and bus
-//! occupancy along the way), and [`MemoryHierarchy::begin_cycle`] delivers
-//! each [`Completion`] on exactly that cycle. The earliest due cycle of
-//! every event class (line fills, delay-only TLB walks, miss completions)
-//! is tracked, so an event-free cycle costs two port-budget resets and
-//! three compares — nothing is rescanned. The pipeline consumes the events
-//! each cycle:
+//! occupancy along the way) and records it in the miss's MSHR, the one
+//! record of an outstanding miss. On exactly that cycle
+//! [`MemoryHierarchy::begin_cycle`] fills the line and delivers a
+//! [`Completion`] to every request merged into the MSHR. An event-free
+//! cycle costs two port-budget resets, one compare per outstanding miss
+//! and one compare for the delay-only TLB walks. The pipeline consumes
+//! the events each cycle:
 //!
 //! ```
 //! use smt_mem::{MemConfig, MemoryHierarchy, AccessResult};
@@ -63,8 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 
 use smt_isa::{Addr, ThreadId};
@@ -132,7 +131,10 @@ pub struct MemConfig {
     pub dtlb_entries: usize,
     /// Page size in bytes.
     pub page_bytes: u64,
-    /// Number of MSHRs (outstanding primary misses) per L1 cache.
+    /// Number of MSHRs (outstanding primary misses), one pool shared by
+    /// the I-cache and the D-cache: a primary miss on either side finds
+    /// every MSHR busy once this many misses of both sides together are
+    /// outstanding, and bounces as [`AccessResult::BankConflict`].
     pub mshrs: usize,
     /// When set, bank/bus/port contention is disabled: every access sees
     /// only raw latencies (the "infinite bandwidth" ablation of Section 7).
@@ -220,6 +222,11 @@ pub enum AccessResult {
 
 smt_stats::counters! {
     /// Hit/miss counters for one cache or TLB level.
+    ///
+    /// An L1 access that misses while every MSHR is busy counts an access
+    /// and a miss (and its TLB lookup), then bounces and is retried; each
+    /// retry counts again, so under MSHR pressure the L1 miss rate counts
+    /// retries, not distinct accesses.
     pub struct LevelStats {
         /// Number of accesses (lookups) at this level.
         pub accesses: u64,
@@ -257,7 +264,9 @@ smt_stats::counters! {
         /// Dirty lines written back. Only L1 data evictions write back:
         /// fills install clean lines, so L2 and L3 are never dirty.
         pub writebacks: u64,
-        /// D-cache accesses rejected for bank/port conflicts.
+        /// D-cache accesses rejected for bank/port conflicts. A D-cache
+        /// miss bounced by a full MSHR file is not counted here: it counts
+        /// in `dcache` (an access and a miss) on every retry instead.
         pub bank_conflicts: u64,
         /// Secondary misses merged into an outstanding MSHR.
         pub mshr_merges: u64,
@@ -386,49 +395,32 @@ impl TagArray {
 
 /// A fully-associative, LRU, thread-tagged TLB.
 ///
-/// Recency is tracked with unique monotonic use-stamps instead of a
-/// physically ordered list: a hit bumps one stamp (O(1), on the pipeline's
-/// per-access hot path), and eviction — only on a miss with a full TLB —
-/// scans for the minimum stamp, which is exactly the least-recently-used
-/// entry an ordered list would evict. Stamps are unique, so the victim is
-/// deterministic.
+/// One array of packed `vpn << 8 | thread` keys, searched linearly, with a
+/// parallel array of use-stamps. Recency is tracked with unique monotonic
+/// stamps instead of a physically ordered list: a hit bumps one stamp, and
+/// eviction — only on a miss with a full TLB — replaces the entry with the
+/// minimum stamp, which is exactly the least-recently-used entry an
+/// ordered list would evict. Stamps are unique, so the victim is
+/// deterministic. Keys only grow until the TLB is full and are then
+/// replaced in place, so every slot below the key count is live.
 ///
-/// Storage is a small open-addressed table (linear probing over
-/// `(thread, vpn)` keys) fronted by a **per-thread last-translation
-/// cache**: memory access streams are page-local, so most lookups match
-/// the thread's previous page and resolve to a direct stamp write in the
-/// remembered slot — no hashing, no probing. The filter stores the slot
-/// index, so LRU stamps stay exact.
-#[derive(Debug, Clone, Copy, Default)]
-struct TlbEntry {
-    /// Occupied-slot marker. Deletion compacts the probe chain
-    /// (backward-shift), so an unoccupied slot always terminates a probe —
-    /// no tombstones.
-    live: bool,
-    thread: u8,
-    vpn: u64,
-    stamp: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct TlbFilter {
-    vpn: u64,
-    slot: u32,
-}
-
+/// In front of the search sits a **per-thread last slot**: memory access
+/// streams are page-local, so most lookups match the key in the slot of
+/// the thread's previous translation and resolve to one compare and one
+/// stamp write. A slot whose entry was since replaced simply fails the
+/// compare.
 #[derive(Debug, Clone)]
 struct Tlb {
-    slots: Box<[TlbEntry]>,
-    mask: usize,
-    /// Per-thread last translation: slot of the thread's previous page.
-    last: [Option<TlbFilter>; MAX_TLB_THREADS],
-    len: usize,
+    /// Per-thread slot of the thread's previous translation.
+    last: [Option<u32>; MAX_TLB_THREADS],
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
     capacity: usize,
     page_shift: u32,
     tick: u64,
 }
 
-/// The per-thread filter covers the whole `ThreadId` (u8) range, so no
+/// The per-thread last slots cover the whole `ThreadId` (u8) range, so no
 /// caller-visible precondition narrows the public API; only the handful
 /// of entries belonging to live contexts are ever touched.
 const MAX_TLB_THREADS: usize = 256;
@@ -439,114 +431,46 @@ impl Tlb {
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
-        // 2x capacity keeps linear probes short; never smaller than 8.
-        let table = (capacity * 2).next_power_of_two().max(8);
         Tlb {
-            slots: vec![TlbEntry::default(); table].into(),
-            mask: table - 1,
             last: [None; MAX_TLB_THREADS],
-            len: 0,
+            keys: Vec::with_capacity(capacity),
+            stamps: Vec::with_capacity(capacity),
             capacity,
             page_shift: page_bytes.trailing_zeros(),
             tick: 0,
         }
     }
 
-    #[inline]
-    fn home(&self, thread: u8, vpn: u64) -> usize {
-        // FxHash-style mix of the (thread, vpn) key.
-        let h = (vpn ^ (u64::from(thread) << 57)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> 32) as usize & self.mask
-    }
-
     /// Returns true on hit; on miss the translation is installed (the miss
     /// *penalty* is charged by the hierarchy).
     fn access(&mut self, thread: ThreadId, addr: Addr) -> bool {
         let vpn = addr >> self.page_shift;
+        debug_assert!(vpn >> 56 == 0, "page number beyond the packed key range");
+        let key = vpn << 8 | u64::from(thread.0);
         self.tick += 1;
-        // Fast path: same page as this thread's previous access, and the
-        // remembered slot still holds it (eviction invalidates lazily).
-        if let Some(f) = self.last[usize::from(thread.0)] {
-            let s = &mut self.slots[f.slot as usize];
-            if f.vpn == vpn && s.live && s.vpn == vpn && s.thread == thread.0 {
-                s.stamp = self.tick;
-                return true;
-            }
-        }
-        // Probe the open-addressed table (chains are compact: the first
-        // unoccupied slot proves the key absent).
-        let mut i = self.home(thread.0, vpn);
-        while self.slots[i].live {
-            let s = &mut self.slots[i];
-            if s.thread == thread.0 && s.vpn == vpn {
-                s.stamp = self.tick;
-                self.last[usize::from(thread.0)] = Some(TlbFilter {
-                    vpn,
-                    slot: i as u32,
-                });
-                return true;
-            }
-            i = (i + 1) & self.mask;
-        }
-        // Miss: evict the LRU entry when full (unique stamps make the
-        // victim deterministic), then install.
-        if self.len == self.capacity {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.live)
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
-                .expect("full TLB is non-empty");
-            self.remove_slot(victim);
-            self.len -= 1;
-            // Compaction may have shifted entries into this key's chain;
-            // re-find its terminating unoccupied slot.
-            i = self.home(thread.0, vpn);
-            while self.slots[i].live {
-                debug_assert!(self.slots[i].thread != thread.0 || self.slots[i].vpn != vpn);
-                i = (i + 1) & self.mask;
-            }
-        }
-        self.slots[i] = TlbEntry {
-            live: true,
-            thread: thread.0,
-            vpn,
-            stamp: self.tick,
+        let last = &mut self.last[usize::from(thread.0)];
+        let hit = match *last {
+            Some(s) if self.keys[s as usize] == key => Some(s as usize),
+            _ => self.keys.iter().position(|&k| k == key),
         };
-        self.len += 1;
-        self.last[usize::from(thread.0)] = Some(TlbFilter {
-            vpn,
-            slot: i as u32,
-        });
-        false
-    }
-
-    /// Removes the entry at `i`, compacting the probe chain behind it
-    /// (backward-shift deletion): every follower that cannot reach its
-    /// home slot without passing the hole moves into it. Per-thread
-    /// last-translation filters may now point at moved slots; they
-    /// re-validate against the stored key, so stale ones simply miss.
-    fn remove_slot(&mut self, mut i: usize) {
-        self.slots[i] = TlbEntry::default();
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let e = self.slots[j];
-            if !e.live {
-                return;
+        let slot = match hit {
+            Some(s) => s,
+            None if self.keys.len() < self.capacity => {
+                self.keys.push(key);
+                self.stamps.push(0);
+                self.keys.len() - 1
             }
-            let home = self.home(e.thread, e.vpn);
-            // `e` may fill the hole if its home lies outside (i, j]
-            // cyclically — i.e. probing from `home` reaches `i` no later
-            // than `j`.
-            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
-                self.slots[i] = e;
-                self.slots[j] = TlbEntry::default();
-                i = j;
+            None => {
+                let victim = (0..self.stamps.len())
+                    .min_by_key(|&i| self.stamps[i])
+                    .expect("full TLB is non-empty");
+                self.keys[victim] = key;
+                victim
             }
-        }
+        };
+        self.stamps[slot] = self.tick;
+        *last = Some(slot as u32);
+        hit.is_some()
     }
 }
 
@@ -628,19 +552,15 @@ pub struct MemoryHierarchy {
     bus_l2_free: u64,
     bus_mem_free: u64,
 
+    /// Outstanding primary misses: the only record of a miss, from its
+    /// start to the cycle it fills its line and answers its waiters.
     mshrs: Vec<Mshr>,
     /// Recycled MSHR waiter-list buffers: an MSHR's list is handed back
-    /// when its completion drains, so steady-state misses allocate
-    /// nothing.
+    /// when its miss completes, so steady-state misses allocate nothing.
     waiter_pool: Vec<Vec<ReqId>>,
-    completions: BinaryHeap<Reverse<(u64, u64)>>, // (cycle, mshr key)
-    pending_fills: Vec<(u64, Side, Addr)>,        // (cycle, side, line)
-    delay_only: Vec<(u64, ReqId)>,                // TLB walks on tag hits
+    delay_only: Vec<(u64, ReqId)>, // TLB walks on tag hits
     ready: Vec<Completion>,
     next_req: u64,
-    /// Earliest cycle any pending fill lands (`u64::MAX` when none): lets
-    /// `begin_cycle` skip the fill list entirely on event-free cycles.
-    next_fill_at: u64,
     /// Earliest cycle any delay-only walk retires (`u64::MAX` when none).
     next_delay_at: u64,
 }
@@ -670,12 +590,9 @@ impl MemoryHierarchy {
             // (`crates/core/tests/alloc_guard.rs` pins this).
             mshrs: Vec::with_capacity(64),
             waiter_pool: Vec::with_capacity(64),
-            completions: BinaryHeap::with_capacity(128),
-            pending_fills: Vec::with_capacity(128),
             delay_only: Vec::with_capacity(256),
             ready: Vec::with_capacity(128),
             next_req: 0,
-            next_fill_at: u64::MAX,
             next_delay_at: u64::MAX,
             cfg,
         }
@@ -694,33 +611,32 @@ impl MemoryHierarchy {
 
     /// Starts a new cycle: resets port budgets and retires due events.
     ///
-    /// Event-driven: each event class (fills, delay-only TLB walks, miss
-    /// completions) was scheduled with its due cycle when it was created,
-    /// and the earliest due cycle of each class is tracked — on the common
-    /// event-free cycle this resets the port budgets and does nothing else.
+    /// Event-driven: every miss and delay-only TLB walk was scheduled with
+    /// its due cycle when it started. The MSHR list is scanned once (one
+    /// compare per outstanding miss) and the walks only once the earliest
+    /// is due, so an event-free cycle resets the port budgets and makes
+    /// those compares.
     #[inline]
     pub fn begin_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
         self.ports_used = [0; 2];
         self.banks_used = [0; 2];
 
-        // Install fills that land this cycle.
-        if cycle >= self.next_fill_at {
-            let mut i = 0;
-            while i < self.pending_fills.len() {
-                if self.pending_fills[i].0 <= cycle {
-                    let (_, side, line) = self.pending_fills.swap_remove(i);
-                    self.install_chain(side, line);
-                } else {
-                    i += 1;
-                }
+        // Fill the lines of misses that complete this cycle, moving their
+        // MSHRs behind `live`. The swap leaves the survivors in the order a
+        // `swap_remove` scan would, and lines fill in scan order.
+        let mut live = self.mshrs.len();
+        let mut i = 0;
+        while i < live {
+            let m = &self.mshrs[i];
+            if m.complete_at <= cycle {
+                let (side, line) = (m.side, m.line);
+                live -= 1;
+                self.mshrs.swap(i, live);
+                self.install_chain(side, line);
+            } else {
+                i += 1;
             }
-            self.next_fill_at = self
-                .pending_fills
-                .iter()
-                .map(|&(t, _, _)| t)
-                .min()
-                .unwrap_or(u64::MAX);
         }
 
         // Retire finished TLB walks that did not need a line fill.
@@ -742,29 +658,19 @@ impl MemoryHierarchy {
                 .unwrap_or(u64::MAX);
         }
 
-        // Collect completed misses.
-        while let Some(&Reverse((t, key))) = self.completions.peek() {
-            if t > cycle {
-                break;
-            }
-            self.completions.pop();
-            if let Some(pos) = self
-                .mshrs
-                .iter()
-                .position(|m| m.complete_at == t && key == Self::mshr_key(m))
-            {
-                let mut m = self.mshrs.swap_remove(pos);
-                for &req in &m.waiters {
-                    self.ready.push(Completion { req, at_cycle: t });
-                }
-                m.waiters.clear();
+        // Answer the finished misses' waiters: by completion cycle, then
+        // the data side first, then by line (the order every pinned result
+        // was produced in).
+        if live < self.mshrs.len() {
+            self.mshrs[live..]
+                .sort_unstable_by_key(|m| (m.complete_at, m.side == Side::Instr, m.line));
+            for mut m in self.mshrs.drain(live..) {
+                let at_cycle = m.complete_at;
+                self.ready
+                    .extend(m.waiters.drain(..).map(|req| Completion { req, at_cycle }));
                 self.waiter_pool.push(m.waiters);
             }
         }
-    }
-
-    fn mshr_key(m: &Mshr) -> u64 {
-        m.line ^ (u64::from(m.side == Side::Instr) << 63)
     }
 
     fn install_chain(&mut self, side: Side, line: Addr) {
@@ -868,17 +774,12 @@ impl MemoryHierarchy {
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(MSHR_WAITERS));
         waiters.push(req);
-        let m = Mshr {
+        self.mshrs.push(Mshr {
             line,
             side,
             complete_at,
             waiters,
-        };
-        self.completions
-            .push(Reverse((complete_at, Self::mshr_key(&m))));
-        self.pending_fills.push((complete_at, side, line));
-        self.next_fill_at = self.next_fill_at.min(complete_at);
-        self.mshrs.push(m);
+        });
         self.next_req += 1;
         Some(req)
     }
@@ -895,9 +796,10 @@ impl MemoryHierarchy {
     /// The one L1 access path, for either side. In order: arbitrate for a
     /// port and the bank (when `arbitrate` is set and bandwidth is finite),
     /// look up the TLB, look up the tags, and answer with a hit, a miss, or
-    /// a delay-only page walk (a tag hit whose translation missed). A
-    /// bounced access touches no TLB or cache state; only a data-side
-    /// bounce counts in `bank_conflicts`.
+    /// a delay-only page walk (a tag hit whose translation missed). An
+    /// access bounced at arbitration touches no TLB or cache state; only a
+    /// data-side one counts in `bank_conflicts`. A miss that finds every
+    /// MSHR busy bounces too, after its TLB and tag lookups were counted.
     #[inline]
     fn l1_access(
         &mut self,
@@ -1007,16 +909,16 @@ impl MemoryHierarchy {
 
 // The hierarchy's complete deterministic state, as the `smt-mem` section of
 // a simulator checkpoint: statistics, tag arrays, TLBs (including the
-// last-translation filters), port and bank/bus reservations, MSHRs with
-// their waiter lists, scheduled completions/fills/TLB walks and the
-// request-id counter. The configuration is covered by the checkpoint
+// per-thread last slots), port and bank/bus reservations, MSHRs (each an
+// outstanding miss: line, side, completion cycle and waiter list), the
+// scheduled delay-only TLB walks, answered-but-undrained completions and
+// the request-id counter. The configuration is covered by the checkpoint
 // header's fingerprint, so restore targets a hierarchy freshly built from
 // it; the waiter pool is recycled storage, not state.
 persist! {
     MemoryHierarchy {
         stats, l1, l2, l3, tlb, cycle, ports_used, banks_used, l2_bank_free, l3_bank_free,
-        bus_l1_free, bus_l2_free, bus_mem_free, mshrs, completions, pending_fills, delay_only,
-        ready, next_req, next_fill_at, next_delay_at,
+        bus_l1_free, bus_l2_free, bus_mem_free, mshrs, delay_only, ready, next_req, next_delay_at,
     } skip { cfg, waiter_pool }
 }
 // The configuration's identity bytes, hashed into the checkpoint header's
@@ -1035,28 +937,28 @@ persist! {
 }
 persist! { TagArray { lines } skip { sets, assoc, line_shift, tag_shift } }
 persist! { Line { tag, valid, dirty, lru } }
-persist! { Tlb { slots, last, len, tick } skip { mask, capacity, page_shift } check Tlb::validate }
-persist! { TlbEntry { live, thread, vpn, stamp } }
-persist! { TlbFilter { vpn, slot } }
+persist! { Tlb { last, keys, stamps, tick } skip { capacity, page_shift } check Tlb::validate }
 persist! { Mshr { line, side, complete_at, waiters } }
 persist! { Completion { req, at_cycle } }
 persist! { ReqId { 0 } }
 
 impl Tlb {
     fn validate(&self) -> std::io::Result<()> {
-        if self.len > self.capacity {
+        let len = self.keys.len();
+        if len > self.capacity {
             return Err(invalid(format!(
-                "TLB population {} exceeds capacity {}",
-                self.len, self.capacity
+                "TLB population {len} exceeds capacity {}",
+                self.capacity
             )));
         }
-        match self
-            .last
-            .iter()
-            .flatten()
-            .find(|f| f.slot as usize >= self.slots.len())
-        {
-            Some(f) => Err(invalid(format!("TLB filter slot {} out of range", f.slot))),
+        if self.stamps.len() != len {
+            return Err(invalid(format!(
+                "TLB has {len} keys but {} stamps",
+                self.stamps.len()
+            )));
+        }
+        match self.last.iter().flatten().find(|&&s| s as usize >= len) {
+            Some(s) => Err(invalid(format!("TLB last slot {s} out of range"))),
             None => Ok(()),
         }
     }
@@ -1334,6 +1236,47 @@ mod tests {
                 }
             );
             assert_eq!(format!("{:?}", (&m.l1, &m.tlb)), contents, "{side:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_tlb_checkpoints_are_typed_errors() {
+        let cfg = MemConfig {
+            dtlb_entries: 4,
+            ..MemConfig::default()
+        };
+        // A warmed hierarchy with one field of its data TLB damaged.
+        let hostile = |damage: fn(&mut Tlb)| {
+            let mut m = MemoryHierarchy::new(cfg.clone());
+            for (c, page) in (0..6u64).enumerate() {
+                m.begin_cycle(c as u64);
+                let _ = m.dcache_access(T0, page * 8 * 1024, false);
+            }
+            damage(&mut m.tlb[Side::Data as usize]);
+            let mut bytes = Vec::new();
+            m.save(&mut BinWriter::new(&mut bytes as &mut dyn Write))
+                .expect("vec write");
+            let mut fresh = MemoryHierarchy::new(cfg.clone());
+            fresh.restore(&mut BinReader::new(&mut &bytes[..] as &mut dyn Read))
+        };
+        hostile(|_| {}).expect("an undamaged TLB restores");
+        type Damage = fn(&mut Tlb);
+        let cases: [(&str, Damage); 4] = [
+            ("more keys than capacity", |t| {
+                t.keys.push(u64::MAX);
+                t.stamps.push(u64::MAX);
+            }),
+            ("fewer stamps than keys", |t| {
+                t.stamps.pop();
+            }),
+            ("more stamps than keys", |t| t.stamps.push(0)),
+            ("a last slot past the keys", |t| {
+                t.last[1] = Some(t.keys.len() as u32);
+            }),
+        ];
+        for (what, damage) in cases {
+            let err = hostile(damage).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
         }
     }
 

@@ -169,12 +169,12 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
         (
             "default",
             MemConfig::default(),
-            (0x62bb_22e7_6e97_0dce, 0x7415_3da8_cb47_6266),
+            (0x62bb_22e7_6e97_0dce, 0x27b0_e2f3_a825_01e2),
         ),
         (
             "two_way",
             two_way,
-            (0x71f8_3d0b_99b8_91f4, 0x35ac_2836_3b61_9aee),
+            (0x71f8_3d0b_99b8_91f4, 0xc933_0a32_c9b4_2afa),
         ),
         (
             "small_tlb",
@@ -184,7 +184,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 mshrs: 2,
                 ..MemConfig::default()
             },
-            (0x7bb4_b4dd_58b8_8166, 0x2b09_9aca_eaf0_4781),
+            (0x7bb4_b4dd_58b8_8166, 0x0adb_aae5_4da4_decd),
         ),
         (
             "infinite_bandwidth",
@@ -192,7 +192,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 infinite_bandwidth: true,
                 ..MemConfig::default()
             },
-            (0xa278_cb19_4746_c17c, 0xfb84_51c6_0c4e_db3e),
+            (0xa278_cb19_4746_c17c, 0x4774_a4e0_9f8d_ec8d),
         ),
         (
             "perfect_icache",
@@ -200,7 +200,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 perfect_icache: true,
                 ..MemConfig::default()
             },
-            (0xbae9_7334_8f27_c8f5, 0x1294_effe_7cf4_5f01),
+            (0xbae9_7334_8f27_c8f5, 0x543d_5677_89d5_0bbc),
         ),
     ]
 }

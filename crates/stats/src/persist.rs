@@ -21,10 +21,9 @@
 //! | `usize` | a `u64` count or index | decoded |
 //! | `f64` | its `u64` bit pattern | decoded, bit-exact |
 //! | `String` | `u64` length, then UTF-8 bytes | at most [`MAX_STRING`] bytes |
-//! | `[T; N]`, tuples | the elements, no length | element by element |
+//! | `[T; N]`, pairs | the elements, no length | element by element |
 //! | `Box<[T]>` | `u64` length, then the elements | the length must equal the built one: fixed geometry (cache lines, table entries) |
 //! | `Vec<T>`, `VecDeque<T>` | `u64` length, then the elements | cleared and refilled: queues and lists |
-//! | `BinaryHeap<T>` | as a `Vec`, in sorted order | cleared and refilled |
 //! | `Option<T>` | a `bool`, then the value if present | decoded |
 //!
 //! Field order is byte order: reordering, inserting or removing a listed
@@ -61,8 +60,7 @@
 //! assert!(small.restore(&mut BinReader::new(&mut &bytes[..] as &mut dyn Read)).is_err());
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use crate::binio::{invalid, BinReader, BinWriter};
@@ -248,19 +246,6 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     }
 }
 
-impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
-    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
-        self.0.save(w)?;
-        self.1.save(w)?;
-        self.2.save(w)
-    }
-    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
-        self.0.restore(r)?;
-        self.1.restore(r)?;
-        self.2.restore(r)
-    }
-}
-
 impl<T: Persist + Default> Persist for Option<T> {
     fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
         w.bool(self.is_some())?;
@@ -269,15 +254,6 @@ impl<T: Persist + Default> Persist for Option<T> {
     fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
         *self = if r.bool()? { Some(T::decode(r)?) } else { None };
         Ok(())
-    }
-}
-
-impl<T: Persist> Persist for Reverse<T> {
-    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
-        self.0.save(w)
-    }
-    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
-        self.0.restore(r)
     }
 }
 
@@ -330,19 +306,6 @@ impl<T: Persist + Default> Persist for VecDeque<T> {
     fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
         self.clear();
         refill(r, |v| self.push_back(v))
-    }
-}
-
-/// Written in sorted order: a heap's internal layout depends on its push
-/// history, its pop order only on its contents, so equal heaps write equal
-/// bytes and the rebuilt heap pops identically.
-impl<T: Persist + Default + Ord + Clone> Persist for BinaryHeap<T> {
-    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
-        self.clone().into_sorted_vec().save(w)
-    }
-    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
-        self.clear();
-        refill(r, |v| self.push(v))
     }
 }
 
@@ -458,17 +421,5 @@ mod tests {
         };
         let err = restore_from(&mut fresh(), &bytes_of(&bad)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "check runs");
-    }
-
-    #[test]
-    fn heaps_write_equal_bytes_for_equal_contents() {
-        let a: BinaryHeap<Reverse<(u64, u64)>> =
-            [(3, 1), (1, 2), (2, 3)].into_iter().map(Reverse).collect();
-        let b: BinaryHeap<Reverse<(u64, u64)>> =
-            [(2, 3), (3, 1), (1, 2)].into_iter().map(Reverse).collect();
-        assert_eq!(bytes_of(&a), bytes_of(&b));
-        let mut back = BinaryHeap::<Reverse<(u64, u64)>>::new();
-        restore_from(&mut back, &bytes_of(&a)).unwrap();
-        assert_eq!(back.into_sorted_vec(), a.into_sorted_vec());
     }
 }

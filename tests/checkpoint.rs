@@ -142,8 +142,8 @@ fn checkpoints_never_observe_a_partial_fetch_block() {
     pin(
         "the mixed4 checkpoint at cycle 771",
         &bytes,
-        342_126,
-        0xadea_c3f5_99af_f4a0,
+        334_862,
+        0x4beb_0cbf_20d2_7e16,
         "checkpoint bytes changed",
     );
     let mut restored =

@@ -7,10 +7,11 @@
 //! Round-trip tests cannot see two same-typed fields swapped consistently
 //! in a writer and its reader — and a journal entry or `--checkpoint-dir`
 //! file written before such a swap would afterwards be misread with a
-//! valid checksum. These literals were computed at the commit before the
-//! tables (and, for the source sections, before the field lists) existed
-//! and pass there too. ROADMAP.md, "Adding a counter", says what to do
-//! when they move.
+//! valid checksum. The report-stream and JSON literals were computed at
+//! the commit before the tables existed and pass there too; the
+//! checkpoint literals were re-pinned when checkpoint format version 2
+//! changed the machine's state layout. ROADMAP.md, "Adding a counter" and
+//! "Adding checkpointed state", says what to do when they move.
 
 use std::sync::Arc;
 
@@ -22,6 +23,7 @@ use common::pin;
 
 const LAYOUT_CHANGED: &str = "on-disk layout changed: bump `FORMAT_VERSION` and \
                               `JOURNAL_FORMAT_VERSION`, then re-pin";
+const CHECKPOINT_CHANGED: &str = "checkpoint layout changed: bump `FORMAT_VERSION`, then re-pin";
 const JSON_CHANGED: &str = "report JSON changed: regenerate `tests/golden/*` and \
                             `crates/experiments/tests/golden/*`, then re-pin";
 
@@ -47,9 +49,9 @@ fn report_stream_checkpoint_and_json_bytes_are_pinned() {
     pin(
         "Simulator::save_checkpoint",
         &checkpoint,
-        380_174,
-        0x7400_7ca6_049a_d51c,
-        LAYOUT_CHANGED,
+        372_574,
+        0x95f5_d216_96dd_dd7c,
+        CHECKPOINT_CHANGED,
     );
 
     let json = r.to_json().render();
@@ -90,8 +92,8 @@ fn backend_checkpoint_sections_are_pinned() {
     pin(
         "Simulator::save_checkpoint (ELF, trace and synthetic sources)",
         &checkpoint,
-        456_146,
-        0x08ae_9fc8_3530_2f90,
-        LAYOUT_CHANGED,
+        448_646,
+        0xb095_1ea0_101c_6ce3,
+        CHECKPOINT_CHANGED,
     );
 }
