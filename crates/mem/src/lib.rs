@@ -129,7 +129,7 @@ pub struct MemConfig {
     pub itlb_entries: usize,
     /// Data TLB entries.
     pub dtlb_entries: usize,
-    /// Page size in bytes.
+    /// Page size in bytes: a power of two, at least 256.
     pub page_bytes: u64,
     /// Number of MSHRs (outstanding primary misses), one pool shared by
     /// the I-cache and the D-cache: a primary miss on either side finds
@@ -427,9 +427,11 @@ const MAX_TLB_THREADS: usize = 256;
 
 impl Tlb {
     fn new(capacity: usize, page_bytes: u64) -> Tlb {
+        // A page of at least 2^8 bytes leaves the page number 56 bits, so
+        // it packs beside the 8-bit thread id without losing a bit.
         assert!(
-            page_bytes.is_power_of_two(),
-            "page size must be a power of two"
+            page_bytes.is_power_of_two() && page_bytes >= 256,
+            "page size must be a power of two of at least 256 bytes"
         );
         Tlb {
             last: [None; MAX_TLB_THREADS],
@@ -444,9 +446,7 @@ impl Tlb {
     /// Returns true on hit; on miss the translation is installed (the miss
     /// *penalty* is charged by the hierarchy).
     fn access(&mut self, thread: ThreadId, addr: Addr) -> bool {
-        let vpn = addr >> self.page_shift;
-        debug_assert!(vpn >> 56 == 0, "page number beyond the packed key range");
-        let key = vpn << 8 | u64::from(thread.0);
+        let key = (addr >> self.page_shift) << 8 | u64::from(thread.0);
         self.tick += 1;
         let last = &mut self.last[usize::from(thread.0)];
         let hit = match *last {
@@ -1237,6 +1237,15 @@ mod tests {
             );
             assert_eq!(format!("{:?}", (&m.l1, &m.tlb)), contents, "{side:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 256 bytes")]
+    fn pages_too_small_to_pack_beside_a_thread_id_are_refused() {
+        let _ = MemoryHierarchy::new(MemConfig {
+            page_bytes: 128,
+            ..MemConfig::default()
+        });
     }
 
     #[test]
