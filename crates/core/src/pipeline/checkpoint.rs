@@ -314,7 +314,8 @@ mod tests {
         // A machine mid-flight, with one thread's front-end length damaged
         // before the save: longer than its ROB, or covering a renamed ROB
         // entry.
-        let hostile = |damage: fn(&mut Thread)| {
+        type Damage = fn(&mut Thread);
+        let hostile = |damage: Damage| {
             let mut sim = cfg().build();
             for _ in 0..300 {
                 sim.step_cycle();
@@ -323,7 +324,6 @@ mod tests {
             Simulator::restore_checkpoint(cfg(), &mut checkpoint_of(&sim).as_slice())
         };
         hostile(|_| {}).expect("an undamaged front end restores");
-        type Damage = fn(&mut Thread);
         let cases: [(&str, Damage); 2] = [
             ("longer than the ROB", |t| t.frontend_len = t.rob.len() + 1),
             ("covering a renamed entry", |t| t.frontend_len = t.rob.len()),

@@ -51,10 +51,10 @@
 //! [`InstRef`](slab::InstRef) handles everywhere else. Per-thread ROBs
 //! (whose un-renamed tails are the front ends), the ready set, wakeup
 //! lists, calendar events and pending-load completions all store refs
-//! into the slab; stale artifacts
-//! die on a generation compare ([`slab::GenRef`]). Outstanding D-miss
-//! loads live in a [`PendingLoads`](slab::PendingLoads) table indexed by
-//! request id, so a miss completion is an array index, not a hash probe.
+//! into the slab; stale artifacts die on a generation compare
+//! ([`slab::GenRef`]). Outstanding D-miss loads live in a
+//! [`PendingLoads`](slab::PendingLoads) table indexed by request id, so a
+//! miss completion is an array index, not a hash probe.
 //! Every per-cycle structure is pooled or reused in place — the warmed
 //! steady state performs **zero heap allocations per cycle** (pinned by
 //! `tests/alloc_guard.rs` in this crate).

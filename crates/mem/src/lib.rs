@@ -1255,7 +1255,8 @@ mod tests {
             ..MemConfig::default()
         };
         // A warmed hierarchy with one field of its data TLB damaged.
-        let hostile = |damage: fn(&mut Tlb)| {
+        type Damage = fn(&mut Tlb);
+        let hostile = |damage: Damage| {
             let mut m = MemoryHierarchy::new(cfg.clone());
             for (c, page) in (0..6u64).enumerate() {
                 m.begin_cycle(c as u64);
@@ -1269,7 +1270,6 @@ mod tests {
             fresh.restore(&mut BinReader::new(&mut &bytes[..] as &mut dyn Read))
         };
         hostile(|_| {}).expect("an undamaged TLB restores");
-        type Damage = fn(&mut Tlb);
         let cases: [(&str, Damage); 4] = [
             ("more keys than capacity", |t| {
                 t.keys.push(u64::MAX);
