@@ -191,7 +191,11 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use super::super::slab::{GenRef, InstRef};
     use super::*;
+    use crate::WorkloadSpec;
     use smt_workload::Benchmark;
 
     fn cfg() -> SimConfig {
@@ -335,6 +339,133 @@ mod tests {
                 Ok(_) => panic!("front end {what}: restore succeeded"),
             }
         }
+    }
+
+    /// The scheduler's bookkeeping, with generation-dead artifacts (the
+    /// events, pending loads and waiters of squashed instructions) left out
+    /// and every order nothing observes normalised away. Handles are given
+    /// as slot indices: a live handle's generation is its slot's.
+    #[derive(Debug, PartialEq)]
+    struct Bookkeeping {
+        /// The ready set, in order: `(seq, opt_until, slot, opcode, thread)`.
+        ready: Vec<(u64, u64, usize, u8, u8)>,
+        iq_len: [usize; 2],
+        /// Per thread: ICOUNT, MISSCOUNT, front-end length and the
+        /// unresolved control instructions.
+        threads: Vec<(u32, u32, usize, Vec<u64>)>,
+        /// Per calendar bucket, the live events as a set of `(seq, slot)`.
+        calendar: Vec<BTreeSet<(u64, usize)>>,
+        /// The live pending loads as `(request id, slot)`, by request id.
+        pending: Vec<(u64, usize)>,
+        /// Per register of both files, its live waiters' slots as a
+        /// multiset (sorted).
+        waiters: Vec<Vec<usize>>,
+    }
+
+    fn bookkeeping(sim: &Simulator) -> Bookkeeping {
+        let live = |tag: GenRef| sim.insts.live(tag).map(InstRef::index);
+        let mut pending: Vec<_> = sim
+            .pending_load_entries()
+            .filter_map(|(req, tag)| Some((req.0, live(tag)?)))
+            .collect();
+        pending.sort_unstable();
+        Bookkeeping {
+            ready: sim
+                .ready_q
+                .iter()
+                .map(|e| (e.seq, e.opt_until, e.iref.index(), e.op.code(), e.ti))
+                .collect(),
+            iq_len: sim.iq_len,
+            threads: sim
+                .threads
+                .iter()
+                .map(|t| {
+                    let ctrl = t.unresolved_ctrl.clone();
+                    (t.in_flight, t.outstanding_misses, t.frontend_len, ctrl)
+                })
+                .collect(),
+            calendar: sim
+                .exec_done
+                .iter()
+                .map(|bucket| {
+                    bucket
+                        .iter()
+                        .filter_map(|e| Some((e.seq, live(e.inst)?)))
+                        .collect()
+                })
+                .collect(),
+            pending,
+            waiters: sim
+                .regs
+                .iter()
+                .flat_map(|file| (0..file.size() as u16).map(move |p| (file, p)))
+                .map(|(file, p)| {
+                    let mut slots: Vec<_> = file.waiters_of(p).filter_map(live).collect();
+                    slots.sort_unstable();
+                    slots
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn restore_reproduces_the_scheduler_bookkeeping() {
+        use smt_workload::Benchmark::*;
+        let loops = smt_workload::RiscvImage::load(std::path::Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../testdata/riscv/loops.elf"
+        )))
+        .expect("checked-in ELF must load");
+        let benchmarks = |mix: Vec<Benchmark>| mix.into_iter().map(WorkloadSpec::Benchmark);
+        let mixes: [Vec<WorkloadSpec>; 3] = [
+            benchmarks(smt_workload::standard_mix()).collect(),
+            benchmarks(vec![
+                Espresso, Eqntott, Xlisp, Compress, Espresso, Eqntott, Xlisp, Compress,
+            ])
+            .collect(),
+            std::iter::once(WorkloadSpec::Elf(std::sync::Arc::new(loops)))
+                .chain(benchmarks(vec![Espresso, Alvinn]))
+                .collect(),
+        ];
+        type Issue = fn() -> Box<dyn crate::IssuePolicy>;
+        let issue: [Issue; 2] = [
+            || Box::new(crate::policy::OldestFirst),
+            || Box::new(crate::policy::OptLast),
+        ];
+        let (mut restores, mut pending, mut waiters) = (0, 0, 0);
+        for workloads in &mixes {
+            for policy in issue {
+                let cfg = || {
+                    SimConfig::new()
+                        .with_workloads(workloads.clone())
+                        .with_issue(policy())
+                };
+                let mut sim = cfg().build();
+                for point in 0..4 {
+                    for _ in 0..300 + 97 * point {
+                        sim.step_cycle();
+                    }
+                    let bytes = checkpoint_of(&sim);
+                    let restored = Simulator::restore_checkpoint(cfg(), &mut bytes.as_slice())
+                        .expect("restore must succeed");
+                    let live = bookkeeping(&sim);
+                    assert_eq!(
+                        bookkeeping(&restored),
+                        live,
+                        "bookkeeping differs after a restore at cycle {}",
+                        sim.cycle()
+                    );
+                    restores += 1;
+                    pending += live.pending.len();
+                    waiters += live.waiters.iter().map(Vec::len).sum::<usize>();
+                }
+            }
+        }
+        assert!(restores >= 20);
+        assert!(
+            pending > 0 && waiters > 0,
+            "no checkpoint caught a load on a miss or a waiting consumer"
+        );
     }
 
     #[test]

@@ -490,6 +490,12 @@ impl Simulator {
         self.bp.reset_stats();
     }
 
+    /// Every recorded pending load, as `(request, load)` pairs.
+    #[cfg(test)]
+    fn pending_load_entries(&self) -> impl Iterator<Item = (ReqId, GenRef)> + '_ {
+        self.pending_loads.entries()
+    }
+
     /// Correct-path instructions committed since construction, across all
     /// threads — unaffected by [`reset_stats`](Simulator::reset_stats)
     /// (which only re-bases what reports show). Lets tests verify that

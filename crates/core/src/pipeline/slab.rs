@@ -542,6 +542,15 @@ impl PendingLoads {
         Some(slot.load)
     }
 
+    /// Every outstanding entry, as `(request, load)` pairs.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (ReqId, GenRef)> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| s.req != EMPTY)
+            .map(|s| (ReqId(s.req), s.load))
+    }
+
     /// Every outstanding load.
     pub(crate) fn loads(&self) -> impl Iterator<Item = GenRef> + '_ {
         self.slots.iter().filter(|s| s.req != EMPTY).map(|s| s.load)

@@ -205,6 +205,15 @@ impl PhysRegFile {
         self.state.len()
     }
 
+    /// The consumers on register `p`'s wakeup list, in registration order.
+    #[cfg(test)]
+    pub(crate) fn waiters_of(&self, p: u16) -> impl Iterator<Item = Consumer> + '_ {
+        let s = &self.state[usize::from(p)];
+        let inline = &s.inline[..usize::from(s.waiting).min(INLINE_WAITERS)];
+        let spilled = self.spill.iter().filter(move |&&(r, _)| r == p);
+        inline.iter().copied().chain(spilled.map(|&(_, c)| c))
+    }
+
     /// Every consumer on a wakeup list: the live inline waiters, then the
     /// spilled ones. Inline slots past `waiting` are placeholders.
     pub(crate) fn waiters(&self) -> impl Iterator<Item = Consumer> + '_ {
