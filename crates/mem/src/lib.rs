@@ -561,8 +561,6 @@ pub struct MemoryHierarchy {
     delay_only: Vec<(u64, ReqId)>, // TLB walks on tag hits
     ready: Vec<Completion>,
     next_req: u64,
-    /// Earliest cycle any delay-only walk retires (`u64::MAX` when none).
-    next_delay_at: u64,
 }
 
 impl MemoryHierarchy {
@@ -593,7 +591,6 @@ impl MemoryHierarchy {
             delay_only: Vec::with_capacity(256),
             ready: Vec::with_capacity(128),
             next_req: 0,
-            next_delay_at: u64::MAX,
             cfg,
         }
     }
@@ -612,10 +609,9 @@ impl MemoryHierarchy {
     /// Starts a new cycle: resets port budgets and retires due events.
     ///
     /// Event-driven: every miss and delay-only TLB walk was scheduled with
-    /// its due cycle when it started. The MSHR list is scanned once (one
-    /// compare per outstanding miss) and the walks only once the earliest
-    /// is due, so an event-free cycle resets the port budgets and makes
-    /// those compares.
+    /// its due cycle when it started. The MSHR list and the walk list are
+    /// each scanned once (one compare per outstanding entry), so an
+    /// event-free cycle resets the port budgets and makes those compares.
     #[inline]
     pub fn begin_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
@@ -640,22 +636,14 @@ impl MemoryHierarchy {
         }
 
         // Retire finished TLB walks that did not need a line fill.
-        if cycle >= self.next_delay_at {
-            let mut i = 0;
-            while i < self.delay_only.len() {
-                if self.delay_only[i].0 <= cycle {
-                    let (t, req) = self.delay_only.swap_remove(i);
-                    self.ready.push(Completion { req, at_cycle: t });
-                } else {
-                    i += 1;
-                }
+        let mut i = 0;
+        while i < self.delay_only.len() {
+            if self.delay_only[i].0 <= cycle {
+                let (t, req) = self.delay_only.swap_remove(i);
+                self.ready.push(Completion { req, at_cycle: t });
+            } else {
+                i += 1;
             }
-            self.next_delay_at = self
-                .delay_only
-                .iter()
-                .map(|&(t, _)| t)
-                .min()
-                .unwrap_or(u64::MAX);
         }
 
         // Answer the finished misses' waiters: by completion cycle, then
@@ -849,7 +837,6 @@ impl MemoryHierarchy {
         self.next_req += 1;
         let due = self.cycle + 1 + tlb_extra;
         self.delay_only.push((due, req));
-        self.next_delay_at = self.next_delay_at.min(due);
         AccessResult::Miss(req)
     }
 
@@ -918,7 +905,7 @@ impl MemoryHierarchy {
 persist! {
     MemoryHierarchy {
         stats, l1, l2, l3, tlb, cycle, ports_used, banks_used, l2_bank_free, l3_bank_free,
-        bus_l1_free, bus_l2_free, bus_mem_free, mshrs, delay_only, ready, next_req, next_delay_at,
+        bus_l1_free, bus_l2_free, bus_mem_free, mshrs, delay_only, ready, next_req,
     } skip { cfg, waiter_pool }
 }
 // The configuration's identity bytes, hashed into the checkpoint header's

@@ -169,12 +169,12 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
         (
             "default",
             MemConfig::default(),
-            (0x62bb_22e7_6e97_0dce, 0x27b0_e2f3_a825_01e2),
+            (0x62bb_22e7_6e97_0dce, 0x1f83_eada_e2bd_0ca2),
         ),
         (
             "two_way",
             two_way,
-            (0x71f8_3d0b_99b8_91f4, 0xc933_0a32_c9b4_2afa),
+            (0x71f8_3d0b_99b8_91f4, 0x8d3e_af82_938a_a60a),
         ),
         (
             "small_tlb",
@@ -184,7 +184,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 mshrs: 2,
                 ..MemConfig::default()
             },
-            (0x7bb4_b4dd_58b8_8166, 0x0adb_aae5_4da4_decd),
+            (0x7bb4_b4dd_58b8_8166, 0x5a1b_fce5_aa5f_b60a),
         ),
         (
             "infinite_bandwidth",
@@ -192,7 +192,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 infinite_bandwidth: true,
                 ..MemConfig::default()
             },
-            (0xa278_cb19_4746_c17c, 0x4774_a4e0_9f8d_ec8d),
+            (0xa278_cb19_4746_c17c, 0x69ad_18a3_d29b_585d),
         ),
         (
             "perfect_icache",
@@ -200,7 +200,7 @@ fn cases() -> Vec<(&'static str, MemConfig, (u64, u64))> {
                 perfect_icache: true,
                 ..MemConfig::default()
             },
-            (0xbae9_7334_8f27_c8f5, 0x543d_5677_89d5_0bbc),
+            (0xbae9_7334_8f27_c8f5, 0x20ef_2a97_2643_4608),
         ),
     ]
 }
