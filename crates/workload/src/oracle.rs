@@ -38,25 +38,27 @@ pub struct ThreadContext {
     /// Per-branch loop phase (`execs % trip`, maintained incrementally):
     /// loop back-edges resolve with a compare instead of a variable-divisor
     /// `%`, which costs tens of host cycles on every executed branch.
+    /// Derived from `branch_execs` on restore, never stored.
     loop_phase: Box<[u32]>,
     mem_execs: Box<[u64]>,
     /// Per-memory-model stride state `(offset, step)` with
     /// `offset == (n · stride) % span` maintained incrementally (`step` is
     /// `stride % span`, precomputed): strided address generation needs no
-    /// division either.
+    /// division either. Derived from `mem_execs` on restore, never stored.
     stride_state: Box<[(u64, u64)]>,
     ret_stack: Vec<Addr>,
 }
 
 // One thread's `smt-workload` section of a simulator checkpoint: PC,
-// executed count, per-branch and per-memory-model counters, stride state
-// and the modeled return stack. The program and seed are regenerated from
-// the configuration (covered by the checkpoint header's fingerprint), so
-// restore targets a context freshly built from them.
+// executed count, per-branch and per-memory-model counters and the modeled
+// return stack. The program and seed are regenerated from the
+// configuration (covered by the checkpoint header's fingerprint), so
+// restore targets a context freshly built from them; the loop phases and
+// stride offsets are functions of the counters, recounted on restore.
 persist! {
     ThreadContext {
-        pc, executed, branch_execs, loop_phase, mem_execs, stride_state, ret_stack,
-    } skip { program, seed } check ThreadContext::validate
+        pc, executed, branch_execs, mem_execs, ret_stack,
+    } skip { program, seed, loop_phase, stride_state } check ThreadContext::recount
 }
 
 impl ThreadContext {
@@ -67,17 +69,9 @@ impl ThreadContext {
         let branch_execs = vec![0; program.branch_count()].into();
         let loop_phase = vec![0; program.branch_count()].into();
         let mem_execs = vec![0; program.mem_count()].into();
-        let stride_state = (0..program.mem_count() as u32)
-            .map(|meta| match program.mem_model(meta).pattern {
-                MemPattern::Stride { region, stride } => {
-                    let span = (program.regions()[region as usize].size & !7).max(8);
-                    (0, u64::from(stride) % span)
-                }
-                MemPattern::Random { .. } => (0, 0),
-            })
-            .collect();
+        let stride_state = vec![(0, 0); program.mem_count()].into();
         let pc = program.entry();
-        ThreadContext {
+        let mut ctx = ThreadContext {
             program,
             seed,
             pc,
@@ -87,6 +81,30 @@ impl ThreadContext {
             mem_execs,
             stride_state,
             ret_stack: Vec::with_capacity(MAX_CALL_DEPTH),
+        };
+        ctx.derive_running_state();
+        ctx
+    }
+
+    /// Sets each loop phase and stride state from its execution count,
+    /// exactly as the hot path's running values reach it: construction
+    /// starts them at count zero, and restore recounts them rather than
+    /// store a second copy of the counters.
+    fn derive_running_state(&mut self) {
+        for meta in 0..self.loop_phase.len() {
+            if let BranchBehavior::Loop { trip } = self.program.branch_model(meta as u32).behavior {
+                self.loop_phase[meta] = self.branch_execs[meta] % trip.max(1);
+            }
+        }
+        for meta in 0..self.stride_state.len() {
+            if let MemPattern::Stride { region, stride } =
+                self.program.mem_model(meta as u32).pattern
+            {
+                let span = (self.program.regions()[region as usize].size & !7).max(8);
+                let step = u64::from(stride) % span;
+                let n = u128::from(self.mem_execs[meta]);
+                self.stride_state[meta] = ((n * u128::from(step) % u128::from(span)) as u64, step);
+            }
         }
     }
 
@@ -105,8 +123,11 @@ impl ThreadContext {
         self.executed
     }
 
-    /// Rejects restored state this context's program cannot reach.
-    fn validate(&self) -> std::io::Result<()> {
+    /// Derives the loop phases and stride states from the restored
+    /// execution counts and rejects restored state this context's program
+    /// cannot reach.
+    fn recount(&mut self) -> std::io::Result<()> {
+        self.derive_running_state();
         if self.program.inst_at(self.pc).is_none() {
             return Err(invalid(format!(
                 "oracle PC {:#x} points outside the program image",
@@ -360,6 +381,37 @@ mod tests {
         }
         // Trip 3: taken, taken, not-taken, repeating.
         assert_eq!(&directions[..6], &[true, true, false, true, true, false]);
+    }
+
+    #[test]
+    fn restore_derives_loop_phases_and_stride_offsets() {
+        // Damage every loop phase and stride offset before the save: each
+        // is a function of its execution count, so a restored context must
+        // recount it rather than trust the stream, and then step exactly as
+        // an undamaged twin does.
+        use smt_stats::binio::{BinReader, BinWriter};
+        use smt_stats::Persist;
+        let mut o = oracle();
+        for _ in 0..10_000 {
+            o.step();
+        }
+        let mut twin = o.clone();
+        o.loop_phase.iter_mut().for_each(|p| *p += 1);
+        o.stride_state.iter_mut().for_each(|s| s.0 += 8);
+        let mut bytes = Vec::new();
+        o.save(&mut BinWriter::new(&mut bytes as &mut dyn std::io::Write))
+            .expect("vec write");
+        let mut restored = ThreadContext::new(o.program().clone(), 7);
+        restored
+            .restore(&mut BinReader::new(
+                &mut &bytes[..] as &mut dyn std::io::Read,
+            ))
+            .expect("restore");
+        let mut diverged = 0;
+        for _ in 0..200_000 {
+            diverged += usize::from(restored.step() != twin.step());
+        }
+        assert_eq!(diverged, 0, "the restored oracle left its twin's stream");
     }
 
     #[test]
