@@ -9,7 +9,7 @@
 //! checkpoints let a study pay for each warmup once and fork it across
 //! the whole cross-product (see the `smt-experiments` crate).
 //!
-//! # Format specification (version 2)
+//! # Format specification (version 3)
 //!
 //! All integers are little-endian. The whole stream (header included) is
 //! covered by a running FNV-1a checksum whose 8-byte value trails the
@@ -31,16 +31,12 @@
 //!
 //! 1. `smt-core` machine: cycle / measurement-window base / sequence
 //!    counter, the instruction slab (hot + cold records and the free
-//!    list), both physical register files (free lists, scoreboard records
-//!    with inline wakeup lists, spill lists), the age-sorted ready set,
-//!    instruction-queue occupancy, the writeback calendar ring, the
-//!    pending-load table, fetch/issue/prediction/squash statistics.
-//! 2. Per-thread state: fetch PC, stall/miss gates, live
-//!    ICOUNT/BRCOUNT/MISSCOUNT counters, front-end length (the count of
-//!    the ROB's youngest, not yet renamed entries), unresolved control
-//!    list, ROB, wrong-path salt, commit counters, rename map,
-//!    and the thread's `smt-workload` oracle section (PC, executed count,
-//!    per-branch/per-memory counters, stride state, return stack).
+//!    list), both physical register files (free lists and scoreboard
+//!    records), fetch/issue/prediction/squash statistics.
+//! 2. Per-thread state: fetch PC, stall/miss gates, wrong-path flag, ROB,
+//!    wrong-path salt, commit counters, rename map, and the thread's
+//!    `smt-workload` oracle section (PC, executed count,
+//!    per-branch/per-memory counters, return stack).
 //! 3. `smt-mem`: statistics, cache tag/LRU/dirty arrays, TLBs (per-thread
 //!    last slots, packed page/thread keys and their LRU stamps),
 //!    bank/bus reservations, MSHRs (one per outstanding miss: line, side,
@@ -56,6 +52,17 @@
 //! corrupt or adversarial stream produces a typed [`CheckpointError`],
 //! never a panic.
 //!
+//! What is recountable from the slab, the ROBs and the register
+//! scoreboard is not stored: the live ICOUNT/BRCOUNT/MISSCOUNT counters,
+//! front-end lengths, unresolved control lists, instruction-queue
+//! occupancy, the ready set, the wakeup lists, the writeback calendar and
+//! the pending loads (a waiting load's record holds its request id), and
+//! the oracle's loop phases and stride offsets (functions of its
+//! counters). Restore rebuilds them in one walk over each ROB, which also
+//! refuses a machine the pipeline could not have produced: a record in
+//! another thread's ROB, registers out of range or not conserved, and the
+//! like.
+//!
 //! # Versioning rules
 //!
 //! The format version is bumped whenever any section's byte layout
@@ -65,7 +72,10 @@
 //! otherwise); checkpoints are warm-start caches, cheap to regenerate, so
 //! no cross-version migration is attempted. Version 2 replaced version
 //! 1's front-end queue, open-addressed TLB tables and separate miss
-//! completion and fill lists with the layout above.
+//! completion and fill lists; version 3 dropped version 2's scheduler
+//! bookkeeping (counters, ready set, calendar, pending-load table, wakeup
+//! lists), oracle loop phases and stride offsets, and `smt-mem`'s
+//! earliest-walk cycle, giving the layout above.
 //!
 //! # The config fingerprint
 //!
@@ -119,7 +129,7 @@ pub const MAGIC: [u8; 8] = *b"SMT1CKPT";
 
 /// Current checkpoint format version (see the module docs for the
 /// versioning rules).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be written or restored.
 ///

@@ -13,37 +13,38 @@
 
 use std::io::{self, Read, Write};
 
+use smt_isa::LOGICAL_REGS;
+use smt_mem::ReqId;
 use smt_stats::binio::{invalid, BinReader, BinWriter};
 use smt_stats::{persist, Persist};
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, FORMAT_VERSION, MAGIC};
 use crate::config::SimConfig;
 
-use super::slab::{opcode, InstState};
-use super::{ExecEvent, ReadyEntry, Simulator, Thread};
+use super::slab::{preg_class, preg_index, InstState, LREG_NONE, PREG_NONE};
+use super::{ExecEvent, ReadyEntry, Simulator, Thread, EXEC_RING};
 
 // The machine's checkpoint payload, in section order (see the format spec
 // in `crate::checkpoint`): core machine state, per-thread state (each with
 // its instruction source), the memory hierarchy, the branch predictor.
-// Everything skipped is configuration, derived from it, or per-cycle
-// scratch; the provenance flag is deliberately never carried
-// (`mark_restored_from_checkpoint`).
+// Everything skipped is configuration, derived from it, per-cycle scratch,
+// or scheduler bookkeeping that `Simulator::recount` rebuilds from the
+// slab, the ROBs and the register scoreboard; the provenance flag is
+// deliberately never carried (`mark_restored_from_checkpoint`).
 persist! {
     Simulator {
-        cycle, stats_base_cycle, next_seq, insts, regs, ready_q, iq_len, exec_done, pending_loads,
-        stats, threads, mem, bp,
+        cycle, stats_base_cycle, next_seq, insts, regs, stats, threads, mem, bp,
     } skip {
-        cfg, frontend_limit, iq_limit, restored_from_checkpoint, fetch_rank_scratch,
-        issue_rank_scratch, loss_scratch, completion_scratch, woken_scratch,
-    } check Simulator::validate
+        cfg, frontend_limit, iq_limit, ready_q, iq_len, exec_done, pending_loads,
+        restored_from_checkpoint, fetch_rank_scratch, issue_rank_scratch, loss_scratch,
+        completion_scratch, woken_scratch,
+    } check Simulator::recount
 }
-persist! { ReadyEntry { seq, opt_until, iref, op via opcode, ti } }
-persist! { ExecEvent { seq, inst } }
 persist! {
     Thread {
-        fetch_pc, stall_until, icache_req, in_flight, outstanding_misses, wrong_path,
-        frontend_len, unresolved_ctrl, rob, wp_salt, committed, committed_base, map, source,
-    } skip { id }
+        fetch_pc, stall_until, icache_req, wrong_path, rob, wp_salt, committed, committed_base,
+        map, source,
+    } skip { id, in_flight, outstanding_misses, frontend_len, unresolved_ctrl }
 }
 
 impl Simulator {
@@ -111,46 +112,152 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Rejects restored handles that name no slab slot, rename maps that
-    /// name no register, and front ends that are not a tail of `Decoding`
-    /// ROB entries: the cross-structure facts no one field list sees.
-    fn validate(&self) -> io::Result<()> {
-        let slab = &self.insts;
-        for file in &self.regs {
-            file.waiters().try_for_each(|c| slab.check_ref(c.slot()))?;
-        }
-        self.ready_q
-            .iter()
-            .try_for_each(|e| slab.check_ref(e.iref))?;
-        self.exec_done
-            .iter()
-            .flatten()
-            .try_for_each(|e| slab.check_ref(e.inst.slot()))?;
-        self.pending_loads
-            .loads()
-            .try_for_each(|l| slab.check_ref(l.slot()))?;
-        for t in self.threads.iter() {
-            t.rob.iter().try_for_each(|&i| slab.check_ref(i))?;
-            let Some(renamed) = t.rob.len().checked_sub(t.frontend_len) else {
-                return Err(invalid(format!(
-                    "front end of {} instructions exceeds its ROB of {}",
-                    t.frontend_len,
-                    t.rob.len()
-                )));
-            };
-            if let Some(i) = t
-                .rob
-                .range(renamed..)
-                .find(|i| slab.hot[i.index()].state() != InstState::Decoding)
-            {
-                return Err(invalid(format!(
-                    "front-end instruction in slot {} is not decoding",
-                    i.index()
-                )));
+    /// Rebuilds the scheduler bookkeeping a checkpoint leaves out — each
+    /// thread's ICOUNT, MISSCOUNT, front-end length and unresolved control
+    /// list, the IQ occupancy, the ready set, the wakeup lists, the
+    /// writeback calendar and the pending loads — in one walk over each
+    /// thread's ROB, on the freshly built machine restore fills (whose
+    /// bookkeeping is empty). Generation-dead artifacts (the events,
+    /// pending loads and waiters of squashed instructions) are not rebuilt:
+    /// they were inert.
+    ///
+    /// The walk visits every live record, so it is also where restore
+    /// refuses what the pipeline could not have produced and would later
+    /// trip over: a slot held twice or leaked, a record in another thread's
+    /// ROB, sequence numbers that do not rise, a register outside its file,
+    /// a renamed record behind a decoding one, a writeback outside the
+    /// calendar, an outstanding-operand count that disagrees with the
+    /// scoreboard, wrong-path records anywhere but behind the one
+    /// unresolved mispredicted branch, a rename chain that does not end in
+    /// the map, or registers that are not conserved.
+    fn recount(&mut self) -> io::Result<()> {
+        self.insts
+            .check_held(self.threads.iter().flat_map(|t| t.rob.iter()))?;
+        let (cycle, next_seq) = (self.cycle, self.next_seq);
+        let pht_entries = self.cfg.predictor.pht_entries;
+        let mut held: [Vec<u16>; 2] = Default::default();
+        for (ti, t) in self.threads.iter_mut().enumerate() {
+            let corrupt = |what: &str| Err(invalid(format!("thread {ti}: {what}")));
+            // The last destination renamed for each logical register: the
+            // next renaming of that register must name it as its previous
+            // mapping, and the map must hold the last one.
+            let mut last_dest = [[PREG_NONE; LOGICAL_REGS]; 2];
+            let mut prev_seq = None;
+            // Fetch leaves the correct path only at a mispredicted branch,
+            // and that branch's resolution squashes everything since.
+            let mut diverged = false;
+            for &iref in &t.rob {
+                let h = self.insts.hot[iref.index()];
+                let (tag, state) = (self.insts.tag(iref), h.state());
+                if usize::from(h.ti) != ti || prev_seq >= Some(h.seq) || h.seq >= next_seq {
+                    return corrupt("a record is out of place in its ROB");
+                }
+                prev_seq = Some(h.seq);
+                let pregs = [h.dest_phys, h.prev_phys, h.srcs_phys[0], h.srcs_phys[1]];
+                let in_file = |p: u16| usize::from(preg_index(p)) < self.regs[preg_class(p)].size();
+                if !pregs.iter().all(|&p| p == PREG_NONE || in_file(p)) {
+                    return corrupt("a record names a register outside its file");
+                }
+                if h.wrong_path() != diverged {
+                    return corrupt("a wrong-path record outside a mispredict's shadow");
+                }
+                if h.op.is_control() && state != InstState::Done {
+                    t.unresolved_ctrl.push(h.seq);
+                    let c = &self.insts.cold[iref.index()];
+                    let trains = !h.wrong_path() && h.op.is_cond_branch();
+                    if trains && c.pht_index as usize >= pht_entries {
+                        return corrupt("a branch trains a counter outside the PHT");
+                    }
+                    // Fetch resumes where the source still stands.
+                    if h.mispredict() && c.next_pc != t.source.pc() {
+                        return corrupt("a mispredicted branch resumes off its source's path");
+                    }
+                    diverged |= h.mispredict();
+                }
+                if state == InstState::Decoding {
+                    t.frontend_len += 1;
+                    t.in_flight += 1;
+                    continue;
+                } else if t.frontend_len > 0 {
+                    return corrupt("a renamed record sits behind a decoding one");
+                }
+                if h.dest_log != LREG_NONE {
+                    let class = usize::from(h.dest_log >> 7);
+                    let last = &mut last_dest[class][usize::from(h.dest_log & 0x7f)];
+                    if preg_class(h.dest_phys) != class
+                        || preg_class(h.prev_phys) != class
+                        || *last != PREG_NONE && *last != h.prev_phys
+                    {
+                        return corrupt("a rename chain is broken");
+                    }
+                    *last = h.dest_phys;
+                    held[class].push(preg_index(h.prev_phys));
+                }
+                match state {
+                    InstState::Decoding | InstState::Done => {}
+                    InstState::Queued => {
+                        t.in_flight += 1;
+                        self.iq_len[h.op.queue().index()] += 1;
+                        let (mut pending, mut opt_until) = (0, 0);
+                        for &s in h.srcs_phys.iter().filter(|&&s| s != PREG_NONE) {
+                            match self.regs[preg_class(s)].check_or_wait(preg_index(s), tag) {
+                                Some(opt) => opt_until = opt_until.max(opt),
+                                None => pending += 1,
+                            }
+                        }
+                        if pending != h.pending_srcs {
+                            return corrupt("an operand count disagrees with the scoreboard");
+                        }
+                        if pending == 0 {
+                            let (seq, op, ti) = (h.seq, h.op, h.ti);
+                            self.ready_q.push(ReadyEntry {
+                                seq,
+                                opt_until,
+                                iref,
+                                op,
+                                ti,
+                            });
+                        }
+                    }
+                    InstState::Executing => {
+                        if h.when <= cycle || h.when - cycle >= EXEC_RING as u64 {
+                            return corrupt("a writeback falls outside the calendar");
+                        }
+                        let event = ExecEvent {
+                            seq: h.seq,
+                            inst: tag,
+                        };
+                        self.exec_done[h.when as usize % EXEC_RING].push(event);
+                    }
+                    InstState::WaitingMem => {
+                        t.outstanding_misses += 1;
+                        self.pending_loads.push((ReqId(h.when), tag));
+                    }
+                }
             }
-            t.map.validate(&self.regs)?;
+            if diverged != t.wrong_path || !t.wrong_path && t.fetch_pc != t.source.pc() {
+                return corrupt("its fetch state disagrees with its ROB");
+            }
+            for ((class, last), mapped) in last_dest.iter().enumerate().zip(t.map.physical()) {
+                if last
+                    .iter()
+                    .zip(mapped)
+                    .any(|(&d, &p)| d != PREG_NONE && preg_index(d) != p)
+                {
+                    return corrupt("a rename chain does not end in the map");
+                }
+                held[class].extend_from_slice(mapped);
+            }
         }
-        Ok(())
+        for (file, held) in self.regs.iter().zip(&held) {
+            file.check_conserved(held)?;
+        }
+        self.ready_q.sort_unstable_by_key(|e| e.seq);
+        self.pending_loads.sort_unstable_by_key(|&(req, _)| req);
+        match self.pending_loads.windows(2).find(|w| w[0].0 == w[1].0) {
+            Some(w) => Err(invalid(format!("two loads wait on request {:?}", w[0].0))),
+            None => Ok(()),
+        }
     }
 
     /// Forks a measurement cell off a warmed checkpoint — the one place the
@@ -193,7 +300,7 @@ impl Simulator {
 mod tests {
     use std::collections::BTreeSet;
 
-    use super::super::slab::{GenRef, InstRef};
+    use super::super::slab::{GenRef, HotInst, InstRef};
     use super::*;
     use crate::WorkloadSpec;
     use smt_workload::Benchmark;
@@ -313,30 +420,102 @@ mod tests {
         }
     }
 
+    /// The first record, in thread and ROB order, that `pick` accepts.
+    fn record(sim: &mut Simulator, pick: impl Fn(&HotInst) -> bool) -> &mut HotInst {
+        let slot = sim
+            .threads
+            .iter()
+            .flat_map(|t| &t.rob)
+            .find(|i| pick(&sim.insts.hot[i.index()]))
+            .expect("the machine holds such a record")
+            .index();
+        &mut sim.insts.hot[slot]
+    }
+
     #[test]
-    fn hostile_front_ends_are_typed_errors() {
-        // A machine mid-flight, with one thread's front-end length damaged
-        // before the save: longer than its ROB, or covering a renamed ROB
-        // entry.
-        type Damage = fn(&mut Thread);
+    fn hostile_records_are_typed_errors() {
+        // A machine mid-flight (at cycle 290 it holds records in every
+        // state and a front end behind renamed work), damaged before the
+        // save in a way the pipeline could not have produced and would trip
+        // over later.
+        type Damage = fn(&mut Simulator);
         let hostile = |damage: Damage| {
             let mut sim = cfg().build();
-            for _ in 0..300 {
+            for _ in 0..290 {
                 sim.step_cycle();
             }
-            damage(&mut sim.threads[0]);
+            damage(&mut sim);
             Simulator::restore_checkpoint(cfg(), &mut checkpoint_of(&sim).as_slice())
         };
-        hostile(|_| {}).expect("an undamaged front end restores");
-        let cases: [(&str, Damage); 2] = [
-            ("longer than the ROB", |t| t.frontend_len = t.rob.len() + 1),
-            ("covering a renamed entry", |t| t.frontend_len = t.rob.len()),
+        hostile(|_| {}).expect("an undamaged machine restores");
+        let cases: [(&str, Damage); 14] = [
+            ("a record of thread 200", |sim| {
+                record(sim, |_| true).ti = 200
+            }),
+            ("sequence numbers that do not rise", |sim| {
+                let (first, second) = (sim.threads[0].rob[0], sim.threads[0].rob[1]);
+                sim.insts.hot[second.index()].seq = sim.insts.hot[first.index()].seq;
+            }),
+            ("a destination outside its file", |sim| {
+                let h = record(sim, |h| h.dest_phys != PREG_NONE);
+                h.dest_phys |= 0x7ffe;
+            }),
+            ("a logical source outside its file", |sim| {
+                record(sim, |h| h.srcs_log[0] != LREG_NONE).srcs_log[0] |= 0x7f;
+            }),
+            ("a decoding record below a renamed one", |sim| {
+                // Swap the front end's head with the renamed record before
+                // it, sequence numbers included.
+                let t = sim
+                    .threads
+                    .iter_mut()
+                    .find(|t| t.frontend_len > 0 && t.rob.len() > t.frontend_len)
+                    .expect("a thread with a front end behind renamed work");
+                let head = t.rob.len() - t.frontend_len;
+                t.rob.swap(head - 1, head);
+                let (a, b) = (t.rob[head - 1].index(), t.rob[head].index());
+                let seq = sim.insts.hot[a].seq;
+                sim.insts.hot[a].seq = sim.insts.hot[b].seq;
+                sim.insts.hot[b].seq = seq;
+            }),
+            ("a writeback outside the calendar", |sim| {
+                let cycle = sim.cycle;
+                record(sim, |h| h.state() == InstState::Executing).when = cycle;
+            }),
+            ("an operand count the scoreboard disagrees with", |sim| {
+                record(sim, |h| h.state() == InstState::Queued).pending_srcs += 1;
+            }),
+            ("a register both free and mapped", |sim| {
+                let mapped = sim.threads[0].map.physical()[0][5];
+                sim.regs[0].release(mapped);
+            }),
+            ("a register neither free nor held", |sim| {
+                sim.regs[1].alloc();
+            }),
+            ("a slot held by two ROBs", |sim| {
+                let slot = sim.threads[0].rob[0];
+                sim.threads[1].rob.push_front(slot);
+            }),
+            ("a destination off its rename chain", |sim| {
+                record(sim, |h| h.dest_phys != PREG_NONE).dest_phys ^= 1;
+            }),
+            ("a previous mapping another record holds", |sim| {
+                record(sim, |h| h.prev_phys != PREG_NONE).prev_phys ^= 1;
+            }),
+            ("a wrong-path flag with no mispredicted branch", |sim| {
+                let t = sim.threads.iter_mut().find(|t| !t.wrong_path).unwrap();
+                t.wrong_path = true;
+            }),
+            ("correct-path fetch off its source's path", |sim| {
+                let t = sim.threads.iter_mut().find(|t| !t.wrong_path).unwrap();
+                t.fetch_pc += 4;
+            }),
         ];
         for (what, damage) in cases {
             match hostile(damage) {
                 Err(CheckpointError::Corrupt(_)) => {}
-                Err(e) => panic!("front end {what}: unexpected error {e}"),
-                Ok(_) => panic!("front end {what}: restore succeeded"),
+                Err(e) => panic!("{what}: unexpected error {e}"),
+                Ok(_) => panic!("{what}: restore succeeded"),
             }
         }
     }

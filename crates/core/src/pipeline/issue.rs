@@ -165,8 +165,9 @@ impl Simulator {
                 AccessResult::Hit => (InstState::Executing, cycle + 1),
                 AccessResult::Miss(req) => {
                     if op.is_load() {
-                        self.pending_loads.insert(req, self.insts.tag(iref));
-                        (InstState::WaitingMem, 0)
+                        // Request ids rise, so the list stays sorted.
+                        self.pending_loads.push((req, self.insts.tag(iref)));
+                        (InstState::WaitingMem, req.0)
                     } else {
                         // Stores retire into the write buffer; the miss
                         // traffic still occupies the hierarchy.

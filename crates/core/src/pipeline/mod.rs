@@ -52,16 +52,18 @@
 //! (whose un-renamed tails are the front ends), the ready set, wakeup
 //! lists, calendar events and pending-load completions all store refs
 //! into the slab; stale artifacts die on a generation compare
-//! ([`slab::GenRef`]). Outstanding D-miss loads live in a
-//! [`PendingLoads`](slab::PendingLoads) table indexed by request id, so a
-//! miss completion is an array index, not a hash probe.
+//! ([`slab::GenRef`]). Outstanding D-miss loads are a short list of
+//! `(request id, load)` pairs, sorted because `smt-mem` issues request
+//! ids in increasing order: issue appends, a completion binary-searches.
 //! Every per-cycle structure is pooled or reused in place — the warmed
 //! steady state performs **zero heap allocations per cycle** (pinned by
 //! `tests/alloc_guard.rs` in this crate).
 //!
 //! Per-thread policy counters (ICOUNT / BRCOUNT / MISSCOUNT) are maintained
 //! incrementally at the same transitions, so fetch ranking reads them in
-//! O(1). The stage phases live in sibling modules ([`fetch`], [`rename`],
+//! O(1). All of this bookkeeping is a function of the slab, the ROBs and
+//! the register scoreboard, so a checkpoint carries none of it: restore
+//! recounts it in one walk over the ROBs. The stage phases live in sibling modules ([`fetch`], [`rename`],
 //! [`issue`], [`commit`], [`scheduler`]); this module owns the machine
 //! state and the cycle driver.
 //!
@@ -93,7 +95,7 @@ use crate::config::{SimConfig, WorkloadSpec};
 use crate::regfile::{PhysRegFile, RenameMap};
 use crate::report::{FetchBreakdown, IssueBreakdown, SimReport, ThreadReport};
 
-use slab::{GenRef, InstRef, InstSlab, PendingLoads, PREG_NONE};
+use slab::{GenRef, InstRef, InstSlab, PREG_NONE};
 
 /// One ready instruction, parked in the age-sorted ready set until issued.
 ///
@@ -101,7 +103,7 @@ use slab::{GenRef, InstRef, InstSlab, PendingLoads, PREG_NONE};
 /// and the load-speculation window bound — so building issue candidates
 /// touches neither the slab nor the register scoreboard; the slab is
 /// consulted only for instructions that actually win a functional unit.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct ReadyEntry {
     /// Global age (the issue policies' `age` field).
     seq: u64,
@@ -125,7 +127,7 @@ struct ReadyEntry {
 /// miss-completed) instruction, parked in its due cycle's calendar bucket.
 /// `seq` orders the bucket (global age order) and the tagged ref fails its
 /// slab lookup if the instruction was squashed after scheduling.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct ExecEvent {
     seq: u64,
     inst: GenRef,
@@ -299,9 +301,11 @@ pub struct Simulator {
     exec_done: [Vec<ExecEvent>; EXEC_RING],
     mem: MemoryHierarchy,
     bp: BranchPredictor,
-    /// Outstanding D-miss loads, keyed by request id (see
-    /// [`slab::PendingLoads`]).
-    pending_loads: PendingLoads,
+    /// Outstanding D-miss loads as `(request, load)` pairs, sorted by
+    /// request id: `smt-mem` issues ids in increasing order, so issue
+    /// appends and a completion binary-searches and removes. Entries of
+    /// squashed loads go stale and leave when their miss completes.
+    pending_loads: Vec<(ReqId, GenRef)>,
     stats: PipelineStats,
     /// Provenance marker copied into [`SimReport`]: set only by
     /// [`mark_restored_from_checkpoint`](Simulator::mark_restored_from_checkpoint),
@@ -428,7 +432,7 @@ impl Simulator {
             exec_done: std::array::from_fn(|_| Vec::with_capacity(128)),
             mem,
             bp,
-            pending_loads: PendingLoads::with_capacity(256),
+            pending_loads: Vec::with_capacity(256),
             stats: PipelineStats::default(),
             restored_from_checkpoint: false,
             fetch_rank_scratch: Vec::new(),
@@ -493,7 +497,7 @@ impl Simulator {
     /// Every recorded pending load, as `(request, load)` pairs.
     #[cfg(test)]
     fn pending_load_entries(&self) -> impl Iterator<Item = (ReqId, GenRef)> + '_ {
-        self.pending_loads.entries()
+        self.pending_loads.iter().copied()
     }
 
     /// Correct-path instructions committed since construction, across all

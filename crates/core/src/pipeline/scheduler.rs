@@ -5,9 +5,9 @@
 //!
 //! * **Miss completions** arrive from `smt-mem` as [`Completion`] events
 //!   (scheduled when the miss started, delivered the cycle the data
-//!   returns) and are matched to waiting loads through the
-//!   [`PendingLoads`](super::slab::PendingLoads) table — one array index
-//!   per completion — or to blocked fetch units.
+//!   returns) and are matched to waiting loads through the sorted
+//!   pending-load list — one binary search per completion — or to blocked
+//!   fetch units.
 //! * **Writeback** drains one bucket of the `exec_done` calendar ring per
 //!   cycle — every instruction scheduled its own writeback into its
 //!   completion cycle's bucket when it issued (so events must land within
@@ -48,7 +48,11 @@ impl Simulator {
         comps.clear();
         self.mem.drain_completions_into(&mut comps);
         for done in &comps {
-            if let Some(tag) = self.pending_loads.remove(done.req) {
+            let pending = self
+                .pending_loads
+                .binary_search_by_key(&done.req, |&(req, _)| req);
+            if let Ok(i) = pending {
+                let (_, tag) = self.pending_loads.remove(i);
                 if let Some(iref) = self.insts.live(tag) {
                     let h = &mut self.insts.hot[iref.index()];
                     if h.state() == InstState::WaitingMem {

@@ -30,17 +30,11 @@
 //!   fraction, not two lines. [`ColdInst`] keeps the 24-byte
 //!   branch-resolution payload, written only for correct-path control
 //!   instructions and touched only when one resolves.
-//!
-//! The module also houses [`PendingLoads`], the `ReqId`-indexed
-//! open-addressed table for outstanding D-cache misses: request ids are dense and monotonic, so a
-//! miss completion resolves with one masked array index and one compare
-//! instead of a hash probe.
 
 use std::io::{self, Read, Write};
 
 use smt_branch::Prediction;
-use smt_isa::{Addr, Opcode, Outcome, Reg, RegClass};
-use smt_mem::ReqId;
+use smt_isa::{Addr, Opcode, Outcome, Reg, RegClass, LOGICAL_REGS};
 use smt_stats::binio::{invalid, BinReader, BinWriter};
 use smt_stats::{persist, Persist};
 
@@ -63,7 +57,7 @@ impl InstRef {
 /// artifact was created. Stale artifacts (their instruction squashed, the
 /// slot possibly reused) fail [`InstSlab::live`] and are dropped, exactly
 /// as stale sequence numbers failed `Thread::locate` before.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GenRef {
     iref: InstRef,
     gen: u32,
@@ -87,12 +81,6 @@ impl GenRef {
             iref: InstRef(slot),
             gen,
         }
-    }
-
-    /// The slot handle (checkpoint restore validation).
-    #[inline]
-    pub(crate) fn slot(self) -> InstRef {
-        self.iref
     }
 }
 
@@ -178,7 +166,8 @@ pub(crate) struct HotInst {
     /// Global fetch order; never reused (the issue policies' age key).
     pub(crate) seq: u64,
     /// Decode-done cycle while `Decoding`; writeback cycle while
-    /// `Executing`; meaningless otherwise.
+    /// `Executing`; the miss's request id while `WaitingMem` (how restore
+    /// recounts the pending loads); meaningless otherwise.
     pub(crate) when: u64,
     /// Effective address for memory instructions (synthesized on the wrong
     /// path).
@@ -241,14 +230,36 @@ impl HotInst {
             | if mispredict { FLAG_MISPREDICT } else { 0 }
     }
 
+    /// Rejects a record fetch and rename could not have written: unknown
+    /// flag bits, a mispredict flag off a correct-path control
+    /// instruction, a logical register outside its file, a decoding record
+    /// that names a physical register, or a half-renamed destination.
     fn validate(&self) -> io::Result<()> {
         let flags = self.flags;
+        let lregs = [self.dest_log, self.srcs_log[0], self.srcs_log[1]];
+        let renames = self.dest_log != LREG_NONE;
+        let pregs_ok = match self.state() {
+            InstState::Decoding => {
+                [
+                    self.dest_phys,
+                    self.prev_phys,
+                    self.srcs_phys[0],
+                    self.srcs_phys[1],
+                ] == [PREG_NONE; 4]
+            }
+            _ => {
+                renames == (self.dest_phys != PREG_NONE) && renames == (self.prev_phys != PREG_NONE)
+            }
+        };
         if flags & STATE_MASK > InstState::Done as u8
             || flags & !(STATE_MASK | FLAG_WRONG_PATH | FLAG_MISPREDICT) != 0
+            || self.mispredict() && (self.wrong_path() || !self.op.is_control())
+            || lregs
+                .iter()
+                .any(|&l| l != LREG_NONE && usize::from(l & 0x7f) >= LOGICAL_REGS)
+            || !pregs_ok
         {
-            return Err(invalid(format!(
-                "invalid instruction flag byte {flags:#04x}"
-            )));
+            return Err(invalid(format!("invalid instruction record {self:?}")));
         }
         Ok(())
     }
@@ -389,29 +400,25 @@ impl InstSlab {
         (self.hot[t.iref.index()].gen == t.gen).then_some(t.iref)
     }
 
-    /// Rejects a restored handle that names no slot.
-    pub(crate) fn check_ref(&self, r: InstRef) -> io::Result<()> {
-        if r.index() < self.hot.len() {
-            Ok(())
-        } else {
-            Err(invalid(format!(
-                "instruction handle {} outside the slab",
-                r.0
-            )))
-        }
-    }
-
-    /// Rejects a restored free list that names a slot outside the slab, or
-    /// one slot twice.
-    fn validate(&self) -> io::Result<()> {
+    /// Rejects a restored slab whose free list and ROBs do not between them
+    /// hold every slot exactly once: a handle outside the slab, a slot
+    /// freed or held twice, or one neither free nor held.
+    pub(crate) fn check_held<'a>(&self, robs: impl Iterator<Item = &'a InstRef>) -> io::Result<()> {
         let mut seen = vec![false; self.hot.len()];
-        for &i in &self.free {
-            let idx = i as usize;
-            if idx >= seen.len() || std::mem::replace(&mut seen[idx], true) {
-                return Err(invalid(format!("invalid free-list slot {i}")));
+        for i in self.free.iter().copied().chain(robs.map(|r| r.0)) {
+            match seen.get_mut(i as usize) {
+                Some(s) if !*s => *s = true,
+                _ => {
+                    return Err(invalid(format!(
+                        "slot {i} is outside the slab or held twice"
+                    )))
+                }
             }
         }
-        Ok(())
+        match seen.iter().position(|&s| !s) {
+            Some(i) => Err(invalid(format!("slot {i} is neither free nor in a ROB"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -431,13 +438,11 @@ impl Persist for InstSlab {
         self.cold.clear();
         self.cold.resize(self.hot.len(), ColdInst::default());
         ColdInst::restore_slice(&mut self.cold, r)?;
-        self.free.restore(r)?;
-        self.validate()
+        self.free.restore(r)
     }
 }
 
 persist! { InstRef { 0 } }
-persist! { GenRef { iref, gen } }
 persist! {
     HotInst {
         gen, seq, when, mem_addr, dest_phys, prev_phys, srcs_phys, flags, op via opcode, ti,
@@ -461,168 +466,6 @@ pub(crate) mod opcode {
         let code = r.u8()?;
         *op = Opcode::from_code(code)
             .ok_or_else(|| invalid(format!("invalid opcode code {code}")))?;
-        Ok(())
-    }
-}
-
-/// Outstanding D-cache-miss loads, keyed by [`ReqId`] in an open-addressed
-/// power-of-two table: request ids are issued densely and monotonically by
-/// `smt-mem`, and the live window (oldest outstanding to newest) is small,
-/// so `req & mask` almost never collides — a completion lookup is one
-/// array index plus one compare. On the rare collision (the live window
-/// outgrew the table) the table doubles and re-places its live entries.
-#[derive(Debug)]
-pub(crate) struct PendingLoads {
-    slots: Vec<PendingSlot>,
-    mask: u64,
-    len: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingSlot {
-    /// The raw request id, or `EMPTY`.
-    req: u64,
-    /// The waiting load.
-    load: GenRef,
-}
-
-const EMPTY: u64 = u64::MAX;
-
-impl PendingLoads {
-    /// An empty table with `capacity` (rounded up to a power of two) slots.
-    pub(crate) fn with_capacity(capacity: usize) -> PendingLoads {
-        let cap = capacity.next_power_of_two().max(8);
-        PendingLoads {
-            slots: vec![
-                PendingSlot {
-                    req: EMPTY,
-                    load: GenRef {
-                        iref: InstRef(0),
-                        gen: 0,
-                    },
-                };
-                cap
-            ],
-            mask: cap as u64 - 1,
-            len: 0,
-        }
-    }
-
-    /// Number of outstanding entries (test observability).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Records the load waiting on `req`. Request ids are unique, so `req`
-    /// is never already present.
-    pub(crate) fn insert(&mut self, req: ReqId, load: GenRef) {
-        loop {
-            let idx = (req.0 & self.mask) as usize;
-            if self.slots[idx].req == EMPTY {
-                self.slots[idx] = PendingSlot { req: req.0, load };
-                self.len += 1;
-                return;
-            }
-            debug_assert_ne!(self.slots[idx].req, req.0, "request ids are unique");
-            self.grow();
-        }
-    }
-
-    /// Removes and returns the load waiting on `req`, if one is recorded.
-    #[inline]
-    pub(crate) fn remove(&mut self, req: ReqId) -> Option<GenRef> {
-        let idx = (req.0 & self.mask) as usize;
-        let slot = self.slots[idx];
-        if slot.req != req.0 {
-            return None; // not a pending load (e.g. an I-side completion)
-        }
-        self.slots[idx].req = EMPTY;
-        self.len -= 1;
-        Some(slot.load)
-    }
-
-    /// Every outstanding entry, as `(request, load)` pairs.
-    #[cfg(test)]
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (ReqId, GenRef)> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.req != EMPTY)
-            .map(|s| (ReqId(s.req), s.load))
-    }
-
-    /// Every outstanding load.
-    pub(crate) fn loads(&self) -> impl Iterator<Item = GenRef> + '_ {
-        self.slots.iter().filter(|s| s.req != EMPTY).map(|s| s.load)
-    }
-
-    /// Doubles the table and re-places the live entries (their home slot
-    /// depends on the mask).
-    fn grow(&mut self) {
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![
-                PendingSlot {
-                    req: EMPTY,
-                    load: GenRef {
-                        iref: InstRef(0),
-                        gen: 0,
-                    },
-                };
-                (self.mask as usize + 1) * 2
-            ],
-        );
-        self.mask = self.slots.len() as u64 - 1;
-        for s in old {
-            if s.req != EMPTY {
-                let idx = (s.req & self.mask) as usize;
-                debug_assert_eq!(self.slots[idx].req, EMPTY, "doubling separates the window");
-                self.slots[idx] = s;
-            }
-        }
-    }
-}
-
-/// The table's checkpoint section: its capacity, then the live entries in
-/// slot order. Slot order is deterministic for a given logical content and
-/// capacity, so identical state produces identical bytes; restore
-/// re-inserts each entry into a table of the saved capacity, so the slot
-/// layout — and thus any later checkpoint — reproduces exactly.
-impl Persist for PendingLoads {
-    fn save(&self, w: &mut BinWriter<&mut dyn Write>) -> io::Result<()> {
-        w.len(self.slots.len())?;
-        w.len(self.len)?;
-        for s in self.slots.iter().filter(|s| s.req != EMPTY) {
-            (s.req, s.load).save(w)?;
-        }
-        Ok(())
-    }
-
-    fn restore(&mut self, r: &mut BinReader<&mut dyn Read>) -> io::Result<()> {
-        let cap = r.len()?;
-        if !cap.is_power_of_two() || cap > 1 << 24 {
-            return Err(invalid(format!(
-                "invalid pending-load table capacity {cap}"
-            )));
-        }
-        let n = r.len()?;
-        if n > cap {
-            return Err(invalid(format!(
-                "{n} pending loads exceed table capacity {cap}"
-            )));
-        }
-        *self = PendingLoads::with_capacity(cap);
-        for _ in 0..n {
-            let (req, load) = <(u64, GenRef)>::decode(r)?;
-            // `insert` assumes unique ids: a repeated one would double the
-            // table forever.
-            if req == EMPTY || self.slots[(req & self.mask) as usize].req == req {
-                return Err(invalid(format!(
-                    "empty-sentinel or repeated pending-load request id {req:#x}"
-                )));
-            }
-            self.insert(ReqId(req), load);
-        }
         Ok(())
     }
 }
@@ -754,41 +597,5 @@ mod tests {
         assert_eq!(slab.live(at_max), None, "wrap-boundary tag stays stale");
         assert_eq!(slab.live(slab.tag(r4)), Some(r4));
         assert_eq!(slab.hot[r4.index()].seq, 3);
-    }
-
-    #[test]
-    fn pending_loads_insert_remove_roundtrip() {
-        let mut slab = InstSlab::with_capacity(2);
-        let a = slab.alloc(hot(1));
-        let b = slab.alloc(hot(2));
-        let mut p = PendingLoads::with_capacity(8);
-        p.insert(ReqId(3), slab.tag(a));
-        p.insert(ReqId(11), slab.tag(b)); // 11 & 7 == 3: forces a grow
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.remove(ReqId(3)), Some(slab.tag(a)));
-        assert_eq!(p.remove(ReqId(3)), None, "removal is once-only");
-        assert_eq!(p.remove(ReqId(11)), Some(slab.tag(b)));
-        assert_eq!(p.len(), 0);
-        // Unknown requests (e.g. I-side completions) resolve to None.
-        assert_eq!(p.remove(ReqId(999)), None);
-    }
-
-    #[test]
-    fn pending_loads_survive_many_colliding_windows() {
-        let mut slab = InstSlab::with_capacity(1);
-        let a = slab.alloc(hot(1));
-        let tag = slab.tag(a);
-        let mut p = PendingLoads::with_capacity(8);
-        // Monotonic request ids with a sliding live window, as the memory
-        // hierarchy produces them.
-        for base in 0..1000u64 {
-            for k in 0..4 {
-                p.insert(ReqId(base * 4 + k), tag);
-            }
-            for k in 0..4 {
-                assert_eq!(p.remove(ReqId(base * 4 + k)), Some(tag));
-            }
-        }
-        assert_eq!(p.len(), 0);
     }
 }

@@ -95,8 +95,8 @@ impl PhysRegFile {
     /// in-flight instruction, so `2 × slab capacity`) once at
     /// construction, making the steady-state cycle path allocation-free
     /// even when dependence chains overflow the inline slots; checkpoint
-    /// restore only `clear()`s the vector, so forked machines keep the
-    /// capacity.
+    /// restore re-registers into the built vector, so forked machines keep
+    /// the capacity.
     pub(crate) fn reserve_waiters(&mut self, n: usize) {
         self.spill.reserve(n);
     }
@@ -214,41 +214,44 @@ impl PhysRegFile {
         inline.iter().copied().chain(spilled.map(|&(_, c)| c))
     }
 
-    /// Every consumer on a wakeup list: the live inline waiters, then the
-    /// spilled ones. Inline slots past `waiting` are placeholders.
-    pub(crate) fn waiters(&self) -> impl Iterator<Item = Consumer> + '_ {
-        let inline = self
-            .state
-            .iter()
-            .flat_map(|s| &s.inline[..usize::from(s.waiting).min(INLINE_WAITERS)]);
-        inline.copied().chain(self.spill.iter().map(|&(_, c)| c))
-    }
-
-    /// Rejects a restored free or spill list that names a register outside
-    /// the file, or a free list that names one twice.
-    fn validate(&self) -> std::io::Result<()> {
+    /// Rejects a restored file that does not account for each register
+    /// exactly once: free, or `held` (mapped, or the previous mapping of an
+    /// in-flight instruction). A free register must also be ready, as
+    /// [`release`](PhysRegFile::release) leaves it.
+    pub(crate) fn check_conserved(&self, held: &[u16]) -> std::io::Result<()> {
         let mut seen = vec![false; self.state.len()];
-        for &p in &self.free {
-            let idx = usize::from(p);
-            if idx >= seen.len() || std::mem::replace(&mut seen[idx], true) {
-                return Err(invalid(format!("invalid free-list register {p}")));
+        for &p in self.free.iter().chain(held) {
+            match seen.get_mut(usize::from(p)) {
+                Some(s) if !*s => *s = true,
+                _ => {
+                    return Err(invalid(format!(
+                        "physical register {p} is outside its file or held twice"
+                    )))
+                }
             }
         }
+        if let Some(p) = seen.iter().position(|&s| !s) {
+            return Err(invalid(format!(
+                "physical register {p} is neither free nor held"
+            )));
+        }
         match self
-            .spill
+            .free
             .iter()
-            .find(|&&(p, _)| usize::from(p) >= seen.len())
+            .find(|&&p| !self.state[usize::from(p)].ready)
         {
-            Some((p, _)) => Err(invalid(format!("spilled waiter names register {p}"))),
+            Some(p) => Err(invalid(format!("free physical register {p} is not ready"))),
             None => Ok(()),
         }
     }
 }
 
-// Checkpoint sections: the free list, every register record (including its
-// inline wakeup list) and the spill list; then each thread's rename map.
-persist! { PhysRegFile { free, state, spill } check PhysRegFile::validate }
-persist! { RegState { ready_at, inline, waiting, ready, by_load } }
+// Checkpoint sections: the free list and every register's scoreboard
+// state; then each thread's rename map. The wakeup lists are not carried:
+// restore rebuilds them from the queued instructions' sources
+// (`Simulator::recount`).
+persist! { PhysRegFile { free, state } skip { spill } }
+persist! { RegState { ready_at, ready, by_load } skip { inline, waiting } }
 persist! { RenameMap { map } }
 
 /// One thread's rename maps, one per register class.
@@ -289,18 +292,9 @@ impl RenameMap {
         std::mem::replace(&mut self.map[r.class().index()][r.index()], p)
     }
 
-    /// Rejects a restored map that names a register outside its class's
-    /// file.
-    pub(crate) fn validate(&self, files: &[PhysRegFile; 2]) -> std::io::Result<()> {
-        for (class, file) in self.map.iter().zip(files) {
-            if let Some(p) = class.iter().find(|&&p| usize::from(p) >= file.size()) {
-                return Err(invalid(format!(
-                    "rename map names physical register {p} of a {}-register file",
-                    file.size()
-                )));
-            }
-        }
-        Ok(())
+    /// The physical register of every logical register, by class.
+    pub(crate) fn physical(&self) -> &[[u16; LOGICAL_REGS]; 2] {
+        &self.map
     }
 }
 

@@ -146,9 +146,11 @@ fn resealed_checkpoint_corruption_is_typed_or_round_trips() {
     // damaged *before* its checksum was computed — a buggy writer, or a
     // hand-edited file — gets past it to the field lists' own checks, so
     // flip bits and recompute the trailer: every result must be a typed
-    // error or a machine whose own checkpoint restores to the same bytes,
-    // never a panic. One machine carries every kind of checkpointed state:
-    // an ELF executor, a trace cursor and a synthetic oracle.
+    // error or a machine whose own checkpoint restores to the same bytes
+    // and that then runs, never a panic (a check restore skips is a panic
+    // waiting in the pipeline). One machine carries every kind of
+    // checkpointed state: an ELF executor, a trace cursor and a synthetic
+    // oracle.
     let trace = Arc::new(TraceImage::record(&loop_image(), 64).expect("record"));
     let sources = [
         WorkloadSpec::Elf(loop_image()),
@@ -171,7 +173,7 @@ fn resealed_checkpoint_corruption_is_typed_or_round_trips() {
         bytes[at] ^= 1 << (at % 8);
         let sum = fnv1a(FNV_OFFSET, &bytes[..trailer]);
         bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
-        if let Ok(accepted) = restore(&bytes) {
+        if let Ok(mut accepted) = restore(&bytes) {
             let mut again = Vec::new();
             accepted.save_checkpoint(&mut again).expect("vec write");
             let mut twice = Vec::new();
@@ -182,6 +184,12 @@ fn resealed_checkpoint_corruption_is_typed_or_round_trips() {
                 .save_checkpoint(&mut twice)
                 .expect("vec write");
             assert_eq!(again, twice, "flip at {at}: save and restore disagree");
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for _ in 0..50 {
+                    accepted.step_cycle();
+                }
+            }));
+            assert!(ran.is_ok(), "flip at {at}: an accepted machine panicked");
         }
     }
 }

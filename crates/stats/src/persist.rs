@@ -30,7 +30,8 @@
 //! field changes the `SMT1CKPT` payload (bump its `FORMAT_VERSION`;
 //! `tests/format_pins.rs` notices). A `check` function runs after the
 //! fields are read and rejects what the types cannot: out-of-range values,
-//! dangling indices. Malformed input is an
+//! dangling indices. It may also rebuild skipped fields that are derived
+//! from the listed ones, so a derived value is never stored. Malformed input is an
 //! [`InvalidData`](io::ErrorKind::InvalidData) or
 //! [`UnexpectedEof`](io::ErrorKind::UnexpectedEof) error, never a panic:
 //! lengths read from the stream are never trusted for an allocation.
@@ -121,8 +122,8 @@ pub trait Persist {
 /// * `field via codec` reads and writes the field through the functions
 ///   `codec::save(&T, w)` and `codec::restore(&mut T, r)`, for a field
 ///   type that cannot implement [`Persist`] itself (a foreign type).
-/// * `check` names a `fn(&Self) -> std::io::Result<()>` run after every
-///   field is read.
+/// * `check` names a `fn(&Self)` or `fn(&mut Self)` returning
+///   `std::io::Result<()>`, run after every field is read.
 ///
 /// Tuple structs list their fields by position (`persist!(Id { 0 })`).
 #[macro_export]

@@ -142,8 +142,8 @@ fn checkpoints_never_observe_a_partial_fetch_block() {
     pin(
         "the mixed4 checkpoint at cycle 771",
         &bytes,
-        334_862,
-        0x4beb_0cbf_20d2_7e16,
+        305_190,
+        0x5670_2bcf_20a5_9827,
         "checkpoint bytes changed",
     );
     let mut restored =

@@ -10,7 +10,8 @@
 //! valid checksum. The report-stream and JSON literals were computed at
 //! the commit before the tables existed and pass there too; the
 //! checkpoint literals were re-pinned when checkpoint format version 2
-//! changed the machine's state layout. ROADMAP.md, "Adding a counter" and
+//! changed the machine's state layout, and again when version 3 stopped
+//! carrying the scheduler bookkeeping restore recounts. ROADMAP.md, "Adding a counter" and
 //! "Adding checkpointed state", says what to do when they move.
 
 use std::sync::Arc;
@@ -49,8 +50,8 @@ fn report_stream_checkpoint_and_json_bytes_are_pinned() {
     pin(
         "Simulator::save_checkpoint",
         &checkpoint,
-        372_574,
-        0x95f5_d216_96dd_dd7c,
+        319_106,
+        0x7f63_96e4_f2f2_69e3,
         CHECKPOINT_CHANGED,
     );
 
@@ -92,8 +93,8 @@ fn backend_checkpoint_sections_are_pinned() {
     pin(
         "Simulator::save_checkpoint (ELF, trace and synthetic sources)",
         &checkpoint,
-        448_646,
-        0xb095_1ea0_101c_6ce3,
+        432_464,
+        0x9058_35ff_6e49_ebc1,
         CHECKPOINT_CHANGED,
     );
 }
