@@ -128,8 +128,9 @@ impl Simulator {
     /// a renamed record behind a decoding one, a writeback outside the
     /// calendar, an outstanding-operand count that disagrees with the
     /// scoreboard, wrong-path records anywhere but behind the one
-    /// unresolved mispredicted branch, a rename chain that does not end in
-    /// the map, or registers that are not conserved.
+    /// unresolved mispredicted branch, a wait on a request the memory
+    /// hierarchy never issued, a rename chain that does not end in the
+    /// map, or registers that are not conserved.
     fn recount(&mut self) -> io::Result<()> {
         self.insts
             .check_held(self.threads.iter().flat_map(|t| t.rob.iter()))?;
@@ -230,6 +231,9 @@ impl Simulator {
                         self.exec_done[h.when as usize % EXEC_RING].push(event);
                     }
                     InstState::WaitingMem => {
+                        if !self.mem.is_outstanding(ReqId(h.when)) {
+                            return corrupt("a load waits on a request never issued");
+                        }
                         t.outstanding_misses += 1;
                         self.pending_loads.push((ReqId(h.when), tag));
                     }
@@ -237,6 +241,11 @@ impl Simulator {
             }
             if diverged != t.wrong_path || !t.wrong_path && t.fetch_pc != t.source.pc() {
                 return corrupt("its fetch state disagrees with its ROB");
+            }
+            if t.icache_req
+                .is_some_and(|req| !self.mem.is_outstanding(req))
+            {
+                return corrupt("fetch waits on a request never issued");
             }
             for ((class, last), mapped) in last_dest.iter().enumerate().zip(t.map.physical()) {
                 if last
@@ -448,7 +457,7 @@ mod tests {
             Simulator::restore_checkpoint(cfg(), &mut checkpoint_of(&sim).as_slice())
         };
         hostile(|_| {}).expect("an undamaged machine restores");
-        let cases: [(&str, Damage); 14] = [
+        let cases: [(&str, Damage); 16] = [
             ("a record of thread 200", |sim| {
                 record(sim, |_| true).ti = 200
             }),
@@ -505,6 +514,12 @@ mod tests {
             ("a wrong-path flag with no mispredicted branch", |sim| {
                 let t = sim.threads.iter_mut().find(|t| !t.wrong_path).unwrap();
                 t.wrong_path = true;
+            }),
+            ("a load waiting on a request never issued", |sim| {
+                record(sim, |h| h.state() == InstState::WaitingMem).when = 1 << 40;
+            }),
+            ("fetch waiting on a request never issued", |sim| {
+                sim.threads[0].icache_req = Some(ReqId(1 << 40));
             }),
             ("correct-path fetch off its source's path", |sim| {
                 let t = sim.threads.iter_mut().find(|t| !t.wrong_path).unwrap();

@@ -885,6 +885,15 @@ impl MemoryHierarchy {
         self.l1_access(Side::Data, thread, addr, write, true)
     }
 
+    /// Whether `req` is still to be answered: waiting on a miss or a page
+    /// walk, or answered and not yet drained. A checkpoint restore uses it
+    /// to refuse a machine that waits on a request never issued.
+    pub fn is_outstanding(&self, req: ReqId) -> bool {
+        self.mshrs.iter().any(|m| m.waiters.contains(&req))
+            || self.delay_only.iter().any(|&(_, r)| r == req)
+            || self.ready.iter().any(|c| c.req == req)
+    }
+
     /// Drains all ready miss completions into `out` (appended, preserving
     /// arrival order); allocation-free when the caller reuses the buffer
     /// every cycle.
