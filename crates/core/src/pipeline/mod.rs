@@ -63,9 +63,9 @@
 //! incrementally at the same transitions, so fetch ranking reads them in
 //! O(1). All of this bookkeeping is a function of the slab, the ROBs and
 //! the register scoreboard, so a checkpoint carries none of it: restore
-//! recounts it in one walk over the ROBs. The stage phases live in sibling modules ([`fetch`], [`rename`],
-//! [`issue`], [`commit`], [`scheduler`]); this module owns the machine
-//! state and the cycle driver.
+//! recounts it in one walk over the ROBs. The stage phases live in sibling
+//! modules ([`fetch`], [`rename`], [`issue`], [`commit`], [`scheduler`]);
+//! this module owns the machine state and the cycle driver.
 //!
 //! Fetch follows *predicted* paths: the per-thread oracle supplies the
 //! correct path, the predictor supplies choices, and any disagreement sends
