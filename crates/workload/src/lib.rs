@@ -15,9 +15,10 @@
 //! I-cache and D-cache locality and inter-thread conflict behaviour, and
 //! wrong-path fetch down mispredicted directions.
 //!
-//! The [`ThreadContext`] oracle executes the correct path architecturally
-//! (next PC, branch outcomes, effective addresses) so the pipeline can mark
-//! divergence points and synthesize wrong-path behaviour.
+//! A [`SyntheticSource`] executes one such program's correct path
+//! architecturally (next PC, branch outcomes, effective addresses) so the
+//! pipeline can mark divergence points, and synthesizes the wrong-path
+//! instructions and addresses fetched past them.
 //!
 //! # Workload backends
 //!
@@ -25,9 +26,9 @@
 //! [`WorkloadSource`] trait, so synthetic programs are one backend among
 //! several rather than a baked-in assumption. Three backends ship:
 //!
-//! * [`SyntheticSource`] — wraps a generated [`Program`] and its
-//!   [`ThreadContext`] oracle (the default, and the only path the paper's
-//!   committed study goldens use).
+//! * [`SyntheticSource`] — the correct-path oracle of a generated
+//!   [`Program`] (the default, and the only path the paper's committed
+//!   study goldens use).
 //! * [`RiscvSource`] ([`riscv`] module) — functionally executes a real
 //!   rv64i/rv32i binary loaded from an ELF (or flat) image
 //!   ([`RiscvImage`]); each `step` decodes and retires one instruction
@@ -39,7 +40,10 @@
 //!
 //! ## Writing a new backend
 //!
-//! Implement [`WorkloadSource`]. The contract, in pipeline terms:
+//! Implement [`WorkloadSource`] on the backend's state type itself, as
+//! each shipped backend does: one type holds the image handle and the
+//! cursor, with no adapter forwarding to an inner executor. The contract,
+//! in pipeline terms:
 //!
 //! 1. `step` retires the next correct-path instruction and returns its
 //!    static form plus the architectural outcome (next PC, branch
@@ -55,7 +59,10 @@
 //! 4. The `Persist` supertrait serializes the cursor for warmed-state
 //!    checkpoints: one `smt_stats::persist!` list of the mutable fields,
 //!    with the image `skip`ped (it travels as a config fingerprint, not
-//!    checkpoint payload).
+//!    checkpoint payload). State that is a function of the stored fields
+//!    is `skip`ped too and rebuilt by the list's `check` hook, as
+//!    [`SyntheticSource`] rebuilds its loop phases and stride offsets
+//!    from its execution counts.
 //!
 //! Then give the config layer a handle: `smt-core`'s `WorkloadSpec` enum
 //! names each backend's image type, `SimConfig::with_workloads` installs
@@ -67,15 +74,18 @@
 //! # Examples
 //!
 //! ```
-//! use smt_workload::{Benchmark, ThreadContext};
+//! use smt_workload::{Benchmark, SyntheticSource, WorkloadSource};
 //! use std::sync::Arc;
 //!
 //! let program = Arc::new(Benchmark::Espresso.generate(42, 0));
-//! let mut oracle = ThreadContext::new(program, 7);
+//! let mut source = SyntheticSource::new(program, 7);
 //! for _ in 0..1000 {
-//!     let (inst, outcome) = oracle.step();
-//!     let _ = (inst.op, outcome.next_pc);
+//!     let (inst, outcome) = source.step();
+//!     assert_eq!(outcome.next_pc, source.pc());
+//!     let _ = inst.op;
 //! }
+//! assert_eq!(source.name(), "espresso");
+//! assert_eq!(source.executed(), 1000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,11 +100,11 @@ mod source;
 pub mod trace;
 
 pub use gen::{PatternSpec, ProfileParams, RegionSpec};
-pub use oracle::{ThreadContext, WrongPath};
+pub use oracle::SyntheticSource;
 pub use profiles::{standard_mix, Benchmark};
 pub use program::{BranchBehavior, BranchModel, MemModel, MemPattern, Program, Region};
 pub use riscv::{RiscvImage, RiscvSource, Xlen};
-pub use source::{SyntheticSource, WorkloadSource};
+pub use source::WorkloadSource;
 pub use trace::{TraceImage, TraceSource};
 
 /// A fast, high-quality 64-bit mixing function (SplitMix64 finalizer).

@@ -1,20 +1,22 @@
-//! Correct-path architectural oracle and wrong-path synthesis.
+//! The synthetic backend: [`SyntheticSource`], the correct-path oracle of
+//! a generated [`Program`] and its wrong-path synthesis.
 //!
-//! [`ThreadContext`] executes one thread's program architecturally: it walks
-//! the correct path, resolving every branch direction, indirect target,
-//! return address and effective address from the program's side tables. The
-//! pipeline consumes this stream at fetch time, compares it against its own
-//! predictions, and uses the divergence to drive wrong-path fetch and
-//! squash.
+//! The source executes one thread's program architecturally: it walks the
+//! correct path, resolving every branch direction, indirect target, return
+//! address and effective address from the program's side tables. The
+//! pipeline consumes this stream at fetch time through [`WorkloadSource`],
+//! compares it against its own predictions, and uses the divergence to
+//! drive wrong-path fetch and squash.
 //!
-//! [`WrongPath`] supplies the pipeline with plausible instructions and
-//! addresses once fetch has left the correct path: real image bytes when the
-//! wrong-path PC still lands in code, harmless filler otherwise.
+//! Once fetch has left the correct path, the source supplies plausible
+//! instructions and addresses instead: real image bytes when the wrong-path
+//! PC still lands in code, harmless filler otherwise.
 
 use std::sync::Arc;
 
 use crate::mix64;
 use crate::program::{BranchBehavior, MemPattern, Program};
+use crate::WorkloadSource;
 use smt_isa::{Addr, Opcode, Outcome, Reg, StaticInst, INST_BYTES};
 use smt_stats::binio::invalid;
 use smt_stats::persist;
@@ -23,13 +25,14 @@ use smt_stats::persist;
 /// matches what a bounded synthetic CFG can produce anyway.
 const MAX_CALL_DEPTH: usize = 64;
 
-/// Architectural executor for one hardware context.
+/// The synthetic-CFG backend: the architectural executor of one generated
+/// [`Program`] for one hardware context.
 ///
 /// `step` yields `(instruction, outcome)` pairs forever — generated programs
 /// restart from their entry when the last block is reached, so the oracle
 /// never runs dry.
 #[derive(Debug, Clone)]
-pub struct ThreadContext {
+pub struct SyntheticSource {
     program: Arc<Program>,
     seed: u64,
     pc: Addr,
@@ -53,25 +56,25 @@ pub struct ThreadContext {
 // executed count, per-branch and per-memory-model counters and the modeled
 // return stack. The program and seed are regenerated from the
 // configuration (covered by the checkpoint header's fingerprint), so
-// restore targets a context freshly built from them; the loop phases and
+// restore targets a source freshly built from them; the loop phases and
 // stride offsets are functions of the counters, recounted on restore.
 persist! {
-    ThreadContext {
+    SyntheticSource {
         pc, executed, branch_execs, mem_execs, ret_stack,
-    } skip { program, seed, loop_phase, stride_state } check ThreadContext::recount
+    } skip { program, seed, loop_phase, stride_state } check SyntheticSource::recount
 }
 
-impl ThreadContext {
-    /// Creates an oracle at the program's entry point. `seed` drives all
+impl SyntheticSource {
+    /// Creates the source at the program's entry point. `seed` drives all
     /// probabilistic behaviour (Bernoulli branches, random address
     /// patterns), so equal seeds replay identical dynamic streams.
-    pub fn new(program: Arc<Program>, seed: u64) -> ThreadContext {
+    pub fn new(program: Arc<Program>, seed: u64) -> SyntheticSource {
         let branch_execs = vec![0; program.branch_count()].into();
         let loop_phase = vec![0; program.branch_count()].into();
         let mem_execs = vec![0; program.mem_count()].into();
         let stride_state = vec![(0, 0); program.mem_count()].into();
         let pc = program.entry();
-        let mut ctx = ThreadContext {
+        let mut source = SyntheticSource {
             program,
             seed,
             pc,
@@ -82,8 +85,8 @@ impl ThreadContext {
             stride_state,
             ret_stack: Vec::with_capacity(MAX_CALL_DEPTH),
         };
-        ctx.derive_running_state();
-        ctx
+        source.derive_running_state();
+        source
     }
 
     /// Sets each loop phase and stride state from its execution count,
@@ -108,23 +111,8 @@ impl ThreadContext {
         }
     }
 
-    /// The program this context executes.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// The PC of the next correct-path instruction.
-    pub fn pc(&self) -> Addr {
-        self.pc
-    }
-
-    /// Number of correct-path instructions executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
     /// Derives the loop phases and stride states from the restored
-    /// execution counts and rejects restored state this context's program
+    /// execution counts and rejects restored state this source's program
     /// cannot reach.
     fn recount(&mut self) -> std::io::Result<()> {
         self.derive_running_state();
@@ -141,30 +129,6 @@ impl ThreadContext {
             )));
         }
         Ok(())
-    }
-
-    /// Executes the next correct-path instruction and returns it together
-    /// with its architectural outcome.
-    pub fn step(&mut self) -> (StaticInst, Outcome) {
-        let pc = self.pc;
-        let inst = self
-            .program
-            .inst_at(pc)
-            .expect("oracle PC always points into the code image");
-        let outcome = if inst.op.is_control() {
-            self.control_outcome(pc, &inst)
-        } else if inst.op.is_mem() {
-            Outcome {
-                next_pc: pc + INST_BYTES,
-                taken: false,
-                mem_addr: self.mem_addr(&inst),
-            }
-        } else {
-            Outcome::fallthrough(pc)
-        };
-        self.pc = outcome.next_pc;
-        self.executed += 1;
-        (inst, outcome)
     }
 
     fn control_outcome(&mut self, pc: Addr, inst: &StaticInst) -> Outcome {
@@ -268,31 +232,72 @@ impl ThreadContext {
     }
 }
 
-/// Wrong-path instruction and address synthesis.
-///
-/// Once the pipeline's fetch PC leaves the correct path it can no longer ask
-/// the oracle what comes next; it reads the image directly and, when fetch
-/// runs off the code entirely, receives harmless filler instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WrongPath;
+impl WorkloadSource for SyntheticSource {
+    fn name(&self) -> &str {
+        self.program.name()
+    }
 
-impl WrongPath {
-    /// The instruction fetched from `pc` on the wrong path: the real image
-    /// instruction when `pc` is in code, otherwise an integer ALU filler.
-    pub fn inst_at(program: &Program, pc: Addr) -> StaticInst {
-        program.inst_at(pc).unwrap_or_else(|| {
+    fn pc(&self) -> Addr {
+        self.pc
+    }
+
+    fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    fn step(&mut self) -> (StaticInst, Outcome) {
+        let pc = self.pc;
+        let inst = self
+            .program
+            .inst_at(pc)
+            .expect("oracle PC always points into the code image");
+        let outcome = if inst.op.is_control() {
+            self.control_outcome(pc, &inst)
+        } else if inst.op.is_mem() {
+            Outcome {
+                next_pc: pc + INST_BYTES,
+                taken: false,
+                mem_addr: self.mem_addr(&inst),
+            }
+        } else {
+            Outcome::fallthrough(pc)
+        };
+        self.pc = outcome.next_pc;
+        self.executed += 1;
+        (inst, outcome)
+    }
+
+    /// The real image instruction when `pc` is in code, otherwise an
+    /// integer ALU filler.
+    fn wrong_inst_at(&self, pc: Addr) -> StaticInst {
+        self.program.inst_at(pc).unwrap_or_else(|| {
             StaticInst::op3(Opcode::IntAlu, Reg::int(1), Reg::int(2), Reg::int(3))
         })
     }
 
-    /// A synthesized effective address for a wrong-path memory instruction:
-    /// pseudo-random within one of the program's regions, so wrong-path
-    /// loads pollute the cache plausibly.
-    pub fn mem_addr(program: &Program, pc: Addr, salt: u64) -> Addr {
-        let regions = program.regions();
+    /// Pseudo-random within one of the program's regions.
+    fn wrong_mem_addr(&self, pc: Addr, salt: u64) -> Addr {
+        let regions = self.program.regions();
         let h = mix64(pc ^ salt.rotate_left(17));
         let r = regions[(h % regions.len() as u64) as usize];
         r.base + (mix64(h) % (r.size / 8).max(1)) * 8
+    }
+
+    /// Control instructions with a branch model have a statically-known
+    /// taken target (indirect jumps use their first modeled target);
+    /// returns and modelless instructions fall through.
+    fn wrong_taken_target(&self, inst: StaticInst, pc: Addr) -> Addr {
+        if inst.op.is_control() && inst.op != Opcode::Return && inst.meta != smt_isa::NO_META {
+            let model = self.program.branch_model(inst.meta);
+            if let Some(&t) = model.targets.first() {
+                if inst.op == Opcode::JumpInd {
+                    return t;
+                }
+            }
+            model.taken_target
+        } else {
+            pc + INST_BYTES
+        }
     }
 }
 
@@ -301,14 +306,14 @@ mod tests {
     use super::*;
     use crate::profiles::Benchmark;
 
-    fn oracle() -> ThreadContext {
-        ThreadContext::new(Arc::new(Benchmark::Espresso.generate(42, 0)), 7)
+    fn oracle() -> SyntheticSource {
+        SyntheticSource::new(Arc::new(Benchmark::Espresso.generate(42, 0)), 7)
     }
 
     #[test]
     fn oracle_runs_forever_and_stays_in_code() {
         let mut o = oracle();
-        let program = o.program().clone();
+        let program = o.program.clone();
         for _ in 0..20_000 {
             let (inst, out) = o.step();
             assert!(program.contains(out.next_pc), "next PC must stay in code");
@@ -371,7 +376,7 @@ mod tests {
             entry: 0x1000,
         };
         assert_eq!(program.validate(), Ok(()));
-        let mut o = ThreadContext::new(Arc::new(program), 0);
+        let mut o = SyntheticSource::new(Arc::new(program), 0);
         let mut directions = Vec::new();
         for _ in 0..20 {
             let (inst, out) = o.step();
@@ -386,7 +391,7 @@ mod tests {
     #[test]
     fn restore_derives_loop_phases_and_stride_offsets() {
         // Damage every loop phase and stride offset before the save: each
-        // is a function of its execution count, so a restored context must
+        // is a function of its execution count, so a restored source must
         // recount it rather than trust the stream, and then step exactly as
         // an undamaged twin does.
         use smt_stats::binio::{BinReader, BinWriter};
@@ -401,7 +406,7 @@ mod tests {
         let mut bytes = Vec::new();
         o.save(&mut BinWriter::new(&mut bytes as &mut dyn std::io::Write))
             .expect("vec write");
-        let mut restored = ThreadContext::new(o.program().clone(), 7);
+        let mut restored = SyntheticSource::new(o.program.clone(), 7);
         restored
             .restore(&mut BinReader::new(
                 &mut &bytes[..] as &mut dyn std::io::Read,
@@ -424,7 +429,7 @@ mod tests {
                 Opcode::Call => depth += 1,
                 Opcode::Return => {
                     depth -= 1;
-                    assert!(o.program().contains(out.next_pc));
+                    assert!(o.program.contains(out.next_pc));
                 }
                 _ => {}
             }
@@ -436,16 +441,16 @@ mod tests {
     #[test]
     fn wrong_path_synthesis_is_safe() {
         let o = oracle();
-        let program = o.program();
+        let program = &o.program;
         // Off-image PC yields filler.
-        let filler = WrongPath::inst_at(program, 0xdead_0000);
+        let filler = o.wrong_inst_at(0xdead_0000);
         assert_eq!(filler.op, Opcode::IntAlu);
         // In-image PC yields the real instruction.
-        let real = WrongPath::inst_at(program, program.entry());
+        let real = o.wrong_inst_at(program.entry());
         assert_eq!(Some(real), program.inst_at(program.entry()));
         // Synthesized addresses land in a region.
         for salt in 0..64 {
-            let a = WrongPath::mem_addr(program, program.entry(), salt);
+            let a = o.wrong_mem_addr(program.entry(), salt);
             assert!(program.regions().iter().any(|r| r.contains(a)));
         }
     }

@@ -75,7 +75,7 @@ pub struct BranchModel {
 ///
 /// The image is immutable after generation; per-thread dynamic state
 /// (branch execution counts, call stacks) lives in
-/// [`ThreadContext`](crate::ThreadContext).
+/// [`SyntheticSource`](crate::SyntheticSource).
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) name: String,

@@ -11,9 +11,9 @@
 //!
 //! Three backends ship with the crate:
 //!
-//! * [`SyntheticSource`] — the synthetic-CFG oracle
-//!   ([`ThreadContext`](crate::ThreadContext) over a generated
-//!   [`Program`](crate::Program)), bit-identical to the pre-trait coupling,
+//! * [`SyntheticSource`](crate::SyntheticSource) — the correct-path oracle
+//!   of a generated [`Program`](crate::Program) and its wrong-path
+//!   synthesis,
 //! * [`RiscvSource`](crate::riscv::RiscvSource) — functional execution of a
 //!   real rv32i/rv64i binary image,
 //! * [`TraceSource`](crate::trace::TraceSource) — allocation-free replay of
@@ -22,14 +22,10 @@
 //! See the crate docs for the "writing a workload backend" how-to.
 
 use std::io::{Read, Write};
-use std::sync::Arc;
 
-use smt_isa::{Addr, Opcode, Outcome, StaticInst, INST_BYTES};
+use smt_isa::{Addr, Outcome, StaticInst};
 use smt_stats::binio::{BinReader, BinWriter};
-use smt_stats::{persist, Persist};
-
-use crate::oracle::{ThreadContext, WrongPath};
-use crate::program::Program;
+use smt_stats::Persist;
 
 /// One hardware context's instruction source: the correct-path stream, the
 /// wrong-path synthesis rules, and (through [`Persist`]) the checkpoint
@@ -95,110 +91,17 @@ impl Persist for Box<dyn WorkloadSource> {
     }
 }
 
-/// The synthetic-CFG backend: a [`ThreadContext`] oracle walking a
-/// generated [`Program`], plus the [`WrongPath`] synthesis rules.
-///
-/// This is the pre-trait instruction source, verbatim: every method
-/// reproduces the exact bytes/addresses the old direct coupling produced,
-/// which is what keeps the checked-in goldens and checkpoint streams
-/// byte-identical across the refactor.
-pub struct SyntheticSource {
-    oracle: ThreadContext,
-    program: Arc<Program>,
-}
-
-persist! { SyntheticSource { oracle } skip { program } }
-
-impl SyntheticSource {
-    /// Creates the source at the program's entry point; `seed` drives all
-    /// stochastic oracle behaviour (see [`ThreadContext::new`]).
-    pub fn new(program: Arc<Program>, seed: u64) -> SyntheticSource {
-        SyntheticSource {
-            oracle: ThreadContext::new(program.clone(), seed),
-            program,
-        }
-    }
-
-    /// The synthetic program image this source executes.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-}
-
-impl WorkloadSource for SyntheticSource {
-    fn name(&self) -> &str {
-        self.program.name()
-    }
-
-    fn pc(&self) -> Addr {
-        self.oracle.pc()
-    }
-
-    fn executed(&self) -> u64 {
-        self.oracle.executed()
-    }
-
-    fn step(&mut self) -> (StaticInst, Outcome) {
-        self.oracle.step()
-    }
-
-    fn wrong_inst_at(&self, pc: Addr) -> StaticInst {
-        WrongPath::inst_at(&self.program, pc)
-    }
-
-    fn wrong_mem_addr(&self, pc: Addr, salt: u64) -> Addr {
-        WrongPath::mem_addr(&self.program, pc, salt)
-    }
-
-    fn wrong_taken_target(&self, inst: StaticInst, pc: Addr) -> Addr {
-        // Control instructions with a branch model have a statically-known
-        // taken target (indirect jumps use their first modeled target);
-        // returns and modelless instructions fall through.
-        if inst.op.is_control() && inst.op != Opcode::Return && inst.meta != smt_isa::NO_META {
-            let model = self.program.branch_model(inst.meta);
-            if let Some(&t) = model.targets.first() {
-                if inst.op == Opcode::JumpInd {
-                    return t;
-                }
-            }
-            model.taken_target
-        } else {
-            pc + INST_BYTES
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::Benchmark;
+    use crate::{Benchmark, SyntheticSource};
+    use std::sync::Arc;
 
-    fn source() -> SyntheticSource {
-        SyntheticSource::new(Arc::new(Benchmark::Espresso.generate(42, 0)), 7)
-    }
-
-    #[test]
-    fn synthetic_source_matches_the_raw_oracle() {
-        // The trait adapter must be a zero-cost rename: identical stream,
-        // identical wrong-path synthesis.
-        let mut s = source();
-        let mut o = ThreadContext::new(Arc::new(Benchmark::Espresso.generate(42, 0)), 7);
-        for _ in 0..5_000 {
-            assert_eq!(s.pc(), o.pc());
-            let (si, so) = s.step();
-            let (oi, oo) = o.step();
-            assert_eq!((si, so), (oi, oo));
-        }
-        assert_eq!(s.executed(), o.executed());
-        let program = s.program().clone();
-        for salt in 0..32 {
-            let pc = program.entry() + salt * 4;
-            assert_eq!(s.wrong_inst_at(pc), WrongPath::inst_at(&program, pc));
-            assert_eq!(
-                s.wrong_mem_addr(pc, salt),
-                WrongPath::mem_addr(&program, pc, salt)
-            );
-        }
+    fn source() -> Box<dyn WorkloadSource> {
+        Box::new(SyntheticSource::new(
+            Arc::new(Benchmark::Espresso.generate(42, 0)),
+            7,
+        ))
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use smt_core::{
     WorkloadSpec, MAX_THREADS,
 };
 pub use smt_workload::{
-    standard_mix, Benchmark, Program, RiscvImage, RiscvSource, ThreadContext, TraceImage,
-    TraceSource, WorkloadSource, Xlen,
+    standard_mix, Benchmark, Program, RiscvImage, RiscvSource, TraceImage, TraceSource,
+    WorkloadSource, Xlen,
 };
 
 /// The underlying crates, re-exported for direct access to cache, predictor
