@@ -186,6 +186,7 @@ impl FuKind {
 /// | all other FP           | 4       |
 /// | load (cache hit)       | 1       |
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Opcode {
     /// Simple integer ALU operation (add, sub, logical, shift): latency 1.
     #[default]
@@ -249,30 +250,13 @@ impl Opcode {
         Opcode::Return,
     ];
 
-    /// A stable numeric code for serialization (checkpoints). Codes are
-    /// dense indices into [`Opcode::ALL`]; changing an existing code is a
+    /// A stable numeric code for serialization (checkpoints): the
+    /// declaration order, which is also the order of [`Opcode::ALL`], so
+    /// codes are dense indices into it. Changing an existing code is a
     /// checkpoint-format break and must bump the checkpoint format version.
     #[inline]
     pub fn code(self) -> u8 {
-        match self {
-            Opcode::IntAlu => 0,
-            Opcode::IntMul => 1,
-            Opcode::IntMulLong => 2,
-            Opcode::CondMove => 3,
-            Opcode::Compare => 4,
-            Opcode::FpOp => 5,
-            Opcode::FpDivSingle => 6,
-            Opcode::FpDivDouble => 7,
-            Opcode::Load => 8,
-            Opcode::FpLoad => 9,
-            Opcode::Store => 10,
-            Opcode::FpStore => 11,
-            Opcode::CondBranch => 12,
-            Opcode::Jump => 13,
-            Opcode::JumpInd => 14,
-            Opcode::Call => 15,
-            Opcode::Return => 16,
-        }
+        self as u8
     }
 
     /// Decodes a numeric code written by [`Opcode::code`]; `None` for any
