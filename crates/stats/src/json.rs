@@ -315,8 +315,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_seq(bytes, pos, (b'{', b'}'), |pos| {
+            skip_ws(bytes, pos);
+            let key = parse_string(bytes, pos)?;
+            skip_ws(bytes, pos);
+            expect(bytes, pos, b':')?;
+            Ok((key, parse_value(bytes, pos)?))
+        })
+        .map(Json::Object),
+        Some(b'[') => {
+            parse_seq(bytes, pos, (b'[', b']'), |pos| parse_value(bytes, pos)).map(Json::Array)
+        }
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -410,51 +419,31 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
+/// Parses the `open`…`close` sequence at `pos`, one `item` per element
+/// (the reader's [`write_seq`]).
+fn parse_seq<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    (open, close): (u8, u8),
+    mut item: impl FnMut(&mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    expect(bytes, pos, open)?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
+    if bytes.get(*pos) == Some(&close) {
         *pos += 1;
-        return Ok(Json::Array(items));
+        return Ok(items);
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(item(pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b']') => {
+            Some(&b) if b == close => {
                 *pos += 1;
-                return Ok(Json::Array(items));
+                return Ok(items);
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(pairs));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            _ => return Err(format!("expected ',' or '{}' at byte {pos}", close as char)),
         }
     }
 }
