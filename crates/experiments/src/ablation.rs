@@ -376,18 +376,12 @@ fn plan_sweep(cfg: &AblationStudyConfig) -> (Sweep<'_>, Vec<Axes<'_>>) {
                                 partition,
                                 // An ablation or fetch policy changes the
                                 // machine's behaviour, not its fingerprinted
-                                // geometry, so both live in the key parts.
+                                // geometry, so both live in the key parts
+                                // (and so in the warm cache entry's name).
                                 key_parts: vec!["ablation-study", fetch, window.name(), name],
-                                label: Box::new(move || {
-                                    format!("{name}/{fetch}/{window}/{partition}/{mix}/s{seed}")
-                                }),
                                 warm: match window {
                                     Window::Cold => Warm::None,
                                     Window::Warm => Warm::Own {
-                                        stem: Box::new(move || {
-                                            let key = crate::warmup::key_stem(mix, seed, partition);
-                                            format!("{key}-f{fetch}-a{name}")
-                                        }),
                                         // The cold window's plans of this
                                         // (mix, seed, partition, fetch) sit
                                         // one ablation axis back.

@@ -26,6 +26,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Total attempts per operation (one initial try + retries).
@@ -70,18 +71,20 @@ fn probe(site: &str, key: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// The temp-file sibling a write is staged under before its rename. The
-/// process id keeps concurrent *processes* from clobbering each other's
-/// staging files; within one process each target path is written by at
-/// most one worker, because every sweep configuration's `validate`
-/// rejects an axis that lists an entry twice (distinct cells have distinct
-/// journal keys and cache entries).
+/// The temp-file sibling a write is staged under before its rename, unique
+/// to this write: the process id keeps concurrent *processes* apart, and a
+/// process-wide counter keeps concurrent *workers* apart. Two workers do
+/// store one path when two spellings of a mix name one machine (path
+/// aliases like `a.elf` and `./a.elf`): their cells share a journal entry
+/// and their warmups a cache entry, and each must publish whole bytes.
 fn staging_path(path: &Path) -> PathBuf {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
-    path.with_file_name(format!(".{name}.tmp.{}", std::process::id()))
+    let write = WRITES.fetch_add(1, Ordering::Relaxed);
+    path.with_file_name(format!(".{name}.tmp.{}.{write}", std::process::id()))
 }
 
 /// Whether a directory entry is a staging file left by [`atomic_write`]
@@ -135,7 +138,7 @@ pub(crate) fn read_file(path: &Path, site: &str, probe_key: u64) -> io::Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::AtomicU32;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -196,12 +199,36 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_writes_of_one_path_all_publish() {
+        let dir = tmp_dir("concurrent");
+        let path = dir.join("entry.bin");
+        let payload = vec![0xA5u8; 16 << 10];
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        atomic_write(&path, &payload, "test-write", 0).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(std::fs::read(&path).unwrap() == payload, "torn entry");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["entry.bin"], "staging files leaked");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn staging_names_are_recognized() {
         let staged = staging_path(Path::new("/x/cell-00ff.smtj"));
         let name = staged.file_name().unwrap().to_string_lossy().into_owned();
         assert!(is_staging_name(&name), "{name}");
+        assert_ne!(staged, staging_path(Path::new("/x/cell-00ff.smtj")));
         assert!(!is_staging_name("cell-00ff.smtj"));
-        assert!(!is_staging_name("warm-standard.ckpt"));
+        assert!(!is_staging_name("warm-00ff.ckpt"));
     }
 
     #[test]

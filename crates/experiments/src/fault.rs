@@ -147,7 +147,8 @@ impl DegradeReason {
 /// study document's `degraded_cells` list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
-    /// What degraded — a cache entry file name or a cell label.
+    /// What degraded — a cell label, or a warmup's label followed by its
+    /// cache entry's file name.
     pub key: String,
     /// The stable reason category.
     pub reason: DegradeReason,

@@ -21,8 +21,9 @@
 //!
 //! The three modes differ only in their axes. Each mode's driver
 //! enumerates its cells into an ordered list of *plans* — the cell's
-//! workload key (mix, seed), partition, journal-key parts and incident
-//! label, how it reaches its measurement window, and a lazy
+//! workload key (mix, seed), partition and journal-key parts (from which
+//! its journal entry, cache entry and incident label all derive), how it
+//! reaches its measurement window, and a lazy
 //! `Fn(&MixImages) -> SimConfig` for its machine — and hands the list to
 //! the crate-private engine (`sweep.rs`), which does everything
 //! operational exactly once: resolve workload images per (mix, seed),
@@ -64,8 +65,10 @@
 //! leave the two cells running on their own.
 //!
 //! `--checkpoint-dir` caches either kind of checkpoint on disk across
-//! invocations, and the `checkpoint-write` / `checkpoint-verify`
-//! subcommands perform a cross-process save/restore round trip for CI.
+//! invocations, named like journal entries by the warmed machine's
+//! identity ([`warmup`] has the rule), and the `checkpoint-write` /
+//! `checkpoint-verify` subcommands perform a cross-process save/restore
+//! round trip for CI.
 //!
 //! # Examples
 //!
@@ -411,7 +414,6 @@ pub fn run_matrix(cfg: &ExpConfig) -> Result<Matrix, String> {
                 seed,
                 partition,
                 key_parts: vec!["matrix", fetch, issue],
-                label: Box::new(move || format!("{fetch}/{issue}/{partition}/{mix}/s{seed}")),
                 warm: Warm::None,
                 config: Box::new(move |images| {
                     images

@@ -514,9 +514,6 @@ fn plan_sweep(cfg: &StudyConfig) -> (Sweep<'_>, Vec<(&String, &String)>) {
                             seed,
                             partition,
                             key_parts: vec!["issue-study", fetch, issue],
-                            label: Box::new(move || {
-                                format!("{fetch}/{issue}/{partition}/{mix}/s{seed}")
-                            }),
                             warm: Warm::Shared,
                             config: Box::new(move |images| {
                                 images

@@ -1,8 +1,9 @@
 //! The one sweep engine behind matrix, issue-study and ablation-study mode.
 //!
 //! A sweep is an ordered list of **cell plans** plus the settings they
-//! share. A [`CellPlan`] names its cell — workload key (mix, seed),
-//! partition, journal-key parts, incident label — says how it warms
+//! share. A [`CellPlan`] names its cell by its coordinates — workload
+//! key (mix, seed), partition, journal-key parts; its journal key, cache
+//! entry and incident label all derive from them — says how it warms
 //! ([`Warm`]) and carries a lazy `Fn(&MixImages) -> SimConfig` for its
 //! machine. The mode drivers ([`crate::run_matrix`],
 //! [`crate::study::run_study`], [`crate::ablation::run_ablation_study`])
@@ -23,7 +24,7 @@
 //!    The unit of work is a cell, or a cold/warm *pair* of cells (below).
 //!
 //! On the resume path a cell therefore costs one journal read: its config
-//! closure, policy lookups, label and cache stem are never evaluated.
+//! closure, policy lookups and label are never evaluated.
 //!
 //! # The three warm kinds
 //!
@@ -32,9 +33,10 @@
 //! * [`Warm::Shared`] — fork the *canonical* checkpoint of the plan's
 //!   (mix, seed, partition) key ([`crate::warmup::warm_checkpoint`]),
 //!   warmed once in step 3 and shared by every plan of the key.
-//! * [`Warm::Own`] — warm under the plan's own configuration
-//!   ([`crate::warmup::warm_checkpoint_under`], cached under the plan's
-//!   stem). The checkpoint's only fork is the plan's, so it is computed
+//! * [`Warm::Own`] — warm under the plan's own configuration, cached
+//!   under the plan's key parts (`warm_checkpoint_reporting`; the warmup
+//!   module docs give the naming rule). The checkpoint's only fork is the
+//!   plan's, so it is computed
 //!   *inside* the unit of work and freed as soon as the fork has restored
 //!   it: hoisting these into step 3 would hold one ~370 KB checkpoint per
 //!   warm cell live for the whole sweep. One checkpoint buffer is live per
@@ -57,7 +59,7 @@
 //! ```
 //!
 //! step `0..warmup` once and read report **A**; save the checkpoint there
-//! — byte for byte the one `warm_checkpoint_under` computes, written to
+//! — byte for byte the one a lone warmup computes, written to
 //! the same `--checkpoint-dir` entry and counted in `warmups_performed`;
 //! fork it (the warm cell's `restored_from_checkpoint: true` stays
 //! truthful) and run to `cycles` for report **B**; emit and journal the
@@ -99,8 +101,7 @@ use crate::fault::{CellError, Degradation, DegradeReason};
 use crate::journal::{journal_key, Journal};
 use crate::study::{resolve_mix, MixImages, JSON_SCHEMA_VERSION};
 use crate::warmup::{
-    canonical_config_for, warm_checkpoint, warm_checkpoint_reporting, warm_checkpoint_under,
-    WarmOutcome,
+    canonical_config_for, warm_checkpoint, warm_checkpoint_reporting, WarmOutcome,
 };
 
 /// Workload images per (mix, seed), shared by every cell of the pair. A
@@ -123,15 +124,13 @@ pub(crate) fn resolve_images<'a>(mixes: &'a [String], seeds: &[u64]) -> Images<'
 }
 
 /// How a cell reaches its measurement window (see the module docs).
-pub(crate) enum Warm<'a> {
+pub(crate) enum Warm {
     /// Straight through, no checkpoint.
     None,
     /// Fork the canonical checkpoint shared by the (mix, seed, partition).
     Shared,
     /// Fork a checkpoint warmed under the plan's own configuration.
     Own {
-        /// Lazily formats the stem the checkpoint is cached under.
-        stem: Box<dyn Fn() -> String + Sync + 'a>,
         /// Index of the [`Warm::None`] plan with the *same* configuration,
         /// if the sweep has one: the engine then simulates the two cells
         /// over one trajectory.
@@ -147,9 +146,7 @@ pub(crate) struct CellPlan<'a> {
     /// The string parts of the cell's journal key: the sweep's tag, then
     /// the fork-axis coordinates the config fingerprint does not cover.
     pub key_parts: Vec<&'a str>,
-    /// Names the cell in `degraded_cells`; only evaluated on an incident.
-    pub label: Box<dyn Fn() -> String + Sync + 'a>,
-    pub warm: Warm<'a>,
+    pub warm: Warm,
     /// The cell's machine on the resolved images of its (mix, seed).
     pub config: Box<dyn Fn(&MixImages) -> SimConfig + Sync + 'a>,
 }
@@ -162,6 +159,19 @@ impl<'a> CellPlan<'a> {
     fn key(&self) -> WarmKey<'a> {
         (self.mix, self.seed, self.partition)
     }
+
+    /// Names the cell in `degraded_cells`: its fork-axis coordinates (the
+    /// key parts after the tag), then partition, mix and seed.
+    fn label(&self) -> String {
+        label(&self.key_parts[1..], self.mix, self.seed, self.partition)
+    }
+}
+
+/// The incident label of a cell or warmup: `coords` (fork-axis
+/// coordinates), partition, mix and `s{seed}`, joined by `/`.
+pub(crate) fn label(coords: &[&str], mix: &str, seed: u64, partition: FetchPartition) -> String {
+    let coords: String = coords.iter().map(|c| format!("{c}/")).collect();
+    format!("{coords}{partition}/{mix}/s{seed}")
 }
 
 /// The settings every cell of a sweep shares, plus the cells.
@@ -235,7 +245,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
             match journal.load(key, i as u64) {
                 Ok(found) => journaled[i] = found,
                 Err(detail) => degraded.push(Degradation {
-                    key: (plan.label)(),
+                    key: plan.label(),
                     reason: DegradeReason::JournalRead,
                     detail: format!("{detail}; cell re-run"),
                 }),
@@ -305,12 +315,19 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         if let (Some(journal), Some(key)) = (&journal, cell_keys[i]) {
             if let Err(e) = journal.store(key, i as u64, &done.report) {
                 done.degradations.push(Degradation {
-                    key: (plans[i].label)(),
+                    key: plans[i].label(),
                     reason: DegradeReason::JournalWrite,
                     detail: format!("store failed: {e}; result not durable"),
                 });
             }
         }
+    };
+
+    // A `Warm::Own` plan's checkpoint, cached under its key parts.
+    let own_warmup = |plan: &CellPlan, images: &MixImages| {
+        let build = || (plan.config)(images);
+        let (label, dir) = (plan.label(), sweep.checkpoint_dir);
+        warm_checkpoint_reporting(build, &plan.key_parts, &label, sweep.warmup, dir)
     };
 
     // One cell on its own. `own` is the plan's `Warm::Own` checkpoint when
@@ -337,11 +354,8 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
                 let mut sim = fork(shared[&plan.key()].as_ref().map_err(CellError::clone)?)?;
                 Done::of(sim.run(sweep.cycles), sweep.cycles)
             }
-            Warm::Own { stem, .. } => {
-                let warm = own.unwrap_or_else(|| {
-                    let build = || (plan.config)(images);
-                    warm_checkpoint_under(build, &stem(), sweep.warmup, sweep.checkpoint_dir)
-                });
+            Warm::Own { .. } => {
+                let warm = own.unwrap_or_else(|| own_warmup(plan, images).0);
                 let mut sim = fork(&warm.checkpoint)?;
                 // The single-use buffer has served: free it before the run.
                 drop(warm.checkpoint);
@@ -373,15 +387,10 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
     // hit — and the warm cell alone after it.
     let pair = |cold: usize, warm: usize| {
         let plan = &plans[warm];
-        let Warm::Own { stem, .. } = &plan.warm else {
-            unreachable!("only a Warm::Own plan names a cold twin")
-        };
         let images = sweep.images[&(plan.mix, plan.seed)]
             .as_ref()
             .expect("pairs form on loaded images");
-        let build = || (plan.config)(images);
-        let (warmed, first) =
-            warm_checkpoint_reporting(build, &stem(), sweep.warmup, sweep.checkpoint_dir);
+        let (warmed, first) = own_warmup(plan, images);
         let Some(first) = first else {
             // Cache-served: there is no window A to share.
             finish(cold, alone(cold));
@@ -393,7 +402,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
             degradations,
             ..
         } = warmed;
-        let mut sim = Simulator::fork_checkpoint(build(), &checkpoint)
+        let mut sim = Simulator::fork_checkpoint((plan.config)(images), &checkpoint)
             .expect("a machine restores the checkpoint it has just saved");
         drop(checkpoint);
         let second = sim.run(sweep.cycles - sweep.warmup);

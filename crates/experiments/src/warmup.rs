@@ -16,7 +16,7 @@
 //! warm cell must warm under its own fetch policy and ablation set to
 //! keep the attribution numbers meaningful — and instead forks each warm
 //! cell from a checkpoint warmed under the cell's own configuration
-//! ([`warm_checkpoint_under`]). That checkpoint's only *fork* is the warm
+//! (`warm_checkpoint_reporting`). That checkpoint's only *fork* is the warm
 //! cell's, so the engine computes it inside the unit of work and frees it
 //! as soon as the fork has restored it (holding one ~370 KB checkpoint
 //! per warm cell for the whole sweep would only raise peak memory); the
@@ -37,9 +37,15 @@
 //! the test suite builds its engine-free reference documents), and, but
 //! for the `restored_from_checkpoint` flag, to a straight-through run.
 //!
-//! With `--checkpoint-dir` the per-key checkpoints are also cached on
-//! disk, keyed by mix, seed, partition, warmup length and the
-//! [`config_fingerprint`] of the canonical machine. Cache entries are
+//! With `--checkpoint-dir` the checkpoints are also cached on disk, one
+//! `warm-{key:016x}.ckpt` file each, named by the rule that names journal
+//! entries: [`journal_key`] over the warmed machine's
+//! [`config_fingerprint`] (workloads, seed, partition, geometry), the fork
+//! axes the warmup ran under (none for the canonical warmup; fetch
+//! policy, window and ablation for the ablation study's own ones) and the
+//! warmup length. The name is the machine's identity, not the mix string:
+//! two spellings of one mix (`a.elf` and `./a.elf`) share an entry, and
+//! no mix is too long for a file name. Cache entries are
 //! validated on load (header fingerprint, checksum trailer, and the
 //! restored cycle count must equal the requested warmup); any mismatch
 //! falls back to recomputing — a stale or corrupt cache can slow a sweep
@@ -60,6 +66,7 @@ use smt_core::{
 };
 
 use crate::fault::{Degradation, DegradeReason};
+use crate::journal::journal_key;
 use crate::study::{resolve_mix, MixImages};
 
 /// The canonical warmup configuration for a (workloads, seed, partition)
@@ -107,42 +114,6 @@ pub fn compute_checkpoint(
     compute_checkpoint_under(canonical_config_for(images, seed, partition), warmup)
 }
 
-/// Longest sanitized-mix prefix a cache entry name keeps. A checkpoint
-/// file name also carries seed, partition, fork axes, warmup length and
-/// fingerprint (and a staging prefix while being written), so the mix part
-/// must stay well under the 255-byte file-name limit.
-const STEM_MIX_MAX: usize = 64;
-
-/// The cache-entry stem of a (mix, seed, partition) key. Custom mixes
-/// carry path separators and `:`, which must not leak into a file name,
-/// and an absolute multi-ELF mix is longer than a file name may be: the
-/// mix is sanitized and, past [`STEM_MIX_MAX`] bytes, cut to a prefix plus
-/// a hash of the whole string. (Uniqueness does not rest on the stem — the
-/// config fingerprint in the entry name covers the workload images.)
-pub(crate) fn key_stem(mix: &str, seed: u64, partition: FetchPartition) -> String {
-    let mut name: String = mix
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if name.len() > STEM_MIX_MAX {
-        name.truncate(STEM_MIX_MAX);
-        name.push_str(&format!(
-            "-{:016x}",
-            crate::journal::journal_key(0, &[mix], &[])
-        ));
-    }
-    format!(
-        "warm-{name}-s{seed}-p{}.{}",
-        partition.threads_per_cycle, partition.insts_per_thread
-    )
-}
-
 /// One warmed checkpoint, plus how it was obtained.
 #[derive(Debug, Clone)]
 pub struct WarmOutcome {
@@ -160,7 +131,9 @@ pub struct WarmOutcome {
 
 /// One warmed checkpoint for the key, served from the on-disk cache when
 /// `dir` is given and holds a valid entry, computed (and best-effort
-/// cached) otherwise.
+/// cached) otherwise. `mix` names the warmup in any cache incident; the
+/// entry itself is named by the machine's identity, so two spellings of
+/// one mix share it.
 pub fn warm_checkpoint(
     images: &MixImages,
     mix: &str,
@@ -169,53 +142,47 @@ pub fn warm_checkpoint(
     warmup: u64,
     dir: Option<&Path>,
 ) -> WarmOutcome {
-    warm_checkpoint_under(
+    warm_checkpoint_reporting(
         || canonical_config_for(images, seed, partition),
-        &key_stem(mix, seed, partition),
+        &[],
+        &crate::sweep::label(&[], mix, seed, partition),
         warmup,
         dir,
     )
+    .0
 }
 
-/// One warmed checkpoint for an arbitrary configuration, served from the
-/// on-disk cache when `dir` is given and holds a valid entry, computed
-/// (and best-effort cached) otherwise. `stem` must uniquely name every
-/// cache axis the config fingerprint does not cover (the fingerprint
-/// deliberately excludes the fork axes — fetch/issue policies and
-/// ablations — so a caller whose warmup depends on them, like the
-/// ablation study, encodes them here).
+/// One warmed checkpoint for the configuration `build` makes, served from
+/// the on-disk cache when `dir` is given and holds a valid entry, computed
+/// (and best-effort cached) otherwise, plus the report of the warmup
+/// window `0..warmup` when — and only when — this call simulated it
+/// (`computed`). `parts` names the fork axes the configuration warms
+/// under (the config fingerprint deliberately excludes them); `label`
+/// names the warmup in any incident. The sweep engine concatenates the
+/// window report with the forked machine's next window into the cold cell
+/// of a cold/warm pair; a cache-served checkpoint has no such report, and
+/// no pair.
 ///
 /// Cache trouble never fails the warmup: an unreadable or invalid entry
 /// is recomputed and a failed write-back leaves the sweep uncached, each
 /// recorded as a [`Degradation`] on the returned [`WarmOutcome`].
-pub fn warm_checkpoint_under(
-    build: impl Fn() -> SimConfig,
-    stem: &str,
-    warmup: u64,
-    dir: Option<&Path>,
-) -> WarmOutcome {
-    warm_checkpoint_reporting(build, stem, warmup, dir).0
-}
-
-/// [`warm_checkpoint_under`], plus the report of the warmup window
-/// `0..warmup` when — and only when — this call simulated it
-/// (`computed`). The sweep engine concatenates that report with the
-/// forked machine's next window into the cold cell of a cold/warm pair;
-/// a cache-served checkpoint has no such report, and no pair.
 pub(crate) fn warm_checkpoint_reporting(
     build: impl Fn() -> SimConfig,
-    stem: &str,
+    parts: &[&str],
+    label: &str,
     warmup: u64,
     dir: Option<&Path>,
 ) -> (WarmOutcome, Option<SimReport>) {
+    // Named like a journal entry (module docs): the machine's fingerprint,
+    // the fork axes it warms under and the warmup length.
     let entry = dir.map(|d| {
-        let fingerprint = config_fingerprint(&build());
-        let name = format!("{stem}-w{warmup}-{fingerprint:016x}.ckpt");
-        (d.join(&name), name)
+        let key = journal_key(config_fingerprint(&build()), parts, &[warmup]);
+        let name = format!("warm-{key:016x}.ckpt");
+        (d.join(&name), format!("{label}/{name}"))
     });
 
     let mut degradations = Vec::new();
-    if let Some((path, name)) = &entry {
+    if let Some((path, key)) = &entry {
         match load_cached(&build, warmup, path) {
             Ok(Some(bytes)) => {
                 let served = WarmOutcome {
@@ -227,7 +194,7 @@ pub(crate) fn warm_checkpoint_reporting(
             }
             Ok(None) => {}
             Err((reason, detail)) => degradations.push(Degradation {
-                key: name.clone(),
+                key: key.clone(),
                 reason,
                 detail: format!("{detail}; recomputed the warmup"),
             }),
@@ -235,11 +202,11 @@ pub(crate) fn warm_checkpoint_reporting(
     }
 
     let (window, bytes) = simulate_warmup(build(), warmup);
-    if let Some((path, name)) = entry {
+    if let Some((path, key)) = entry {
         // Best-effort: a cache that cannot be written only costs time.
         if let Err(e) = crate::durable::atomic_write(&path, &bytes, "cache-write", 0) {
             degradations.push(Degradation {
-                key: name,
+                key,
                 reason: DegradeReason::CheckpointCacheWrite,
                 detail: format!("write failed: {e}; sweep continues uncached"),
             });

@@ -10,6 +10,8 @@
 //! * an axis that lists an entry twice is refused before any cell runs;
 //! * a `--checkpoint-dir` repeat sweep performs zero warmups, also when
 //!   the mix string is longer than a file name may be;
+//! * two spellings of one machine (`a.elf`, `./a.elf`) share its cache
+//!   and journal entries without an incident under any worker count;
 //! * each mode's document equals a reference built cell by cell from the
 //!   public one-cell calls (`compute_checkpoint` + `fork_cell`, or a
 //!   straight run), with no engine in between.
@@ -766,8 +768,9 @@ fn checkpoint_dir_serves_repeat_sweeps_from_disk() {
 
 #[test]
 fn cache_entry_names_stay_under_the_file_name_limit() {
-    // An absolute three-ELF mix is longer than a file name may be (255
-    // bytes); cache entries must still be written — and found again.
+    // An absolute three-ELF mix and a 32-thread benchmark mix are each
+    // longer than a file name may be (255 bytes); cache entries must
+    // still be written — and found again.
     let elf = |stem: &str| {
         let pad = "./".repeat(50);
         format!(
@@ -775,31 +778,96 @@ fn cache_entry_names_stay_under_the_file_name_limit() {
             env!("CARGO_MANIFEST_DIR")
         )
     };
-    let mix = format!("{}+{}+{}", elf("loops"), elf("memsum"), elf("gcd"));
-    assert!(mix.len() > 300);
-    for mode in MODES.iter().filter(|m| m.takes_mixes) {
-        let dir = tmp_dir("cache-long", mode.name);
-        let cached = || {
-            (mode.run)(&Knobs {
-                checkpoint_dir: Some(dir.clone()),
-                extra_mix: Some(mix.clone()),
-                ..Knobs::default()
-            })
+    let elves = format!("{}+{}+{}", elf("loops"), elf("memsum"), elf("gcd"));
+    let benchmarks = ["espresso+compress"; 16].join("+");
+    for mix in [elves, benchmarks] {
+        assert!(mix.len() > 255);
+        for mode in MODES.iter().filter(|m| m.takes_mixes) {
+            let dir = tmp_dir("cache-long", mode.name);
+            let cached = || {
+                (mode.run)(&Knobs {
+                    checkpoint_dir: Some(dir.clone()),
+                    extra_mix: Some(mix.clone()),
+                    ..Knobs::default()
+                })
+            };
+            let first = cached();
+            assert_eq!(first.warmups_performed, 2 * mode.cold_cache_warmups);
+            assert_eq!(entries(&dir).len(), first.warmups_performed);
+            assert!(first.failed.is_empty());
+            assert!(
+                first.degraded.is_empty(),
+                "{}: {:?}",
+                mode.name,
+                first.degraded
+            );
+            let second = cached();
+            assert_eq!(second.warmups_performed, 0, "{}", mode.name);
+            assert!(second.degraded.is_empty(), "{:?}", second.degraded);
+            assert_eq!(first.doc, second.doc);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+#[test]
+fn two_spellings_of_one_machine_share_cache_and_journal_entries() {
+    // `a.elf` and `./a.elf` load the same image, so the two mixes are one
+    // machine with one warm cache entry and one journal entry per cell
+    // coordinate. Under any worker count their cells and warmups store
+    // those shared entries concurrently, and no store may fail.
+    let spell = |dir: &str| {
+        format!(
+            "riscv:{}/../../testdata/riscv/{dir}loops.elf+espresso",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let mut docs = Vec::new();
+    for jobs in [1, 2, 8] {
+        let dir = tmp_dir(&format!("spellings-{jobs}"), "issue");
+        let cfg = StudyConfig {
+            mixes: vec![spell(""), spell("./")],
+            jobs,
+            checkpoint_dir: Some(dir.join("cache")),
+            journal: Some(dir.join("journal")),
+            ..tiny_issue(&Knobs::default())
         };
-        let first = cached();
-        assert_eq!(first.warmups_performed, 2 * mode.cold_cache_warmups);
-        assert!(first.failed.is_empty());
+        let first = run_study(&cfg).unwrap();
+        assert!(first.failed.is_empty(), "jobs={jobs}: {:?}", first.failed);
         assert!(
             first.degraded.is_empty(),
-            "{}: {:?}",
-            mode.name,
+            "jobs={jobs}: {:?}",
             first.degraded
         );
-        let second = cached();
-        assert_eq!(second.warmups_performed, 0, "{}", mode.name);
-        assert_eq!(first.doc, second.doc);
+        let (a, b) = first.cells.split_at(first.cells.len() / 2);
+        assert!(
+            a.iter().zip(b).all(|(a, b)| a.report == b.report),
+            "jobs={jobs}: the two spellings measured different machines"
+        );
+        let keys = cfg.seeds.len() * cfg.partitions.len();
+        assert_eq!(entries(&dir.join("cache")).len(), keys, "jobs={jobs}");
+        assert_eq!(entries(&dir.join("journal")).len(), a.len(), "jobs={jobs}");
+        let doc = first.to_json().render_pretty();
+
+        let resumed = run_study(&cfg).unwrap();
+        assert_eq!(resumed.journal_loaded, resumed.cells.len(), "jobs={jobs}");
+        assert!(resumed.degraded.is_empty(), "{:?}", resumed.degraded);
+        assert_eq!(resumed.to_json().render_pretty(), doc, "jobs={jobs}");
+        let cached = run_study(&StudyConfig {
+            journal: None,
+            ..cfg.clone()
+        })
+        .unwrap();
+        assert_eq!(cached.warmups_performed, 0, "jobs={jobs}: cache must serve");
+        assert!(cached.degraded.is_empty(), "{:?}", cached.degraded);
+        assert_eq!(cached.to_json().render_pretty(), doc, "jobs={jobs}");
+        docs.push(doc);
         std::fs::remove_dir_all(&dir).ok();
     }
+    assert!(
+        docs.windows(2).all(|w| w[0] == w[1]),
+        "jobs leaked into a document"
+    );
 }
 
 #[test]
@@ -893,17 +961,15 @@ fn paired_ablation_sweep_caches_the_checkpoints_separate_warmups_write() {
     let mut expected: Vec<(PathBuf, Vec<u8>)> = Vec::new();
     each_ablation_site(&cfg, |site| {
         if site.window == Window::Warm {
-            let name = format!(
-                "warm-{}-s{}-p{}.{}-f{}-a{}-w{}-{:016x}.ckpt",
-                site.mix,
-                site.seed,
-                site.partition.threads_per_cycle,
-                site.partition.insts_per_thread,
+            let parts = [
+                "ablation-study",
                 site.fetch,
+                site.window.name(),
                 site.label(),
-                cfg.warmup,
-                config_fingerprint(&site.config()),
-            );
+            ];
+            let fingerprint = config_fingerprint(&site.config());
+            let key = journal_key(fingerprint, &parts, &[cfg.warmup]);
+            let name = format!("warm-{key:016x}.ckpt");
             let bytes = compute_checkpoint_under(site.config(), cfg.warmup);
             expected.push((dir.join(name), bytes));
         }

@@ -9,6 +9,13 @@
 //! | L2    | 256 KB| 4-way | 64 B | 8     | 1    | 1       | 2    | 12           |
 //! | L3    | 2 MB  | DM    | 64 B | 1     | 4    | 1/4     | 8    | 62           |
 //!
+//! Not every column is modelled at every level ([`CacheParams`] says which
+//! level reads each field). `acc/cyc` is the L1s' per-cycle port budget
+//! (`accesses_per_cycle`); L2 and L3 instead hold each bank for
+//! `cycles_per_access` cycles (1 and 4, the L3's 1/4), and an L1 bank
+//! takes one access per cycle. `fill` (`fill_cycles`) is read at no
+//! level: a fill occupies no bank.
+//!
 //! Caches are lockup-free (MSHRs with secondary-miss merging), banked with
 //! per-cycle port limits, and connected by buses with occupancy, so the
 //! "memory throughput" concern of the paper (Section 7) is modeled: requests
@@ -81,14 +88,21 @@ pub struct CacheParams {
     pub line_bytes: usize,
     /// Number of single-ported banks (line-interleaved).
     pub banks: usize,
-    /// Maximum accesses started per cycle across all banks.
+    /// Maximum accesses started per cycle across all banks. Read for the
+    /// L1s only (their per-cycle port budget); L2 and L3 are limited per
+    /// bank by [`cycles_per_access`](Self::cycles_per_access) alone.
     pub accesses_per_cycle: u32,
     /// For slow arrays: minimum cycles between successive accesses to the
-    /// same bank (L3: 4, i.e. 1/4 access per cycle).
+    /// same bank (L3: 4, i.e. 1/4 access per cycle). Read for L2 and L3
+    /// only (their bank reservations); an L1 bank takes one access per
+    /// cycle whatever this says.
     pub cycles_per_access: u64,
-    /// Bus transfer time to the next level, in cycles.
+    /// Bus transfer time to the next level, in cycles. Read at every
+    /// level (the L3's is the memory bus).
     pub transfer_cycles: u64,
-    /// Cycles a fill occupies the bank.
+    /// Cycles a fill occupies the bank (Table 2's fill time). Read at no
+    /// level: fills occupy no bank. It still counts in the config
+    /// fingerprint, like every field here.
     pub fill_cycles: u64,
     /// Latency to retrieve data from the *next* level on a miss here.
     pub latency_to_next: u64,
