@@ -366,11 +366,6 @@ impl Ras {
         self.depth -= 1;
         Some(addr)
     }
-
-    /// Current number of valid entries.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
 }
 
 /// The complete branch prediction unit: BTB + PHT + per-context RAS and
@@ -548,17 +543,6 @@ impl BranchPredictor {
         self.history[thread.index()] = h;
     }
 
-    /// Probes the BTB without updating LRU state: used by the ITAG and
-    /// phantom-branch machinery, and by tests.
-    pub fn btb_would_hit(&self, thread: ThreadId, pc: Addr) -> bool {
-        self.btb.find(thread, pc).1.is_some()
-    }
-
-    /// Current RAS depth for a thread (diagnostics / tests).
-    pub fn ras_depth(&self, thread: ThreadId) -> usize {
-        self.ras[self.ras_index(thread)].depth()
-    }
-
     /// Current global history register value for a thread.
     pub fn history(&self, thread: ThreadId) -> u16 {
         self.history[thread.index()]
@@ -609,6 +593,25 @@ impl Ras {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ras {
+        /// Current number of valid entries.
+        fn depth(&self) -> usize {
+            self.depth
+        }
+    }
+
+    impl BranchPredictor {
+        /// Probes the BTB without updating LRU state.
+        fn btb_would_hit(&self, thread: ThreadId, pc: Addr) -> bool {
+            self.btb.find(thread, pc).1.is_some()
+        }
+
+        /// Current RAS depth for a thread.
+        fn ras_depth(&self, thread: ThreadId) -> usize {
+            self.ras[self.ras_index(thread)].depth()
+        }
+    }
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);

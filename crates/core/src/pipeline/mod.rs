@@ -443,11 +443,6 @@ impl Simulator {
         }
     }
 
-    /// Number of hardware contexts.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Cycles simulated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle

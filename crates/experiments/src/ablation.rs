@@ -859,6 +859,27 @@ mod tests {
     }
 
     #[test]
+    fn aliased_pairs_step_their_trajectory_once() {
+        // `mixed4` spelled twice is one machine per configuration: each
+        // pair of groups steps `0..warmup+cycles` once, for both
+        // spellings, and the second spelling's cells repeat the first's.
+        let cfg = AblationStudyConfig {
+            mixes: vec!["mixed4".into(), "espresso+xlisp+alvinn+tomcatv".into()],
+            ..tiny_ablation_study()
+        };
+        let pairs = cfg.cell_count() as u64 / 4;
+        let outcome = sweep::run(&plan_sweep(&cfg).0).unwrap();
+        assert!(outcome.degraded.is_empty(), "{:?}", outcome.degraded);
+        assert_eq!(
+            (outcome.simulated_cycles, outcome.warmups_performed),
+            (pairs * (cfg.warmup + cfg.cycles), pairs as usize)
+        );
+        let reports: Vec<SimReport> = outcome.cells.into_iter().map(Result::unwrap).collect();
+        let (first, second) = reports.split_at(reports.len() / 2);
+        assert_eq!(first, second);
+    }
+
+    #[test]
     fn study_json_round_trips_and_carries_summary() {
         let study = run_ablation_study(&tiny_ablation_study()).unwrap();
         let text = study.to_json().render_pretty();

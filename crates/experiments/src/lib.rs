@@ -27,11 +27,14 @@
 //! `Fn(&MixImages) -> SimConfig` for its machine — and hands the list to
 //! the crate-private engine (`sweep.rs`), which does everything
 //! operational exactly once: resolve workload images per (mix, seed),
-//! fingerprint per (mix, seed, partition), open and prescan the
-//! `--journal`, pre-warm the shared checkpoints in parallel, run every
-//! remaining cell across OS threads behind per-cell fault containment,
-//! store each result, and merge failures and degradations in a
-//! deterministic order. A new sweep (a hardware axis, a throttling
+//! identify each plan's machine by its config fingerprint, open and
+//! prescan the `--journal`, pre-warm the shared checkpoints in parallel,
+//! run every remaining cell across OS threads behind per-cell fault
+//! containment, store each result, and merge failures and degradations
+//! in a deterministic order. Sharing is per machine identity, not per
+//! mix string: two spellings of one machine (`int8` and its eight
+//! benchmark names) warm once and simulate each cell once, and each
+//! spelling still gets its own cells in the document. A new sweep (a hardware axis, a throttling
 //! policy) is a new plan builder, not a new driver.
 //!
 //! A plan warms in one of three ways ([`warmup`] has the checkpoint
@@ -41,9 +44,10 @@
 //!   `SimConfig::with_warmup`; the ablation study's cold windows);
 //! * **shared canonical key** — the issue study's warmup trajectory
 //!   depends only on the machine and workload identity, not on the policy
-//!   axes being compared, so each (mix, seed, partition) is warmed **once**
-//!   under a canonical configuration and the checkpoint forked across the
-//!   whole fetch × issue cross-product;
+//!   axes being compared, so each machine (its canonical config
+//!   fingerprint, however its mix is spelled) is warmed **once** under a
+//!   canonical configuration and the checkpoint forked across the whole
+//!   fetch × issue cross-product;
 //! * **own configuration** — an ablation changes the machine being warmed,
 //!   so each warm-window ablation cell warms under its own fetch policy and
 //!   ablation set. Such a checkpoint is forked once, so it is computed
@@ -819,10 +823,12 @@ synthetic benchmark name — e.g.
 The checkpoint subcommands' --mix accepts the same syntax.
 
 Both studies fork their warm cells off warmed-state checkpoints: '--study
-issue' computes each warmup once per unique (mix, seed, partition) and forks it
-across the whole policy cross-product, while '--study ablation' warms each warm
-cell under its own fetch policy and ablation set; '--checkpoint-dir DIR' caches
-either kind of warmup checkpoint on disk across invocations. 'checkpoint-write'
+issue' computes each warmup once per unique machine and forks it across the
+whole policy cross-product, while '--study ablation' warms each warm cell under
+its own fetch policy and ablation set; '--checkpoint-dir DIR' caches either kind
+of warmup checkpoint on disk across invocations. A machine is its workloads,
+seed, partition and geometry, not its mix string: two spellings of one mix
+('int8' and its eight benchmark names) warm once and simulate each cell once. 'checkpoint-write'
 simulates one canonical warmup (ICOUNT fetch, OLDEST_FIRST issue, no ablations)
 and writes the checkpoint to --path; 'checkpoint-verify' restores such a file —
 from any process — and fails unless the restored run's report is byte-identical

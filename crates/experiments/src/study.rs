@@ -14,7 +14,7 @@
 //! workload-mix vocabulary every mode shares), its cell type, its summary
 //! statistics and its document. Running the cells is not: [`run_study`]
 //! turns the axes into one plan per cell, each forking the *shared
-//! canonical* warmup of its (mix, seed, partition), and the crate's sweep
+//! canonical* warmup of its machine, and the crate's sweep
 //! engine (`sweep.rs`, described in the crate docs) does the rest —
 //! parallelism, fault containment, the `--journal`, the checkpoint cache.
 
@@ -432,9 +432,9 @@ pub struct Study {
     /// deterministic order: journal-read first, then warmup-cache, then
     /// journal-write events.
     pub degraded: Vec<Degradation>,
-    /// Warmup simulations actually executed: one per unique (mix, seed,
-    /// partition) when warmups are shared, one per cell when not, fewer
-    /// when a checkpoint directory served cached entries. Deliberately not
+    /// Warmup simulations actually executed: one per unique machine (two
+    /// spellings of one mix are one machine) when warmups are shared,
+    /// fewer when a checkpoint directory served cached entries. Deliberately not
     /// part of [`Study::to_json`] — the shared and cold paths produce
     /// byte-identical documents.
     pub warmups_performed: usize,
@@ -898,7 +898,7 @@ mod tests {
             // Every cell self-describes its checkpoint provenance.
             assert!(c.report.restored_from_checkpoint);
         }
-        // One warmup per unique (mix, seed, partition), not per cell.
+        // One warmup per unique machine, not per cell.
         assert_eq!(
             study.warmups_performed,
             cfg.mixes.len() * cfg.seeds.len() * cfg.partitions.len()
@@ -935,6 +935,29 @@ mod tests {
             outcome.simulated_cycles,
             keys * cfg.warmup + cfg.cell_count() as u64 * cfg.cycles
         );
+    }
+
+    #[test]
+    fn an_aliased_issue_sweep_simulates_each_machine_once() {
+        // `int8` and its eight benchmark names are one machine: spelled
+        // both ways, the sweep does the work of `int8` alone, and each
+        // spelling's cells hold that sweep's reports.
+        let run = |mixes: &[&str]| {
+            let cfg = StudyConfig {
+                mixes: mixes.iter().map(|m| m.to_string()).collect(),
+                ..tiny_study()
+            };
+            let outcome = sweep::run(&plan_sweep(&cfg).0).unwrap();
+            let reports: Vec<SimReport> = outcome.cells.into_iter().map(Result::unwrap).collect();
+            assert!(outcome.degraded.is_empty(), "{:?}", outcome.degraded);
+            (outcome.simulated_cycles, outcome.warmups_performed, reports)
+        };
+        let spelled = "espresso+eqntott+xlisp+compress+espresso+eqntott+xlisp+compress";
+        let (cycles, warmups, alone) = run(&["int8"]);
+        let (aliased_cycles, aliased_warmups, aliased) = run(&["int8", spelled]);
+        assert_eq!((aliased_cycles, aliased_warmups), (cycles, warmups));
+        let (first, second) = aliased.split_at(alone.len());
+        assert!(first == alone && second == alone);
     }
 
     #[test]

@@ -10,18 +10,28 @@
 //! only enumerate their axes into plans and zip the outcomes back into
 //! their own cell types; everything operational happens once, in [`run`]:
 //!
-//! 1. fingerprint the canonical machine once per (mix, seed, partition) —
-//!    each cell's journal key folds it with the plan's key parts and the
-//!    sweep's `[cycles, warmup]`;
+//! 1. identify every plan: fingerprint its canonical machine (once per
+//!    (mix, seed, partition)) and fold that with the plan's key parts and
+//!    the sweep's `[cycles, warmup]` into its **cell key**. The fingerprint
+//!    is what "the same machine" means to the engine and the cell key what
+//!    "the same cell" means, whatever the mix strings say: two spellings of
+//!    one machine (`int8` and its eight benchmark names, `a/loops.elf` and
+//!    `a/./loops.elf`) warm once, simulate each cell once and store one
+//!    journal entry;
 //! 2. open the `--journal` directory and prescan it: a valid entry resumes
 //!    its cell, an invalid one degrades and the cell re-runs;
-//! 3. pre-warm, in parallel, every [`Warm::Shared`] key some non-journaled
-//!    cell still needs (nothing is warmed for a fully journaled key);
+//! 3. pre-warm, in parallel, every [`Warm::Shared`] machine some
+//!    non-journaled cell still needs (nothing is warmed for a fully
+//!    journaled machine);
 //! 4. run every remaining cell across the worker pool behind
 //!    `catch_unwind` at the scheduler boundary — one cell's fault becomes
 //!    its own [`CellError`] while every other cell's bytes stay identical
 //!    to a fault-free run — and store each fresh report in the journal.
-//!    The unit of work is a cell, or a cold/warm *pair* of cells (below).
+//!    Plans that still need simulating and share a cell key form one
+//!    *group*: it is simulated once, by its first member whose fault probe
+//!    passes, and every member gets its own cell holding a clone of that
+//!    report. The unit of work is a group, or a cold/warm *pair* of groups
+//!    (below).
 //!
 //! On the resume path a cell therefore costs one journal read: its config
 //! closure, policy lookups and label are never evaluated.
@@ -31,16 +41,16 @@
 //! * [`Warm::None`] — run the plan's configuration straight through (it
 //!   may carry its own `with_warmup`); no checkpoint is involved.
 //! * [`Warm::Shared`] — fork the *canonical* checkpoint of the plan's
-//!   (mix, seed, partition) key ([`crate::warmup::warm_checkpoint`]),
-//!   warmed once in step 3 and shared by every plan of the key.
+//!   machine ([`crate::warmup::warm_checkpoint`]), warmed once in step 3
+//!   and shared by every plan with the same fingerprint, whatever its mix
+//!   string.
 //! * [`Warm::Own`] — warm under the plan's own configuration, cached
 //!   under the plan's key parts (`warm_checkpoint_reporting`; the warmup
 //!   module docs give the naming rule). The checkpoint's only fork is the
-//!   plan's, so it is computed
-//!   *inside* the unit of work and freed as soon as the fork has restored
-//!   it: hoisting these into step 3 would hold one ~370 KB checkpoint per
-//!   warm cell live for the whole sweep. One checkpoint buffer is live per
-//!   worker, at most.
+//!   plan's group's, so it is computed *inside* the unit of work and freed
+//!   as soon as the fork has restored it: hoisting these into step 3 would
+//!   hold one ~319 KB checkpoint per warm cell live for the whole sweep.
+//!   One checkpoint buffer is live per worker, at most.
 //!
 //! # Pairs: one trajectory, two cells
 //!
@@ -71,22 +81,29 @@
 //! (a restored machine is bit-equivalent to the one that was saved, and
 //! window concatenation is exact).
 //!
-//! A pair forms only where the two runs really overlap and both are due:
-//! not when either cell was served by the journal, when the images failed
-//! to load, or when `cycles < warmup`; and if the `--checkpoint-dir`
-//! serves the checkpoint there is no window A to share, so the two cells
-//! run on their own after all. A fault stays a cell's: a panic that
-//! unwinds out of a pair fails the members that have no result yet — the
-//! cold cell is complete and journaled before the tail runs, so a panic
-//! there costs the warm cell only, and a panic before that is the one
-//! both separate runs would have hit.
+//! Aliased plans pair as groups: the cold group's simulated member shares
+//! the trajectory with the warm group's, and each group's other members
+//! take clones. A pair forms only where the two runs
+//! really overlap and both are due: not when either cell was served by
+//! the journal, when the images failed to load, or when `cycles <
+//! warmup`; and if the `--checkpoint-dir` serves the checkpoint there is
+//! no window A to share, so the two cells run on their own after all. A
+//! fault stays a cell's: a plan whose fault probe fires fails alone, and
+//! a panic that unwinds out of a pair fails the members that have no
+//! result yet — the cold cell is complete and journaled before the tail
+//! runs, so a panic there costs the warm group only, and a panic before
+//! that is the one both separate runs would have hit.
 //!
 //! # Degradation order
 //!
 //! One rule, independent of worker count: journal-read incidents in plan
-//! order, then pre-warm incidents in first-needed key order, then each
-//! cell's own incidents (checkpoint cache, then journal write) in plan
-//! order.
+//! order, then pre-warm incidents in the order plans first need each
+//! machine, then each cell's own incidents (checkpoint cache, then journal
+//! write) in plan order. A group's checkpoint-cache and journal-write
+//! incidents happen once, for the member that was simulated, and carry
+//! its label; journal reads stay per plan. That is the only place aliased
+//! spellings of one machine show in a document, and only when the sweep
+//! hits an I/O fault.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -127,7 +144,7 @@ pub(crate) fn resolve_images<'a>(mixes: &'a [String], seeds: &[u64]) -> Images<'
 pub(crate) enum Warm {
     /// Straight through, no checkpoint.
     None,
-    /// Fork the canonical checkpoint shared by the (mix, seed, partition).
+    /// Fork the canonical checkpoint shared by every plan of the machine.
     Shared,
     /// Fork a checkpoint warmed under the plan's own configuration.
     Own {
@@ -151,15 +168,7 @@ pub(crate) struct CellPlan<'a> {
     pub config: Box<dyn Fn(&MixImages) -> SimConfig + Sync + 'a>,
 }
 
-/// A (mix, seed, partition): what a canonical warmup — and the machine
-/// fingerprint in a journal key — is unique per.
-type WarmKey<'a> = (&'a str, u64, FetchPartition);
-
-impl<'a> CellPlan<'a> {
-    fn key(&self) -> WarmKey<'a> {
-        (self.mix, self.seed, self.partition)
-    }
-
+impl CellPlan<'_> {
     /// Names the cell in `degraded_cells`: its fork-axis coordinates (the
     /// key parts after the tag), then partition, mix and seed.
     fn label(&self) -> String {
@@ -215,23 +224,27 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         |dir| Journal::open(dir).map_err(|e| format!("cannot open journal {}: {e}", dir.display()));
     let journal = sweep.journal.map(open).transpose()?;
 
-    // Each cell's 64-bit journal identity: the canonical fingerprint of its
-    // (mix, seed, partition) — computed once per key — folded with the
-    // plan's key parts and the cycle counts, so an entry is only ever
-    // resumed into a sweep that would reproduce it exactly. A cell whose
-    // images did not load has no identity (it fails and is never stored).
-    let mut fingerprints: HashMap<WarmKey, u64> = HashMap::new();
-    let cell_keys: Vec<Option<u64>> = plans
-        .iter()
-        .map(|p| {
-            journal.as_ref()?;
-            let images = sweep.images[&(p.mix, p.seed)].as_ref().ok()?;
-            let fingerprint = *fingerprints.entry(p.key()).or_insert_with(|| {
+    // Each plan's machine: its canonical config fingerprint. A plan whose
+    // images did not load has none: it fails alone and is never stored.
+    let mut machines: Vec<Option<u64>> = Vec::with_capacity(plans.len());
+    for (i, p) in plans.iter().enumerate() {
+        // The drivers enumerate (mix, seed, partition) outermost, so each
+        // is fingerprinted once.
+        machines.push(match i.checked_sub(1).map(|last| &plans[last]) {
+            Some(q) if (q.mix, q.seed, q.partition) == (p.mix, p.seed, p.partition) => {
+                machines[i - 1]
+            }
+            _ => sweep.images[&(p.mix, p.seed)].as_ref().ok().map(|images| {
                 config_fingerprint(&canonical_config_for(images, p.seed, p.partition))
-            });
-            let nums = [sweep.cycles, sweep.warmup];
-            Some(journal_key(fingerprint, &p.key_parts, &nums))
-        })
+            }),
+        });
+    }
+    // Each plan's cell key, folded from its machine, key parts and cycle
+    // counts, so an entry is only ever resumed into a sweep that would
+    // reproduce it exactly.
+    let nums = [sweep.cycles, sweep.warmup];
+    let cells: Vec<Option<u64>> = (0..plans.len())
+        .map(|i| Some(journal_key(machines[i]?, &plans[i].key_parts, &nums)))
         .collect();
 
     // Journal prescan. Failed cells are never journaled — deterministic
@@ -241,7 +254,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
     let mut degraded: Vec<Degradation> = Vec::new();
     if let Some(journal) = &journal {
         for (i, plan) in plans.iter().enumerate() {
-            let Some(key) = cell_keys[i] else { continue };
+            let Some(key) = cells[i] else { continue };
             match journal.load(key, i as u64) {
                 Ok(found) => journaled[i] = found,
                 Err(detail) => degraded.push(Degradation {
@@ -252,28 +265,31 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
             }
         }
     }
+    // The cell key of a plan that still needs simulating.
+    let due = |i: usize| cells[i].filter(|_| journaled[i].is_none());
 
-    // Pre-warm phase. A warmup that panics poisons exactly the cells that
-    // depend on its key.
-    let mut needed: Vec<(WarmKey, &MixImages)> = Vec::new();
+    // Pre-warm phase: one warmup per machine, labelled by the first plan
+    // that needs it. A warmup that panics poisons exactly the cells that
+    // fork it.
+    let mut needed: Vec<(u64, &CellPlan)> = Vec::new();
     for (i, p) in plans.iter().enumerate() {
-        if let (Warm::Shared, None, Ok(images)) =
-            (&p.warm, &journaled[i], &sweep.images[&(p.mix, p.seed)])
-        {
-            if !needed.iter().any(|(key, _)| *key == p.key()) {
-                needed.push((p.key(), images));
+        if let (Warm::Shared, Some(_), Some(machine)) = (&p.warm, due(i), machines[i]) {
+            if !needed.iter().any(|&(m, _)| m == machine) {
+                needed.push((machine, p));
             }
         }
     }
-    let warmed = work_steal_map_catch(needed.len(), sweep.jobs, |i| {
-        let ((mix, seed, partition), images) = needed[i];
-        let dir = sweep.checkpoint_dir;
-        warm_checkpoint(images, mix, seed, partition, sweep.warmup, dir)
+    let warmed = work_steal_map_catch(needed.len(), sweep.jobs, |k| {
+        let (p, dir) = (needed[k].1, sweep.checkpoint_dir);
+        let images = sweep.images[&(p.mix, p.seed)]
+            .as_ref()
+            .expect("a fingerprinted plan has images");
+        warm_checkpoint(images, p.mix, p.seed, p.partition, sweep.warmup, dir)
     });
     let mut warmups_performed = 0;
     let mut simulated_cycles = 0;
-    let mut shared: HashMap<WarmKey, Result<Arc<Vec<u8>>, CellError>> = HashMap::new();
-    for ((key, _), outcome) in needed.into_iter().zip(warmed) {
+    let mut shared: HashMap<u64, Result<Arc<Vec<u8>>, CellError>> = HashMap::new();
+    for ((machine, _), outcome) in needed.into_iter().zip(warmed) {
         let checkpoint = outcome
             .map(|warm| {
                 warmups_performed += usize::from(warm.computed);
@@ -282,13 +298,21 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
                 warm.checkpoint
             })
             .map_err(|msg| CellError::panic(format!("warmup panicked: {msg}")));
-        shared.insert(key, checkpoint);
+        shared.insert(machine, checkpoint);
     }
 
-    // Cell phase. A cold/warm pair whose two cells both still need
-    // simulating is one unit of work; every other cell is its own.
-    let runnable =
-        |i: usize| journaled[i].is_none() && sweep.images[&(plans[i].mix, plans[i].seed)].is_ok();
+    // Cell phase. Plans that still need simulating and share a cell key
+    // are one group, named by its first plan; every other plan is a group
+    // of its own. A cold/warm pair of groups whose cells both still need
+    // simulating is one unit of work; every other group is its own.
+    let mut first: HashMap<u64, usize> = HashMap::new();
+    let group: Vec<usize> = (0..plans.len())
+        .map(|i| due(i).map_or(i, |cell| *first.entry(cell).or_insert(i)))
+        .collect();
+    let mut members = vec![Vec::new(); plans.len()];
+    for (i, &g) in group.iter().enumerate() {
+        members[g].push(i);
+    }
     let mut warm_twin: Vec<Option<usize>> = vec![None; plans.len()];
     let mut fused = vec![false; plans.len()];
     for (warm, plan) in plans.iter().enumerate() {
@@ -298,21 +322,21 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         } = plan.warm
         {
             debug_assert!(matches!(plans[cold].warm, Warm::None));
-            if sweep.cycles >= sweep.warmup && runnable(cold) && runnable(warm) {
-                warm_twin[cold] = Some(warm);
-                fused[warm] = true;
+            if sweep.cycles >= sweep.warmup && due(cold).is_some() && due(warm).is_some() {
+                warm_twin[group[cold]] = Some(group[warm]);
+                fused[group[warm]] = true;
             }
         }
     }
-    // A unit: a cell and, for a pair, its warm twin.
+    // A unit: a group and, for a pair, its warm twin's group.
     let units: Vec<(usize, Option<usize>)> = (0..plans.len())
-        .filter(|&i| !fused[i])
-        .map(|i| (i, warm_twin[i]))
+        .filter(|&g| group[g] == g && !fused[g])
+        .map(|g| (g, warm_twin[g]))
         .collect();
 
     // Publishes a fresh report; a failed store only costs durability.
     let store = |i: usize, done: &mut Done| {
-        if let (Some(journal), Some(key)) = (&journal, cell_keys[i]) {
+        if let (Some(journal), Some(key)) = (&journal, cells[i]) {
             if let Err(e) = journal.store(key, i as u64, &done.report) {
                 done.degradations.push(Degradation {
                     key: plans[i].label(),
@@ -351,7 +375,8 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
                 Done::of(report, stepped)
             }
             Warm::Shared => {
-                let mut sim = fork(shared[&plan.key()].as_ref().map_err(CellError::clone)?)?;
+                let machine = machines[i].expect("loaded images have a fingerprint");
+                let mut sim = fork(shared[&machine].as_ref().map_err(CellError::clone)?)?;
                 Done::of(sim.run(sweep.cycles), sweep.cycles)
             }
             Warm::Own { .. } => {
@@ -371,10 +396,25 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
         Ok(done)
     };
     // Results land in per-plan slots rather than flow back through the
-    // pool: a unit may finish two cells, at different times.
+    // pool: a unit may finish two groups, at different times.
     let slots: Vec<OnceLock<CellResult>> = plans.iter().map(|_| OnceLock::new()).collect();
-    let finish = |i: usize, result: CellResult| {
+    let set = |i: usize, result: CellResult| {
         assert!(slots[i].set(result).is_ok(), "plan {i} ran in two units");
+    };
+    // Publishes a group's one result: the simulated member, first, keeps
+    // its work and incidents, and every other member gets a clone.
+    let finish = |group: &[usize], result: CellResult| {
+        for &i in &group[1..] {
+            let copy = result.as_ref().map(|done| Done::of(done.report.clone(), 0));
+            set(i, copy.map_err(CellError::clone));
+        }
+        set(group[0], result);
+    };
+    // A group's members whose fault probe passes; each member whose probe
+    // fires fails alone.
+    let live = |group: &[usize]| -> Vec<usize> {
+        let passes = |&i: &usize| probe(i).map_err(|e| set(i, Err(e))).is_ok();
+        group.iter().copied().filter(passes).collect()
     };
     let alone = |i: usize| contain(|| single(i, None));
 
@@ -382,61 +422,64 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
     // and the warm cell's checkpoint, the fork's report B up to `cycles`,
     // the cold cell as A ++ B, then the fork's last `warmup` cycles for
     // the warm cell. A panic in here unwinds to the unit's catch, which
-    // fails the members still without a result: both of them up to the
+    // fails the members still without a result: both groups up to the
     // cold cell's completion — the fault both separate runs would have
-    // hit — and the warm cell alone after it.
-    let pair = |cold: usize, warm: usize| {
-        let plan = &plans[warm];
+    // hit — and the warm group alone after it.
+    let pair = |cold: &[usize], warm: &[usize]| {
+        let plan = &plans[warm[0]];
         let images = sweep.images[&(plan.mix, plan.seed)]
             .as_ref()
             .expect("pairs form on loaded images");
         let (warmed, first) = own_warmup(plan, images);
         let Some(first) = first else {
             // Cache-served: there is no window A to share.
-            finish(cold, alone(cold));
-            finish(warm, contain(|| single(warm, Some(warmed))));
+            finish(cold, alone(cold[0]));
+            finish(warm, contain(|| single(warm[0], Some(warmed))));
             return;
         };
-        let WarmOutcome {
-            checkpoint,
-            degradations,
-            ..
-        } = warmed;
-        let mut sim = Simulator::fork_checkpoint((plan.config)(images), &checkpoint)
+        let mut sim = Simulator::fork_checkpoint((plan.config)(images), &warmed.checkpoint)
             .expect("a machine restores the checkpoint it has just saved");
-        drop(checkpoint);
+        drop(warmed.checkpoint);
         let second = sim.run(sweep.cycles - sweep.warmup);
         let report = first
             .concat(&second)
             .expect("the fork continues the machine the first window measured");
         let mut done = Done::of(report, sweep.cycles);
-        store(cold, &mut done);
+        store(cold[0], &mut done);
         // Complete and durable before the machine runs on.
         finish(cold, Ok(done));
         let mut done = Done {
             warmed: true,
-            degradations,
+            degradations: warmed.degradations,
             ..Done::of(sim.run(sweep.warmup), sweep.warmup)
         };
-        store(warm, &mut done);
+        store(warm[0], &mut done);
         finish(warm, Ok(done));
     };
 
-    let escaped = work_steal_map_catch(units.len(), sweep.jobs, |u| match units[u] {
-        (i, None) => finish(i, probe(i).and_then(|()| single(i, None))),
-        // Each member's probe fails exactly that member; whoever remains
-        // runs — fused only when both do.
-        (cold, Some(warm)) => match (probe(cold), probe(warm)) {
-            (Ok(()), Ok(())) => pair(cold, warm),
-            (c, w) => {
-                finish(cold, c.and_then(|()| alone(cold)));
-                finish(warm, w.and_then(|()| alone(warm)));
+    let escaped = work_steal_map_catch(units.len(), sweep.jobs, |u| {
+        let (cold, warm) = units[u];
+        // Whoever passes their probe runs — fused only when both groups
+        // still have a member.
+        let cold = live(&members[cold]);
+        match warm.map(|g| live(&members[g])) {
+            Some(warm) if !cold.is_empty() && !warm.is_empty() => pair(&cold, &warm),
+            warm => {
+                for group in [Some(cold), warm].into_iter().flatten() {
+                    if let Some(&i) = group.first() {
+                        finish(&group, alone(i));
+                    }
+                }
             }
-        },
+        }
     });
-    for (&(cell, twin), outcome) in units.iter().zip(escaped) {
+    for (&(cold, warm), outcome) in units.iter().zip(escaped) {
         let Err(msg) = outcome else { continue };
-        for i in [Some(cell), twin].into_iter().flatten() {
+        for &i in [Some(cold), warm]
+            .into_iter()
+            .flatten()
+            .flat_map(|g| &members[g])
+        {
             // A no-op for a member that finished before the panic.
             let _ = slots[i].set(Err(CellError::panic(msg.clone())));
         }

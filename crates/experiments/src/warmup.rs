@@ -6,9 +6,10 @@
 //! Both studies measure behind a warmup window, and re-simulating a
 //! stretch of cycles some other cell already simulated is the most
 //! redundant work a sweep can do. The **issue study** warms each unique
-//! (mix, seed, partition) key **once** under the *canonical*
-//! configuration — ICOUNT fetch, OLDEST_FIRST issue, no ablations
-//! ([`warm_checkpoint`]) — and the resulting
+//! machine — each canonical config fingerprint, whatever mix string
+//! spells it — **once** under the *canonical* configuration — ICOUNT
+//! fetch, OLDEST_FIRST issue, no ablations ([`warm_checkpoint`]) — and
+//! the resulting
 //! [`Simulator::save_checkpoint`] bytes are forked across the whole
 //! fetch × issue cross-product (policies only steer the measured window;
 //! they do not define the machine being warmed). The **ablation study**
@@ -18,7 +19,7 @@
 //! cell from a checkpoint warmed under the cell's own configuration
 //! (`warm_checkpoint_reporting`). That checkpoint's only *fork* is the warm
 //! cell's, so the engine computes it inside the unit of work and frees it
-//! as soon as the fork has restored it (holding one ~370 KB checkpoint
+//! as soon as the fork has restored it (holding one ~319 KB checkpoint
 //! per warm cell for the whole sweep would only raise peak memory); the
 //! `--checkpoint-dir` cache dedups it across repeat sweeps. Its
 //! *trajectory* does have a second user, though: the cold cell of the

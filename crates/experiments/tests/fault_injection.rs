@@ -317,3 +317,54 @@ fn ablation_sweep_contains_injected_panics_too() {
         assert_eq!(healthy.next().unwrap().report, r.report);
     }
 }
+
+#[test]
+fn a_panic_at_one_spelling_of_a_machine_fails_that_plan_only() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    clear();
+    // `mixed4` spelled twice: plans 0..8 and 8..16 are one machine's
+    // cells, simulated once per cell key. Whichever spelling's plan is
+    // armed fails alone; its alias is simulated by the other member and
+    // stays bit-exact.
+    let cfg = |jobs| StudyConfig {
+        mixes: vec!["mixed4".into(), "espresso+xlisp+alvinn+tomcatv".into()],
+        ..tiny(jobs)
+    };
+    let reference = run_study(&cfg(1)).unwrap();
+    assert_eq!(reference.cells.len(), 16);
+    for jobs in [1, 2, 8] {
+        for armed in [3usize, 11] {
+            arm("cell", Some(armed as u64), FaultKind::Panic, 1);
+            let study = quiet(|| run_study(&cfg(jobs))).unwrap();
+            assert_eq!(remaining_shots(), 0, "the armed fault must fire");
+            clear();
+            let r = &reference.cells[armed];
+            let failed: Vec<_> = study
+                .failed
+                .iter()
+                .map(|f| (f.error.kind, &f.mix, &f.fetch, &f.issue, f.partition))
+                .collect();
+            assert_eq!(
+                failed,
+                [(
+                    CellErrorKind::Panic,
+                    &r.mix,
+                    &r.fetch,
+                    &r.issue,
+                    r.partition
+                )],
+                "jobs={jobs}, armed={armed}: exactly the armed plan fails"
+            );
+            let mut healthy = study.cells.iter();
+            for (i, r) in reference.cells.iter().enumerate() {
+                if i == armed {
+                    continue;
+                }
+                let c = healthy.next().expect("healthy cell missing");
+                assert_eq!(c.mix, r.mix);
+                assert_eq!(c.report, r.report, "jobs={jobs}: cell {i} perturbed");
+            }
+            assert!(healthy.next().is_none());
+        }
+    }
+}

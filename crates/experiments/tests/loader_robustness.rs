@@ -41,7 +41,7 @@ fn valid_trace_bytes() -> Vec<u8> {
 }
 
 /// A two-thread machine whose checkpoint is tens of kilobytes, not the
-/// default ~370 kB (the cache tag arrays dominate), over pre-generated
+/// default ~319 kB (the cache tag arrays dominate), over pre-generated
 /// programs, so the suite below can afford thousands of restores.
 fn small_machine(programs: &[WorkloadSpec]) -> SimConfig {
     let mut cfg = SimConfig::new().with_workloads(programs.to_vec());

@@ -814,8 +814,9 @@ fn cache_entry_names_stay_under_the_file_name_limit() {
 fn two_spellings_of_one_machine_share_cache_and_journal_entries() {
     // `a.elf` and `./a.elf` load the same image, so the two mixes are one
     // machine with one warm cache entry and one journal entry per cell
-    // coordinate. Under any worker count their cells and warmups store
-    // those shared entries concurrently, and no store may fail.
+    // coordinate. The engine warms each machine once and simulates each
+    // cell once, with or without a cache or journal to share through, so
+    // no two workers ever store one entry.
     let spell = |dir: &str| {
         format!(
             "riscv:{}/../../testdata/riscv/{dir}loops.elf+espresso",
@@ -848,6 +849,17 @@ fn two_spellings_of_one_machine_share_cache_and_journal_entries() {
         assert_eq!(entries(&dir.join("cache")).len(), keys, "jobs={jobs}");
         assert_eq!(entries(&dir.join("journal")).len(), a.len(), "jobs={jobs}");
         let doc = first.to_json().render_pretty();
+        let bare = run_study(&StudyConfig {
+            checkpoint_dir: None,
+            journal: None,
+            ..cfg.clone()
+        })
+        .unwrap();
+        assert_eq!(
+            bare.warmups_performed, keys,
+            "jobs={jobs}: one warmup per machine"
+        );
+        assert_eq!(bare.to_json().render_pretty(), doc, "jobs={jobs}");
 
         let resumed = run_study(&cfg).unwrap();
         assert_eq!(resumed.journal_loaded, resumed.cells.len(), "jobs={jobs}");

@@ -345,16 +345,6 @@ impl Opcode {
     pub fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }
-
-    /// Whether control transfers away unconditionally (ends a fetch block
-    /// regardless of prediction).
-    #[inline]
-    pub fn is_uncond_control(self) -> bool {
-        matches!(
-            self,
-            Opcode::Jump | Opcode::JumpInd | Opcode::Call | Opcode::Return
-        )
-    }
 }
 
 impl fmt::Display for Opcode {
@@ -533,10 +523,8 @@ mod tests {
     fn control_classification() {
         assert!(Opcode::CondBranch.is_control());
         assert!(Opcode::CondBranch.is_cond_branch());
-        assert!(!Opcode::CondBranch.is_uncond_control());
         for op in [Opcode::Jump, Opcode::JumpInd, Opcode::Call, Opcode::Return] {
             assert!(op.is_control());
-            assert!(op.is_uncond_control());
             assert!(!op.is_cond_branch());
         }
         assert!(!Opcode::IntAlu.is_control());

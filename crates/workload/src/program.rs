@@ -168,19 +168,6 @@ impl Program {
         self.mems.len()
     }
 
-    /// Histogram of instruction classes: `(opcode, count)` pairs sorted by
-    /// descending count. Used by tests to validate generated mixes.
-    pub fn class_histogram(&self) -> Vec<(smt_isa::Opcode, usize)> {
-        use std::collections::HashMap;
-        let mut counts: HashMap<smt_isa::Opcode, usize> = HashMap::new();
-        for inst in &self.code {
-            *counts.entry(inst.op).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-        v
-    }
-
     /// Validates internal consistency; called by the generator and useful
     /// in property tests.
     ///
@@ -254,6 +241,21 @@ impl Program {
 mod tests {
     use super::*;
     use smt_isa::{Opcode, Reg};
+
+    impl Program {
+        /// Histogram of instruction classes: `(opcode, count)` pairs sorted
+        /// by descending count, to validate generated mixes.
+        pub(crate) fn class_histogram(&self) -> Vec<(Opcode, usize)> {
+            use std::collections::HashMap;
+            let mut counts: HashMap<Opcode, usize> = HashMap::new();
+            for inst in &self.code {
+                *counts.entry(inst.op).or_default() += 1;
+            }
+            let mut v: Vec<_> = counts.into_iter().collect();
+            v.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+            v
+        }
+    }
 
     fn tiny_program() -> Program {
         // entry: alu; cmp; br -4 (loop); ret-ish jump back
