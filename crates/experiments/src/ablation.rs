@@ -385,7 +385,7 @@ fn plan_sweep(cfg: &AblationStudyConfig) -> (Sweep<'_>, Vec<Axes<'_>>) {
                                         // The cold window's plans of this
                                         // (mix, seed, partition, fetch) sit
                                         // one ablation axis back.
-                                        cold_twin: Some(plans.len() - ablation_axis.len()),
+                                        cold_twin: plans.len() - ablation_axis.len(),
                                     },
                                 },
                                 config: Box::new(move |images| {

@@ -11,7 +11,6 @@ use std::process::ExitCode;
 use smt_experiments::ablation::{run_ablation_study, Window};
 use smt_experiments::fault::Degradation;
 use smt_experiments::study::{run_study, FailedStudyCell};
-use smt_experiments::warmup::{run_checkpoint_verify, run_checkpoint_write};
 use smt_experiments::{matrix_to_json, parse_cli, run_matrix, Command, USAGE};
 use smt_stats::json::Json;
 
@@ -192,14 +191,6 @@ fn run(cmd: Command) -> Result<ExitCode, String> {
                 }),
                 json.as_deref().map(|path| (path, study.to_json())),
             )
-        }
-        Command::CheckpointWrite(cfg) => {
-            println!("{}", run_checkpoint_write(&cfg)?);
-            Ok(ExitCode::SUCCESS)
-        }
-        Command::CheckpointVerify(cfg) => {
-            println!("{}", run_checkpoint_verify(&cfg)?);
-            Ok(ExitCode::SUCCESS)
         }
     }
 }

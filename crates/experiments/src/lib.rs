@@ -70,9 +70,9 @@
 //!
 //! `--checkpoint-dir` caches either kind of checkpoint on disk across
 //! invocations, named like journal entries by the warmed machine's
-//! identity ([`warmup`] has the rule), and the `checkpoint-write` /
-//! `checkpoint-verify` subcommands perform a cross-process save/restore
-//! round trip for CI.
+//! identity ([`warmup`] has the rule). It is the one way a checkpoint
+//! leaves the process: any process that sweeps the same machine can be
+//! served from another's entries.
 //!
 //! # Examples
 //!
@@ -286,7 +286,6 @@ use crate::ablation::AblationStudyConfig;
 use crate::fault::Degradation;
 use crate::study::{FailedStudyCell, MixImages, StudyConfig, STUDY_MIXES};
 use crate::sweep::{CellPlan, Sweep, Warm};
-use crate::warmup::CheckpointCliConfig;
 
 /// One experiment sweep: which policies and partitions to run, on what
 /// workload, for how long.
@@ -362,7 +361,7 @@ impl ExpConfig {
 }
 
 /// The workload for `threads` contexts: the standard mix, cycled.
-pub fn mix_for(threads: usize) -> Vec<Benchmark> {
+fn mix_for(threads: usize) -> Vec<Benchmark> {
     let mix = standard_mix();
     (0..threads).map(|i| mix[i % mix.len()]).collect()
 }
@@ -538,13 +537,6 @@ pub enum Command {
         /// Where `--json` asked the result document to be written.
         json: Option<String>,
     },
-    /// `smt_exp checkpoint-write`: write one canonical warmed checkpoint
-    /// to a file ([`warmup::run_checkpoint_write`]).
-    CheckpointWrite(CheckpointCliConfig),
-    /// `smt_exp checkpoint-verify`: restore a checkpoint file (written by
-    /// any process) and verify bit-equivalence against a straight-through
-    /// run ([`warmup::run_checkpoint_verify`]).
-    CheckpointVerify(CheckpointCliConfig),
 }
 
 /// Parses a numeric flag value.
@@ -575,38 +567,6 @@ fn name_list(
         .collect()
 }
 
-/// Parses the flags of the `checkpoint-write` / `checkpoint-verify`
-/// subcommands (everything after the subcommand name).
-fn parse_checkpoint_cli(args: &[String]) -> Result<CheckpointCliConfig, String> {
-    let mut cfg = CheckpointCliConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--mix" => {
-                let v = value("--mix")?;
-                study::validate_mix(&v)?;
-                cfg.mix = v;
-            }
-            "--seed" => cfg.seed = number(arg, &value(arg)?)?,
-            "--partition" => cfg.partition = partition(&value(arg)?)?,
-            "--warmup" => cfg.warmup = number(arg, &value(arg)?)?,
-            "--cycles" => cfg.cycles = number(arg, &value(arg)?)?,
-            "--path" => cfg.path = value("--path")?,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-    }
-    if cfg.path.is_empty() {
-        return Err("checkpoint subcommands require --path FILE".to_string());
-    }
-    Ok(cfg)
-}
-
 /// Parses CLI arguments (everything after the program name) into a
 /// [`Command`].
 ///
@@ -615,16 +575,6 @@ fn parse_checkpoint_cli(args: &[String]) -> Result<CheckpointCliConfig, String> 
 /// Returns a usage-style message on unknown flags, bad values or unknown
 /// policy/mix names. `--help` returns [`USAGE`] as the error message.
 pub fn parse_cli(args: &[String]) -> Result<Command, String> {
-    match args.first().map(String::as_str) {
-        Some("checkpoint-write") => {
-            return parse_checkpoint_cli(&args[1..]).map(Command::CheckpointWrite)
-        }
-        Some("checkpoint-verify") => {
-            return parse_checkpoint_cli(&args[1..]).map(Command::CheckpointVerify)
-        }
-        _ => {}
-    }
-
     let mut exp = ExpConfig::default();
     let mut study_kind: Option<String> = None;
     let mut issue_list: Option<Vec<String>> = None;
@@ -799,10 +749,6 @@ usage: smt_exp [--fetch rr,icount,brcount,misscount|all] [--issue oldest|opt_las
        smt_exp --study ablation [--fetch LIST] [--ablations LIST|all] [--partition LIST|all]
                [--mixes LIST|all] [--seeds N,N,...] [--cycles N] [--warmup N]
                [--jobs N] [--checkpoint-dir DIR] [--journal DIR] [--json PATH]
-       smt_exp checkpoint-write --path FILE [--mix NAME] [--seed N] [--partition T.I]
-               [--warmup N]
-       smt_exp checkpoint-verify --path FILE [--mix NAME] [--seed N] [--partition T.I]
-               [--warmup N] [--cycles N]
 
 Reproduces the throughput comparisons of Tullsen et al., ISCA 1996. The default
 mode is the Section-4 matrix (one row per fetch partition, one column per fetch
@@ -820,19 +766,15 @@ list: '+'-separated entries, each 'riscv:PATH' (a RISC-V binary, executed
 functionally), 'trace:PATH' (a recorded SMT1TRCE trace, replayed) or a
 synthetic benchmark name — e.g.
 '--mixes riscv:testdata/riscv/loops.elf+riscv:testdata/riscv/gcd.elf+espresso'.
-The checkpoint subcommands' --mix accepts the same syntax.
 
 Both studies fork their warm cells off warmed-state checkpoints: '--study
 issue' computes each warmup once per unique machine and forks it across the
 whole policy cross-product, while '--study ablation' warms each warm cell under
 its own fetch policy and ablation set; '--checkpoint-dir DIR' caches either kind
-of warmup checkpoint on disk across invocations. A machine is its workloads,
-seed, partition and geometry, not its mix string: two spellings of one mix
-('int8' and its eight benchmark names) warm once and simulate each cell once. 'checkpoint-write'
-simulates one canonical warmup (ICOUNT fetch, OLDEST_FIRST issue, no ablations)
-and writes the checkpoint to --path; 'checkpoint-verify' restores such a file —
-from any process — and fails unless the restored run's report is byte-identical
-to a straight-through run of the same machine.
+of warmup checkpoint on disk across invocations, and any process sweeping the
+same machine can share a DIR. A machine is its workloads, seed, partition and
+geometry, not its mix string: two spellings of one mix ('int8' and its eight
+benchmark names) warm once and simulate each cell once.
 
 All three sweep modes run their cells in parallel ('--jobs N', default one
 worker per core) and contain cell faults: a cell that panics or fails to load
@@ -1013,18 +955,6 @@ mod tests {
         };
         assert_eq!(cfg.mixes, vec![mix]);
         assert!(parse_cli(&argv(&["--study", "issue", "--mixes", "bogus:x"])).is_err());
-        // The checkpoint subcommands accept the same syntax.
-        let Command::CheckpointWrite(cfg) = parse_cli(&argv(&[
-            "checkpoint-write",
-            "--path",
-            "x.ckpt",
-            "--mix",
-            mix,
-        ]))
-        .unwrap() else {
-            panic!("expected checkpoint-write");
-        };
-        assert_eq!(cfg.mix, mix);
     }
 
     #[test]
@@ -1058,6 +988,11 @@ mod tests {
         assert!(parse_cli(&argv(&["--study", "fetch"])).is_err());
         assert!(parse_cli(&argv(&["--study", "issue", "--mixes", "nonesuch"])).is_err());
         assert!(parse_cli(&argv(&["--issue", "nonesuch"])).is_err());
+        // A word that is not a flag is refused, not run as a matrix.
+        for word in ["checkpoint-write", "checkpoint-verify"] {
+            let err = parse_cli(&argv(&[word, "--path", "x"])).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{word}: {err}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //!
 //! # Pairs: one trajectory, two cells
 //!
-//! A `Warm::Own` plan may name its **cold twin**: the `Warm::None` plan
+//! A `Warm::Own` plan names its **cold twin**: the `Warm::None` plan
 //! with the identical configuration (the ablation study's cold and warm
 //! window of one machine). Run separately, the cold cell steps cycles
 //! `0..cycles` and the warm cell steps `0..warmup` again for its
@@ -148,10 +148,9 @@ pub(crate) enum Warm {
     Shared,
     /// Fork a checkpoint warmed under the plan's own configuration.
     Own {
-        /// Index of the [`Warm::None`] plan with the *same* configuration,
-        /// if the sweep has one: the engine then simulates the two cells
-        /// over one trajectory.
-        cold_twin: Option<usize>,
+        /// Index of the [`Warm::None`] plan with the *same* configuration:
+        /// the engine simulates the two cells over one trajectory.
+        cold_twin: usize,
     },
 }
 
@@ -316,11 +315,7 @@ pub(crate) fn run(sweep: &Sweep<'_>) -> Result<SweepOutcome, String> {
     let mut warm_twin: Vec<Option<usize>> = vec![None; plans.len()];
     let mut fused = vec![false; plans.len()];
     for (warm, plan) in plans.iter().enumerate() {
-        if let Warm::Own {
-            cold_twin: Some(cold),
-            ..
-        } = plan.warm
-        {
+        if let Warm::Own { cold_twin: cold } = plan.warm {
             debug_assert!(matches!(plans[cold].warm, Warm::None));
             if sweep.cycles >= sweep.warmup && due(cold).is_some() && due(warm).is_some() {
                 warm_twin[group[cold]] = Some(group[warm]);

@@ -34,8 +34,9 @@
 //! bit-equivalent to one that ran straight through (`smt-core` pins this
 //! with its own tests): a cell forked off a shared checkpoint is
 //! byte-identical to one forked off its own recomputation of the same
-//! canonical warmup ([`compute_checkpoint`] + [`fork_cell`], which is how
-//! the test suite builds its engine-free reference documents), and, but
+//! canonical warmup ([`compute_checkpoint_under`] over
+//! [`canonical_config_for`], then [`fork_cell`]; the test suite builds
+//! its engine-free reference documents this way), and, but
 //! for the `restored_from_checkpoint` flag, to a straight-through run.
 //!
 //! With `--checkpoint-dir` the checkpoints are also cached on disk, one
@@ -68,7 +69,7 @@ use smt_core::{
 
 use crate::fault::{Degradation, DegradeReason};
 use crate::journal::journal_key;
-use crate::study::{resolve_mix, MixImages};
+use crate::study::MixImages;
 
 /// The canonical warmup configuration for a (workloads, seed, partition)
 /// key: ICOUNT fetch, OLDEST_FIRST issue, no ablations, no auto-warmup.
@@ -102,17 +103,6 @@ fn simulate_warmup(cfg: SimConfig, warmup: u64) -> (SimReport, Vec<u8>) {
     sim.save_checkpoint(&mut bytes)
         .expect("writing a checkpoint to a Vec cannot fail");
     (sim.report(), bytes)
-}
-
-/// Simulates the canonical warmup for the key and serializes the warmed
-/// machine (see [`compute_checkpoint_under`]).
-pub fn compute_checkpoint(
-    images: &MixImages,
-    seed: u64,
-    partition: FetchPartition,
-    warmup: u64,
-) -> Vec<u8> {
-    compute_checkpoint_under(canonical_config_for(images, seed, partition), warmup)
 }
 
 /// One warmed checkpoint, plus how it was obtained.
@@ -283,117 +273,10 @@ pub fn fork_cell(cfg: SimConfig, checkpoint: &[u8], cycles: u64) -> SimReport {
         .expect("sweep checkpoints share the cell's machine fingerprint")
 }
 
-/// What `smt_exp checkpoint-write` / `checkpoint-verify` operate on: one
-/// canonical warmup key plus the file it is written to or read from.
-#[derive(Debug, Clone)]
-pub struct CheckpointCliConfig {
-    /// Workload mix: a named mix or a custom `riscv:` / `trace:` list
-    /// (see [`crate::study::validate_mix`]).
-    pub mix: String,
-    /// Workload-generation seed.
-    pub seed: u64,
-    /// Fetch partition of the warmed machine.
-    pub partition: FetchPartition,
-    /// Warmup cycles the checkpoint captures.
-    pub warmup: u64,
-    /// Measured cycles for the verification run (`checkpoint-verify` only).
-    pub cycles: u64,
-    /// The checkpoint file (`--path`).
-    pub path: String,
-}
-
-impl Default for CheckpointCliConfig {
-    fn default() -> CheckpointCliConfig {
-        CheckpointCliConfig {
-            mix: "standard".to_string(),
-            seed: 42,
-            partition: FetchPartition::new(2, 8),
-            warmup: 10_000,
-            cycles: 20_000,
-            path: String::new(),
-        }
-    }
-}
-
-/// Runs `smt_exp checkpoint-write`: simulates the canonical warmup for the
-/// key and writes the checkpoint to `cfg.path`. Returns the human-readable
-/// success line.
-///
-/// # Errors
-///
-/// Returns a message for an unknown mix or an unwritable path.
-pub fn run_checkpoint_write(cfg: &CheckpointCliConfig) -> Result<String, String> {
-    let images = resolve_mix(&cfg.mix, cfg.seed)?;
-    let bytes = compute_checkpoint(&images, cfg.seed, cfg.partition, cfg.warmup);
-    std::fs::write(&cfg.path, &bytes).map_err(|e| format!("failed to write {}: {e}", cfg.path))?;
-    Ok(format!(
-        "wrote {} ({} bytes; {} mix, seed {}, partition {}, {} warmup cycles)",
-        cfg.path,
-        bytes.len(),
-        cfg.mix,
-        cfg.seed,
-        cfg.partition,
-        cfg.warmup
-    ))
-}
-
-/// Runs `smt_exp checkpoint-verify`: restores `cfg.path` (written by any
-/// process — this is the cross-process half of the round-trip), runs the
-/// measured window, and byte-compares the report JSON against a
-/// straight-through run of the same machine. Returns the human-readable
-/// success line.
-///
-/// # Errors
-///
-/// Returns a message for an unknown mix, an unreadable or invalid
-/// checkpoint, a checkpoint at the wrong cycle, or — the point of the
-/// command — a restored run that diverges from the straight-through run.
-pub fn run_checkpoint_verify(cfg: &CheckpointCliConfig) -> Result<String, String> {
-    let images = resolve_mix(&cfg.mix, cfg.seed)?;
-    let bytes =
-        std::fs::read(&cfg.path).map_err(|e| format!("failed to read {}: {e}", cfg.path))?;
-
-    let restored_cfg = canonical_config_for(&images, cfg.seed, cfg.partition);
-    let mut sim = Simulator::restore_checkpoint(restored_cfg, &mut bytes.as_slice())
-        .map_err(|e| format!("restore of {} failed: {e}", cfg.path))?;
-    if sim.cycle() != cfg.warmup {
-        return Err(format!(
-            "checkpoint {} is at cycle {}, expected warmup {}",
-            cfg.path,
-            sim.cycle(),
-            cfg.warmup
-        ));
-    }
-    sim.reset_stats();
-    let restored = sim.run(cfg.cycles).to_json().render();
-
-    let straight = canonical_config_for(&images, cfg.seed, cfg.partition)
-        .with_warmup(cfg.warmup)
-        .build()
-        .run(cfg.cycles)
-        .to_json()
-        .render();
-
-    if restored != straight {
-        return Err(format!(
-            "restored run diverged from the straight-through run \
-             ({} vs {} bytes of report JSON)",
-            restored.len(),
-            straight.len()
-        ));
-    }
-    Ok(format!(
-        "verified {}: restored and straight-through runs are byte-identical \
-         ({} measured cycles, {} bytes of report JSON)",
-        cfg.path,
-        cfg.cycles,
-        restored.len()
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::resolve_mix;
 
     fn images() -> MixImages {
         resolve_mix("mixed4", 42).expect("named mix")
@@ -402,7 +285,7 @@ mod tests {
     #[test]
     fn fork_matches_straight_through_warmup() {
         let partition = FetchPartition::new(2, 8);
-        let ckpt = compute_checkpoint(&images(), 42, partition, 300);
+        let ckpt = compute_checkpoint_under(canonical_config_for(&images(), 42, partition), 300);
         let cell_cfg = canonical_config_for(&images(), 42, partition);
         let forked = fork_cell(cell_cfg, &ckpt, 400);
         let straight = canonical_config_for(&images(), 42, partition)
@@ -570,34 +453,25 @@ mod tests {
             assert_eq!(*reference, *served.checkpoint);
         }
 
+        // A valid entry at the wrong cycle: the warmup-200 bytes under the
+        // warmup-150 entry's name restore cleanly, but are refused.
+        let short = warmup - 50;
+        let short_reference = warm_checkpoint(&p, "mixed4", 42, partition, short, None).checkpoint;
+        warm_checkpoint(&p, "mixed4", 42, partition, short, Some(&dir));
+        let short_entry = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|path| *path != entry)
+            .expect("the warmup-150 entry");
+        std::fs::write(&short_entry, &pristine).unwrap();
+        let again = warm_checkpoint(&p, "mixed4", 42, partition, short, Some(&dir));
+        assert!(again.computed, "wrong-cycle entry must be recomputed");
+        assert_eq!(*short_reference, *again.checkpoint);
+        assert_eq!(again.degradations.len(), 1);
+        let refused = &again.degradations[0];
+        assert_eq!(refused.reason, DegradeReason::CheckpointCacheInvalid);
+        assert!(refused.detail.contains("expected warmup"), "{refused}");
+
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_cli_write_then_verify() {
-        let path =
-            std::env::temp_dir().join(format!("smt-exp-cli-roundtrip-{}.ckpt", std::process::id()));
-        let cfg = CheckpointCliConfig {
-            mix: "mixed4".to_string(),
-            warmup: 250,
-            cycles: 300,
-            path: path.to_string_lossy().into_owned(),
-            ..CheckpointCliConfig::default()
-        };
-        let wrote = run_checkpoint_write(&cfg).unwrap();
-        assert!(wrote.contains("bytes"));
-        let verified = run_checkpoint_verify(&cfg).unwrap();
-        assert!(verified.contains("byte-identical"));
-
-        // A wrong expected warmup is refused.
-        let skewed = CheckpointCliConfig {
-            warmup: 99,
-            ..cfg.clone()
-        };
-        assert!(run_checkpoint_verify(&skewed)
-            .unwrap_err()
-            .contains("expected warmup"));
-
-        std::fs::remove_file(&path).ok();
     }
 }

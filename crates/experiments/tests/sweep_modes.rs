@@ -13,8 +13,9 @@
 //! * two spellings of one machine (`a.elf`, `./a.elf`) share its cache
 //!   and journal entries without an incident under any worker count;
 //! * each mode's document equals a reference built cell by cell from the
-//!   public one-cell calls (`compute_checkpoint` + `fork_cell`, or a
-//!   straight run), with no engine in between.
+//!   public one-cell calls (`compute_checkpoint_under` over
+//!   `canonical_config_for`, then `fork_cell`; or a straight run), with
+//!   no engine in between.
 //!
 //! The ablation row has three properties of its own, because its engine
 //! path simulates a cold cell and its warm twin over one trajectory: any
@@ -36,9 +37,7 @@ use smt_experiments::ablation::{
 use smt_experiments::fault::{CellError, CellErrorKind, Degradation, DegradeReason};
 use smt_experiments::journal::journal_key;
 use smt_experiments::study::{resolve_mix, run_study, MixImages, Study, StudyCell, StudyConfig};
-use smt_experiments::warmup::{
-    canonical_config_for, compute_checkpoint, compute_checkpoint_under, fork_cell,
-};
+use smt_experiments::warmup::{canonical_config_for, compute_checkpoint_under, fork_cell};
 use smt_experiments::{
     generate_programs, matrix_to_json, parse_cli, run_matrix, ExpConfig, Matrix,
 };
@@ -268,7 +267,10 @@ fn reference_issue() -> String {
             for &partition in &cfg.partitions {
                 for fetch in &cfg.fetch_policies {
                     for issue in &cfg.issue_policies {
-                        let checkpoint = compute_checkpoint(&images, seed, partition, cfg.warmup);
+                        let checkpoint = compute_checkpoint_under(
+                            canonical_config_for(&images, seed, partition),
+                            cfg.warmup,
+                        );
                         let cell = images
                             .apply(SimConfig::new())
                             .with_seed(seed)

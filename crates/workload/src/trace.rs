@@ -241,22 +241,7 @@ impl TraceImage {
         })
     }
 
-    /// Records a trace and writes it to `path` in one step.
-    pub fn record_to_file(
-        image: &Arc<RiscvImage>,
-        steps: usize,
-        path: &std::path::Path,
-    ) -> Result<(), String> {
-        let trace = Self::record(image, steps)?;
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-        trace
-            .write_to(io::BufWriter::new(file))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-
-    /// Loads a trace file written by
-    /// [`record_to_file`](TraceImage::record_to_file).
+    /// Loads a trace file written by [`write_to`](TraceImage::write_to).
     pub fn load(path: &std::path::Path) -> Result<TraceImage, String> {
         let file = std::fs::File::open(path)
             .map_err(|e| format!("cannot open {}: {e}", path.display()))?;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use smt::{FleetCell, SimConfig, SimFleet};
 use smt_core::FetchPartition;
 use smt_experiments::study::{mix_by_name, MixImages};
-use smt_experiments::warmup::{canonical_config_for, compute_checkpoint, fork_cell};
+use smt_experiments::warmup::{canonical_config_for, compute_checkpoint_under, fork_cell};
 
 /// The golden matrix (kept in lockstep with `tests/golden.rs`).
 const MIXES: [&str; 3] = ["standard", "int8", "fp8"];
@@ -120,7 +120,8 @@ fn checkpoint_seeded_fleet_matches_sequential_forks() {
     let mut cells = Vec::new();
     for mix in MIXES {
         for seed in SEEDS {
-            let ckpt = Arc::new(compute_checkpoint(&images(mix, seed), seed, partition, 400));
+            let canonical = canonical_config_for(&images(mix, seed), seed, partition);
+            let ckpt = Arc::new(compute_checkpoint_under(canonical, 400));
             for fetch in ["icount", "rr"] {
                 cells.push((mix, seed, fetch, ckpt.clone()));
             }
