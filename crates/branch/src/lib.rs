@@ -73,15 +73,6 @@ impl Default for PredictorConfig {
 }
 
 impl PredictorConfig {
-    /// The paper's "better scheme": doubled BTB and PHT (Section 7).
-    pub fn doubled() -> PredictorConfig {
-        PredictorConfig {
-            btb_entries: 512,
-            pht_entries: 4096,
-            ..PredictorConfig::default()
-        }
-    }
-
     /// Number of history bits (= log2 of PHT entries).
     pub fn history_bits(&self) -> u32 {
         self.pht_entries.trailing_zeros()
@@ -629,13 +620,6 @@ mod tests {
         assert_eq!(cfg.ras_entries, 12);
         assert!(cfg.thread_tagged_btb);
         assert_eq!(cfg.history_bits(), 11);
-    }
-
-    #[test]
-    fn doubled_config_doubles_tables() {
-        let cfg = PredictorConfig::doubled();
-        assert_eq!(cfg.btb_entries, 512);
-        assert_eq!(cfg.pht_entries, 4096);
     }
 
     #[test]

@@ -229,7 +229,8 @@ impl SimConfig {
     ///
     /// Panics if the configuration is degenerate (no threads, more than
     /// [`MAX_THREADS`], or zero-width structures: queues, units, TLBs, or
-    /// MSHRs on a finite-bandwidth memory).
+    /// MSHRs on a finite-bandwidth memory), or if `mem.perfect_icache` is
+    /// set directly instead of through [`Ablation::PerfectICache`].
     pub fn build(self) -> Simulator {
         let threads = self.threads();
         assert!(threads > 0, "at least one hardware context is required");
@@ -251,6 +252,12 @@ impl SimConfig {
         assert!(
             self.mem.mshrs > 0 || self.mem.infinite_bandwidth,
             "mem.mshrs must be > 0 unless mem.infinite_bandwidth is set"
+        );
+        // One spelling of a perfect I-cache, so the report's `ablations`
+        // always lists it: the simulator sets the field from the ablation.
+        assert!(
+            !self.mem.perfect_icache,
+            "set Ablation::PerfectICache, not mem.perfect_icache"
         );
         Simulator::new(self)
     }
@@ -331,6 +338,12 @@ mod tests {
     #[should_panic(expected = "mem.dtlb_entries must be > 0")]
     fn build_refuses_an_empty_dtlb() {
         with_mem(|m| m.dtlb_entries = 0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "Ablation::PerfectICache")]
+    fn build_refuses_a_perfect_icache_outside_the_ablations() {
+        with_mem(|m| m.perfect_icache = true).build();
     }
 
     /// Infinite bandwidth ignores the MSHR limit, so zero MSHRs still run.

@@ -105,8 +105,8 @@ pub struct AblationStudyConfig {
     pub ablations: Vec<String>,
     /// Fetch partitions to sweep.
     pub partitions: Vec<FetchPartition>,
-    /// Workload mixes: named mixes or custom `riscv:` / `trace:` lists
-    /// (see [`validate_mix`]).
+    /// Workload mixes: named mixes or custom `riscv:` lists (see
+    /// [`validate_mix`]).
     pub mixes: Vec<String>,
     /// Workload-generation seeds; every cell runs once per seed.
     pub seeds: Vec<u64>,

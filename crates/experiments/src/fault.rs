@@ -1,7 +1,7 @@
 //! Typed per-cell failures and graceful-degradation records.
 //!
 //! Before this module a broken cell — a panic inside the simulator, an
-//! unreadable `riscv:`/`trace:` workload file, a checkpoint that no longer
+//! unreadable `riscv:` workload file, a checkpoint that no longer
 //! matches its machine — aborted the whole sweep, discarding every healthy
 //! cell's work. The sweep runners now contain such faults: a failing cell
 //! becomes a [`CellError`] in the study's `failed_cells` list and every
@@ -26,7 +26,7 @@ pub enum CellErrorKind {
     /// scheduler boundary and the message preserved.
     Panic,
     /// The cell's workload could not be built — an unreadable or malformed
-    /// `riscv:`/`trace:` file, typically.
+    /// `riscv:` file, typically.
     Workload,
     /// A warmed-state checkpoint the cell depends on could not be produced
     /// or restored.

@@ -128,8 +128,8 @@
 //!     "fetch_policies": [str], "issue_policies": [str],
 //!     "partitions": ["T.I"], "mixes": [str], "seeds": [u64]
 //!   },                                   // a mix is a named mix or a
-//!                                       // custom 'riscv:PATH+trace:PATH+
-//!                                       // <benchmark>' workload list,
+//!                                       // custom 'riscv:PATH+<benchmark>'
+//!                                       // workload list,
 //!                                       // carried verbatim (no schema
 //!                                       // change)
 //!   "cells": [{
@@ -233,7 +233,7 @@
 //!
 //! * **Per-cell fault isolation.** Every cell (and every shared warmup),
 //!   in all three modes, runs behind `catch_unwind` at the scheduler
-//!   boundary. A panic, an unloadable `riscv:`/`trace:` workload file, a
+//!   boundary. A panic, an unloadable `riscv:` workload file, a
 //!   checkpoint mismatch or a post-retry I/O failure becomes a typed entry
 //!   in the document's
 //!   `failed_cells` list — tagged `panic` / `workload` / `checkpoint` /
@@ -762,9 +762,8 @@ the paper's ~2% wrong-path claim and the ICOUNT-vs-RR gap decomposition;
 '--json' writes the versioned machine-readable result document.
 
 A MIX is a named mix (standard, int8, fp8, mixed4) or a custom workload
-list: '+'-separated entries, each 'riscv:PATH' (a RISC-V binary, executed
-functionally), 'trace:PATH' (a recorded SMT1TRCE trace, replayed) or a
-synthetic benchmark name — e.g.
+list: '+'-separated entries, each 'riscv:PATH' (an rv64 ELF binary, executed
+functionally) or a synthetic benchmark name — e.g.
 '--mixes riscv:testdata/riscv/loops.elf+riscv:testdata/riscv/gcd.elf+espresso'.
 
 Both studies fork their warm cells off warmed-state checkpoints: '--study
@@ -945,9 +944,9 @@ mod tests {
 
     #[test]
     fn parse_accepts_custom_workload_mixes() {
-        // The custom riscv:/trace:/benchmark mix syntax is validated at
-        // parse time (syntax only — files are loaded when the sweep runs).
-        let mix = "riscv:a.elf+trace:b.trace+espresso";
+        // The custom riscv:/benchmark mix syntax is validated at parse
+        // time (syntax only — files are loaded when the sweep runs).
+        let mix = "riscv:a.elf+espresso";
         let Command::Study { cfg, .. } =
             parse_cli(&argv(&["--study", "issue", "--mixes", mix])).unwrap()
         else {
@@ -955,6 +954,7 @@ mod tests {
         };
         assert_eq!(cfg.mixes, vec![mix]);
         assert!(parse_cli(&argv(&["--study", "issue", "--mixes", "bogus:x"])).is_err());
+        assert!(parse_cli(&argv(&["--study", "issue", "--mixes", "trace:b.trace"])).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use smt_core::{
 };
 use smt_stats::json::Json;
 use smt_stats::TextTable;
-use smt_workload::{standard_mix, Benchmark, Program, RiscvImage, TraceImage};
+use smt_workload::{standard_mix, Benchmark, Program, RiscvImage};
 
 use crate::fault::{CellError, Degradation};
 use crate::sweep::{self, CellPlan, Sweep, Warm};
@@ -72,43 +72,45 @@ pub const STUDY_MIXES: [&str; 4] = ["standard", "int8", "fp8", "mixed4"];
 
 /// One entry of a custom `+`-separated mix string (see [`parse_custom_mix`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MixEntry {
+pub(crate) enum MixEntry {
     /// A synthetic benchmark, by canonical name (e.g. `espresso`).
     Bench(Benchmark),
-    /// `riscv:PATH` — a RISC-V binary, functionally executed.
+    /// `riscv:PATH` — an rv64 ELF binary, functionally executed.
     Elf(PathBuf),
-    /// `trace:PATH` — a recorded `SMT1TRCE` trace, replayed.
-    Trace(PathBuf),
 }
 
 /// Whether `mix` is a custom workload list (to be parsed by
 /// [`parse_custom_mix`]) rather than one of the [`STUDY_MIXES`] names.
-pub fn is_custom_mix(mix: &str) -> bool {
+pub(crate) fn is_custom_mix(mix: &str) -> bool {
     mix.contains(':') || mix.contains('+')
 }
 
 /// Parses a custom mix string: one workload per hardware context,
-/// `+`-separated, each entry `riscv:PATH` (a RISC-V binary to execute),
-/// `trace:PATH` (a recorded trace to replay) or a synthetic benchmark
-/// name. `riscv:loops.elf+trace:memsum.trace+espresso` is a three-thread
-/// mix. Paths are not touched here — existence is checked when the sweep
-/// loads its images.
+/// `+`-separated, each entry `riscv:PATH` (an rv64 ELF binary to
+/// execute) or a synthetic benchmark name. `riscv:loops.elf+espresso` is
+/// a two-thread mix. Paths are not touched here — existence is checked
+/// when the sweep loads its images.
 ///
 /// # Errors
 ///
-/// Returns a usage-style message for an empty entry, an unknown entry
-/// kind or benchmark name, or more entries than hardware contexts.
-pub fn parse_custom_mix(mix: &str) -> Result<Vec<MixEntry>, String> {
+/// Returns a usage-style message for an empty entry, a `trace:` entry, an
+/// unknown entry kind or benchmark name, or more entries than hardware
+/// contexts.
+pub(crate) fn parse_custom_mix(mix: &str) -> Result<Vec<MixEntry>, String> {
     let mut entries = Vec::new();
     for entry in mix.split('+') {
         let entry = entry.trim();
         let parsed = match entry.split_once(':') {
             Some(("riscv", path)) if !path.is_empty() => MixEntry::Elf(PathBuf::from(path)),
-            Some(("trace", path)) if !path.is_empty() => MixEntry::Trace(PathBuf::from(path)),
+            Some(("trace", _)) => {
+                return Err(format!(
+                    "mix entry '{entry}': trace replay is not a mix entry; \
+                     run the binary itself with riscv:PATH"
+                ))
+            }
             Some((kind, _)) => {
                 return Err(format!(
-                    "unknown workload kind '{kind}:' in mix entry '{entry}' \
-                     (known: riscv:PATH, trace:PATH)"
+                    "unknown workload kind '{kind}:' in mix entry '{entry}' (known: riscv:PATH)"
                 ))
             }
             None => match Benchmark::ALL.iter().find(|b| b.name() == entry) {
@@ -116,7 +118,7 @@ pub fn parse_custom_mix(mix: &str) -> Result<Vec<MixEntry>, String> {
                 None => {
                     return Err(format!(
                         "unknown benchmark '{entry}' in custom mix \
-                         (entries are riscv:PATH, trace:PATH or a benchmark name)"
+                         (entries are riscv:PATH or a benchmark name)"
                     ))
                 }
             },
@@ -133,12 +135,14 @@ pub fn parse_custom_mix(mix: &str) -> Result<Vec<MixEntry>, String> {
 }
 
 /// Validates one `--mixes` entry: a [`STUDY_MIXES`] name or a custom
-/// workload list.
+/// workload list, `+`-separated `riscv:PATH` entries and benchmark names.
 ///
 /// # Errors
 ///
-/// Returns the [`parse_custom_mix`] message for a bad custom mix, or an
-/// unknown-name message listing the named mixes and the custom syntax.
+/// Returns a usage-style message for a bad custom mix (an empty entry, a
+/// `trace:` entry, an unknown entry kind or benchmark name, or more
+/// entries than hardware contexts), or an unknown-name message listing
+/// the named mixes and the custom syntax.
 pub fn validate_mix(mix: &str) -> Result<(), String> {
     if is_custom_mix(mix) {
         parse_custom_mix(mix).map(|_| ())
@@ -147,7 +151,7 @@ pub fn validate_mix(mix: &str) -> Result<(), String> {
     } else {
         Err(format!(
             "unknown mix '{mix}' (known: {}; or a custom riscv:PATH / \
-             trace:PATH / benchmark list joined with '+')",
+             benchmark list joined with '+')",
             STUDY_MIXES.join(", ")
         ))
     }
@@ -162,7 +166,7 @@ pub enum MixImages {
     /// A named synthetic mix as program images (one
     /// [`WorkloadSpec::Program`] per context).
     Programs(Vec<Arc<Program>>),
-    /// A custom workload list: `riscv:` / `trace:` entries and synthetic
+    /// A custom workload list: `riscv:` entries and synthetic
     /// benchmarks, in the order the mix names them.
     Workloads(Vec<WorkloadSpec>),
 }
@@ -178,8 +182,8 @@ impl MixImages {
 }
 
 /// Resolves one mix string for one seed: named mixes generate their
-/// synthetic program images, custom mixes load each `riscv:` / `trace:`
-/// file (and generate any synthetic entries). Benchmark entries are
+/// synthetic program images, custom mixes load each `riscv:` file (and
+/// generate any synthetic entries). Benchmark entries are
 /// pre-generated here — once per (mix, seed) — so cells share images
 /// instead of regenerating them.
 ///
@@ -203,7 +207,6 @@ pub fn resolve_mix(mix: &str, seed: u64) -> Result<MixImages, String> {
         workloads.push(match entry {
             MixEntry::Bench(b) => WorkloadSpec::Program(Arc::new(b.generate(seed, slot as u32))),
             MixEntry::Elf(path) => WorkloadSpec::Elf(Arc::new(RiscvImage::load(&path)?)),
-            MixEntry::Trace(path) => WorkloadSpec::Trace(Arc::new(TraceImage::load(&path)?)),
         });
     }
     Ok(MixImages::Workloads(workloads))
@@ -289,8 +292,8 @@ pub struct StudyConfig {
     pub issue_policies: Vec<String>,
     /// Fetch partitions to sweep.
     pub partitions: Vec<FetchPartition>,
-    /// Workload mixes: [`STUDY_MIXES`] names or custom `riscv:` /
-    /// `trace:` lists (see [`validate_mix`]).
+    /// Workload mixes: [`STUDY_MIXES`] names or custom `riscv:` lists
+    /// (see [`validate_mix`]).
     pub mixes: Vec<String>,
     /// Workload-generation seeds; every cell runs once per seed.
     pub seeds: Vec<u64>,
@@ -810,11 +813,17 @@ mod tests {
         assert!(is_custom_mix("espresso+tomcatv"));
         assert!(!is_custom_mix("standard"));
 
-        let entries = parse_custom_mix("riscv:a.elf+trace:b.trace+espresso").unwrap();
-        assert_eq!(entries.len(), 3);
+        let entries = parse_custom_mix("riscv:a.elf+espresso").unwrap();
+        assert_eq!(entries.len(), 2);
         assert!(matches!(entries[0], MixEntry::Elf(_)));
-        assert!(matches!(entries[1], MixEntry::Trace(_)));
-        assert!(matches!(entries[2], MixEntry::Bench(Benchmark::Espresso)));
+        assert!(matches!(entries[1], MixEntry::Bench(Benchmark::Espresso)));
+        // A recorded trace is not a mix entry: the refusal quotes the
+        // entry and names the spelling that runs the binary.
+        let err = parse_custom_mix("riscv:a.elf+trace:b.trace").unwrap_err();
+        assert!(
+            err.contains("'trace:b.trace'") && err.contains("riscv:PATH"),
+            "{err}"
+        );
 
         assert!(parse_custom_mix("bogus:a")
             .unwrap_err()

@@ -122,8 +122,8 @@ use crate::warmup::{
 };
 
 /// Workload images per (mix, seed), shared by every cell of the pair. A
-/// load can fail — per *key*, not per sweep: an unreadable `riscv:` /
-/// `trace:` file fails only its own pair's cells (as typed `workload`
+/// load can fail — per *key*, not per sweep: an unreadable `riscv:` file
+/// fails only its own pair's cells (as typed `workload`
 /// [`CellError`]s) while every other key's cells run to completion.
 pub(crate) type Images<'a> = HashMap<(&'a str, u64), Result<MixImages, String>>;
 

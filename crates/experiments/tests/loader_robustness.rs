@@ -2,9 +2,9 @@
 //! torn or bit-rotted files of the three `SMT1*` formats (recorded traces,
 //! journal entries, checkpoints) must always produce typed errors — never
 //! a panic, never a silently-accepted corrupt value. The sweep's per-cell
-//! fault containment relies on this layer (a bad `riscv:`/`trace:` file
-//! becomes a `workload` entry in `failed_cells`, a bad journal or cache
-//! entry a `degraded_cells` one), so the loaders are fuzzed here over
+//! fault containment relies on this layer (a bad `riscv:` file becomes a
+//! `workload` entry in `failed_cells`, a bad journal or cache entry a
+//! `degraded_cells` one), so the loaders are fuzzed here over
 //! truncation points and bit flips, by one helper for all three formats,
 //! and checkpoints once more with the checksum recomputed after the damage,
 //! so the restore-side checks themselves are exercised.
@@ -14,9 +14,9 @@ use std::sync::Arc;
 use smt_core::{SimConfig, Simulator, WorkloadSpec};
 use smt_experiments::journal::{journal_key, Journal};
 use smt_stats::binio::{fnv1a, FNV_OFFSET};
-use smt_workload::{Benchmark, RiscvImage, TraceImage, Xlen};
+use smt_workload::{Benchmark, RiscvImage, TraceImage};
 
-/// A tiny valid RISC-V flat image (the store/load/branch loop the
+/// A tiny valid rv64 image built from raw code (the store/load/branch loop the
 /// workspace's other tests use).
 fn loop_image() -> Arc<RiscvImage> {
     let words: [u32; 7] = [
@@ -29,7 +29,7 @@ fn loop_image() -> Arc<RiscvImage> {
         0x0000_0073, // ecall
     ];
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    Arc::new(RiscvImage::from_flat("loop10", &bytes, Xlen::Rv64).expect("valid image"))
+    Arc::new(RiscvImage::from_flat("loop10", &bytes).expect("valid image"))
 }
 
 /// A valid serialized trace to mutate.
@@ -249,8 +249,13 @@ fn custom_mix_load_failures_are_typed_not_fatal() {
     std::fs::create_dir_all(&dir).unwrap();
     let junk = dir.join("junk.trace");
     std::fs::write(&junk, b"not a trace at all").unwrap();
-    let bad = smt_experiments::study::resolve_mix(&format!("trace:{}", junk.display()), 42);
-    let msg = bad.expect_err("junk trace must not resolve");
-    assert!(msg.contains("junk.trace"), "{msg}");
+    // A recorded trace is not a mix entry: refused by syntax, quoting it.
+    let entry = format!("trace:{}", junk.display());
+    let msg = smt_experiments::study::resolve_mix(&entry, 42).expect_err("trace: is refused");
+    assert!(msg.contains(&format!("'{entry}'")), "{msg}");
+    // The same bytes as a binary are no ELF image (and no flat one).
+    let bad = smt_experiments::study::resolve_mix(&format!("riscv:{}", junk.display()), 42);
+    let msg = bad.expect_err("junk bytes must not resolve");
+    assert!(msg.contains("junk: not an ELF image"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,4 @@
-//! RISC-V (rv32i/rv64i + M) instruction decoding and the mapping onto the
+//! RISC-V (rv64i + M) instruction decoding and the mapping onto the
 //! simulator's [`StaticInst`] classes.
 //!
 //! The decoder is deliberately *pure*: [`decode`] turns one 32-bit
@@ -9,7 +9,7 @@
 //! resolution) lives in `smt-workload::riscv`, which consumes both.
 //!
 //! Only the 4-byte base encodings are handled — the compressed (C)
-//! extension is not decoded, so images must be built for `rv32i`/`rv64i`
+//! extension is not decoded, so images must be built for `rv64i`
 //! (optionally with M); a 2-byte-aligned compressed word decodes as
 //! [`RvOp::Illegal`]. This matches the checked-in `testdata/riscv/`
 //! programs, which the bundled assembler emits without compression.
@@ -47,7 +47,7 @@
 
 use crate::{Opcode, Reg, StaticInst, NO_META};
 
-/// One decoded RISC-V operation family (rv32i/rv64i base + M extension).
+/// One decoded RISC-V operation family (rv64i base + M extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RvOp {
     /// `lui`: `rd = imm`.
@@ -108,8 +108,7 @@ pub enum Cond {
 
 impl Cond {
     /// Whether the branch is taken for register values `a` (`rs1`) and
-    /// `b` (`rs2`). rv32 registers hold sign-extended values, which order
-    /// the same way as their 32-bit patterns, signed and unsigned.
+    /// `b` (`rs2`).
     pub fn holds(self, a: u64, b: u64) -> bool {
         match self {
             Cond::Eq => a == b,
@@ -194,9 +193,9 @@ impl AluOp {
     /// The one ALU: `a op b` on XLEN = 64 register values. With `narrow`
     /// it computes on the low 32 bits instead (signed operations read
     /// them sign-extended, unsigned ones zero-extended, shift amounts are
-    /// 5 bits, `mulh*` return bits 32..64) and sign-extends the 32-bit
-    /// result — the rule of the rv64 `*w` forms and of every rv32
-    /// operation. Division follows the spec: by zero gives all ones
+    /// 5 bits) and sign-extends the 32-bit result — the rule of the rv64
+    /// `*w` forms. `mulh*` have no word form (see `has_form`), so they
+    /// always return bits 64..128 of the product. Division follows the spec: by zero gives all ones
     /// (`rem*`: the dividend), and `INT_MIN / -1` gives `INT_MIN`
     /// (`rem`: 0).
     pub fn eval(self, a: u64, b: u64, narrow: bool) -> u64 {
@@ -204,7 +203,6 @@ impl AluOp {
         let s = |x: u64| if narrow { x as i32 as i64 } else { x as i64 };
         let u = |x: u64| if narrow { x as u32 as u64 } else { x };
         let sh = (b & if narrow { 31 } else { 63 }) as u32;
-        let hi = if narrow { 32 } else { 64 };
         let v = match self {
             Add => a.wrapping_add(b),
             Sub => a.wrapping_sub(b),
@@ -217,9 +215,9 @@ impl AluOp {
             Or => a | b,
             And => a & b,
             Mul => a.wrapping_mul(b),
-            Mulh => ((i128::from(s(a)) * i128::from(s(b))) >> hi) as u64,
-            Mulhsu => ((i128::from(s(a)) * i128::from(u(b))) >> hi) as u64,
-            Mulhu => ((u128::from(u(a)) * u128::from(u(b))) >> hi) as u64,
+            Mulh => ((i128::from(s(a)) * i128::from(s(b))) >> 64) as u64,
+            Mulhsu => ((i128::from(s(a)) * i128::from(u(b))) >> 64) as u64,
+            Mulhu => ((u128::from(u(a)) * u128::from(u(b))) >> 64) as u64,
             Div => match s(b) {
                 0 => u64::MAX,
                 d => s(a).wrapping_div(d) as u64,

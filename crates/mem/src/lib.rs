@@ -156,7 +156,9 @@ pub struct MemConfig {
     /// When set, every instruction fetch hits in one cycle: no I-cache
     /// misses, no I-TLB walks, and no I-side bank/port conflicts (the
     /// "perfect I-cache" ablation used to isolate cold-start fetch
-    /// behaviour). The data side is unaffected.
+    /// behaviour). The data side is unaffected. A simulator sets it from
+    /// its `Ablation::PerfectICache` and refuses a config that sets it
+    /// here directly.
     pub perfect_icache: bool,
 }
 

@@ -30,13 +30,14 @@
 //!   [`Program`] (the default, and the only path the paper's committed
 //!   study goldens use).
 //! * [`RiscvSource`] ([`riscv`] module) — functionally executes a real
-//!   rv64i/rv32i binary loaded from an ELF (or flat) image
-//!   ([`RiscvImage`]); each `step` decodes and retires one instruction
-//!   architecturally.
+//!   rv64i binary loaded from an ELF64 image ([`RiscvImage`]); each
+//!   `step` decodes and retires one instruction architecturally.
 //! * [`TraceSource`] ([`trace`] module) — replays a recorded `SMT1TRCE`
 //!   trace ([`TraceImage`]) as a pure cursor walk, no decode and no
 //!   allocation on the steady-state path; the format is specified in the
-//!   [`trace`] module docs.
+//!   [`trace`] module docs. Traces are built and loaded through the API
+//!   ([`TraceImage::record`], [`TraceImage::load`]); no sweep mix names
+//!   one.
 //!
 //! ## Writing a new backend
 //!
@@ -68,8 +69,8 @@
 //! names each backend's image type, `SimConfig::with_workloads` installs
 //! a per-thread list, and the checkpoint fingerprint must tag the new
 //! kind so stale checkpoints are rejected (see `smt-core`'s checkpoint
-//! module). The `riscv:`/`trace:` custom-mix entries in `smt-experiments`
-//! show the last mile: a path-based spec string resolved at sweep start.
+//! module). The `riscv:` custom-mix entry in `smt-experiments` shows the
+//! last mile: a path-based spec string resolved at sweep start.
 //!
 //! # Examples
 //!
@@ -103,7 +104,7 @@ pub use gen::{PatternSpec, ProfileParams, RegionSpec};
 pub use oracle::SyntheticSource;
 pub use profiles::{standard_mix, Benchmark};
 pub use program::{BranchBehavior, BranchModel, MemModel, MemPattern, Program, Region};
-pub use riscv::{RiscvImage, RiscvSource, Xlen};
+pub use riscv::{RiscvImage, RiscvSource};
 pub use source::WorkloadSource;
 pub use trace::{TraceImage, TraceSource};
 

@@ -1,9 +1,9 @@
-//! Real-binary workload backend: loads rv32i/rv64i images (ELF or flat)
-//! and functionally executes them to drive fetch with a real correct-path
-//! instruction stream.
+//! Real-binary workload backend: loads rv64i ELF images and functionally
+//! executes them to drive fetch with a real correct-path instruction
+//! stream.
 //!
 //! [`RiscvImage`] is the loaded, immutable program: the pristine initial
-//! memory contents, entry point and XLEN. [`RiscvSource`] is one thread's
+//! memory contents and entry point. [`RiscvSource`] is one thread's
 //! mutable execution state over an image — integer register file, a flat
 //! memory arena (loaded segments plus a zeroed heap/stack pad) and the
 //! PC — implementing [`WorkloadSource`] so the
@@ -16,10 +16,8 @@
 //!   Every arithmetic form goes through the one ALU,
 //!   [`AluOp::eval`](smt_isa::riscv::AluOp::eval): its second operand is
 //!   `rs2` or the immediate, and it runs `narrow` (on the low 32 bits,
-//!   sign-extending the result) for the rv64 `*w` forms and for every
-//!   operation of an rv32 image. That covers the M-extension division
-//!   edge cases, and gives rv32 `mulh*`/`divu`/`remu` their 32-bit
-//!   results. A load sign-extends by shifting.
+//!   sign-extending the result) for the `*w` forms. That covers the
+//!   M-extension division edge cases. A load sign-extends by shifting.
 //! * The source must yield instructions forever, so program exit restarts
 //!   it: `ecall`/`ebreak` (and any undecodable word the PC wanders into)
 //!   are modeled as an unconditional [`Opcode::Jump`] back to the entry
@@ -51,25 +49,8 @@ use smt_stats::persist;
 use crate::mix64;
 use crate::source::WorkloadSource;
 
-/// Address width of a loaded image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Xlen {
-    /// rv32: 32-bit registers and addresses.
-    Rv32,
-    /// rv64: 64-bit registers and addresses.
-    Rv64,
-}
-
-impl Xlen {
-    fn pc_mask(self) -> u64 {
-        match self {
-            Xlen::Rv32 => 0xffff_ffff,
-            Xlen::Rv64 => u64::MAX,
-        }
-    }
-}
-
-/// Load address of flat (non-ELF) binaries, and their entry point.
+/// Load address and entry point of an image built by
+/// [`RiscvImage::from_flat`].
 pub const FLAT_BASE: Addr = 0x1000;
 
 /// Zeroed heap/stack pad appended after the loaded image: the stack
@@ -85,7 +66,6 @@ const ARENA_MAX: usize = 8 * 1024 * 1024;
 #[derive(Debug)]
 pub struct RiscvImage {
     name: String,
-    xlen: Xlen,
     entry: Addr,
     /// Lowest loaded virtual address (page-aligned down); the arena maps
     /// `[base, base + image.len() + ARENA_PAD)`.
@@ -95,31 +75,19 @@ pub struct RiscvImage {
 }
 
 impl RiscvImage {
-    /// Loads an image from raw file bytes: ELF (little-endian rv32/rv64,
-    /// `PT_LOAD` segments honored) when the magic matches, otherwise a
-    /// flat binary loaded and entered at [`FLAT_BASE`] (assumed rv64).
-    /// `name` labels the thread in reports.
-    pub fn from_bytes(name: &str, bytes: &[u8]) -> Result<RiscvImage, String> {
-        if bytes.starts_with(b"\x7fELF") {
-            Self::from_elf(name, bytes)
-        } else {
-            Self::from_flat(name, bytes, Xlen::Rv64)
-        }
-    }
-
-    /// Reads and loads an image file (see
-    /// [`from_bytes`](RiscvImage::from_bytes)); the file stem becomes the
+    /// Reads and loads an ELF image file (see
+    /// [`from_elf`](RiscvImage::from_elf)); the file stem becomes the
     /// report name.
     pub fn load(path: &std::path::Path) -> Result<RiscvImage, String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("riscv");
-        Self::from_bytes(name, &bytes)
+        Self::from_elf(name, &bytes)
     }
 
-    /// Loads a flat binary: the bytes are mapped at [`FLAT_BASE`], which
-    /// is also the entry point.
-    pub fn from_flat(name: &str, bytes: &[u8], xlen: Xlen) -> Result<RiscvImage, String> {
+    /// Builds an image from raw rv64 code: the bytes are mapped at
+    /// [`FLAT_BASE`], which is also the entry point.
+    pub fn from_flat(name: &str, bytes: &[u8]) -> Result<RiscvImage, String> {
         if bytes.is_empty() {
             return Err(format!("{name}: empty image"));
         }
@@ -128,15 +96,14 @@ impl RiscvImage {
         }
         Ok(RiscvImage {
             name: name.to_string(),
-            xlen,
             entry: FLAT_BASE,
             base: FLAT_BASE,
             image: bytes.to_vec(),
         })
     }
 
-    /// Parses a little-endian RISC-V ELF (class decides rv32/rv64) and
-    /// maps its `PT_LOAD` segments.
+    /// Parses a little-endian ELF64 RISC-V image and maps its `PT_LOAD`
+    /// segments.
     pub fn from_elf(name: &str, bytes: &[u8]) -> Result<RiscvImage, String> {
         let u16_at = |off: usize| -> Result<u64, String> {
             let b = bytes
@@ -161,11 +128,11 @@ impl RiscvImage {
         if !bytes.starts_with(b"\x7fELF") {
             return Err(format!("{name}: not an ELF image"));
         }
-        let xlen = match bytes.get(4) {
-            Some(1) => Xlen::Rv32,
-            Some(2) => Xlen::Rv64,
+        match bytes.get(4) {
+            Some(2) => {}
+            Some(1) => return Err(format!("{name}: only ELF64 (rv64) images are supported")),
             _ => return Err(format!("{name}: unknown ELF class")),
-        };
+        }
         if bytes.get(5) != Some(&1) {
             return Err(format!("{name}: only little-endian ELF is supported"));
         }
@@ -173,10 +140,7 @@ impl RiscvImage {
         if machine != 243 {
             return Err(format!("{name}: ELF machine {machine} is not RISC-V (243)"));
         }
-        let (entry, phoff, phentsize, phnum) = match xlen {
-            Xlen::Rv64 => (u64_at(24)?, u64_at(32)?, u16_at(54)?, u16_at(56)?),
-            Xlen::Rv32 => (u32_at(24)?, u32_at(28)?, u16_at(42)?, u16_at(44)?),
-        };
+        let (entry, phoff, phentsize, phnum) = (u64_at(24)?, u64_at(32)?, u16_at(54)?, u16_at(56)?);
         // Collect PT_LOAD segments.
         let mut segs: Vec<(u64, u64, u64, u64)> = Vec::new(); // (vaddr, memsz, offset, filesz)
         for i in 0..phnum {
@@ -186,20 +150,12 @@ impl RiscvImage {
             if p_type != 1 {
                 continue;
             }
-            let (offset, vaddr, filesz, memsz) = match xlen {
-                Xlen::Rv64 => (
-                    u64_at(ph + 8)?,
-                    u64_at(ph + 16)?,
-                    u64_at(ph + 32)?,
-                    u64_at(ph + 40)?,
-                ),
-                Xlen::Rv32 => (
-                    u32_at(ph + 4)?,
-                    u32_at(ph + 8)?,
-                    u32_at(ph + 16)?,
-                    u32_at(ph + 20)?,
-                ),
-            };
+            let (offset, vaddr, filesz, memsz) = (
+                u64_at(ph + 8)?,
+                u64_at(ph + 16)?,
+                u64_at(ph + 32)?,
+                u64_at(ph + 40)?,
+            );
             if filesz > memsz {
                 return Err(format!("{name}: segment filesz exceeds memsz"));
             }
@@ -239,7 +195,6 @@ impl RiscvImage {
         }
         Ok(RiscvImage {
             name: name.to_string(),
-            xlen,
             entry,
             base,
             image,
@@ -249,11 +204,6 @@ impl RiscvImage {
     /// Report label for threads running this image.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Address width.
-    pub fn xlen(&self) -> Xlen {
-        self.xlen
     }
 
     /// Entry point.
@@ -279,15 +229,14 @@ impl RiscvImage {
     /// FNV-1a hash of the identity-shaping fields, used by the checkpoint
     /// config fingerprint to pin "same image".
     pub fn fingerprint(&self) -> u64 {
-        let xlen = match self.xlen {
-            Xlen::Rv32 => 32,
-            Xlen::Rv64 => 64,
-        };
+        // The byte 64 stands where the image's XLEN was hashed when rv32
+        // images were also loaded; keeping it keeps every image
+        // fingerprint, and so every checkpoint and journal key, unchanged.
         [
             self.name.as_bytes(),
             &self.entry.to_le_bytes(),
             &self.base.to_le_bytes(),
-            &[xlen],
+            &[64],
             &self.image,
         ]
         .into_iter()
@@ -377,7 +326,7 @@ impl RiscvSource {
     }
 
     fn sp_init(&self) -> u64 {
-        (self.image.base + self.arena.len() as u64 - 16) & !0xf & self.image.xlen.pc_mask()
+        (self.image.base + self.arena.len() as u64 - 16) & !0xf
     }
 
     fn reset_regs(&mut self) {
@@ -407,16 +356,9 @@ impl RiscvSource {
         self.regs[r as usize]
     }
 
-    /// Register write, truncating to XLEN: an rv32 register holds its
-    /// 32-bit value sign-extended to 64 bits. The ALU already returns such
-    /// values on rv32 (it runs `narrow`); links, loads and `auipc` rely on
-    /// this truncation.
     fn wr(&mut self, r: u8, val: u64) {
         if r != 0 {
-            self.regs[r as usize] = match self.image.xlen {
-                Xlen::Rv64 => val,
-                Xlen::Rv32 => val as u32 as i32 as i64 as u64,
-            };
+            self.regs[r as usize] = val;
         }
     }
 
@@ -441,10 +383,6 @@ impl RiscvSource {
         }
     }
 
-    fn addr_mask(&self) -> u64 {
-        self.image.xlen.pc_mask()
-    }
-
     /// Executes one instruction; returns `(static class, outcome)` and
     /// advances the state. See the module docs for the restart model.
     fn exec(&mut self) -> (StaticInst, Outcome) {
@@ -465,8 +403,7 @@ impl RiscvSource {
                 },
             );
         }
-        let mask = self.addr_mask();
-        let mut next = pc.wrapping_add(INST_BYTES) & mask;
+        let mut next = pc.wrapping_add(INST_BYTES);
         let mut taken = false;
         let mut mem_addr = 0u64;
         let link = pc.wrapping_add(INST_BYTES);
@@ -477,22 +414,22 @@ impl RiscvSource {
             RvOp::Auipc => self.wr(rv.rd, pc.wrapping_add(imm)),
             RvOp::Jal => {
                 self.wr(rv.rd, link);
-                next = pc.wrapping_add(imm) & mask;
+                next = pc.wrapping_add(imm);
                 taken = true;
             }
             RvOp::Jalr => {
-                next = a.wrapping_add(imm) & !1 & mask;
+                next = a.wrapping_add(imm) & !1;
                 self.wr(rv.rd, link);
                 taken = true;
             }
             RvOp::Branch(cond) => {
                 taken = cond.holds(a, b);
                 if taken {
-                    next = pc.wrapping_add(imm) & mask;
+                    next = pc.wrapping_add(imm);
                 }
             }
             RvOp::Load { bytes, signed } => {
-                mem_addr = a.wrapping_add(imm) & mask;
+                mem_addr = a.wrapping_add(imm);
                 let v = self.load(mem_addr, bytes.into());
                 let pad = 64 - 8 * u32::from(bytes);
                 let v = if signed {
@@ -503,7 +440,7 @@ impl RiscvSource {
                 self.wr(rv.rd, v);
             }
             RvOp::Store { bytes } => {
-                mem_addr = a.wrapping_add(imm) & mask;
+                mem_addr = a.wrapping_add(imm);
                 self.store(mem_addr, bytes.into(), b);
             }
             RvOp::Alu {
@@ -512,8 +449,7 @@ impl RiscvSource {
                 word,
             } => {
                 let b = if is_imm { imm } else { b };
-                let narrow = word || self.image.xlen == Xlen::Rv32;
-                self.wr(rv.rd, f.eval(a, b, narrow));
+                self.wr(rv.rd, f.eval(a, b, word));
             }
             RvOp::Fence => {}
             RvOp::Ecall | RvOp::Ebreak | RvOp::Illegal => unreachable!("handled above"),
@@ -592,7 +528,7 @@ mod tests {
             0x0000_0073, // ecall
         ];
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        Arc::new(RiscvImage::from_flat("loop10", &bytes, Xlen::Rv64).expect("valid image"))
+        Arc::new(RiscvImage::from_flat("loop10", &bytes).expect("valid image"))
     }
 
     #[test]
@@ -719,7 +655,6 @@ mod tests {
         elf.extend_from_slice(&code);
         let img = RiscvImage::from_elf("mini", &elf).expect("valid ELF");
         assert_eq!(img.entry(), 0x10000);
-        assert_eq!(img.xlen(), Xlen::Rv64);
         assert_eq!(img.image_bytes().len(), code.len() + 64);
         assert_eq!(&img.image_bytes()[..8], &code[..8]);
         // And it executes.
@@ -733,7 +668,7 @@ mod tests {
 
     #[test]
     fn loader_refuses_malformed_images() {
-        assert!(RiscvImage::from_flat("e", &[], Xlen::Rv64).is_err());
+        assert!(RiscvImage::from_flat("e", &[]).is_err());
         assert!(RiscvImage::from_elf("e", b"\x7fELFxx").is_err());
         // Non-RISC-V machine is refused.
         let mut elf = Vec::new();
@@ -744,5 +679,24 @@ mod tests {
         elf.resize(64, 0);
         let err = RiscvImage::from_elf("e", &elf).unwrap_err();
         assert!(err.contains("not RISC-V"), "{err}");
+        // An ELF32 (rv32) header is refused by its class byte.
+        elf[4] = 1;
+        elf[18..20].copy_from_slice(&243u16.to_le_bytes());
+        let err = RiscvImage::from_elf("e", &elf).unwrap_err();
+        assert!(
+            err.contains("only ELF64 (rv64) images are supported"),
+            "{err}"
+        );
+        // A file of raw code words is no ELF image: `load` has no flat
+        // fallback.
+        let words: Vec<u8> = [0x0000_0293u32, 0x0000_0073]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let path = std::env::temp_dir().join(format!("smt-raw-{}.bin", std::process::id()));
+        std::fs::write(&path, &words).unwrap();
+        let err = RiscvImage::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("not an ELF image"), "{err}");
     }
 }

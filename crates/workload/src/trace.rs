@@ -32,7 +32,7 @@
 //! | magic | 8 raw bytes `SMT1TRCE` |
 //! | version | `u32` (this version: 1) |
 //! | name | `len` + UTF-8 bytes (thread label in reports) |
-//! | xlen | `u8`: 32 or 64 |
+//! | xlen | `u8`: always 64 (rv64); any other value is refused |
 //! | start PC | `u64` (first recorded step's PC = image entry) |
 //! | entry | `u64` (wrong-path target for indirect/exit transfers) |
 //! | base | `u64` (lowest mapped address of the pristine image) |
@@ -56,7 +56,7 @@ use smt_isa::{Addr, Opcode, Outcome, Reg, StaticInst, NO_META};
 use smt_stats::binio::{fnv1a, invalid, BinReader, BinWriter, FNV_OFFSET};
 use smt_stats::persist;
 
-use crate::riscv::{self, RiscvImage, RiscvSource, Xlen};
+use crate::riscv::{self, RiscvImage, RiscvSource};
 use crate::source::WorkloadSource;
 
 /// Magic bytes opening a trace file.
@@ -78,7 +78,6 @@ struct TraceStep {
 /// just a cursor).
 pub struct TraceImage {
     name: String,
-    xlen: Xlen,
     start_pc: Addr,
     entry: Addr,
     base: Addr,
@@ -105,7 +104,6 @@ impl TraceImage {
         }
         Ok(TraceImage {
             name: image.name().to_string(),
-            xlen: image.xlen(),
             start_pc: image.entry(),
             entry: image.entry(),
             base: image.base(),
@@ -125,21 +123,13 @@ impl TraceImage {
         self.steps.len()
     }
 
-    /// Address width of the recorded source.
-    pub fn xlen(&self) -> Xlen {
-        self.xlen
-    }
-
     /// Serializes the trace (see the module docs for the format).
     pub fn write_to<W: Write>(&self, out: W) -> io::Result<()> {
         let mut w = BinWriter::new(out);
         w.bytes(&TRACE_MAGIC)?;
         w.u32(TRACE_VERSION)?;
         w.str(&self.name)?;
-        w.u8(match self.xlen {
-            Xlen::Rv32 => 32,
-            Xlen::Rv64 => 64,
-        })?;
+        w.u8(64)?; // xlen
         w.u64(self.start_pc)?;
         w.u64(self.entry)?;
         w.u64(self.base)?;
@@ -179,11 +169,12 @@ impl TraceImage {
             )));
         }
         let name = r.string(4096, "trace name")?;
-        let xlen = match r.u8()? {
-            32 => Xlen::Rv32,
-            64 => Xlen::Rv64,
-            other => return Err(invalid(format!("unknown xlen {other}"))),
-        };
+        let xlen = r.u8()?;
+        if xlen != 64 {
+            return Err(invalid(format!(
+                "trace xlen {xlen} is not supported (only 64)"
+            )));
+        }
         let start_pc = r.u64()?;
         let entry = r.u64()?;
         let base = r.u64()?;
@@ -231,7 +222,6 @@ impl TraceImage {
         r.finish()?;
         Ok(TraceImage {
             name,
-            xlen,
             start_pc,
             entry,
             base,
@@ -390,7 +380,7 @@ mod tests {
             0x0000_0073, // ecall
         ];
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        Arc::new(RiscvImage::from_flat("loop10", &bytes, Xlen::Rv64).expect("valid image"))
+        Arc::new(RiscvImage::from_flat("loop10", &bytes).expect("valid image"))
     }
 
     #[test]
@@ -455,7 +445,6 @@ mod tests {
         let loaded = TraceImage::read_from(&bytes[..]).expect("read back");
         assert_eq!(loaded.name(), trace.name());
         assert_eq!(loaded.steps(), trace.steps());
-        assert_eq!(loaded.xlen(), trace.xlen());
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
         let mut a = TraceSource::new(Arc::new(trace));
         let mut b = TraceSource::new(Arc::new(loaded));

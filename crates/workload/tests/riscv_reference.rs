@@ -5,8 +5,7 @@
 //! branch, `lui`, `auipc`, `jal` and `jalr`) runs on a [`RiscvSource`]
 //! over a tiny flat image built by the encoder below. The destination
 //! register is read back through the effective address of a following
-//! `sd x0, 0(rd)` (`sw` on rv32), so the test needs no access to the
-//! register file.
+//! `sd x0, 0(rd)`, so the test needs no access to the register file.
 //!
 //! The expected values are literals taken from the RISC-V unprivileged
 //! specification, never computed by the executor. The operands are the
@@ -17,7 +16,7 @@ use std::sync::Arc;
 
 use smt_isa::{Opcode, Outcome, StaticInst};
 use smt_workload::riscv::FLAT_BASE;
-use smt_workload::{RiscvImage, RiscvSource, WorkloadSource, Xlen};
+use smt_workload::{RiscvImage, RiscvSource, WorkloadSource};
 
 const MIN64: u64 = 0x8000_0000_0000_0000;
 const MAX64: u64 = 0x7fff_ffff_ffff_ffff;
@@ -155,13 +154,12 @@ const BODY: u64 = FLAT_BASE + 12;
 
 /// Runs `body` with `x1 = a`, `x2 = b` and `x31 = FLAT_BASE`, and returns
 /// the first `steps` body steps. The setup is `auipc x31, 0` followed by
-/// two loads (`ld` on rv64, `lw` on rv32) from the operand pool.
-fn run(xlen: Xlen, a: u64, b: u64, body: &[u32], steps: usize) -> Vec<(StaticInst, Outcome)> {
-    let load = if xlen == Xlen::Rv64 { 3 } else { 2 };
+/// two `ld`s from the operand pool.
+fn run(a: u64, b: u64, body: &[u32], steps: usize) -> Vec<(StaticInst, Outcome)> {
     let mut words = vec![
         u_type(0x17, 31, 0),
-        i_type(0x03, load, 1, 31, DATA as i32),
-        i_type(0x03, load, 2, 31, DATA as i32 + 8),
+        i_type(0x03, 3, 1, 31, DATA as i32),
+        i_type(0x03, 3, 2, 31, DATA as i32 + 8),
     ];
     words.extend_from_slice(body);
     assert!(words.len() * 4 <= DATA as usize, "body overruns the pool");
@@ -170,7 +168,7 @@ fn run(xlen: Xlen, a: u64, b: u64, body: &[u32], steps: usize) -> Vec<(StaticIns
     bytes.extend_from_slice(&a.to_le_bytes());
     bytes.extend_from_slice(&b.to_le_bytes());
     bytes.extend_from_slice(&[0; 16]);
-    let image = RiscvImage::from_flat("vector", &bytes, xlen).expect("valid image");
+    let image = RiscvImage::from_flat("vector", &bytes).expect("valid image");
     let mut s = RiscvSource::new(Arc::new(image));
     for _ in 0..3 {
         s.step();
@@ -178,37 +176,36 @@ fn run(xlen: Xlen, a: u64, b: u64, body: &[u32], steps: usize) -> Vec<(StaticIns
     (0..steps).map(|_| s.step()).collect()
 }
 
-/// `sd x0, 0(x3)` (rv64) or `sw x0, 0(x3)` (rv32): exposes `x3` as an
-/// effective address.
-fn show_x3(xlen: Xlen) -> u32 {
-    s_type(if xlen == Xlen::Rv64 { 3 } else { 2 }, 3, 0, 0)
+/// `sd x0, 0(x3)`: exposes `x3` as an effective address.
+fn show_x3() -> u32 {
+    s_type(3, 3, 0, 0)
 }
 
 /// The value `inst` leaves in `x3`, given `x1 = a` and `x2 = b`.
-fn x3_after(xlen: Xlen, a: u64, b: u64, inst: u32) -> u64 {
-    let out = run(xlen, a, b, &[inst, show_x3(xlen)], 2);
+fn x3_after(a: u64, b: u64, inst: u32) -> u64 {
+    let out = run(a, b, &[inst, show_x3()], 2);
     assert_eq!(out[1].0.op, Opcode::Store, "the probe store did not run");
     out[1].1.mem_addr
 }
 
-fn check_reg(xlen: Xlen, rows: &[(&str, u64, u64, u64)]) {
+fn check_reg(rows: &[(&str, u64, u64, u64)]) {
     for &(name, a, b, want) in rows {
         let (opcode, f3, f7) = reg_op(name);
-        let got = x3_after(xlen, a, b, r_type(opcode, f3, f7, 3, 1, 2));
+        let got = x3_after(a, b, r_type(opcode, f3, f7, 3, 1, 2));
         assert_eq!(
             got, want,
-            "{xlen:?} {name} {a:#x}, {b:#x}: got {got:#x}, want {want:#x}"
+            "{name} {a:#x}, {b:#x}: got {got:#x}, want {want:#x}"
         );
     }
 }
 
-fn check_imm(xlen: Xlen, rows: &[(&str, u64, i32, u64)]) {
+fn check_imm(rows: &[(&str, u64, i32, u64)]) {
     for &(name, a, imm, want) in rows {
         let (opcode, f3, hi) = imm_op(name);
-        let got = x3_after(xlen, a, 0, i_type(opcode, f3, 3, 1, imm | hi));
+        let got = x3_after(a, 0, i_type(opcode, f3, 3, 1, imm | hi));
         assert_eq!(
             got, want,
-            "{xlen:?} {name} {a:#x}, {imm}: got {got:#x}, want {want:#x}"
+            "{name} {a:#x}, {imm}: got {got:#x}, want {want:#x}"
         );
     }
 }
@@ -217,286 +214,271 @@ fn check_imm(xlen: Xlen, rows: &[(&str, u64, i32, u64)]) {
 
 #[test]
 fn rv64_register_forms_match_the_spec() {
-    check_reg(
-        Xlen::Rv64,
-        &[
-            ("add", 0, 0, 0),
-            ("add", 1, 1, 2),
-            ("add", 3, 7, 10),
-            ("add", M1, 1, 0),
-            ("add", MAX64, 1, MIN64),
-            ("add", MIN64, M1, MAX64),
-            ("add", 0x7fff_ffff, 1, 0x8000_0000),
-            ("sub", 0, 0, 0),
-            ("sub", 1, 1, 0),
-            ("sub", 0, 1, M1),
-            ("sub", 3, 7, 0xffff_ffff_ffff_fffc),
-            ("sub", MIN64, 1, MAX64),
-            ("sub", MAX64, M1, MIN64),
-            ("sll", 1, 0, 1),
-            ("sll", 1, 31, 0x8000_0000),
-            ("sll", 1, 32, 0x1_0000_0000),
-            ("sll", 1, 63, MIN64),
-            ("sll", 1, 64, 1),
-            ("sll", 3, 62, 0xc000_0000_0000_0000),
-            ("sll", M1, 63, MIN64),
-            ("slt", 0, 0, 0),
-            ("slt", 0, 1, 1),
-            ("slt", 1, 0, 0),
-            ("slt", M1, 0, 1),
-            ("slt", 0, M1, 0),
-            ("slt", MIN64, MAX64, 1),
-            ("slt", MAX64, MIN64, 0),
-            ("slt", MIN64, MIN64, 0),
-            ("slt", MIN32, 0x7fff_ffff, 1),
-            ("sltu", 0, 0, 0),
-            ("sltu", 0, 1, 1),
-            ("sltu", 1, 0, 0),
-            ("sltu", M1, 0, 0),
-            ("sltu", 0, M1, 1),
-            ("sltu", MIN64, MAX64, 0),
-            ("sltu", MAX64, MIN64, 1),
-            ("sltu", 0x8000_0000, MIN32, 1),
-            ("xor", HI, LO, 0xf0f0_f0f0_f0f0_f0f0),
-            ("xor", M1, 0, M1),
-            ("xor", M1, M1, 0),
-            ("or", HI, LO, 0xfff0_fff0_fff0_fff0),
-            ("or", 0, 0, 0),
-            ("and", HI, LO, 0x0f00_0f00_0f00_0f00),
-            ("and", M1, MIN64, MIN64),
-            ("srl", MIN64, 0, MIN64),
-            ("srl", MIN64, 1, 0x4000_0000_0000_0000),
-            ("srl", MIN64, 31, 0x1_0000_0000),
-            ("srl", MIN64, 32, 0x8000_0000),
-            ("srl", MIN64, 63, 1),
-            ("srl", M1, 63, 1),
-            ("srl", M1, 64, M1),
-            ("sra", MIN64, 0, MIN64),
-            ("sra", MIN64, 1, 0xc000_0000_0000_0000),
-            ("sra", MIN64, 31, 0xffff_ffff_0000_0000),
-            ("sra", MIN64, 32, MIN32),
-            ("sra", MIN64, 63, M1),
-            ("sra", MAX64, 63, 0),
-            ("sra", MAX64, 1, 0x3fff_ffff_ffff_ffff),
-            ("sra", M1, 64, M1),
-        ],
-    );
+    check_reg(&[
+        ("add", 0, 0, 0),
+        ("add", 1, 1, 2),
+        ("add", 3, 7, 10),
+        ("add", M1, 1, 0),
+        ("add", MAX64, 1, MIN64),
+        ("add", MIN64, M1, MAX64),
+        ("add", 0x7fff_ffff, 1, 0x8000_0000),
+        ("sub", 0, 0, 0),
+        ("sub", 1, 1, 0),
+        ("sub", 0, 1, M1),
+        ("sub", 3, 7, 0xffff_ffff_ffff_fffc),
+        ("sub", MIN64, 1, MAX64),
+        ("sub", MAX64, M1, MIN64),
+        ("sll", 1, 0, 1),
+        ("sll", 1, 31, 0x8000_0000),
+        ("sll", 1, 32, 0x1_0000_0000),
+        ("sll", 1, 63, MIN64),
+        ("sll", 1, 64, 1),
+        ("sll", 3, 62, 0xc000_0000_0000_0000),
+        ("sll", M1, 63, MIN64),
+        ("slt", 0, 0, 0),
+        ("slt", 0, 1, 1),
+        ("slt", 1, 0, 0),
+        ("slt", M1, 0, 1),
+        ("slt", 0, M1, 0),
+        ("slt", MIN64, MAX64, 1),
+        ("slt", MAX64, MIN64, 0),
+        ("slt", MIN64, MIN64, 0),
+        ("slt", MIN32, 0x7fff_ffff, 1),
+        ("sltu", 0, 0, 0),
+        ("sltu", 0, 1, 1),
+        ("sltu", 1, 0, 0),
+        ("sltu", M1, 0, 0),
+        ("sltu", 0, M1, 1),
+        ("sltu", MIN64, MAX64, 0),
+        ("sltu", MAX64, MIN64, 1),
+        ("sltu", 0x8000_0000, MIN32, 1),
+        ("xor", HI, LO, 0xf0f0_f0f0_f0f0_f0f0),
+        ("xor", M1, 0, M1),
+        ("xor", M1, M1, 0),
+        ("or", HI, LO, 0xfff0_fff0_fff0_fff0),
+        ("or", 0, 0, 0),
+        ("and", HI, LO, 0x0f00_0f00_0f00_0f00),
+        ("and", M1, MIN64, MIN64),
+        ("srl", MIN64, 0, MIN64),
+        ("srl", MIN64, 1, 0x4000_0000_0000_0000),
+        ("srl", MIN64, 31, 0x1_0000_0000),
+        ("srl", MIN64, 32, 0x8000_0000),
+        ("srl", MIN64, 63, 1),
+        ("srl", M1, 63, 1),
+        ("srl", M1, 64, M1),
+        ("sra", MIN64, 0, MIN64),
+        ("sra", MIN64, 1, 0xc000_0000_0000_0000),
+        ("sra", MIN64, 31, 0xffff_ffff_0000_0000),
+        ("sra", MIN64, 32, MIN32),
+        ("sra", MIN64, 63, M1),
+        ("sra", MAX64, 63, 0),
+        ("sra", MAX64, 1, 0x3fff_ffff_ffff_ffff),
+        ("sra", M1, 64, M1),
+    ]);
 }
 
 #[test]
 fn rv64_m_extension_matches_the_spec() {
-    check_reg(
-        Xlen::Rv64,
-        &[
-            ("mul", 0, 0, 0),
-            ("mul", 3, 7, 21),
-            ("mul", M1, M1, 1),
-            ("mul", M1, 1, M1),
-            ("mul", MIN64, M1, MIN64),
-            ("mul", 0x1_0000_0000, 0x1_0000_0000, 0),
-            ("mul", 0x7fff_ffff, 0x7fff_ffff, 0x3fff_ffff_0000_0001),
-            ("mulh", 0, 0, 0),
-            ("mulh", M1, M1, 0),
-            ("mulh", M1, 1, M1),
-            ("mulh", MIN64, 1, M1),
-            ("mulh", MIN64, MIN64, 0x4000_0000_0000_0000),
-            ("mulh", MAX64, MAX64, 0x3fff_ffff_ffff_ffff),
-            ("mulh", MIN64, MAX64, 0xc000_0000_0000_0000),
-            ("mulhsu", M1, M1, M1),
-            ("mulhsu", 1, M1, 0),
-            ("mulhsu", MIN64, M1, MIN64),
-            ("mulhsu", MIN64, MIN64, 0xc000_0000_0000_0000),
-            ("mulhsu", 2, MIN64, 1),
-            ("mulhu", M1, M1, 0xffff_ffff_ffff_fffe),
-            ("mulhu", MIN64, MIN64, 0x4000_0000_0000_0000),
-            ("mulhu", M1, 1, 0),
-            ("mulhu", M1, 2, 1),
-            ("div", 20, 6, 3),
-            ("div", (-20i64) as u64, 6, (-3i64) as u64),
-            ("div", 20, (-6i64) as u64, (-3i64) as u64),
-            ("div", (-20i64) as u64, (-6i64) as u64, 3),
-            ("div", MIN64, 1, MIN64),
-            ("div", MIN64, M1, MIN64),
-            ("div", MIN64, 0, M1),
-            ("div", 0, 0, M1),
-            ("div", 1, 0, M1),
-            ("divu", 20, 6, 3),
-            ("divu", (-20i64) as u64, 6, 0x2aaa_aaaa_aaaa_aaa7),
-            ("divu", MIN64, 1, MIN64),
-            ("divu", MIN64, M1, 0),
-            ("divu", M1, M1, 1),
-            ("divu", MIN64, 0, M1),
-            ("divu", 0, 0, M1),
-            ("rem", 20, 6, 2),
-            ("rem", (-20i64) as u64, 6, (-2i64) as u64),
-            ("rem", 20, (-6i64) as u64, 2),
-            ("rem", (-20i64) as u64, (-6i64) as u64, (-2i64) as u64),
-            ("rem", MIN64, 1, 0),
-            ("rem", MIN64, M1, 0),
-            ("rem", MIN64, 0, MIN64),
-            ("rem", 1, 0, 1),
-            ("rem", 0, 0, 0),
-            ("remu", 20, 6, 2),
-            ("remu", (-20i64) as u64, 6, 2),
-            ("remu", MIN64, 1, 0),
-            ("remu", MIN64, M1, MIN64),
-            ("remu", M1, 0, M1),
-            ("remu", 0, 0, 0),
-        ],
-    );
+    check_reg(&[
+        ("mul", 0, 0, 0),
+        ("mul", 3, 7, 21),
+        ("mul", M1, M1, 1),
+        ("mul", M1, 1, M1),
+        ("mul", MIN64, M1, MIN64),
+        ("mul", 0x1_0000_0000, 0x1_0000_0000, 0),
+        ("mul", 0x7fff_ffff, 0x7fff_ffff, 0x3fff_ffff_0000_0001),
+        ("mulh", 0, 0, 0),
+        ("mulh", M1, M1, 0),
+        ("mulh", M1, 1, M1),
+        ("mulh", MIN64, 1, M1),
+        ("mulh", MIN64, MIN64, 0x4000_0000_0000_0000),
+        ("mulh", MAX64, MAX64, 0x3fff_ffff_ffff_ffff),
+        ("mulh", MIN64, MAX64, 0xc000_0000_0000_0000),
+        ("mulhsu", M1, M1, M1),
+        ("mulhsu", 1, M1, 0),
+        ("mulhsu", MIN64, M1, MIN64),
+        ("mulhsu", MIN64, MIN64, 0xc000_0000_0000_0000),
+        ("mulhsu", 2, MIN64, 1),
+        ("mulhu", M1, M1, 0xffff_ffff_ffff_fffe),
+        ("mulhu", MIN64, MIN64, 0x4000_0000_0000_0000),
+        ("mulhu", M1, 1, 0),
+        ("mulhu", M1, 2, 1),
+        ("div", 20, 6, 3),
+        ("div", (-20i64) as u64, 6, (-3i64) as u64),
+        ("div", 20, (-6i64) as u64, (-3i64) as u64),
+        ("div", (-20i64) as u64, (-6i64) as u64, 3),
+        ("div", MIN64, 1, MIN64),
+        ("div", MIN64, M1, MIN64),
+        ("div", MIN64, 0, M1),
+        ("div", 0, 0, M1),
+        ("div", 1, 0, M1),
+        ("divu", 20, 6, 3),
+        ("divu", (-20i64) as u64, 6, 0x2aaa_aaaa_aaaa_aaa7),
+        ("divu", MIN64, 1, MIN64),
+        ("divu", MIN64, M1, 0),
+        ("divu", M1, M1, 1),
+        ("divu", MIN64, 0, M1),
+        ("divu", 0, 0, M1),
+        ("rem", 20, 6, 2),
+        ("rem", (-20i64) as u64, 6, (-2i64) as u64),
+        ("rem", 20, (-6i64) as u64, 2),
+        ("rem", (-20i64) as u64, (-6i64) as u64, (-2i64) as u64),
+        ("rem", MIN64, 1, 0),
+        ("rem", MIN64, M1, 0),
+        ("rem", MIN64, 0, MIN64),
+        ("rem", 1, 0, 1),
+        ("rem", 0, 0, 0),
+        ("remu", 20, 6, 2),
+        ("remu", (-20i64) as u64, 6, 2),
+        ("remu", MIN64, 1, 0),
+        ("remu", MIN64, M1, MIN64),
+        ("remu", M1, 0, M1),
+        ("remu", 0, 0, 0),
+    ]);
 }
 
 #[test]
 fn rv64_word_register_forms_match_the_spec() {
-    check_reg(
-        Xlen::Rv64,
-        &[
-            ("addw", 0, 0, 0),
-            ("addw", 3, 7, 10),
-            ("addw", 0x7fff_ffff, 1, MIN32),
-            ("addw", 0xffff_ffff, 1, 0),
-            ("addw", M1, 1, 0),
-            ("addw", 0x1_0000_0000, 5, 5),
-            ("addw", MIN32, M1, 0x7fff_ffff),
-            ("subw", 0, 1, M1),
-            ("subw", MIN32, 1, 0x7fff_ffff),
-            ("subw", 0x7fff_ffff, M1, MIN32),
-            ("subw", 0x1_0000_0003, 7, 0xffff_ffff_ffff_fffc),
-            ("sllw", 1, 0, 1),
-            ("sllw", 1, 31, MIN32),
-            ("sllw", 1, 32, 1),
-            ("sllw", 1, 63, MIN32),
-            ("sllw", 0xffff_ffff, 1, 0xffff_ffff_ffff_fffe),
-            ("sllw", 0x1_0000_0001, 4, 0x10),
-            ("srlw", MIN32, 0, MIN32),
-            ("srlw", MIN32, 1, 0x4000_0000),
-            ("srlw", MIN32, 31, 1),
-            ("srlw", MIN32, 32, MIN32),
-            ("srlw", M1, 4, 0x0fff_ffff),
-            ("srlw", 0x1_2345_6780, 4, 0x0234_5678),
-            ("sraw", 0x8000_0000, 0, MIN32),
-            ("sraw", 0x8000_0000, 1, 0xffff_ffff_c000_0000),
-            ("sraw", 0x8000_0000, 31, M1),
-            ("sraw", 0x8000_0000, 32, MIN32),
-            ("sraw", 0x7fff_ffff, 31, 0),
-            ("sraw", 0x1_7fff_ffff, 4, 0x07ff_ffff),
-            ("mulw", 3, 7, 21),
-            ("mulw", 0x7fff_ffff, 2, 0xffff_ffff_ffff_fffe),
-            ("mulw", 0x1_0000_0000, 5, 0),
-            ("mulw", 0x8000_0000, M1, MIN32),
-            ("mulw", 0x1_0000, 0x1_0000, 0),
-            ("divw", 20, 6, 3),
-            ("divw", (-20i64) as u64, 6, (-3i64) as u64),
-            ("divw", MIN32, M1, MIN32),
-            ("divw", 0x8000_0000, 1, MIN32),
-            ("divw", 5, 0, M1),
-            ("divw", 0x1_0000_0014, 6, 3),
-            ("divw", 20, 0x1_0000_0000, M1),
-            ("divuw", 20, 6, 3),
-            ("divuw", 0xffff_ffff, 2, 0x7fff_ffff),
-            ("divuw", MIN32, 1, MIN32),
-            ("divuw", M1, M1, 1),
-            ("divuw", 5, 0, M1),
-            ("divuw", 0x8000_0000, 0x1_0000_0002, 0x4000_0000),
-            ("remw", 20, 6, 2),
-            ("remw", (-20i64) as u64, 6, (-2i64) as u64),
-            ("remw", MIN32, M1, 0),
-            ("remw", 0x8000_0000, 0, MIN32),
-            ("remw", 0x1_0000_0007, 0x1_0000_0000, 7),
-            ("remuw", 20, 6, 2),
-            ("remuw", 0xffff_ffff, 0x10, 0xf),
-            ("remuw", 0x8000_0000, 7, 2),
-            ("remuw", 0x8000_0000, 0, MIN32),
-            ("remuw", M1, 0x1_0000_0000, M1),
-        ],
-    );
+    check_reg(&[
+        ("addw", 0, 0, 0),
+        ("addw", 3, 7, 10),
+        ("addw", 0x7fff_ffff, 1, MIN32),
+        ("addw", 0xffff_ffff, 1, 0),
+        ("addw", M1, 1, 0),
+        ("addw", 0x1_0000_0000, 5, 5),
+        ("addw", MIN32, M1, 0x7fff_ffff),
+        ("subw", 0, 1, M1),
+        ("subw", MIN32, 1, 0x7fff_ffff),
+        ("subw", 0x7fff_ffff, M1, MIN32),
+        ("subw", 0x1_0000_0003, 7, 0xffff_ffff_ffff_fffc),
+        ("sllw", 1, 0, 1),
+        ("sllw", 1, 31, MIN32),
+        ("sllw", 1, 32, 1),
+        ("sllw", 1, 63, MIN32),
+        ("sllw", 0xffff_ffff, 1, 0xffff_ffff_ffff_fffe),
+        ("sllw", 0x1_0000_0001, 4, 0x10),
+        ("srlw", MIN32, 0, MIN32),
+        ("srlw", MIN32, 1, 0x4000_0000),
+        ("srlw", MIN32, 31, 1),
+        ("srlw", MIN32, 32, MIN32),
+        ("srlw", M1, 4, 0x0fff_ffff),
+        ("srlw", 0x1_2345_6780, 4, 0x0234_5678),
+        ("sraw", 0x8000_0000, 0, MIN32),
+        ("sraw", 0x8000_0000, 1, 0xffff_ffff_c000_0000),
+        ("sraw", 0x8000_0000, 31, M1),
+        ("sraw", 0x8000_0000, 32, MIN32),
+        ("sraw", 0x7fff_ffff, 31, 0),
+        ("sraw", 0x1_7fff_ffff, 4, 0x07ff_ffff),
+        ("mulw", 3, 7, 21),
+        ("mulw", 0x7fff_ffff, 2, 0xffff_ffff_ffff_fffe),
+        ("mulw", 0x1_0000_0000, 5, 0),
+        ("mulw", 0x8000_0000, M1, MIN32),
+        ("mulw", 0x1_0000, 0x1_0000, 0),
+        ("divw", 20, 6, 3),
+        ("divw", (-20i64) as u64, 6, (-3i64) as u64),
+        ("divw", MIN32, M1, MIN32),
+        ("divw", 0x8000_0000, 1, MIN32),
+        ("divw", 5, 0, M1),
+        ("divw", 0x1_0000_0014, 6, 3),
+        ("divw", 20, 0x1_0000_0000, M1),
+        ("divuw", 20, 6, 3),
+        ("divuw", 0xffff_ffff, 2, 0x7fff_ffff),
+        ("divuw", MIN32, 1, MIN32),
+        ("divuw", M1, M1, 1),
+        ("divuw", 5, 0, M1),
+        ("divuw", 0x8000_0000, 0x1_0000_0002, 0x4000_0000),
+        ("remw", 20, 6, 2),
+        ("remw", (-20i64) as u64, 6, (-2i64) as u64),
+        ("remw", MIN32, M1, 0),
+        ("remw", 0x8000_0000, 0, MIN32),
+        ("remw", 0x1_0000_0007, 0x1_0000_0000, 7),
+        ("remuw", 20, 6, 2),
+        ("remuw", 0xffff_ffff, 0x10, 0xf),
+        ("remuw", 0x8000_0000, 7, 2),
+        ("remuw", 0x8000_0000, 0, MIN32),
+        ("remuw", M1, 0x1_0000_0000, M1),
+    ]);
 }
 
 #[test]
 fn rv64_immediate_forms_match_the_spec() {
-    check_imm(
-        Xlen::Rv64,
-        &[
-            ("addi", 0, 0, 0),
-            ("addi", 1, 1, 2),
-            ("addi", 0, -1, M1),
-            ("addi", 0, 2047, 0x7ff),
-            ("addi", 0, -2048, 0xffff_ffff_ffff_f800),
-            ("addi", MAX64, 1, MIN64),
-            ("addi", 0x7fff_ffff, 1, 0x8000_0000),
-            ("slti", 0, 1, 1),
-            ("slti", 0, 0, 0),
-            ("slti", M1, 0, 1),
-            ("slti", 0, -1, 0),
-            ("slti", MIN64, -2048, 1),
-            ("slti", MAX64, 2047, 0),
-            ("slti", 0xffff_ffff_ffff_f7ff, -2048, 1),
-            ("sltiu", 0, 1, 1),
-            ("sltiu", 0, -1, 1),
-            ("sltiu", M1, -1, 0),
-            ("sltiu", 0xffff_ffff_ffff_fffe, -1, 1),
-            ("sltiu", 1, 0, 0),
-            ("sltiu", 0x7ff, 2047, 0),
-            ("sltiu", 0x7fe, 2047, 1),
-            ("xori", 0x00ff_00ff, 0x0f0, 0x00ff_000f),
-            ("xori", 0, -1, M1),
-            ("xori", M1, -1, 0),
-            ("xori", 0x1234, -2048, 0xffff_ffff_ffff_ea34),
-            ("ori", 0xff00_0000_0000_0000, 0x0f, 0xff00_0000_0000_000f),
-            ("ori", 0, -2048, 0xffff_ffff_ffff_f800),
-            ("ori", 1, 0x7fe, 0x7ff),
-            ("andi", M1, 0x7ff, 0x7ff),
-            ("andi", M1, -2048, 0xffff_ffff_ffff_f800),
-            ("andi", 0x1234_5678, 0xf0, 0x70),
-            ("andi", MIN64, -1, MIN64),
-            ("slli", 1, 0, 1),
-            ("slli", 1, 31, 0x8000_0000),
-            ("slli", 1, 32, 0x1_0000_0000),
-            ("slli", 1, 63, MIN64),
-            ("slli", M1, 32, 0xffff_ffff_0000_0000),
-            ("srli", MIN64, 0, MIN64),
-            ("srli", MIN64, 31, 0x1_0000_0000),
-            ("srli", MIN64, 32, 0x8000_0000),
-            ("srli", MIN64, 63, 1),
-            ("srli", M1, 1, MAX64),
-            ("srai", MIN64, 0, MIN64),
-            ("srai", MIN64, 31, 0xffff_ffff_0000_0000),
-            ("srai", MIN64, 32, MIN32),
-            ("srai", MIN64, 63, M1),
-            ("srai", MAX64, 63, 0),
-            ("srai", 0x8000_0000, 31, 1),
-        ],
-    );
+    check_imm(&[
+        ("addi", 0, 0, 0),
+        ("addi", 1, 1, 2),
+        ("addi", 0, -1, M1),
+        ("addi", 0, 2047, 0x7ff),
+        ("addi", 0, -2048, 0xffff_ffff_ffff_f800),
+        ("addi", MAX64, 1, MIN64),
+        ("addi", 0x7fff_ffff, 1, 0x8000_0000),
+        ("slti", 0, 1, 1),
+        ("slti", 0, 0, 0),
+        ("slti", M1, 0, 1),
+        ("slti", 0, -1, 0),
+        ("slti", MIN64, -2048, 1),
+        ("slti", MAX64, 2047, 0),
+        ("slti", 0xffff_ffff_ffff_f7ff, -2048, 1),
+        ("sltiu", 0, 1, 1),
+        ("sltiu", 0, -1, 1),
+        ("sltiu", M1, -1, 0),
+        ("sltiu", 0xffff_ffff_ffff_fffe, -1, 1),
+        ("sltiu", 1, 0, 0),
+        ("sltiu", 0x7ff, 2047, 0),
+        ("sltiu", 0x7fe, 2047, 1),
+        ("xori", 0x00ff_00ff, 0x0f0, 0x00ff_000f),
+        ("xori", 0, -1, M1),
+        ("xori", M1, -1, 0),
+        ("xori", 0x1234, -2048, 0xffff_ffff_ffff_ea34),
+        ("ori", 0xff00_0000_0000_0000, 0x0f, 0xff00_0000_0000_000f),
+        ("ori", 0, -2048, 0xffff_ffff_ffff_f800),
+        ("ori", 1, 0x7fe, 0x7ff),
+        ("andi", M1, 0x7ff, 0x7ff),
+        ("andi", M1, -2048, 0xffff_ffff_ffff_f800),
+        ("andi", 0x1234_5678, 0xf0, 0x70),
+        ("andi", MIN64, -1, MIN64),
+        ("slli", 1, 0, 1),
+        ("slli", 1, 31, 0x8000_0000),
+        ("slli", 1, 32, 0x1_0000_0000),
+        ("slli", 1, 63, MIN64),
+        ("slli", M1, 32, 0xffff_ffff_0000_0000),
+        ("srli", MIN64, 0, MIN64),
+        ("srli", MIN64, 31, 0x1_0000_0000),
+        ("srli", MIN64, 32, 0x8000_0000),
+        ("srli", MIN64, 63, 1),
+        ("srli", M1, 1, MAX64),
+        ("srai", MIN64, 0, MIN64),
+        ("srai", MIN64, 31, 0xffff_ffff_0000_0000),
+        ("srai", MIN64, 32, MIN32),
+        ("srai", MIN64, 63, M1),
+        ("srai", MAX64, 63, 0),
+        ("srai", 0x8000_0000, 31, 1),
+    ]);
 }
 
 #[test]
 fn rv64_word_immediate_forms_match_the_spec() {
-    check_imm(
-        Xlen::Rv64,
-        &[
-            ("addiw", 0, 0, 0),
-            ("addiw", 0x7fff_ffff, 1, MIN32),
-            ("addiw", 0, -1, M1),
-            ("addiw", 0x1_0000_0000, 0, 0),
-            ("addiw", 0xffff_ffff, 1, 0),
-            ("addiw", 0x7ff, -2048, M1),
-            ("addiw", 0x1_8000_0000, 0, MIN32),
-            ("slliw", 1, 0, 1),
-            ("slliw", 1, 31, MIN32),
-            ("slliw", 3, 31, MIN32),
-            ("slliw", 0xffff_ffff_0000_0001, 4, 0x10),
-            ("srliw", MIN32, 0, MIN32),
-            ("srliw", 0x8000_0000, 1, 0x4000_0000),
-            ("srliw", 0x8000_0000, 31, 1),
-            ("srliw", M1, 0, M1),
-            ("srliw", M1, 4, 0x0fff_ffff),
-            ("sraiw", 0x8000_0000, 0, MIN32),
-            ("sraiw", 0x8000_0000, 1, 0xffff_ffff_c000_0000),
-            ("sraiw", 0x8000_0000, 31, M1),
-            ("sraiw", 0x7fff_ffff, 31, 0),
-            ("sraiw", 0x1_7fff_ffff, 4, 0x07ff_ffff),
-        ],
-    );
+    check_imm(&[
+        ("addiw", 0, 0, 0),
+        ("addiw", 0x7fff_ffff, 1, MIN32),
+        ("addiw", 0, -1, M1),
+        ("addiw", 0x1_0000_0000, 0, 0),
+        ("addiw", 0xffff_ffff, 1, 0),
+        ("addiw", 0x7ff, -2048, M1),
+        ("addiw", 0x1_8000_0000, 0, MIN32),
+        ("slliw", 1, 0, 1),
+        ("slliw", 1, 31, MIN32),
+        ("slliw", 3, 31, MIN32),
+        ("slliw", 0xffff_ffff_0000_0001, 4, 0x10),
+        ("srliw", MIN32, 0, MIN32),
+        ("srliw", 0x8000_0000, 1, 0x4000_0000),
+        ("srliw", 0x8000_0000, 31, 1),
+        ("srliw", M1, 0, M1),
+        ("srliw", M1, 4, 0x0fff_ffff),
+        ("sraiw", 0x8000_0000, 0, MIN32),
+        ("sraiw", 0x8000_0000, 1, 0xffff_ffff_c000_0000),
+        ("sraiw", 0x8000_0000, 31, M1),
+        ("sraiw", 0x7fff_ffff, 31, 0),
+        ("sraiw", 0x1_7fff_ffff, 4, 0x07ff_ffff),
+    ]);
 }
 
 /// The memory operand the load and store vectors work on; its bytes, low
@@ -505,7 +487,7 @@ const PATTERN: u64 = 0x7f01_8002_ff03_8081;
 
 #[test]
 fn loads_match_the_spec_at_every_width() {
-    // (mnemonic, base register, offset, rv64 result). x31 holds FLAT_BASE;
+    // (mnemonic, base register, offset, result). x31 holds FLAT_BASE;
     // x1 holds the address just past the pattern, so its offsets are
     // negative.
     let rows: &[(&str, u32, i32, u64)] = &[
@@ -534,15 +516,10 @@ fn loads_match_the_spec_at_every_width() {
             off
         };
         let inst = i_type(0x03, load_f3(name), 3, base, off);
-        let out = run(Xlen::Rv64, end, PATTERN, &[inst, show_x3(Xlen::Rv64)], 2);
+        let out = run(end, PATTERN, &[inst, show_x3()], 2);
         let at = if base == 31 { FLAT_BASE } else { end }.wrapping_add(off as u64);
         assert_eq!(out[0].1.mem_addr, at, "{name} {off}(x{base}) address");
-        assert_eq!(out[1].1.mem_addr, want, "rv64 {name} {off}(x{base})");
-        if !matches!(name, "lwu" | "ld") {
-            let out = run(Xlen::Rv32, end, PATTERN, &[inst, show_x3(Xlen::Rv32)], 2);
-            // rv32 registers are 32 bits wide: the same value, truncated.
-            assert_eq!(out[1].1.mem_addr, want & 0xffff_ffff, "rv32 {name}");
-        }
+        assert_eq!(out[1].1.mem_addr, want, "{name} {off}(x{base})");
     }
 }
 
@@ -569,20 +546,16 @@ fn stores_match_the_spec_at_every_width() {
         let body = [
             s_type(f3, 31, 1, slot + k),
             i_type(0x03, 3, 3, 31, slot),
-            show_x3(Xlen::Rv64),
+            show_x3(),
         ];
-        let out = run(Xlen::Rv64, a, PATTERN, &body, 3);
+        let out = run(a, PATTERN, &body, 3);
         assert_eq!(out[0].0.op, Opcode::Store);
         assert_eq!(out[0].1.mem_addr, POOL + 8 + k as u64, "{name} address");
         assert_eq!(out[2].1.mem_addr, want, "{name} at byte {k}");
     }
     // A negative S-immediate: `sd x1, -8(x2)` with x2 just past the slot.
-    let body = [
-        s_type(3, 2, 1, -8),
-        i_type(0x03, 3, 3, 31, slot),
-        show_x3(Xlen::Rv64),
-    ];
-    let out = run(Xlen::Rv64, a, POOL + 16, &body, 3);
+    let body = [s_type(3, 2, 1, -8), i_type(0x03, 3, 3, 31, slot), show_x3()];
+    let out = run(a, POOL + 16, &body, 3);
     assert_eq!(out[0].1.mem_addr, POOL + 8);
     assert_eq!(out[2].1.mem_addr, a);
 }
@@ -635,7 +608,7 @@ fn branches_match_the_spec() {
     ];
     for &(name, a, b, taken) in rows {
         for off in [16, -4096, 4094] {
-            let out = run(Xlen::Rv64, a, b, &[b_type(branch_f3(name), 1, 2, off)], 1);
+            let out = run(a, b, &[b_type(branch_f3(name), 1, 2, off)], 1);
             let (inst, o) = out[0];
             assert_eq!(inst.op, Opcode::CondBranch);
             let next = if taken {
@@ -650,7 +623,7 @@ fn branches_match_the_spec() {
 
 #[test]
 fn upper_immediates_match_the_spec() {
-    // (major opcode, imm20, rv64 result); auipc runs at BODY.
+    // (major opcode, imm20, result); auipc runs at BODY.
     let rows: &[(u32, u32, u64)] = &[
         (0x37, 0x12345, 0x1234_5000),
         (0x37, 0x80000, MIN32),
@@ -662,137 +635,36 @@ fn upper_immediates_match_the_spec() {
         (0x17, 0x80000, 0xffff_ffff_8000_100c),
     ];
     for &(opcode, imm20, want) in rows {
-        let got = x3_after(Xlen::Rv64, 0, 0, u_type(opcode, 3, imm20));
+        let got = x3_after(0, 0, u_type(opcode, 3, imm20));
         assert_eq!(got, want, "{opcode:#x} {imm20:#x}");
     }
 }
 
 #[test]
 fn jumps_link_and_redirect_per_the_spec() {
-    let x = Xlen::Rv64;
     // jal x3, +8 over an illegal word onto the probe.
-    let out = run(x, 0, 0, &[j_type(3, 8), 0, show_x3(x)], 2);
+    let out = run(0, 0, &[j_type(3, 8), 0, show_x3()], 2);
     assert_eq!((out[0].1.taken, out[0].1.next_pc), (true, BODY + 8));
     assert_eq!(out[1].1.mem_addr, BODY + 4);
     // A backward jal: j +8; probe; jal x3, -4 (back onto the probe).
-    let out = run(x, 0, 0, &[j_type(0, 8), show_x3(x), j_type(3, -4)], 3);
+    let out = run(0, 0, &[j_type(0, 8), show_x3(), j_type(3, -4)], 3);
     assert_eq!(out[0].0.op, Opcode::Jump);
     assert_eq!(out[1].1.next_pc, BODY + 4);
     assert_eq!(out[2].1.mem_addr, BODY + 12);
     // jalr x3, off(x1) onto the probe at BODY + 8: plain, with the low bit
     // of the sum cleared, and with a negative offset.
     for (a, off) in [(BODY, 8), (BODY + 1, 8), (BODY + 20, -12)] {
-        let out = run(x, a, 0, &[i_type(0x67, 0, 3, 1, off), 0, show_x3(x)], 2);
+        let out = run(a, 0, &[i_type(0x67, 0, 3, 1, off), 0, show_x3()], 2);
         assert_eq!(out[0].0.op, Opcode::JumpInd);
         assert_eq!((out[0].1.taken, out[0].1.next_pc), (true, BODY + 8));
         assert_eq!(out[1].1.mem_addr, BODY + 4, "jalr {off}({a:#x})");
     }
     // jalr x1, 8(x1): the target uses x1 before the link overwrites it.
     let probe_x1 = s_type(3, 1, 0, 0);
-    let out = run(x, BODY, 0, &[i_type(0x67, 0, 1, 1, 8), 0, probe_x1], 2);
+    let out = run(BODY, 0, &[i_type(0x67, 0, 1, 1, 8), 0, probe_x1], 2);
     assert_eq!(out[0].0.op, Opcode::Call);
     assert_eq!(out[0].1.next_pc, BODY + 8);
     assert_eq!(out[1].1.mem_addr, BODY + 4);
-}
-
-// ---- rv32 ---------------------------------------------------------------
-
-#[test]
-fn rv32_base_forms_match_the_spec() {
-    check_reg(
-        Xlen::Rv32,
-        &[
-            ("add", 0x7fff_ffff, 1, 0x8000_0000),
-            ("add", 0xffff_ffff, 1, 0),
-            ("sub", 0, 1, 0xffff_ffff),
-            ("sub", 0x8000_0000, 1, 0x7fff_ffff),
-            ("sll", 1, 31, 0x8000_0000),
-            ("sll", 1, 32, 1),
-            ("sll", 0xffff_ffff, 4, 0xffff_fff0),
-            ("srl", 0x8000_0000, 31, 1),
-            ("srl", 0x8000_0000, 32, 0x8000_0000),
-            ("srl", 0xffff_ffff, 4, 0x0fff_ffff),
-            ("sra", 0x8000_0000, 31, 0xffff_ffff),
-            ("sra", 0x8000_0000, 1, 0xc000_0000),
-            ("sra", 0x7fff_ffff, 31, 0),
-            ("slt", 0x8000_0000, 0, 1),
-            ("slt", 0, 0xffff_ffff, 0),
-            ("sltu", 0x8000_0000, 1, 0),
-            ("sltu", 1, 0x8000_0000, 1),
-            ("sltu", 0x7fff_ffff, 0x8000_0000, 1),
-            ("xor", 0xff00_ff00, 0x0ff0_0ff0, 0xf0f0_f0f0),
-            ("or", 0xff00_ff00, 0x0ff0_0ff0, 0xfff0_fff0),
-            ("and", 0xff00_ff00, 0x0ff0_0ff0, 0x0f00_0f00),
-            ("mul", 0x8000_0000, 0xffff_ffff, 0x8000_0000),
-            ("mul", 0x1_0000, 0x1_0000, 0),
-            ("div", 0x8000_0000, 0xffff_ffff, 0x8000_0000),
-            ("div", 0xffff_ffec, 6, 0xffff_fffd),
-            ("div", 7, 0, 0xffff_ffff),
-            ("rem", 0x8000_0000, 0xffff_ffff, 0),
-            ("rem", 7, 0, 7),
-        ],
-    );
-    check_imm(
-        Xlen::Rv32,
-        &[
-            ("addi", 0x7fff_ffff, 1, 0x8000_0000),
-            ("addi", 0, -1, 0xffff_ffff),
-            ("slti", 0x8000_0000, 0, 1),
-            ("sltiu", 0, -1, 1),
-            ("sltiu", 0xffff_ffff, -1, 0),
-            ("slli", 1, 31, 0x8000_0000),
-            ("srli", 0x8000_0000, 31, 1),
-            ("srai", 0x8000_0000, 31, 0xffff_ffff),
-            ("srai", 0x8000_0000, 4, 0xf800_0000),
-        ],
-    );
-    for (imm20, want) in [(0x80000, 0x8000_0000), (0xfffff, 0xffff_f000)] {
-        assert_eq!(x3_after(Xlen::Rv32, 0, 0, u_type(0x37, 3, imm20)), want);
-    }
-    for (name, taken) in [
-        ("blt", true),
-        ("bltu", false),
-        ("bge", false),
-        ("bgeu", true),
-    ] {
-        let out = run(
-            Xlen::Rv32,
-            0x8000_0000,
-            1,
-            &[b_type(branch_f3(name), 1, 2, 16)],
-            1,
-        );
-        assert_eq!(out[0].1.taken, taken, "rv32 {name} 0x8000_0000, 1");
-    }
-}
-
-/// The multiply-high and unsigned divide forms work on the 32-bit register
-/// values, not on their sign extension to 64 bits.
-#[test]
-fn rv32_m_extension_matches_the_spec() {
-    check_reg(
-        Xlen::Rv32,
-        &[
-            ("mulh", 0x8000_0000, 0x8000_0000, 0x4000_0000),
-            ("mulh", 0x7fff_ffff, 0x7fff_ffff, 0x3fff_ffff),
-            ("mulh", 0xffff_ffff, 1, 0xffff_ffff),
-            ("mulh", 0xffff_ffff, 0xffff_ffff, 0),
-            ("mulhsu", 0x8000_0000, 0x8000_0000, 0xc000_0000),
-            ("mulhsu", 0xffff_ffff, 0xffff_ffff, 0xffff_ffff),
-            ("mulhsu", 1, 0xffff_ffff, 0),
-            ("mulhsu", 2, 0x8000_0000, 1),
-            ("mulhu", 0x8000_0000, 0x8000_0000, 0x4000_0000),
-            ("mulhu", 0xffff_ffff, 0xffff_ffff, 0xffff_fffe),
-            ("mulhu", 0xffff_ffff, 2, 1),
-            ("divu", 0xffff_ffff, 2, 0x7fff_ffff),
-            ("divu", 0x8000_0000, 1, 0x8000_0000),
-            ("divu", 0x8000_0000, 0xffff_ffff, 0),
-            ("divu", 5, 0, 0xffff_ffff),
-            ("remu", 0x8000_0000, 7, 2),
-            ("remu", 0xffff_ffff, 0x10, 0xf),
-            ("remu", 0xffff_ffff, 0, 0xffff_ffff),
-        ],
-    );
 }
 
 // ---- rv64 differential digest --------------------------------------------
@@ -926,7 +798,7 @@ fn rv64_random_programs_match_the_pinned_digest() {
     for seed in 0..64 {
         let words = random_program(seed);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let image = RiscvImage::from_flat("random", &bytes, Xlen::Rv64).expect("valid image");
+        let image = RiscvImage::from_flat("random", &bytes).expect("valid image");
         let mut s = RiscvSource::new(Arc::new(image));
         for _ in 0..2_000 {
             let (inst, o) = s.step();

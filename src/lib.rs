@@ -78,7 +78,7 @@ pub use smt_core::{
 };
 pub use smt_workload::{
     standard_mix, Benchmark, Program, RiscvImage, RiscvSource, TraceImage, TraceSource,
-    WorkloadSource, Xlen,
+    WorkloadSource,
 };
 
 /// The underlying crates, re-exported for direct access to cache, predictor
